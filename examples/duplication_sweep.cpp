@@ -5,9 +5,9 @@
  *
  * Changing the duplication degree scopes to the mapping stage, so the
  * pipeline invalidates map -> evaluate and reuses the cached synthesis;
- * a fresh one-shot compile (what the deprecated `compileForFpsa` facade
- * did) re-runs the whole stack per point.  The example runs the sweep
- * both ways and reports the measured recompile-time win.
+ * a fresh one-shot compile (a new `Pipeline` per point) re-runs the
+ * whole stack.  The example runs the sweep both ways and reports the
+ * measured recompile-time win.
  *
  *   $ ./duplication_sweep
  */
@@ -66,7 +66,7 @@ main()
               << degrees.size() << " sweep points\n";
 
     // -- recompile-time comparison, best of `repeats` to damp noise --
-    // The staged sweep skips re-synthesis and the one-shot wrapper's
+    // The staged sweep skips re-synthesis and the one-shot compile's
     // per-call artifact assembly; both effects are milliseconds, so a
     // single run sits at the timer's noise floor.
     const int repeats = 5;
@@ -86,7 +86,7 @@ main()
             CompileOptions options;
             options.duplicationDegree = degree;
             // A fresh pipeline per point: nothing carries over, so the
-            // whole stack re-runs -- the one-shot facade's behaviour.
+            // whole stack re-runs.
             auto r = Pipeline(model, options).result();
             (void)r;
         }

@@ -97,10 +97,10 @@ JsonWriter::value(double v)
         return *this;
     }
     // to_chars, not printf: the output must stay valid JSON (a '.'
-    // radix point) whatever LC_NUMERIC the host application set.
+    // radix point) whatever LC_NUMERIC the host application set.  The
+    // shortest form that parses back to exactly `v`.
     char buf[32];
-    const auto r = std::to_chars(buf, buf + sizeof(buf), v,
-                                 std::chars_format::general, 12);
+    const auto r = std::to_chars(buf, buf + sizeof(buf), v);
     out_.append(buf, r.ptr);
     return *this;
 }

@@ -1,15 +1,13 @@
 /**
  * @file
- * The whole-stack option/result structs, plus the *deprecated* one-shot
- * compilation wrapper.
+ * The whole-stack option/result structs.
  *
- * The primary entry points are `fpsa::Pipeline` (pipeline.hh), which
- * exposes the Fig. 5 stages individually with cached intermediate
- * artifacts and a non-throwing `Status` error channel, and
- * `Pipeline::compile()`, whose `CompiledModel` artifact
- * (runtime/compiled_model.hh) is what the serving runtime executes.
- * `compileForFpsa()` remains only for source compatibility: it runs a
- * `Pipeline` end to end and fatals on error.
+ * `fpsa::Pipeline` (pipeline.hh) takes a `CompileOptions`, exposes the
+ * Fig. 5 stages individually with cached intermediate artifacts and a
+ * non-throwing `Status` error channel, and assembles a `CompileResult`
+ * (`Pipeline::result()`); `Pipeline::compile()` freezes the stages
+ * into the `CompiledModel` artifact (runtime/compiled_model.hh) the
+ * serving runtime executes.
  */
 
 #ifndef FPSA_COMPILER_HH
@@ -59,20 +57,6 @@ struct CompileResult
     PerfReport performance;
     EnergyReport energy;
 };
-
-/**
- * Compile a computational graph onto FPSA and evaluate it.
- *
- * Equivalent to running every stage of a `Pipeline` and assembling the
- * artifacts; fatals on pipeline errors (e.g.\ a zero-size layer).
- *
- * @deprecated Use `Pipeline` (staged artifacts, `Status` errors,
- * sweep-friendly caching) or `Pipeline::compile()` (a serializable
- * `CompiledModel` for the serving runtime) instead.
- */
-[[deprecated("use fpsa::Pipeline / Pipeline::compile() instead")]]
-CompileResult compileForFpsa(const Graph &graph,
-                             const CompileOptions &options = {});
 
 } // namespace fpsa
 

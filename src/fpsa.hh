@@ -12,7 +12,7 @@
  *                 baseline/ (PRIME, FP-PRIME), accuracy/ (Fig. 9)
  *   facade      - pipeline.hh (staged compile pipeline with cached
  *                 artifacts; the primary entry point),
- *                 compiler.hh (deprecated one-call wrapper)
+ *                 compiler.hh (its option/result structs)
  *   serving     - runtime/ (CompiledModel deployable artifacts,
  *                 Executor backends, the ModelRegistry chip-capacity
  *                 admission, the concurrent batched multi-tenant Engine)

@@ -130,14 +130,14 @@ class Pipeline
     /**
      * Evaluate performance and energy.  Uses the PnR-measured wire
      * delay when `options().runPlaceAndRoute` is set (an unroutable
-     * netlist degrades to a warning, matching `compileForFpsa`).
+     * netlist degrades to a warning).
      */
     StatusOr<std::shared_ptr<const EvalArtifact>> evaluate();
 
     /** Run every stage (PnR only when `runPlaceAndRoute`). */
     Status run();
 
-    /** Assemble the legacy one-shot result, running missing stages. */
+    /** Assemble the whole-stack result, running missing stages. */
     StatusOr<CompileResult> result();
 
     /**

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <limits>
 #include <utility>
 
 #include "common/json.hh"
@@ -118,6 +117,11 @@ ClusterEngine::loadModel(const std::string &name,
                              "cluster: null compiled model for '" +
                                  name + "'");
     }
+    if (replicas < 1) {
+        return Status::error(StatusCode::InvalidArgument,
+                             "cluster: replicas must be >= 1 for '" +
+                                 name + "'");
+    }
     std::lock_guard<std::mutex> ops(opsMu_);
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -139,12 +143,11 @@ ClusterEngine::loadModel(const std::string &name,
     entry.desiredReplicas = replicas;
 
     // Replicate-whole -> shard-across fallback: only a model that fits
-    // no chip even empty is sharded (a fit-anywhere model placed on a
-    // momentarily full fleet still fails Infeasible with the per-chip
-    // breakdown -- draining or scaling can fix that, sharding cannot
-    // improve it).
-    if (options_.shardWhenInfeasible &&
-        demandOversizedForFleet(entry.model->resourceDemand(),
+    // no chip even empty gets multi-stage replicas (a fit-anywhere
+    // model placed on a momentarily full fleet still fails Infeasible
+    // with the per-chip breakdown -- draining or scaling can fix that,
+    // sharding cannot improve it).
+    if (demandOversizedForFleet(entry.model->resourceDemand(),
                                 healthyLoadViews())) {
         std::vector<ChipCapacity> capacities;
         for (const ChipLoadView &view : healthyLoadViews()) {
@@ -162,16 +165,13 @@ ClusterEngine::loadModel(const std::string &name,
                 0);
             capacities.push_back(residual);
         }
-        const int max_shards =
-            options_.maxShards > 0 ? options_.maxShards
-                                   : static_cast<int>(fleet_->size());
         ModelPartitioner partitioner;
-        auto sharded =
-            partitioner.partition(*entry.model, capacities,
-                                  /*minShards=*/2, max_shards);
-        if (!sharded.ok()) {
-            if (sharded.status().code() != StatusCode::Infeasible)
-                return sharded.status();
+        auto split = partitioner.partition(
+            *entry.model, capacities, /*minShards=*/2,
+            /*maxShards=*/static_cast<int>(fleet_->size()));
+        if (!split.ok()) {
+            if (split.status().code() != StatusCode::Infeasible)
+                return split.status();
             // No feasible split either.  Surface the standard
             // per-chip placement breakdown (it carries the shard
             // estimate) with the partitioner's reason appended.
@@ -180,194 +180,252 @@ ClusterEngine::loadModel(const std::string &name,
                 return whole;
             return Status::error(whole.code(),
                                  whole.message() + " (" +
-                                     sharded.status().message() + ")");
+                                     split.status().message() + ")");
         }
-        entry.sharded = true;
         entry.shardedModel = std::make_shared<const ShardedModel>(
-            std::move(sharded).value());
-        return growShardedLocked(name, std::move(entry), replicas);
+            std::move(split).value());
     }
-
-    if (Status grown = growLocked(name, entry, replicas); !grown.ok())
-        return grown;
-    return Status();
+    return growLocked(name, entry, replicas);
 }
 
 Status
-ClusterEngine::growShardedLocked(const std::string &name,
-                                 TenantEntry snapshot, int count)
+ClusterEngine::growLocked(const std::string &name,
+                          const TenantEntry &snapshot, int count)
 {
-    const ShardedModel &sharded = *snapshot.shardedModel;
-    const std::size_t stages =
-        static_cast<std::size_t>(sharded.shardCount());
-    for (int g = 0; g < count; ++g) {
-        // Fresh anti-affinity set + group id per group: concurrent
-        // repair passes must not stack two groups on one chip.
-        std::vector<std::size_t> avoid;
-        std::int64_t gid = 0;
+    while (count > 0) {
+        // Each round yields the stage chains of the replicas it adds,
+        // and for accuracy-gated tenants every chip's calibration.
+        std::vector<std::vector<std::size_t>> chains;
+        std::vector<CalibrationResult> per_chip;
+        const std::vector<ChipLoadView> views = healthyLoadViews();
+        if (snapshot.shardedModel) {
+            // One hop-minimising chain, disjoint from the tenant's
+            // live replicas so one chip loss never takes out two.
+            // Pipelines skip the accuracy gate: their pieces span
+            // chips with different variation profiles.
+            const std::vector<ShardSpec> &shards =
+                snapshot.shardedModel->plan.shards;
+            ShardPlacementRequest request;
+            request.model = name;
+            for (std::size_t s = 0; s < shards.size(); ++s) {
+                request.demands.push_back(shards[s].demand);
+                if (s + 1 < shards.size())
+                    request.cutBytes.push_back(shards[s].cutBytesAfter);
+            }
+            {
+                std::lock_guard<std::mutex> lock(mu_);
+                auto it = tenants_.find(name);
+                if (it != tenants_.end())
+                    for (const Replica &replica : *it->second.replicas)
+                        request.avoid.insert(request.avoid.end(),
+                                             replica.chips.begin(),
+                                             replica.chips.end());
+            }
+            auto chain = policy_->placeShards(request, views);
+            if (!chain.ok())
+                return chain.status();
+            chains.push_back(std::move(chain).value());
+        } else {
+            // All `count` replicas at once on distinct chips.
+            // Accuracy-gated tenants calibrate the model against
+            // every chip's variation profile, so placement can reject
+            // chips that cannot meet the SLO and prefer the quietest
+            // silicon among those that can.
+            PlacementRequest request;
+            request.model = name;
+            request.demand = snapshot.model->resourceDemand();
+            request.replicas = count;
+            if (snapshot.tenant.minAccuracy > 0.0) {
+                request.minAccuracy = snapshot.tenant.minAccuracy;
+                const std::uint64_t name_salt =
+                    std::hash<std::string>{}(name);
+                for (std::size_t chip = 0; chip < views.size(); ++chip) {
+                    const VariationProfile &profile =
+                        fleet_->variation(chip);
+                    CalibrationResult calibration =
+                        calibrator_.calibrate(
+                            snapshot.model->graph(), profile.model,
+                            snapshot.tenant.minAccuracy,
+                            options_.calibrationSeed ^ profile.seed ^
+                                name_salt);
+                    request.predictedAccuracy.push_back(
+                        calibration.predictedAccuracy);
+                    request.mappingSummary.push_back(
+                        calibration.mappingSummary());
+                    per_chip.push_back(std::move(calibration));
+                }
+            }
+            auto placed = policy_->place(request, views);
+            if (!placed.ok())
+                return placed.status();
+            for (std::size_t chip : *placed)
+                chains.push_back({chip});
+        }
+
+        // Load every stage of every chain; roll the round back on
+        // failure so a half-placed replica never serves.
+        const auto unload_stages = [&](const Replica &replica,
+                                       std::size_t stages) {
+            for (std::size_t s = 0; s < stages; ++s)
+                fleet_->engine(replica.chips[s])
+                    .unloadModel(stageTenant(name, replica, s));
+        };
+        std::vector<Replica> fresh;
+        for (std::vector<std::size_t> &chain : chains) {
+            Replica replica;
+            replica.id = nextReplicaId_++;
+            replica.chips = std::move(chain);
+            std::vector<std::string> stages;
+            for (std::size_t s = 0; s < replica.chips.size(); ++s)
+                stages.push_back(stageTenant(name, replica, s));
+            Status status;
+            std::size_t loaded = 0;
+            while (loaded < stages.size()) {
+                status = fleet_->engine(replica.chips[loaded])
+                             .loadModel(stages[loaded],
+                                        snapshot.shardedModel
+                                            ? snapshot.shardedModel
+                                                  ->pieces[loaded]
+                                            : snapshot.model,
+                                        snapshot.tenant);
+                if (!status.ok())
+                    break;
+                ++loaded;
+            }
+            if (!status.ok()) {
+                unload_stages(replica, loaded);
+                for (const Replica &undo : fresh)
+                    unload_stages(undo, undo.chips.size());
+                return status;
+            }
+            if (stages.size() >= 2) {
+                ShardRouter::Options router_options;
+                router_options.interconnect = options_.interconnect;
+                replica.router = std::make_shared<ShardRouter>(
+                    *fleet_, name, snapshot.shardedModel, replica.chips,
+                    std::move(stages), router_options);
+            }
+            fresh.push_back(std::move(replica));
+        }
+
+        count -= static_cast<int>(fresh.size());
         {
             std::lock_guard<std::mutex> lock(mu_);
-            auto it = tenants_.find(name);
-            if (it != tenants_.end()) {
-                for (const ShardGroup &group : it->second.groups)
-                    avoid.insert(avoid.end(), group.chips.begin(),
-                                 group.chips.end());
-                gid = it->second.nextGroupId++;
-            } else {
-                gid = snapshot.nextGroupId++;
+            TenantEntry &entry =
+                tenants_.try_emplace(name, snapshot).first->second;
+            auto table = std::make_shared<ReplicaTable>(*entry.replicas);
+            for (Replica &replica : fresh) {
+                // A fresh replica is programmed "now" on the drift
+                // clock; its accuracy ages from here.
+                if (!per_chip.empty())
+                    replica.calibration =
+                        std::make_shared<const ReplicaCalibration>(
+                            ReplicaCalibration{
+                                per_chip[replica.chips.front()],
+                                driftClock_});
+                table->push_back(std::move(replica));
             }
+            entry.replicas = std::move(table);
         }
-
-        ShardPlacementRequest request;
-        request.model = name;
-        request.demands.reserve(stages);
-        for (const ShardSpec &spec : sharded.plan.shards)
-            request.demands.push_back(spec.demand);
-        for (std::size_t s = 0; s + 1 < stages; ++s)
-            request.cutBytes.push_back(
-                sharded.plan.shards[s].cutBytesAfter);
-        request.avoid = std::move(avoid);
-        auto assignment =
-            policy_->placeShards(request, healthyLoadViews());
-        if (!assignment.ok())
-            return assignment.status();
-
-        // Stage tenants carry the public tenant's options (executor,
-        // priority, SLO) onto each chip; roll back on a partial load.
-        std::vector<std::string> stage_tenants;
-        stage_tenants.reserve(stages);
-        for (std::size_t s = 0; s < stages; ++s)
-            stage_tenants.push_back(name + "#g" + std::to_string(gid) +
-                                    "s" + std::to_string(s));
-        for (std::size_t s = 0; s < stages; ++s) {
-            Status loaded = fleet_->engine((*assignment)[s])
-                                .loadModel(stage_tenants[s],
-                                           sharded.pieces[s],
-                                           snapshot.tenant);
-            if (!loaded.ok()) {
-                for (std::size_t undo = 0; undo < s; ++undo)
-                    fleet_->engine((*assignment)[undo])
-                        .unloadModel(stage_tenants[undo]);
-                return loaded;
-            }
-        }
-
-        ShardRouter::Options router_options;
-        router_options.interconnect = options_.interconnect;
-        router_options.edgeQueueDepth = options_.shardQueueDepth;
-        ShardGroup group;
-        group.chips = *assignment;
-        group.stageTenants = stage_tenants;
-        group.router = std::make_shared<ShardRouter>(
-            *fleet_, name, snapshot.shardedModel, *assignment,
-            stage_tenants, router_options);
-
-        std::lock_guard<std::mutex> lock(mu_);
-        TenantEntry &entry = tenants_[name];
-        if (!entry.model) {
-            entry.model = snapshot.model;
-            entry.tenant = snapshot.tenant;
-            entry.desiredReplicas = snapshot.desiredReplicas;
-            entry.sharded = true;
-            entry.shardedModel = snapshot.shardedModel;
-            entry.nextGroupId = snapshot.nextGroupId;
-        }
-        entry.groups.push_back(std::move(group));
+        if (!per_chip.empty())
+            refreshAccuracyHealth();
     }
     return Status();
 }
 
-Status
-ClusterEngine::retireShardGroup(ShardGroup group)
+bool
+ClusterEngine::regrowLocked(const std::string &name,
+                            RecoveryAction &action)
 {
-    // Stop accepting, let every accepted request flow out the tail
-    // (the stage engines are still serving), then release the chip
-    // budgets.  Zero accepted requests are dropped.
-    group.router->beginDrain();
-    group.router->awaitDrained();
+    auto entry = tenantEntry(name);
+    action.status = entry.ok() ? growLocked(name, *entry, 1)
+                               : entry.status();
+    if (!action.status.ok())
+        return false;
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = tenants_.find(name);
+    if (it != tenants_.end() && !it->second.replicas->empty())
+        action.toChip = chipLabel(it->second.replicas->back());
+    return true;
+}
+
+std::vector<ClusterEngine::Replica>
+ClusterEngine::detachReplicas(const std::string &name,
+                              const std::vector<std::int64_t> &ids)
+{
+    std::vector<Replica> detached;
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = tenants_.find(name);
+    if (it == tenants_.end())
+        return detached;
+    auto kept = std::make_shared<ReplicaTable>();
+    for (const Replica &replica : *it->second.replicas) {
+        if (std::find(ids.begin(), ids.end(), replica.id) != ids.end())
+            detached.push_back(replica);
+        else
+            kept->push_back(replica);
+    }
+    it->second.replicas = std::move(kept);
+    return detached;
+}
+
+Status
+ClusterEngine::retireReplicas(const std::string &name,
+                              const std::vector<Replica> &replicas)
+{
+    // A pipeline first stops accepting and lets every accepted request
+    // flow out its tail while the stage engines still serve; each
+    // stage's unload then drains that chip's queue before releasing
+    // its budget.  Zero accepted requests are dropped.
     Status first;
-    for (std::size_t s = 0; s < group.chips.size(); ++s) {
-        Status unloaded = fleet_->engine(group.chips[s])
-                              .unloadModel(group.stageTenants[s]);
-        if (!unloaded.ok() && first.ok())
-            first = unloaded;
+    for (const Replica &replica : replicas) {
+        if (replica.router) {
+            replica.router->beginDrain();
+            replica.router->awaitDrained();
+        }
+        for (std::size_t s = 0; s < replica.chips.size(); ++s) {
+            health_->clearReplicaAccuracy(replica.chips[s], name);
+            Status unloaded = fleet_->engine(replica.chips[s])
+                                  .unloadModel(stageTenant(name, replica, s));
+            if (!unloaded.ok() && first.ok())
+                first = unloaded;
+        }
     }
     return first;
 }
 
-Status
-ClusterEngine::growLocked(const std::string &name, TenantEntry snapshot,
-                          int count)
+std::string
+ClusterEngine::stageTenant(const std::string &name, const Replica &replica,
+                           std::size_t stage)
 {
-    PlacementRequest request;
-    request.model = name;
-    request.demand = snapshot.model->resourceDemand();
-    request.replicas = count;
+    if (replica.chips.size() == 1)
+        return name;
+    return name + "#r" + std::to_string(replica.id) + "s" +
+           std::to_string(stage);
+}
 
-    // Accuracy-gated tenants: calibrate the model against every
-    // chip's variation profile so placement can reject chips that
-    // cannot meet the SLO and prefer the quietest silicon among those
-    // that can.  Sharded tenants skip the gate (their pieces span
-    // chips with different profiles; see loadModel).
-    const std::vector<ChipLoadView> views = healthyLoadViews();
-    std::vector<CalibrationResult> calibrations;
-    if (snapshot.tenant.minAccuracy > 0.0 && !snapshot.sharded) {
-        request.minAccuracy = snapshot.tenant.minAccuracy;
-        calibrations.reserve(views.size());
-        const std::uint64_t name_salt = std::hash<std::string>{}(name);
-        for (std::size_t chip = 0; chip < views.size(); ++chip) {
-            const VariationProfile &profile = fleet_->variation(chip);
-            CalibrationResult calibration = calibrator_.calibrate(
-                snapshot.model->graph(), profile.model,
-                snapshot.tenant.minAccuracy,
-                options_.calibrationSeed ^ profile.seed ^ name_salt);
-            request.predictedAccuracy.push_back(
-                calibration.predictedAccuracy);
-            request.mappingSummary.push_back(
-                calibration.mappingSummary());
-            calibrations.push_back(std::move(calibration));
-        }
+std::string
+ClusterEngine::chipLabel(const Replica &replica) const
+{
+    std::string label;
+    for (std::size_t chip : replica.chips) {
+        if (!label.empty())
+            label += "+";
+        label += fleet_->id(chip);
     }
+    return label;
+}
 
-    auto assignment = policy_->place(request, views);
-    if (!assignment.ok())
-        return assignment.status();
-
-    // Load onto each placed chip; roll the already-loaded replicas
-    // back on failure so a half-placed tenant never serves.
-    std::vector<std::size_t> loaded;
-    for (std::size_t chip : *assignment) {
-        Status s = fleet_->engine(chip).loadModel(name, snapshot.model,
-                                                  snapshot.tenant);
-        if (!s.ok()) {
-            for (std::size_t undo : loaded)
-                fleet_->engine(undo).unloadModel(name);
-            return s;
-        }
-        loaded.push_back(chip);
+StatusOr<ClusterEngine::TenantEntry>
+ClusterEngine::tenantEntry(const std::string &name) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = tenants_.find(name);
+    if (it == tenants_.end()) {
+        return Status::error(StatusCode::InvalidArgument,
+                             "cluster: no model named '" + name + "'");
     }
-
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        TenantEntry &entry = tenants_[name];
-        if (!entry.model) {
-            entry.model = std::move(snapshot.model);
-            entry.tenant = snapshot.tenant;
-            entry.desiredReplicas = snapshot.desiredReplicas;
-        }
-        entry.chips.insert(entry.chips.end(), loaded.begin(),
-                           loaded.end());
-        if (!calibrations.empty()) {
-            // Each fresh replica is programmed "now" on the drift
-            // clock; its accuracy ages from here.
-            for (std::size_t chip : loaded)
-                entry.calibrations[chip] = ReplicaCalibration{
-                    calibrations[chip], driftClock_};
-        }
-    }
-    if (!calibrations.empty())
-        refreshAccuracyHealth();
-    return Status();
+    return it->second;
 }
 
 Status
@@ -393,73 +451,27 @@ ClusterEngine::setReplicas(const std::string &name, int replicas)
         snapshot = it->second;
     }
 
-    if (snapshot.sharded) {
-        const int current = static_cast<int>(snapshot.groups.size());
-        if (replicas == current)
-            return Status();
-        if (replicas > current)
-            return growShardedLocked(name, snapshot,
-                                     replicas - current);
-
-        // Scale down: pull the victim groups (newest first) out of
-        // the routing table, then retire each with a full drain.
-        std::vector<ShardGroup> victims;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            auto it = tenants_.find(name);
-            if (it != tenants_.end()) {
-                auto &groups = it->second.groups;
-                while (static_cast<int>(groups.size()) > replicas) {
-                    victims.push_back(std::move(groups.back()));
-                    groups.pop_back();
-                }
-            }
-        }
-        Status first;
-        for (ShardGroup &victim : victims) {
-            Status retired = retireShardGroup(std::move(victim));
-            if (!retired.ok() && first.ok())
-                first = retired;
-        }
-        return first;
-    }
-
-    const int current = static_cast<int>(snapshot.chips.size());
-    if (replicas == current)
-        return Status();
+    const int current = static_cast<int>(snapshot.replicas->size());
     if (replicas > current)
         return growLocked(name, snapshot, replicas - current);
 
     // Scale down: stop routing to the victims first (newest replicas
-    // drop first), then drain each -- accepted requests all resolve
-    // before the chip budget is released.
-    std::vector<std::size_t> victims(
-        snapshot.chips.begin() + replicas, snapshot.chips.end());
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = tenants_.find(name);
-        if (it != tenants_.end()) {
-            it->second.chips.resize(static_cast<std::size_t>(replicas));
-            for (std::size_t chip : victims)
-                it->second.calibrations.erase(chip);
-        }
-    }
-    Status first;
-    for (std::size_t chip : victims) {
-        health_->clearReplicaAccuracy(chip, name);
-        Status s = fleet_->engine(chip).unloadModel(name);
-        if (!s.ok() && first.ok())
-            first = s;
-    }
-    return first;
+    // drop first), then retire each -- accepted requests all resolve
+    // before the chip budgets are released.
+    std::vector<std::int64_t> victims;
+    for (int r = replicas; r < current; ++r)
+        victims.push_back(
+            (*snapshot.replicas)[static_cast<std::size_t>(r)].id);
+    if (victims.empty())
+        return Status();
+    return retireReplicas(name, detachReplicas(name, victims));
 }
 
 Status
 ClusterEngine::unloadModel(const std::string &name)
 {
     std::lock_guard<std::mutex> ops(opsMu_);
-    std::vector<std::size_t> chips;
-    std::vector<ShardGroup> groups;
+    std::shared_ptr<const ReplicaTable> replicas;
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = tenants_.find(name);
@@ -468,23 +480,10 @@ ClusterEngine::unloadModel(const std::string &name)
                                  "cluster: no model named '" + name +
                                      "'");
         }
-        chips = std::move(it->second.chips);
-        groups = std::move(it->second.groups);
+        replicas = std::move(it->second.replicas);
         tenants_.erase(it);
     }
-    Status first;
-    for (ShardGroup &group : groups) {
-        Status retired = retireShardGroup(std::move(group));
-        if (!retired.ok() && first.ok())
-            first = retired;
-    }
-    for (std::size_t chip : chips) {
-        health_->clearReplicaAccuracy(chip, name);
-        Status s = fleet_->engine(chip).unloadModel(name);
-        if (!s.ok() && first.ok())
-            first = s;
-    }
-    return first;
+    return retireReplicas(name, *replicas);
 }
 
 int
@@ -494,9 +493,7 @@ ClusterEngine::replicaCount(const std::string &name) const
     auto it = tenants_.find(name);
     if (it == tenants_.end())
         return 0;
-    return it->second.sharded
-               ? static_cast<int>(it->second.groups.size())
-               : static_cast<int>(it->second.chips.size());
+    return static_cast<int>(it->second.replicas->size());
 }
 
 std::vector<std::string>
@@ -507,16 +504,9 @@ ClusterEngine::replicaChips(const std::string &name) const
     auto it = tenants_.find(name);
     if (it == tenants_.end())
         return ids;
-    if (it->second.sharded) {
-        // Flattened group-major: every chip of group 0, then group 1…
-        for (const ShardGroup &group : it->second.groups)
-            for (std::size_t chip : group.chips)
-                ids.push_back(fleet_->id(chip));
-        return ids;
-    }
-    ids.reserve(it->second.chips.size());
-    for (std::size_t chip : it->second.chips)
-        ids.push_back(fleet_->id(chip));
+    for (const Replica &replica : *it->second.replicas)
+        for (std::size_t chip : replica.chips)
+            ids.push_back(fleet_->id(chip));
     return ids;
 }
 
@@ -543,39 +533,63 @@ ClusterEngine::healthyLoadViews() const
     return views;
 }
 
+std::int64_t
+ClusterEngine::replicaPending(const std::string &model,
+                              const Replica &replica) const
+{
+    if (replica.router)
+        return replica.router->pending();
+    return fleet_->engine(replica.chips.front()).pendingRequests(model);
+}
+
 StatusOr<std::size_t>
-ClusterEngine::pickReplicaChip(const std::vector<std::size_t> &chips,
-                               const std::string &model,
-                               std::size_t exclude) const
+ClusterEngine::pickReplica(const ReplicaTable &replicas,
+                           const std::string &model,
+                           std::size_t exclude) const
 {
     // Rank: accuracy first (an ACCURATE replica beats any DRIFTING
     // one, DRIFTING beats STALE -- graceful degradation routes around
     // drifted weights whenever a fresher replica exists), then Healthy
-    // before Degraded, then any chip other than the one that just
-    // failed the request, then least outstanding requests; ties keep
-    // placement order.  Failed chips are out entirely.
+    // before Degraded, then any replica off the chip that just failed
+    // the request, then least outstanding requests; ties keep
+    // placement order.  A replica with a Failed chip is out entirely.
+    // A multi-stage replica takes its worst stage on each criterion.
     bool found = false;
     std::size_t target = 0;
     std::int64_t best_rank = 0;
     std::int64_t best_pending = 0;
-    for (std::size_t chip : chips) {
-        const ChipHealth health = health_->health(chip);
-        if (health == ChipHealth::Failed)
+    for (std::size_t r = 0; r < replicas.size(); ++r) {
+        const Replica &replica = replicas[r];
+        bool dead = false;
+        std::int64_t accuracy_rank = 0;
+        std::int64_t health_rank = 0;
+        std::int64_t exclude_rank = 0;
+        for (std::size_t chip : replica.chips) {
+            const ChipHealth health = health_->health(chip);
+            if (health == ChipHealth::Failed) {
+                dead = true;
+                break;
+            }
+            const ReplicaAccuracy accuracy =
+                health_->replicaAccuracy(chip, model).state;
+            accuracy_rank = std::max<std::int64_t>(
+                accuracy_rank,
+                accuracy == ReplicaAccuracy::Stale
+                    ? 8
+                    : accuracy == ReplicaAccuracy::Drifting ? 4 : 0);
+            if (health == ChipHealth::Degraded)
+                health_rank = 2;
+            if (chip == exclude)
+                exclude_rank = 1;
+        }
+        if (dead)
             continue;
-        const ReplicaAccuracy accuracy =
-            health_->replicaAccuracy(chip, model).state;
-        const std::int64_t rank =
-            (accuracy == ReplicaAccuracy::Stale
-                 ? 8
-                 : accuracy == ReplicaAccuracy::Drifting ? 4 : 0) +
-            (health == ChipHealth::Degraded ? 2 : 0) +
-            (chip == exclude ? 1 : 0);
-        const std::int64_t pending =
-            fleet_->engine(chip).pendingRequests(model);
+        const std::int64_t rank = accuracy_rank + health_rank + exclude_rank;
+        const std::int64_t pending = replicaPending(model, replica);
         if (!found || rank < best_rank ||
             (rank == best_rank && pending < best_pending)) {
             found = true;
-            target = chip;
+            target = r;
             best_rank = rank;
             best_pending = pending;
         }
@@ -585,59 +599,29 @@ ClusterEngine::pickReplicaChip(const std::vector<std::size_t> &chips,
 
     std::string message =
         "cluster: no live replica for model '" + model + "': ";
-    for (std::size_t i = 0; i < chips.size(); ++i) {
-        if (i > 0)
-            message += "; ";
-        message += "chip '" + fleet_->id(chips[i]) + "': " +
-                   chipHealthName(health_->health(chips[i]));
-    }
-    if (chips.empty())
+    if (replicas.empty())
         message += "no replicas placed";
+    for (std::size_t r = 0; r < replicas.size(); ++r) {
+        for (std::size_t s = 0; s < replicas[r].chips.size(); ++s) {
+            const std::size_t chip = replicas[r].chips[s];
+            if (r > 0 || s > 0)
+                message += s == 0 ? "; " : ", ";
+            message += "chip '" + fleet_->id(chip) + "': " +
+                       chipHealthName(health_->health(chip));
+        }
+    }
     return Status::error(StatusCode::Unavailable, message);
 }
 
-StatusOr<std::shared_ptr<ShardRouter>>
-ClusterEngine::pickShardGroup(const std::vector<ShardGroup> &groups,
-                              const std::string &model) const
+std::future<StatusOr<InferenceResult>>
+ClusterEngine::attemptOn(const Replica &replica, const std::string &model,
+                         const Tensor &input, bool block)
 {
-    // A group is live only when every stage chip is live -- one
-    // Failed chip breaks the pipeline, so the whole group is out.
-    // Among live groups, least outstanding requests; ties keep
-    // placement order.
-    std::shared_ptr<ShardRouter> best;
-    std::int64_t best_pending = 0;
-    for (const ShardGroup &group : groups) {
-        bool dead = false;
-        for (std::size_t chip : group.chips) {
-            if (health_->health(chip) == ChipHealth::Failed) {
-                dead = true;
-                break;
-            }
-        }
-        if (dead || !group.router)
-            continue;
-        const std::int64_t pending = group.router->pending();
-        if (!best || pending < best_pending) {
-            best = group.router;
-            best_pending = pending;
-        }
-    }
-    if (best)
-        return best;
-
-    std::string message =
-        "cluster: no live shard group for model '" + model + "': ";
-    if (groups.empty())
-        message += "no groups placed";
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        if (g > 0)
-            message += "; ";
-        message += "group " + std::to_string(g) + ":";
-        for (std::size_t chip : groups[g].chips)
-            message += " '" + fleet_->id(chip) + "' " +
-                       chipHealthName(health_->health(chip));
-    }
-    return Status::error(StatusCode::Unavailable, message);
+    if (replica.router)
+        return replica.router->submit(input, block);
+    Engine &engine = fleet_->engine(replica.chips.front());
+    return block ? engine.submit(model, input)
+                 : engine.trySubmit(model, input);
 }
 
 std::future<StatusOr<InferenceResult>>
@@ -646,11 +630,8 @@ ClusterEngine::submit(const std::string &model, Tensor input)
     // One routing attempt per live replica, plus one for a re-read of
     // the table -- enough to outlast any single scale operation.
     const std::size_t max_attempts = fleet_->size() + 1;
-    const std::size_t no_exclude = std::numeric_limits<std::size_t>::max();
     for (std::size_t attempt = 0;; ++attempt) {
-        std::vector<std::size_t> chips;
-        bool sharded = false;
-        std::vector<ShardGroup> groups;
+        std::shared_ptr<const ReplicaTable> replicas;
         {
             std::lock_guard<std::mutex> lock(mu_);
             if (stopping_) {
@@ -664,70 +645,26 @@ ClusterEngine::submit(const std::string &model, Tensor input)
                     StatusCode::InvalidArgument,
                     "cluster: no model named '" + model + "'"));
             }
-            sharded = it->second.sharded;
-            if (sharded)
-                groups = it->second.groups;
-            else
-                chips = it->second.chips;
+            replicas = it->second.replicas;
         }
 
-        if (sharded) {
-            auto router = pickShardGroup(groups, model);
-            if (!router.ok())
-                return readyFuture(router.status());
+        auto picked = pickReplica(*replicas, model, kNoChip);
+        if (!picked.ok())
+            return readyFuture(picked.status());
+        const Replica &replica = (*replicas)[*picked];
 
-            // Keep the original input: a pipeline failure resubmits
-            // it through a surviving group.
-            Tensor staged = input;
-            auto future =
-                (*router)->submit(std::move(staged), /*block=*/true);
-            if (future.wait_for(std::chrono::seconds(0)) !=
-                std::future_status::ready) {
-                if (options_.retryBudget <= 0)
-                    return future;
-                return superviseInflight(model, std::move(input),
-                                         std::move(future), 0,
-                                         /*sharded=*/true);
-            }
-            // A ready future is a drain race (the group retired
-            // between the table read and the submit) or a pipeline
-            // fast-failure; both are Unavailable and face the same
-            // retry policy as whole-replica traffic.
-            StatusOr<InferenceResult> result = future.get();
-            if (result.ok() ||
-                result.status().code() != StatusCode::Unavailable)
-                return readyFuture(std::move(result));
-            if (options_.retryBudget > 0)
-                return superviseFailed(model, std::move(input), 0,
-                                       result.status(),
-                                       /*sharded=*/true);
-            if (attempt + 1 >= max_attempts)
-                return readyFuture(std::move(result));
-            continue;
-        }
-
-        if (chips.empty()) {
-            return readyFuture(Status::error(
-                StatusCode::Unavailable,
-                "cluster: model '" + model +
-                    "' has no live replicas; request rejected"));
-        }
-
-        auto target = pickReplicaChip(chips, model, no_exclude);
-        if (!target.ok())
-            return readyFuture(target.status());
-
-        // The engine copies the input per attempt; an accepted
+        // The replica copies the input per attempt; an accepted
         // request returns a pending future the failover reaper then
         // supervises (or, with failover disabled, the caller holds
-        // the chip future directly -- PR-6 behavior).
-        auto future = fleet_->engine(*target).submit(model, input);
+        // the replica's future directly).
+        auto future = attemptOn(replica, model, input, /*block=*/true);
         if (future.wait_for(std::chrono::seconds(0)) !=
             std::future_status::ready) {
             if (options_.retryBudget <= 0)
                 return future;
             return superviseInflight(model, std::move(input),
-                                     std::move(future), *target);
+                                     std::move(future),
+                                     replica.healthChip());
         }
 
         // An immediately-ready future is a rejection (the replica
@@ -737,14 +674,14 @@ ClusterEngine::submit(const std::string &model, Tensor input)
         // through; a ready Unavailable goes to the supervised retry
         // path, so fast failures face the same retry budget and shed
         // deadline as slow ones.  With failover disabled, re-route
-        // inline a bounded number of times -- PR-6 behavior.
+        // inline a bounded number of times.
         StatusOr<InferenceResult> result = future.get();
         if (result.ok() ||
             result.status().code() != StatusCode::Unavailable)
             return readyFuture(std::move(result));
         if (options_.retryBudget > 0)
-            return superviseFailed(model, std::move(input), *target,
-                                   result.status());
+            return superviseFailed(model, std::move(input),
+                                   replica.healthChip(), result.status());
         if (attempt + 1 >= max_attempts)
             return readyFuture(std::move(result));
     }
@@ -785,15 +722,11 @@ ClusterEngine::newInflight(const std::string &model, Tensor input,
 std::future<StatusOr<InferenceResult>>
 ClusterEngine::superviseInflight(
     const std::string &model, Tensor input,
-    std::future<StatusOr<InferenceResult>> attempt, std::size_t chip,
-    bool sharded)
+    std::future<StatusOr<InferenceResult>> attempt, std::size_t chip)
 {
     Inflight entry = newInflight(model, std::move(input), chip);
     entry.attempt = std::move(attempt);
-    entry.sharded = sharded;
-    // A sharded attempt spans several chips; its outcome never
-    // charges one chip's health (the probes own that signal).
-    entry.wasPending = !sharded;
+    entry.wasPending = chip != kNoChip;
 
     auto future = entry.promise.get_future();
     {
@@ -813,8 +746,7 @@ ClusterEngine::superviseInflight(
 
 std::future<StatusOr<InferenceResult>>
 ClusterEngine::superviseFailed(const std::string &model, Tensor input,
-                               std::size_t chip, Status error,
-                               bool sharded)
+                               std::size_t chip, Status error)
 {
     // A first attempt that settled Unavailable inside submit():
     // rejected at the queue or failed before submit() returned.
@@ -822,7 +754,6 @@ ClusterEngine::superviseFailed(const std::string &model, Tensor input,
     // (wasPending stays false -- a rejection says nothing about the
     // chip's health) and let the reaper resubmit after backoff.
     Inflight entry = newInflight(model, std::move(input), chip);
-    entry.sharded = sharded;
 
     auto future = entry.promise.get_future();
     std::lock_guard<std::mutex> lock(pendingMu_);
@@ -935,18 +866,13 @@ ClusterEngine::reapOnce()
         }
         progress = true;
         bool stopping = false;
-        std::vector<std::size_t> chips;
-        std::vector<ShardGroup> groups;
+        std::shared_ptr<const ReplicaTable> replicas;
         {
             std::lock_guard<std::mutex> lock(mu_);
             stopping = stopping_;
             auto tenant = tenants_.find(entry.model);
-            if (tenant != tenants_.end()) {
-                if (tenant->second.sharded)
-                    groups = tenant->second.groups;
-                else
-                    chips = tenant->second.chips;
-            }
+            if (tenant != tenants_.end())
+                replicas = tenant->second.replicas;
         }
         if (stopping) {
             entry.promise.set_value(Status::error(
@@ -960,43 +886,11 @@ ClusterEngine::reapOnce()
             continue;
         }
 
-        if (entry.sharded) {
-            // Resubmit through the tenant's current live groups --
-            // after a group failover this is the re-placed pipeline.
-            // No live group *right now* burns a retry and waits, same
-            // as a dead whole-replica tenant.
-            auto router = pickShardGroup(groups, entry.model);
-            if (!router.ok()) {
-                entry.wasPending = false;
-                if (settleLocked(entry, router.status())) {
-                    ++it;
-                } else {
-                    it = pending_.erase(it);
-                }
-                continue;
-            }
-            Tensor staged = entry.input;
-            auto attempt =
-                (*router)->submit(std::move(staged), /*block=*/false);
-            entry.inBackoff = false;
-            entry.wasPending = false;
-            if (attempt.wait_for(std::chrono::seconds(0)) ==
-                std::future_status::ready) {
-                // Rejected at the group's ingress: a full edge is
-                // backpressure (wait), a drain race burns a retry.
-                if (settleLocked(entry, attempt.get())) {
-                    ++it;
-                } else {
-                    it = pending_.erase(it);
-                }
-                continue;
-            }
-            entry.attempt = std::move(attempt);
-            ++it;
-            continue;
-        }
-
-        auto target = pickReplicaChip(chips, entry.model, entry.chip);
+        StatusOr<std::size_t> target = Status::error(
+            StatusCode::Unavailable,
+            "cluster: model '" + entry.model + "' is no longer loaded");
+        if (replicas)
+            target = pickReplica(*replicas, entry.model, entry.chip);
         if (!target.ok()) {
             // No live replica *right now* -- recovery may still
             // re-place one.  Burn a retry and wait again so a dead
@@ -1010,9 +904,11 @@ ClusterEngine::reapOnce()
             }
             continue;
         }
+        const Replica &replica = (*replicas)[*target];
         auto attempt =
-            fleet_->engine(*target).trySubmit(entry.model, entry.input);
+            attemptOn(replica, entry.model, entry.input, /*block=*/false);
         entry.inBackoff = false;
+        entry.wasPending = false;
         if (attempt.wait_for(std::chrono::seconds(0)) ==
             std::future_status::ready) {
             // Rejected at submit.  A drain race (Unavailable) counts
@@ -1025,8 +921,7 @@ ClusterEngine::reapOnce()
             if (!(!rejected.ok() &&
                   rejected.status().code() ==
                       StatusCode::ResourceExhausted))
-                entry.chip = *target;
-            entry.wasPending = false;
+                entry.chip = replica.healthChip();
             if (settleLocked(entry, std::move(rejected))) {
                 ++it;
             } else {
@@ -1034,8 +929,8 @@ ClusterEngine::reapOnce()
             }
             continue;
         }
-        entry.chip = *target;
-        entry.wasPending = true;
+        entry.chip = replica.healthChip();
+        entry.wasPending = entry.chip != kNoChip;
         entry.attempt = std::move(attempt);
         ++it;
     }
@@ -1116,12 +1011,12 @@ ClusterEngine::shutdown()
         std::lock_guard<std::mutex> lock(mu_);
         stopping_ = true;
         for (const auto &[name, entry] : tenants_)
-            for (const ShardGroup &group : entry.groups)
-                if (group.router)
-                    routers.push_back(group.router);
+            for (const Replica &replica : *entry.replicas)
+                if (replica.router)
+                    routers.push_back(replica.router);
     }
-    // Drain every shard pipeline while its stage engines still serve
-    // -- accepted sharded requests flow out the tail before the fleet
+    // Drain every pipeline while its stage engines still serve --
+    // accepted multi-stage requests flow out the tail before the fleet
     // goes down.  New submits are already rejected via stopping_.
     for (const auto &router : routers)
         router->beginDrain();
@@ -1173,156 +1068,52 @@ ClusterEngine::repairOnce()
         tenants = tenants_;
     }
     const std::vector<ChipHealth> health = health_->snapshot();
+    const auto failed_chip = [&](const Replica &replica) {
+        for (std::size_t chip : replica.chips)
+            if (chip < health.size() && health[chip] == ChipHealth::Failed)
+                return chip;
+        return kNoChip;
+    };
 
     for (const auto &[name, snapshot] : tenants) {
-        if (snapshot.sharded) {
-            // A group with any Failed chip fails over as a unit: pull
-            // it from the routing table (new submits skip it), drain
-            // its router (in-flight requests resolve -- failures land
-            // in the reaper and resubmit through surviving groups),
-            // release every stage's budget, then re-place a whole new
-            // group on the healthy fleet.
-            std::vector<std::string> evicted_from;
-            for (const ShardGroup &group : snapshot.groups) {
-                std::string failed_chip;
-                for (std::size_t chip : group.chips) {
-                    if (chip < health.size() &&
-                        health[chip] == ChipHealth::Failed) {
-                        failed_chip = fleet_->id(chip);
-                        break;
-                    }
-                }
-                if (failed_chip.empty())
-                    continue;
-                ShardGroup victim;
-                bool removed = false;
-                {
-                    std::lock_guard<std::mutex> lock(mu_);
-                    auto it = tenants_.find(name);
-                    if (it != tenants_.end()) {
-                        auto &live = it->second.groups;
-                        for (auto g = live.begin(); g != live.end();
-                             ++g) {
-                            if (g->router == group.router) {
-                                victim = std::move(*g);
-                                live.erase(g);
-                                removed = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if (!removed)
-                    continue; // unloaded or repaired concurrently
-                retireShardGroup(std::move(victim));
-                evicted_from.push_back(failed_chip);
-            }
-
-            TenantEntry current;
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                auto it = tenants_.find(name);
-                if (it == tenants_.end())
-                    continue;
-                current = it->second;
-            }
-            int deficit = current.desiredReplicas -
-                          static_cast<int>(current.groups.size());
-            for (int i = 0; i < deficit; ++i) {
-                RecoveryAction action;
-                action.model = name;
-                if (static_cast<std::size_t>(i) < evicted_from.size())
-                    action.fromChip =
-                        evicted_from[static_cast<std::size_t>(i)];
-                action.status = growShardedLocked(name, current, 1);
-                if (action.status.ok()) {
-                    std::lock_guard<std::mutex> lock(mu_);
-                    auto it = tenants_.find(name);
-                    if (it != tenants_.end() &&
-                        !it->second.groups.empty()) {
-                        // The re-placed pipeline's chips, joined.
-                        const ShardGroup &fresh =
-                            it->second.groups.back();
-                        for (std::size_t c = 0;
-                             c < fresh.chips.size(); ++c) {
-                            if (c > 0)
-                                action.toChip += "+";
-                            action.toChip +=
-                                fleet_->id(fresh.chips[c]);
-                        }
-                    }
-                } else {
-                    actions.push_back(std::move(action));
-                    break;
-                }
-                actions.push_back(std::move(action));
-            }
-            continue;
-        }
-
-        // Evict replicas living on Failed chips: stop routing to each
-        // first, then drain it off the chip (queued requests fail fast
-        // there and fail over), releasing its budget.
+        // Evict every replica with a Failed chip: pull it from the
+        // routing table first (new submits skip it), then retire it --
+        // queued requests fail fast on the dead chip and fail over
+        // through the reaper -- releasing its chip budgets.
+        std::vector<std::int64_t> failed;
+        for (const Replica &replica : *snapshot.replicas)
+            if (failed_chip(replica) != kNoChip)
+                failed.push_back(replica.id);
         std::vector<std::string> evicted;
-        for (std::size_t chip : snapshot.chips) {
-            if (chip >= health.size() ||
-                health[chip] != ChipHealth::Failed)
-                continue;
-            bool routed_away = false;
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                auto it = tenants_.find(name);
-                if (it != tenants_.end()) {
-                    auto &live = it->second.chips;
-                    auto pos =
-                        std::find(live.begin(), live.end(), chip);
-                    if (pos != live.end()) {
-                        live.erase(pos);
-                        it->second.calibrations.erase(chip);
-                        routed_away = true;
-                    }
-                }
-            }
-            if (!routed_away)
-                continue; // unloaded or already repaired concurrently
-            health_->clearReplicaAccuracy(chip, name);
-            fleet_->engine(chip).unloadModel(name);
-            evicted.push_back(fleet_->id(chip));
+        if (!failed.empty()) {
+            const std::vector<Replica> victims =
+                detachReplicas(name, failed);
+            for (const Replica &victim : victims)
+                evicted.push_back(fleet_->id(failed_chip(victim)));
+            retireReplicas(name, victims);
         }
 
         // Top the tenant back up to its desired replica count -- this
         // also retries deficits left by earlier passes that found no
         // room.  One replica at a time so a partial recovery sticks
         // (growLocked rolls back its own failed step).
-        TenantEntry current;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            auto it = tenants_.find(name);
-            if (it == tenants_.end())
-                continue;
-            current = it->second;
-        }
-        int deficit = current.desiredReplicas -
-                      static_cast<int>(current.chips.size());
+        auto current = tenantEntry(name);
+        if (!current.ok())
+            continue;
+        const int deficit = current->desiredReplicas -
+                            static_cast<int>(current->replicas->size());
         for (int i = 0; i < deficit; ++i) {
             RecoveryAction action;
             action.model = name;
             if (static_cast<std::size_t>(i) < evicted.size())
                 action.fromChip = evicted[static_cast<std::size_t>(i)];
-            action.status = growLocked(name, current, 1);
-            if (action.status.ok()) {
-                std::lock_guard<std::mutex> lock(mu_);
-                auto it = tenants_.find(name);
-                if (it != tenants_.end() && !it->second.chips.empty())
-                    action.toChip = fleet_->id(it->second.chips.back());
-            } else {
-                // No room on the surviving fleet: record the per-chip
-                // breakdown and leave the tenant degraded; a later
-                // pass retries (e.g. once the chip rejoins).
-                actions.push_back(std::move(action));
-                break;
-            }
+            // No room on the surviving fleet: record the per-chip
+            // breakdown and leave the tenant degraded; a later pass
+            // retries (e.g. once the chip rejoins).
+            const bool grown = regrowLocked(name, action);
             actions.push_back(std::move(action));
+            if (!grown)
+                break;
         }
     }
     return actions;
@@ -1362,10 +1153,12 @@ ClusterEngine::refreshAccuracyHealth()
     {
         std::lock_guard<std::mutex> lock(mu_);
         for (const auto &[name, entry] : tenants_) {
-            if (entry.tenant.minAccuracy <= 0.0)
-                continue;
-            for (const auto &[chip, calibration] :
-                 entry.calibrations) {
+            for (const Replica &replica : *entry.replicas) {
+                if (!replica.calibration)
+                    continue;
+                const ReplicaCalibration &calibration =
+                    *replica.calibration;
+                const std::size_t chip = replica.chips.front();
                 const double age =
                     driftClock_ - calibration.programmedAtSeconds;
                 ReplicaAccuracyRecord record;
@@ -1409,15 +1202,12 @@ ClusterEngine::recalibrateOnce()
     }
 
     for (const auto &[name, snapshot] : tenants) {
-        if (snapshot.sharded || snapshot.tenant.minAccuracy <= 0.0)
-            continue;
-        std::vector<std::size_t> stale;
-        for (std::size_t chip : snapshot.chips) {
-            if (health_->replicaAccuracy(chip, name).state ==
-                ReplicaAccuracy::Stale)
-                stale.push_back(chip);
-        }
-        for (std::size_t chip : stale) {
+        for (const Replica &replica : *snapshot.replicas) {
+            const std::size_t chip = replica.chips.front();
+            if (!replica.calibration ||
+                health_->replicaAccuracy(chip, name).state !=
+                    ReplicaAccuracy::Stale)
+                continue;
             // Re-programming is an evict + re-place: stop routing to
             // the stale replica first, drain it off the chip (every
             // accepted request resolves -- the zero-loss contract),
@@ -1425,50 +1215,19 @@ ClusterEngine::recalibrateOnce()
             // The same chip is eligible again: re-programming resets
             // its age, so a quiet chip whose replica merely aged out
             // usually gets it right back.
-            bool routed_away = false;
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                auto it = tenants_.find(name);
-                if (it != tenants_.end()) {
-                    auto &live = it->second.chips;
-                    auto pos =
-                        std::find(live.begin(), live.end(), chip);
-                    if (pos != live.end()) {
-                        live.erase(pos);
-                        it->second.calibrations.erase(chip);
-                        routed_away = true;
-                    }
-                }
-            }
-            if (!routed_away)
+            const std::vector<Replica> victims =
+                detachReplicas(name, {replica.id});
+            if (victims.empty())
                 continue; // unloaded or re-placed concurrently
-            health_->clearReplicaAccuracy(chip, name);
-            fleet_->engine(chip).unloadModel(name);
+            retireReplicas(name, victims);
 
-            TenantEntry current;
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                auto it = tenants_.find(name);
-                if (it == tenants_.end())
-                    break;
-                current = it->second;
-            }
             RecoveryAction action;
             action.model = name;
             action.fromChip = fleet_->id(chip);
             action.reason = "recalibration";
-            action.status = growLocked(name, current, 1);
-            if (action.status.ok()) {
-                std::lock_guard<std::mutex> lock(mu_);
-                auto it = tenants_.find(name);
-                if (it != tenants_.end() &&
-                    !it->second.chips.empty())
-                    action.toChip =
-                        fleet_->id(it->second.chips.back());
-            }
-            const bool failed = !action.status.ok();
+            const bool grown = regrowLocked(name, action);
             actions.push_back(std::move(action));
-            if (failed)
+            if (!grown)
                 break; // no room now; repairOnce's top-up loop retries
         }
     }
@@ -1477,54 +1236,38 @@ ClusterEngine::recalibrateOnce()
 
 // ------------------------------------------------------------------- stats
 
+StatusOr<EngineStats>
+ClusterEngine::replicaStats(const std::string &model,
+                            const Replica &replica) const
+{
+    if (!replica.router)
+        return fleet_->engine(replica.chips.front()).modelStats(model);
+    // Synthesized from the router's end-to-end telemetry: per-stage
+    // engine stats would count every request once per stage.
+    const ShardRouter::Stats router = replica.router->stats();
+    EngineStats stats;
+    stats.submitted = router.accepted;
+    stats.completed = router.completed;
+    stats.failed = router.failed;
+    stats.throughput = router.throughput;
+    stats.wallSeconds = router.wallSeconds;
+    stats.p50QueueMillis = router.p50QueueMillis;
+    stats.p95QueueMillis = router.p95QueueMillis;
+    stats.p99QueueMillis = router.p99QueueMillis;
+    return stats;
+}
+
 StatusOr<ClusterEngine::TenantLoad>
 ClusterEngine::tenantLoad(const std::string &name) const
 {
-    std::vector<std::size_t> chips;
-    bool sharded = false;
-    std::vector<ShardGroup> groups;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = tenants_.find(name);
-        if (it == tenants_.end()) {
-            return Status::error(StatusCode::InvalidArgument,
-                                 "cluster: no model named '" + name +
-                                     "'");
-        }
-        sharded = it->second.sharded;
-        if (sharded)
-            groups = it->second.groups;
-        else
-            chips = it->second.chips;
-    }
-    if (sharded) {
-        // Each group is one replica of the whole model; the router's
-        // telemetry is already end-to-end, so no per-stage math here.
-        TenantLoad load;
-        load.replicas = static_cast<int>(groups.size());
-        for (const ShardGroup &group : groups) {
-            if (!group.router)
-                continue;
-            load.pending += group.router->pending();
-            const ShardRouter::Stats stats = group.router->stats();
-            load.p95QueueMillis =
-                std::max(load.p95QueueMillis, stats.p95QueueMillis);
-            load.p99QueueMillis =
-                std::max(load.p99QueueMillis, stats.p99QueueMillis);
-            load.completed += stats.completed;
-        }
-        if (load.replicas > 0)
-            load.pendingPerReplica =
-                static_cast<double>(load.pending) /
-                static_cast<double>(load.replicas);
-        return load;
-    }
+    auto entry = tenantEntry(name);
+    if (!entry.ok())
+        return entry.status();
     TenantLoad load;
-    load.replicas = static_cast<int>(chips.size());
-    for (std::size_t chip : chips) {
-        const Engine &engine = fleet_->engine(chip);
-        load.pending += engine.pendingRequests(name);
-        auto stats = engine.modelStats(name);
+    load.replicas = static_cast<int>(entry->replicas->size());
+    for (const Replica &replica : *entry->replicas) {
+        load.pending += replicaPending(name, replica);
+        auto stats = replicaStats(name, replica);
         if (!stats.ok())
             continue; // replica mid-drain
         load.p95QueueMillis =
@@ -1542,50 +1285,12 @@ ClusterEngine::tenantLoad(const std::string &name) const
 StatusOr<EngineStats>
 ClusterEngine::modelStats(const std::string &name) const
 {
-    std::vector<std::size_t> chips;
-    bool sharded = false;
-    std::vector<ShardGroup> groups;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = tenants_.find(name);
-        if (it == tenants_.end()) {
-            return Status::error(StatusCode::InvalidArgument,
-                                 "cluster: no model named '" + name +
-                                     "'");
-        }
-        sharded = it->second.sharded;
-        if (sharded)
-            groups = it->second.groups;
-        else
-            chips = it->second.chips;
-    }
-    if (sharded) {
-        // Synthesized from router telemetry: per-stage engine stats
-        // would count every request once per stage.  Percentiles take
-        // the worst group, rates sum -- the whole-replica merge rule.
-        EngineStats merged;
-        for (const ShardGroup &group : groups) {
-            if (!group.router)
-                continue;
-            const ShardRouter::Stats stats = group.router->stats();
-            merged.submitted += stats.accepted;
-            merged.completed += stats.completed;
-            merged.failed += stats.failed;
-            merged.throughput += stats.throughput;
-            merged.wallSeconds =
-                std::max(merged.wallSeconds, stats.wallSeconds);
-            merged.p50QueueMillis =
-                std::max(merged.p50QueueMillis, stats.p50QueueMillis);
-            merged.p95QueueMillis =
-                std::max(merged.p95QueueMillis, stats.p95QueueMillis);
-            merged.p99QueueMillis =
-                std::max(merged.p99QueueMillis, stats.p99QueueMillis);
-        }
-        return merged;
-    }
+    auto entry = tenantEntry(name);
+    if (!entry.ok())
+        return entry.status();
     EngineStats merged;
-    for (std::size_t chip : chips) {
-        auto stats = fleet_->engine(chip).modelStats(name);
+    for (const Replica &replica : *entry->replicas) {
+        auto stats = replicaStats(name, replica);
         if (stats.ok())
             mergeStats(merged, *stats);
     }
@@ -1627,35 +1332,23 @@ ClusterEngine::statsJson() const
     for (const auto &[name, entry] : tenants) {
         j.key(name).beginObject();
         j.key("replicas").beginArray();
-        for (std::size_t chip : entry.chips)
-            j.value(fleet_->id(chip));
+        for (const Replica &replica : *entry.replicas)
+            j.value(chipLabel(replica));
         j.endArray();
         j.field("desiredReplicas", entry.desiredReplicas);
-        if (entry.sharded) {
-            j.field("sharded", true);
-            j.field("shards",
-                    static_cast<std::int64_t>(
-                        entry.shardedModel
-                            ? entry.shardedModel->shardCount()
-                            : 0));
+        if (entry.shardedModel) {
             std::int64_t forwards = 0;
             std::int64_t bytes = 0;
             NanoSeconds nanos = 0.0;
-            j.key("groups").beginArray();
-            for (const ShardGroup &group : entry.groups) {
-                j.beginArray();
-                for (std::size_t chip : group.chips)
-                    j.value(fleet_->id(chip));
-                j.endArray();
-                if (group.router) {
-                    const ShardRouter::Stats stats =
-                        group.router->stats();
-                    forwards += stats.forwards;
-                    bytes += stats.interconnectBytes;
-                    nanos += stats.interconnectNanos;
-                }
+            for (const Replica &replica : *entry.replicas) {
+                const ShardRouter::Stats stats = replica.router->stats();
+                forwards += stats.forwards;
+                bytes += stats.interconnectBytes;
+                nanos += stats.interconnectNanos;
             }
-            j.endArray();
+            j.field("sharded", true);
+            j.field("shards", static_cast<std::int64_t>(
+                                  entry.shardedModel->shardCount()));
             j.field("forwards", forwards);
             j.field("interconnectBytes", bytes);
             j.field("interconnectNanos", nanos);
@@ -1697,7 +1390,11 @@ ClusterEngine::statsJson() const
         j.key(name).beginObject();
         j.field("minAccuracy", entry.tenant.minAccuracy);
         j.key("replicas").beginArray();
-        for (const auto &[chip, calibration] : entry.calibrations) {
+        for (const Replica &replica : *entry.replicas) {
+            if (!replica.calibration)
+                continue;
+            const ReplicaCalibration &calibration = *replica.calibration;
+            const std::size_t chip = replica.chips.front();
             const ReplicaAccuracyRecord record =
                 health_->replicaAccuracy(chip, name);
             j.beginObject();

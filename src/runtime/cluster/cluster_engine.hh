@@ -11,30 +11,37 @@
  *     auto r = cluster->infer("hot", input);              // routed
  *     cluster->setReplicas("hot", 1);                     // drains one
  *
+ * Every replica of a tenant is a chain of stage chips in pipeline
+ * order.  A model that fits one chip gets one-stage replicas, each
+ * served straight by its chip engine; a model too big for any chip is
+ * split by the `ModelPartitioner` at layer boundaries into K >= 2
+ * chip-sized pieces, and each replica is a K-stage `ShardRouter`
+ * pipeline priced by the modeled interconnect.  Placement, routing,
+ * scaling, failover and re-calibration treat both the same way.
+ *
  * Contract:
- *  - Placement goes through the configured `PlacementPolicy`
- *    (first-fit or best-fit bin-packing by `ResourceDemand`); K
- *    replicas of a tenant land on K distinct chips.  Placement is
- *    deterministic given the fleet state, and an unplaceable request
- *    returns `Infeasible` with the full per-chip breakdown.
- *  - Routing is least-outstanding-requests: each submit goes to the
- *    tenant's replica with the fewest queued + inflight requests.
- *    Each replica keeps its own per-chip queue, and batches never mix
+ *  - Placement goes through the configured `PlacementPolicy`.
+ *    One-stage replicas are bin-packed by `ResourceDemand` (first-fit
+ *    or best-fit, accuracy-gated for `minAccuracy` tenants), K
+ *    replicas of a tenant on K distinct chips; multi-stage replicas
+ *    get a hop-minimising chain, disjoint from the tenant's other
+ *    replicas.  Placement is deterministic given the fleet state, and
+ *    an unplaceable request returns `Infeasible` with the full
+ *    per-chip breakdown.
+ *  - Routing picks the best live replica: a replica with any `Failed`
+ *    chip is out; the rest rank by accuracy state, then Healthy before
+ *    Degraded, then away from the chip that just failed the request,
+ *    then fewest queued + inflight requests.  Batches never mix
  *    tenants (the per-chip engine's invariant).  A submit that races
  *    a replica's drain is transparently re-routed to a surviving
  *    replica.
  *  - `setReplicas`/`unloadModel` scale with the hot-swap drain: a
  *    shrinking replica first stops receiving new requests, then its
- *    queued and inflight requests all resolve, then its chip budget
- *    is released.  In-flight requests are never dropped by scaling.
- *  - The per-chip engines run the SLO-aware deadline scheduler
- *    (priority classes + deadline-based batch closing) from
+ *    queued and inflight requests all resolve, then its chip budgets
+ *    are released.  In-flight requests are never dropped by scaling.
+ *    A multi-stage replica scales, drains and fails over as a unit.
+ *  - The per-chip engines run the SLO-aware deadline scheduler from
  *    `EngineOptions`, so cluster tenants inherit per-tenant SLOs.
- *  - A model too big for any single chip is served *sharded*: the
- *    `ModelPartitioner` splits it at layer boundaries into chip-sized
- *    pieces and each replica becomes a shard group -- a `ShardRouter`
- *    pipeline across co-located chips, priced by the modeled
- *    interconnect.  Groups scale, drain and fail over as a unit.
  *
  * `tenantLoad()` is the observation surface the `Autoscaler` builds
  * its control loop on; `statsJson()` bundles per-chip, per-tenant and
@@ -48,6 +55,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <list>
 #include <map>
 #include <memory>
@@ -105,21 +113,6 @@ struct ClusterOptions
     InterconnectParams interconnect;
 
     /**
-     * Shard-across fallback: a model whose whole-replica demand
-     * exceeds every chip's total capacity is partitioned at layer
-     * boundaries and served as a chip-to-chip pipeline instead of
-     * failing `Infeasible`.  A model that fits some chip whole is
-     * never sharded -- replicate-whole stays the first choice.
-     */
-    bool shardWhenInfeasible = true;
-
-    /** Shard-count cap for the fallback; 0 means the fleet size. */
-    int maxShards = 0;
-
-    /** Per-edge queue bound of a shard pipeline (requests). */
-    int shardQueueDepth = 64;
-
-    /**
      * Accuracy-health hysteresis: a replica whose drift-degraded
      * accuracy sits within this margin above its tenant's
      * `minAccuracy` is DRIFTING (routed around when an ACCURATE
@@ -153,10 +146,10 @@ class ClusterEngine
      * host the request; `InvalidArgument` on a duplicate name, bad
      * replica count, or a model the backend rejects.
      *
-     * A model that fits no chip even empty falls back to sharded
-     * serving (when `ClusterOptions::shardWhenInfeasible`): each
-     * replica becomes a shard group pipelined across chips, and
-     * `infer`/`submit`/`setReplicas`/`unloadModel` work unchanged.
+     * A model that fits no chip even empty is served sharded: each
+     * replica becomes a chain of up to fleet-size stages pipelined
+     * across chips, and `infer`/`submit`/`setReplicas`/`unloadModel`
+     * work unchanged.
      */
     Status loadModel(const std::string &name,
                      std::shared_ptr<const CompiledModel> model,
@@ -178,7 +171,11 @@ class ClusterEngine
     /** Current replica count for `name`; 0 when absent. */
     int replicaCount(const std::string &name) const;
 
-    /** Chip ids hosting `name`, in placement order; empty if absent. */
+    /**
+     * Chip ids hosting `name`, replica by replica in placement order
+     * (every stage of a multi-stage replica, in pipeline order);
+     * empty if absent.
+     */
     std::vector<std::string> replicaChips(const std::string &name) const;
 
     std::vector<std::string> modelNames() const;
@@ -224,8 +221,8 @@ class ClusterEngine
     struct RecoveryAction
     {
         std::string model;
-        std::string fromChip; //!< the failed replica's chip
-        std::string toChip;   //!< empty when re-placement failed
+        std::string fromChip; //!< the failed replica's (first failed) chip
+        std::string toChip;   //!< stage chips joined by '+'; empty on failure
         Status status;        //!< OK, or the placement/load error
         std::string reason = "failover"; //!< or "recalibration"
     };
@@ -294,12 +291,12 @@ class ClusterEngine
     /**
      * JSON report: {"policy":..., "chips": N, "aggregate": merged
      * stats, "perChip": {id: engine report}, "tenants": {name:
-     * {"replicas": [chip ids], "pending": n, "p99QueueMillis": ms,
-     * and for sharded tenants "sharded": true, "shards": K, "groups":
-     * [[chip ids]], "interconnectBytes"/"interconnectNanos"/
-     * "forwards" summed over groups}}, "interconnect": the modeled
-     * link parameters plus fleet-total traffic, "utilization": [per
-     * chip]}.
+     * {"replicas": [one entry per replica, its stage chip ids joined
+     * by '+'], "pending": n, "p99QueueMillis": ms, and for sharded
+     * tenants "sharded": true, "shards": K, "interconnectBytes"/
+     * "interconnectNanos"/"forwards" summed over replicas}},
+     * "interconnect": the modeled link parameters plus fleet-total
+     * traffic, "utilization": [per chip]}.
      */
     std::string statsJson() const;
 
@@ -309,18 +306,9 @@ class ClusterEngine
     const ClusterOptions &options() const { return options_; }
 
   private:
-    /**
-     * One replica of a sharded tenant: a pipeline of stage tenants
-     * (`name#g<id>s<stage>`) across `chips` plus the router streaming
-     * requests through them.  Groups fail over as a unit -- one
-     * `Failed` chip retires the whole group.
-     */
-    struct ShardGroup
-    {
-        std::shared_ptr<ShardRouter> router;
-        std::vector<std::size_t> chips;
-        std::vector<std::string> stageTenants;
-    };
+    /** Marks "no chip": a pipeline attempt, or nothing to avoid. */
+    static constexpr std::size_t kNoChip =
+        std::numeric_limits<std::size_t>::max();
 
     /** One replica's calibration verdict + when it was programmed. */
     struct ReplicaCalibration
@@ -329,39 +317,61 @@ class ClusterEngine
         double programmedAtSeconds = 0.0; //!< drift-clock timestamp
     };
 
+    /**
+     * One replica of a tenant's whole model: its stage chips in
+     * pipeline order.  A one-stage replica is served by its chip
+     * engine under the tenant's own name.  A replica of K >= 2 stages
+     * loads stage tenants `name#r<id>s<stage>` and streams requests
+     * through them with a `ShardRouter`; one `Failed` chip retires it
+     * as a unit.
+     */
+    struct Replica
+    {
+        std::int64_t id = 0; //!< cluster-unique; names the stage tenants
+        std::vector<std::size_t> chips;
+        std::shared_ptr<ShardRouter> router; //!< two or more stages only
+
+        /** Accuracy-gated (`minAccuracy > 0`) one-stage replicas only. */
+        std::shared_ptr<const ReplicaCalibration> calibration;
+
+        /** The chip whose health this replica's request outcomes charge. */
+        std::size_t healthChip() const
+        {
+            return chips.size() == 1 ? chips.front() : kNoChip;
+        }
+    };
+
+    /**
+     * A tenant's live replicas, oldest first.  Copy-on-write: edits
+     * publish a new table, so a submit routes over the table it read
+     * without copying it.
+     */
+    using ReplicaTable = std::vector<Replica>;
+
     struct TenantEntry
     {
         std::shared_ptr<const CompiledModel> model;
         TenantOptions tenant;
-        std::vector<std::size_t> chips; //!< replica chips, placement order
 
-        /**
-         * Per-chip calibration for accuracy-gated tenants
-         * (`minAccuracy > 0`), keyed by replica chip; absent for
-         * ungated or sharded tenants.
-         */
-        std::map<std::size_t, ReplicaCalibration> calibrations;
+        /** The pipeline pieces of a sharded tenant; null otherwise. */
+        std::shared_ptr<const ShardedModel> shardedModel;
+
+        std::shared_ptr<const ReplicaTable> replicas =
+            std::make_shared<const ReplicaTable>();
 
         /**
          * Replica count the operator asked for (loadModel/
-         * setReplicas).  `chips.size()` can fall below it when a chip
+         * setReplicas).  The table can fall below it when a chip
          * fails and the survivors have no room; `repairOnce()` keeps
          * topping the tenant back up to this until it succeeds.
          */
         int desiredReplicas = 0;
-
-        // Sharded tenants route through `groups` instead of `chips`;
-        // each group is one pipeline replica of the whole model.
-        bool sharded = false;
-        std::shared_ptr<const ShardedModel> shardedModel;
-        std::vector<ShardGroup> groups;
-        std::int64_t nextGroupId = 0; //!< unique stage-tenant names
     };
 
     /**
      * One accepted request under failover supervision.  The caller
-     * holds the future of `promise`; `attempt` is the current chip
-     * engine's future.  The reaper resolves `promise` exactly once --
+     * holds the future of `promise`; `attempt` is the current
+     * replica's future.  The reaper resolves `promise` exactly once --
      * with the first success, a non-retryable error, the exhausted
      * retry budget's last error, or a `DeadlineExceeded` shed.
      */
@@ -369,19 +379,19 @@ class ClusterEngine
     {
         std::string model;
         Tensor input; //!< retained for resubmission
+
         std::promise<StatusOr<InferenceResult>> promise;
         std::future<StatusOr<InferenceResult>> attempt;
-        std::size_t chip = 0;
-        int retries = 0;
 
         /**
-         * Routed through a shard router rather than one chip engine:
-         * `chip` is meaningless and outcomes never charge a single
-         * chip's health (the per-stage probes own that signal);
-         * resubmission goes through the tenant's current live groups.
+         * The one-stage replica chip of the last attempt, avoided on
+         * retry; `kNoChip` after a pipeline attempt, whose outcome
+         * never charges one chip's health (the per-stage probes own
+         * that signal).
          */
-        bool sharded = false;
-        bool wasPending = false; //!< attempt was accepted (not rejected)
+        std::size_t chip = kNoChip;
+        int retries = 0;
+        bool wasPending = false; //!< `chip` accepted the attempt
         bool inBackoff = false;  //!< waiting for wakeAt, no attempt
         std::chrono::steady_clock::time_point wakeAt;
         double backoffMillis = 0.0;
@@ -394,9 +404,49 @@ class ClusterEngine
                   std::unique_ptr<PlacementPolicy> policy,
                   ClusterOptions options);
 
-    /** Requires opsMu_: place + load `count` new replicas of `name`. */
-    Status growLocked(const std::string &name, TenantEntry snapshot,
+    /** A copy of `name`'s entry; `InvalidArgument` when absent. */
+    StatusOr<TenantEntry> tenantEntry(const std::string &name) const;
+
+    /**
+     * Requires opsMu_: place, load and publish `count` >= 1 new
+     * replicas of `name`.  One-stage replicas are placed in one
+     * `PlacementPolicy::place` round (accuracy-gated for `minAccuracy`
+     * tenants); multi-stage replicas one `placeShards` chain at a
+     * time, so each chain sees the chips the previous one filled.  A
+     * round that fails to load is rolled back whole.
+     */
+    Status growLocked(const std::string &name, const TenantEntry &snapshot,
                       int count);
+
+    /**
+     * Requires opsMu_: grow `name` by one replica for `action`,
+     * recording the status and the new replica's chips.  False when
+     * the fleet had no room.
+     */
+    bool regrowLocked(const std::string &name, RecoveryAction &action);
+
+    /**
+     * Pull the replicas of `name` with the given ids out of the
+     * routing table (new submits skip them) and return them.
+     */
+    std::vector<Replica> detachReplicas(const std::string &name,
+                                        const std::vector<std::int64_t> &ids);
+
+    /**
+     * Drain detached replicas to zero in-flight requests, then unload
+     * their stage tenants, releasing the chip budgets.  Returns the
+     * first unload error.
+     */
+    Status retireReplicas(const std::string &name,
+                          const std::vector<Replica> &replicas);
+
+    /** The engine tenant that serves stage `stage` of `replica`. */
+    static std::string stageTenant(const std::string &name,
+                                   const Replica &replica,
+                                   std::size_t stage);
+
+    /** The replica's stage chip ids joined by '+'. */
+    std::string chipLabel(const Replica &replica) const;
 
     /**
      * Re-derive every calibrated replica's accuracy health from its
@@ -407,47 +457,39 @@ class ClusterEngine
     void refreshAccuracyHealth();
 
     /**
-     * Requires opsMu_: place + load `count` new shard groups of the
-     * sharded tenant `name`.  Each group is placed via
-     * `PlacementPolicy::placeShards` (disjoint from the tenant's
-     * existing groups), its pieces loaded as stage tenants, and a
-     * fresh `ShardRouter` wired over them.
-     */
-    Status growShardedLocked(const std::string &name,
-                             TenantEntry snapshot, int count);
-
-    /**
-     * Drain one group's router to zero in-flight requests, then
-     * unload its stage tenants, releasing the chip budgets.  The
-     * group must already be out of the routing table.
-     */
-    Status retireShardGroup(ShardGroup group);
-
-    /**
-     * The least-pending live group among `groups` (a group with any
-     * `Failed` chip is dead).  `Unavailable` with a per-group health
-     * breakdown when none is live.
-     */
-    StatusOr<std::shared_ptr<ShardRouter>> pickShardGroup(
-        const std::vector<ShardGroup> &groups,
-        const std::string &model) const;
-
-    /**
      * The fleet's placement views with `failed` stamped from the
      * health tracker, so placement routes around down chips.
      */
     std::vector<ChipLoadView> healthyLoadViews() const;
 
     /**
-     * Healthiest, least-loaded replica chip for `model` among `chips`:
-     * `Failed` chips are excluded, `Healthy` beats `Degraded`, then
-     * avoid `exclude` (the chip that just failed the request), then
-     * least outstanding requests.  `Unavailable` with a per-chip
-     * health breakdown when every replica is down.
+     * Index of the best live replica for `model`: any `Failed` chip
+     * rules a replica out; the rest rank by their worst stage's
+     * accuracy state, then Healthy before Degraded, then avoiding
+     * `exclude` (the chip that just failed the request), then least
+     * outstanding requests; ties keep placement order.  `Unavailable`
+     * with a per-chip health breakdown when every replica is down.
      */
-    StatusOr<std::size_t> pickReplicaChip(
-        const std::vector<std::size_t> &chips, const std::string &model,
-        std::size_t exclude) const;
+    StatusOr<std::size_t> pickReplica(const ReplicaTable &replicas,
+                                      const std::string &model,
+                                      std::size_t exclude) const;
+
+    /** Queued + inflight requests of `model` on `replica`. */
+    std::int64_t replicaPending(const std::string &model,
+                                const Replica &replica) const;
+
+    /** `model`'s serving telemetry on `replica`, end to end. */
+    StatusOr<EngineStats> replicaStats(const std::string &model,
+                                       const Replica &replica) const;
+
+    /**
+     * Send one request to `replica`.  With `block` false a full queue
+     * returns an immediately-ready `ResourceExhausted` instead of
+     * waiting (the failover reaper's semantics).
+     */
+    std::future<StatusOr<InferenceResult>> attemptOn(
+        const Replica &replica, const std::string &model,
+        const Tensor &input, bool block);
 
     /** A fresh supervision entry with its shed deadline computed. */
     Inflight newInflight(const std::string &model, Tensor input,
@@ -456,8 +498,7 @@ class ClusterEngine
     /** Hand an accepted request to the failover reaper. */
     std::future<StatusOr<InferenceResult>> superviseInflight(
         const std::string &model, Tensor input,
-        std::future<StatusOr<InferenceResult>> attempt, std::size_t chip,
-        bool sharded = false);
+        std::future<StatusOr<InferenceResult>> attempt, std::size_t chip);
 
     /**
      * Supervised retry for a first attempt that settled Unavailable
@@ -466,7 +507,7 @@ class ClusterEngine
      */
     std::future<StatusOr<InferenceResult>> superviseFailed(
         const std::string &model, Tensor input, std::size_t chip,
-        Status error, bool sharded = false);
+        Status error);
 
     void reaperLoop();
 
@@ -491,6 +532,7 @@ class ClusterEngine
      * chip engines' workers, which never take cluster locks.
      */
     std::mutex opsMu_;
+    std::int64_t nextReplicaId_ = 0; //!< guarded by opsMu_
 
     mutable std::mutex mu_; //!< guards tenants_ + stopping_
     std::map<std::string, TenantEntry> tenants_;

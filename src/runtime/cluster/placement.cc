@@ -331,7 +331,7 @@ placeReplicas(const PlacementRequest &request,
 }
 
 /**
- * Shared shard-group placement loop.  Stage 0 goes wherever the
+ * Shared multi-stage placement loop.  Stage 0 goes wherever the
  * policy prefers; each later stage narrows its eligible set to the
  * chips at minimum hop distance (|index difference| on the linear
  * interconnect) from the predecessor stage, then lets the policy pick

@@ -93,8 +93,8 @@ struct PlacementRequest
 };
 
 /**
- * What a shard-group placement asks: one chip per shard of a
- * pipeline, demands differing per shard.  Consecutive shards
+ * What a multi-stage replica's placement asks: one chip per shard of
+ * a pipeline, demands differing per shard.  Consecutive shards
  * communicate (shard s forwards `cutBytes[s]` activation bytes per
  * request to shard s+1), so placement co-locates them on low-hop
  * chips -- hop distance is |chip index difference| on the fleet's
@@ -102,7 +102,7 @@ struct PlacementRequest
  */
 struct ShardPlacementRequest
 {
-    std::string model; //!< the group's tenant name (for breakdowns)
+    std::string model; //!< the replica's tenant name (for breakdowns)
 
     std::vector<ResourceDemand> demands; //!< per shard, pipeline order
 
@@ -110,9 +110,9 @@ struct ShardPlacementRequest
     std::vector<std::int64_t> cutBytes;
 
     /**
-     * Chip indices ineligible for this group (e.g. chips hosting
-     * another replica group of the same tenant, so one chip loss
-     * never takes out two groups).
+     * Chip indices ineligible for this replica (e.g. chips hosting
+     * another replica of the same tenant, so one chip loss never
+     * takes out two replicas).
      */
     std::vector<std::size_t> avoid;
 };

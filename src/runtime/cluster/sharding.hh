@@ -29,8 +29,8 @@
  *    `interconnectNanos`) and the router's stats.
  *
  * `ClusterEngine` owns the fallback policy (replicate-whole when a
- * chip fits the model, shard-across when none does), group placement,
- * and failover of a shard group as a unit; see
+ * chip fits the model, shard-across when none does), and places,
+ * scales and fails over each multi-stage replica as a unit; see
  * runtime/cluster/cluster_engine.hh.
  */
 
@@ -154,7 +154,8 @@ class ModelPartitioner
 };
 
 /**
- * Executes one shard group as a streaming chip-to-chip pipeline.
+ * Executes one multi-stage replica as a streaming chip-to-chip
+ * pipeline.
  *
  * Construction wires K already-loaded stage tenants (one per shard,
  * on `chips[s]`'s engine) into a pipeline; `submit` feeds stage 0 and

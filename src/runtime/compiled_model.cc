@@ -22,15 +22,10 @@ namespace
 constexpr const char *kFormat = "fpsa.compiled_model";
 
 /**
- * Document versions this build reads.  v1 predates the resource-demand
- * section (multi-tenant admission); loading a v1 artifact derives the
- * demand from its allocation + netlist, so old artifacts stay servable.
- * v2 predates the execution section (executor/precision/kernel ISA);
- * v1/v2 artifacts load with the all-default ExecutionConfig.  Writes
- * always emit the newest version.
+ * The one document version this build writes and reads: v3 carries the
+ * resource-demand and execution sections.
  */
 constexpr std::int64_t kVersion = 3;
-constexpr std::int64_t kMinReadVersion = 1;
 
 bool
 opKindFromName(const std::string &name, OpKind &out)
@@ -1001,10 +996,12 @@ CompiledModel::fromJson(const std::string &text)
     const std::int64_t version = d.i64(*doc, "version");
     if (!d.status().ok())
         return d.status();
-    if (version < kMinReadVersion || version > kVersion) {
+    if (version != kVersion) {
         return Status::error(StatusCode::InvalidArgument,
                              "compiled model: unsupported version " +
-                                 std::to_string(version));
+                                 std::to_string(version) +
+                                 " (this build reads version " +
+                                 std::to_string(kVersion) + ")");
     }
 
     Artifacts a;
@@ -1042,26 +1039,22 @@ CompiledModel::fromJson(const std::string &text)
         a.timing = t;
     }
 
-    if (version >= 2) {
-        a.demand = readResourceDemand(d, d.obj(*doc, "resourceDemand"));
-    } // v1: left zero; fromArtifacts derives it from allocation+netlist.
+    a.demand = readResourceDemand(d, d.obj(*doc, "resourceDemand"));
 
-    if (version >= 3) {
-        const JsonValue &execution = d.obj(*doc, "execution");
-        const std::string executor = d.str(execution, "executor");
-        const std::string precision = d.str(execution, "precision");
-        const std::string isa = d.str(execution, "kernelIsa");
-        if (!d.status().ok())
-            return d.status();
-        if (!parseExecutorKind(executor, a.execution.executor) ||
-            !parsePrecisionMode(precision, a.execution.precision) ||
-            !parseKernelIsa(isa, a.execution.kernelIsa)) {
-            return Status::error(
-                StatusCode::InvalidArgument,
-                "compiled model: unknown execution config '" +
-                    executor + "/" + precision + "/" + isa + "'");
-        }
-    } // v1/v2: all-default ExecutionConfig.
+    const JsonValue &execution = d.obj(*doc, "execution");
+    const std::string executor = d.str(execution, "executor");
+    const std::string precision = d.str(execution, "precision");
+    const std::string isa = d.str(execution, "kernelIsa");
+    if (!d.status().ok())
+        return d.status();
+    if (!parseExecutorKind(executor, a.execution.executor) ||
+        !parsePrecisionMode(precision, a.execution.precision) ||
+        !parseKernelIsa(isa, a.execution.kernelIsa)) {
+        return Status::error(StatusCode::InvalidArgument,
+                             "compiled model: unknown execution config '" +
+                                 executor + "/" + precision + "/" + isa +
+                                 "'");
+    }
 
     a.performance = readPerformance(d, d.obj(*doc, "performance"));
     const JsonValue &energy = d.obj(*doc, "energy");

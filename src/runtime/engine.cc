@@ -223,18 +223,6 @@ struct Engine::Tenant
     const PicoJoules modeledEnergy;
 };
 
-const char *
-schedulerPolicyName(SchedulerPolicy policy)
-{
-    switch (policy) {
-    case SchedulerPolicy::Deadline:
-        return "deadline";
-    case SchedulerPolicy::RoundRobin:
-        return "round-robin";
-    }
-    return "unknown";
-}
-
 std::string
 EngineStats::toJson() const
 {
@@ -345,19 +333,6 @@ Engine::loadModel(const std::string &name,
 Status
 Engine::loadModel(const std::string &name,
                   std::shared_ptr<const CompiledModel> model,
-                  ExecutorKind executor)
-{
-    // Deprecated shim: the bare kind overrides only the backend; the
-    // model's stamped precision/ISA still apply.
-    ExecutionConfig execution =
-        model ? model->executionConfig() : ExecutionConfig{};
-    execution.executor = executor;
-    return loadModel(name, std::move(model), execution);
-}
-
-Status
-Engine::loadModel(const std::string &name,
-                  std::shared_ptr<const CompiledModel> model,
                   const TenantOptions &tenant)
 {
     if (tenant.priorityClass < 1 || tenant.sloMillis < 0.0) {
@@ -374,19 +349,12 @@ Engine::loadModel(const std::string &name,
     }
 
     // Resolve the tenant's execution config, most specific wins:
-    // model stamp -> engine default -> engine deprecated backend ->
-    // tenant override -> tenant deprecated backend.  The deprecated
-    // ExecutorKind knobs replace only the backend at their level, so
-    // legacy callers keep their exact pre-ExecutionConfig behavior.
+    // model stamp -> engine default -> tenant override.
     ExecutionConfig execution = model->executionConfig();
     if (options_.execution.has_value())
         execution = *options_.execution;
-    if (options_.executor.has_value())
-        execution.executor = *options_.executor;
     if (tenant.execution.has_value())
         execution = *tenant.execution;
-    if (tenant.executor.has_value())
-        execution.executor = *tenant.executor;
     const double slo_millis = tenant.sloMillis > 0.0
                                   ? tenant.sloMillis
                                   : options_.defaultSloMillis;
@@ -676,41 +644,24 @@ Engine::probe() const
 std::shared_ptr<Engine::Tenant>
 Engine::pickTenantLocked()
 {
-    if (options_.scheduler == SchedulerPolicy::Deadline) {
-        // Earliest-deadline-first over head-of-queue requests: the
-        // deadline is enqueue time + the tenant's priority-scaled SLO
-        // budget, so high-priority traffic is served ahead of
-        // equally old best-effort traffic, and deadlines age -- a
-        // backlogged tenant's head only gets more urgent, so nobody
-        // starves.  Map order breaks exact ties deterministically.
-        std::shared_ptr<Tenant> best;
-        Clock::time_point best_deadline{};
-        for (const auto &[name, tenant] : tenants_) {
-            if (tenant->queue.empty())
-                continue;
-            const Clock::time_point deadline = tenant->headDeadline();
-            if (!best || deadline < best_deadline) {
-                best = tenant;
-                best_deadline = deadline;
-            }
+    // Earliest-deadline-first over head-of-queue requests: the
+    // deadline is enqueue time + the tenant's priority-scaled SLO
+    // budget, so high-priority traffic is served ahead of equally old
+    // best-effort traffic, and deadlines age -- a backlogged tenant's
+    // head only gets more urgent, so nobody starves.  Map order breaks
+    // exact ties deterministically.
+    std::shared_ptr<Tenant> best;
+    Clock::time_point best_deadline{};
+    for (const auto &[name, tenant] : tenants_) {
+        if (tenant->queue.empty())
+            continue;
+        const Clock::time_point deadline = tenant->headDeadline();
+        if (!best || deadline < best_deadline) {
+            best = tenant;
+            best_deadline = deadline;
         }
-        return best;
     }
-
-    // Round-robin over the (ordered) tenant map, resuming after the
-    // last-served name, so every tenant with queued work gets regular
-    // dequeues regardless of the others' backlog.
-    auto next = tenants_.upper_bound(rrCursor_);
-    for (std::size_t step = 0; step < tenants_.size(); ++step) {
-        if (next == tenants_.end())
-            next = tenants_.begin();
-        if (!next->second->queue.empty()) {
-            rrCursor_ = next->first;
-            return next->second;
-        }
-        ++next;
-    }
-    return nullptr;
+    return best;
 }
 
 void
@@ -743,23 +694,18 @@ Engine::workerLoop()
                 {tenant->queue.size(),
                  static_cast<std::size_t>(options_.maxBatch),
                  std::max<std::size_t>(1, fair)});
-            if (options_.scheduler == SchedulerPolicy::Deadline) {
-                // Deadline-based batch closing: close the batch at
-                // the first request that arrived more than the batch
-                // window after the head.  It has that much more
-                // deadline slack, so it can wait its turn instead of
-                // stretching this batch in front of other tenants'
-                // older deadlines.
-                const Clock::time_point head =
-                    tenant->queue.front().enqueued;
-                std::size_t within = 1;
-                while (within < take &&
-                       millisBetween(head,
-                                     tenant->queue[within].enqueued) <=
-                           options_.batchWindowMillis)
-                    ++within;
-                take = within;
-            }
+            // Deadline-based batch closing: close the batch at the
+            // first request that arrived more than the batch window
+            // after the head.  It has that much more deadline slack,
+            // so it can wait its turn instead of stretching this batch
+            // in front of other tenants' older deadlines.
+            const Clock::time_point head = tenant->queue.front().enqueued;
+            std::size_t within = 1;
+            while (within < take &&
+                   millisBetween(head, tenant->queue[within].enqueued) <=
+                       options_.batchWindowMillis)
+                ++within;
+            take = within;
             for (std::size_t i = 0; i < take; ++i) {
                 batch.push_back(std::move(tenant->queue.front()));
                 tenant->queue.pop_front();

@@ -24,8 +24,12 @@
  *
  * Multi-tenancy contract:
  *  - Every scheduler batch is drawn from exactly one tenant's queue --
- *    batches never mix tenants -- and tenants are served round-robin,
- *    so one tenant's burst cannot starve the rest.
+ *    batches never mix tenants.  The scheduler is SLO-aware
+ *    earliest-deadline-first: a request's deadline is its enqueue time
+ *    plus its tenant's SLO budget (`TenantOptions::sloMillis`, scaled
+ *    down by the priority class), and workers serve the tenant whose
+ *    oldest queued request is due first.  Deadlines age, so one
+ *    tenant's burst cannot starve the rest.
  *  - `loadModel` fails with `Status::Infeasible` (per-resource
  *    breakdown in the message) when resident demand + the new model's
  *    would exceed the `ChipCapacity`.
@@ -72,28 +76,6 @@
 namespace fpsa
 {
 
-/**
- * How the scheduler picks the next tenant to dequeue.
- *
- *  - `Deadline` (the default) is SLO-aware earliest-deadline-first:
- *    every request's deadline is its enqueue time plus its tenant's
- *    SLO budget (`TenantOptions::sloMillis`, scaled down by the
- *    tenant's priority class), and workers always serve the tenant
- *    whose oldest queued request has the earliest deadline.  Deadlines
- *    age, so a backlogged tenant cannot be starved; equal-priority
- *    tenants converge to oldest-first service, which equalizes
- *    per-tenant queue waits and completion tails.
- *  - `RoundRobin` is the PR-4 scheduler: tenants with queued work are
- *    served in name order, resuming after the last-served tenant.
- */
-enum class SchedulerPolicy
-{
-    Deadline,
-    RoundRobin,
-};
-
-const char *schedulerPolicyName(SchedulerPolicy policy);
-
 /** Serving-runtime knobs. */
 struct EngineOptions
 {
@@ -122,17 +104,6 @@ struct EngineOptions
     std::optional<ExecutionConfig> execution;
 
     /**
-     * @deprecated Use `execution`.  When set, overrides only the
-     * backend of the engine-level default; precision/ISA still come
-     * from `execution` or the model's stamped config.  (Doc-level
-     * deprecation only: `[[deprecated]]` on a data member fires from
-     * the struct's synthesized constructors under GCC.)
-     */
-    std::optional<ExecutorKind> executor;
-
-    SchedulerPolicy scheduler = SchedulerPolicy::Deadline;
-
-    /**
      * SLO budget for tenants that do not set an explicit
      * `TenantOptions::sloMillis`: a request's deadline is its enqueue
      * time plus this budget divided by the tenant's priority class.
@@ -147,14 +118,14 @@ struct EngineOptions
     std::string chipId = "chip0";
 
     /**
-     * Deadline-based batch closing (Deadline scheduler only): a batch
-     * closes at the first request that arrived more than this many
-     * milliseconds after the batch's head.  A late arrival has that
-     * much more deadline slack than the head, so folding it in would
-     * only stretch the batch's execution in front of other tenants'
-     * older deadlines; left queued, it is still served within its own
-     * budget.  Burst traffic (arrivals closer together than the
-     * window) still coalesces up to `maxBatch`.
+     * Deadline-based batch closing: a batch closes at the first
+     * request that arrived more than this many milliseconds after the
+     * batch's head.  A late arrival has that much more deadline slack
+     * than the head, so folding it in would only stretch the batch's
+     * execution in front of other tenants' older deadlines; left
+     * queued, it is still served within its own budget.  Burst
+     * traffic (arrivals closer together than the window) still
+     * coalesces up to `maxBatch`.
      */
     double batchWindowMillis = 5.0;
 
@@ -181,17 +152,10 @@ struct TenantOptions
     std::optional<ExecutionConfig> execution;
 
     /**
-     * @deprecated Use `execution`.  When set, overrides only the
-     * backend of this tenant's resolved config.
-     */
-    std::optional<ExecutorKind> executor;
-
-    /**
-     * Priority class, >= 1.  Under the Deadline scheduler a tenant's
-     * effective SLO budget is `sloMillis / priorityClass`, so a
-     * class-4 tenant's requests carry deadlines four times tighter
-     * than a class-1 tenant's and are served ahead of equally old
-     * best-effort traffic.
+     * Priority class, >= 1.  A tenant's effective SLO budget is
+     * `sloMillis / priorityClass`, so a class-4 tenant's requests
+     * carry deadlines four times tighter than a class-1 tenant's and
+     * are served ahead of equally old best-effort traffic.
      */
     int priorityClass = 1;
 
@@ -327,12 +291,6 @@ class Engine
                      std::shared_ptr<const CompiledModel> model,
                      const TenantOptions &tenant);
 
-    /** @deprecated Use loadModel(name, model, ExecutionConfig). */
-    [[deprecated("use loadModel(name, model, ExecutionConfig)")]]
-    Status loadModel(const std::string &name,
-                     std::shared_ptr<const CompiledModel> model,
-                     ExecutorKind executor);
-
     /**
      * Hot-swap eviction: stop accepting requests for `name`, drain its
      * queued and inflight requests (their futures all resolve), then
@@ -441,7 +399,10 @@ class Engine
         std::unique_lock<std::mutex> lock, const std::string &model,
         Tensor input, bool block);
 
-    /** Requires mu_: next tenant with queued work, round-robin. */
+    /**
+     * Requires mu_: the tenant whose head-of-queue request has the
+     * earliest deadline; null when every queue is empty.
+     */
     std::shared_ptr<Tenant> pickTenantLocked();
 
     EngineOptions options_;
@@ -452,7 +413,6 @@ class Engine
     std::condition_variable notFull_;  //!< submitters wait for room
     std::condition_variable drained_;  //!< unloaders wait for inflight 0
     std::map<std::string, std::shared_ptr<Tenant>> tenants_;
-    std::string rrCursor_;      //!< name of the last-served tenant
     std::size_t queuedTotal_ = 0;
     bool stopping_ = false;
 

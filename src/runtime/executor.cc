@@ -292,13 +292,4 @@ makeExecutor(std::shared_ptr<const CompiledModel> model,
                          "unknown executor kind");
 }
 
-StatusOr<std::unique_ptr<Executor>>
-makeExecutor(ExecutorKind kind,
-             std::shared_ptr<const CompiledModel> model)
-{
-    ExecutionConfig config;
-    config.executor = kind;
-    return makeExecutor(std::move(model), config);
-}
-
 } // namespace fpsa

@@ -86,11 +86,6 @@ StatusOr<std::unique_ptr<Executor>> makeExecutor(
     std::shared_ptr<const CompiledModel> model,
     const ExecutionConfig &config);
 
-/** @deprecated Use makeExecutor(model, ExecutionConfig{kind}). */
-[[deprecated("use makeExecutor(model, ExecutionConfig)")]]
-StatusOr<std::unique_ptr<Executor>> makeExecutor(
-    ExecutorKind kind, std::shared_ptr<const CompiledModel> model);
-
 } // namespace fpsa
 
 #endif // FPSA_RUNTIME_EXECUTOR_HH

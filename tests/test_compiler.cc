@@ -1,21 +1,15 @@
 /**
  * @file
- * Integration tests for the end-to-end compile facade: the whole stack
- * from CG to evaluated FPSA configuration, including the optional full
+ * Integration tests for the whole-stack compile (`Pipeline::result()`):
+ * CG to evaluated FPSA configuration, including the optional full
  * placement & routing path on a small model.
- *
- * `compileForFpsa` is deprecated in favour of `Pipeline`, but it must
- * keep working until removed -- these tests pin its behaviour, so the
- * deprecation warning is suppressed here on purpose.
  */
 
 #include <gtest/gtest.h>
 
-#include "compiler.hh"
 #include "nn/builder.hh"
 #include "nn/models.hh"
-
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+#include "pipeline.hh"
 
 namespace fpsa
 {
@@ -25,18 +19,19 @@ namespace
 TEST(Compiler, MlpEndToEnd)
 {
     Graph g = buildMlp(784, {500, 100}, 10);
-    CompileResult r = compileForFpsa(g);
-    EXPECT_GT(r.performance.throughput, 0.0);
-    EXPECT_GT(r.performance.area, 0.0);
-    EXPECT_GT(r.energy.perSample(), 0.0);
-    EXPECT_EQ(r.netlist.countBlocks(BlockType::Pe),
-              static_cast<int>(r.allocation.totalPes));
+    auto r = Pipeline(g).result();
+    ASSERT_TRUE(r.ok()) << r.status().toString();
+    EXPECT_GT(r->performance.throughput, 0.0);
+    EXPECT_GT(r->performance.area, 0.0);
+    EXPECT_GT(r->energy.perSample(), 0.0);
+    EXPECT_EQ(r->netlist.countBlocks(BlockType::Pe),
+              static_cast<int>(r->allocation.totalPes));
     // Table 3: MLP-500-100 reaches ~130M samples/s on ~28 mm^2 at the
     // default 64x duplication (whole-model replication).
-    EXPECT_GT(r.performance.throughput, 5e7);
-    EXPECT_GT(r.performance.area, 10.0);
-    EXPECT_LT(r.performance.area, 60.0);
-    EXPECT_EQ(r.allocation.replicas, 64);
+    EXPECT_GT(r->performance.throughput, 5e7);
+    EXPECT_GT(r->performance.area, 10.0);
+    EXPECT_LT(r->performance.area, 60.0);
+    EXPECT_EQ(r->allocation.replicas, 64);
 }
 
 TEST(Compiler, SmallCnnWithFullPnr)
@@ -49,14 +44,15 @@ TEST(Compiler, SmallCnnWithFullPnr)
     opt.duplicationDegree = 2;
     opt.runPlaceAndRoute = true;
     opt.pnr.fullRoute = true;
-    CompileResult r = compileForFpsa(g, opt);
-    ASSERT_TRUE(r.pnr.has_value());
-    EXPECT_TRUE(r.pnr->routed);
-    EXPECT_GT(r.pnr->timing.avgNetDelay, 0.0);
+    auto r = Pipeline(g, opt).result();
+    ASSERT_TRUE(r.ok()) << r.status().toString();
+    ASSERT_TRUE(r->pnr.has_value());
+    EXPECT_TRUE(r->pnr->routed);
+    EXPECT_GT(r->pnr->timing.avgNetDelay, 0.0);
     // Measured wire delay flows into the perf report.
-    EXPECT_NEAR(r.performance.commPerPe,
-                64.0 * r.pnr->timing.avgNetDelay,
-                64.0 * r.pnr->timing.avgNetDelay * 0.01 + 1e-9);
+    EXPECT_NEAR(r->performance.commPerPe,
+                64.0 * r->pnr->timing.avgNetDelay,
+                64.0 * r->pnr->timing.avgNetDelay * 0.01 + 1e-9);
 }
 
 TEST(Compiler, DuplicationKnobScalesThroughput)
@@ -65,11 +61,13 @@ TEST(Compiler, DuplicationKnobScalesThroughput)
     CompileOptions d1, d16;
     d1.duplicationDegree = 1;
     d16.duplicationDegree = 16;
-    CompileResult r1 = compileForFpsa(g, d1);
-    CompileResult r16 = compileForFpsa(g, d16);
-    EXPECT_GT(r16.performance.throughput,
-              r1.performance.throughput * 8.0);
-    EXPECT_GT(r16.performance.area, r1.performance.area);
+    auto r1 = Pipeline(g, d1).result();
+    ASSERT_TRUE(r1.ok()) << r1.status().toString();
+    auto r16 = Pipeline(g, d16).result();
+    ASSERT_TRUE(r16.ok()) << r16.status().toString();
+    EXPECT_GT(r16->performance.throughput,
+              r1->performance.throughput * 8.0);
+    EXPECT_GT(r16->performance.area, r1->performance.area);
 }
 
 TEST(Compiler, AllZooModelsCompile)
@@ -78,10 +76,12 @@ TEST(Compiler, AllZooModelsCompile)
         Graph g = buildModel(id);
         CompileOptions opt;
         opt.duplicationDegree = 4;
-        CompileResult r = compileForFpsa(g, opt);
-        EXPECT_GT(r.performance.throughput, 0.0) << modelName(id);
-        EXPECT_GT(r.performance.area, 0.0) << modelName(id);
-        EXPECT_GT(r.allocation.totalPes, 0) << modelName(id);
+        auto r = Pipeline(g, opt).result();
+        ASSERT_TRUE(r.ok()) << modelName(id) << ": "
+                            << r.status().toString();
+        EXPECT_GT(r->performance.throughput, 0.0) << modelName(id);
+        EXPECT_GT(r->performance.area, 0.0) << modelName(id);
+        EXPECT_GT(r->allocation.totalPes, 0) << modelName(id);
     }
 }
 
@@ -95,10 +95,11 @@ TEST(Compiler, MeasuredWireDelayNearCalibration)
     opt.duplicationDegree = 1;
     opt.runPlaceAndRoute = true;
     opt.pnr.fullRoute = false; // fast geometric estimate
-    CompileResult r = compileForFpsa(g, opt);
-    ASSERT_TRUE(r.pnr.has_value());
-    EXPECT_GT(r.pnr->timing.avgNetDelay, 2.0);
-    EXPECT_LT(r.pnr->timing.avgNetDelay, 30.0);
+    auto r = Pipeline(g, opt).result();
+    ASSERT_TRUE(r.ok()) << r.status().toString();
+    ASSERT_TRUE(r->pnr.has_value());
+    EXPECT_GT(r->pnr->timing.avgNetDelay, 2.0);
+    EXPECT_LT(r->pnr->timing.avgNetDelay, 30.0);
 }
 
 } // namespace

@@ -112,29 +112,30 @@ TEST(ResourceDemand, SurvivesJsonRoundTrip)
     EXPECT_EQ(reloaded->resourceDemand(), model->resourceDemand());
 }
 
-TEST(ResourceDemand, DerivedWhenLoadingAVersion1Document)
+TEST(ResourceDemand, RejectsVersion1And2Documents)
 {
-    // A v1 artifact predates the resourceDemand section; loading one
-    // must derive the demand from its allocation + netlist instead of
-    // rejecting the file or leaving the model unadmittable.
+    // Only the current document version is read: an older artifact is
+    // rejected with the version found and the version this build
+    // reads, not half-loaded without its demand or execution sections.
     auto model = compileShared(smallCnn());
-    std::string text = model->toJson();
+    for (const char *version : {"1", "2"}) {
+        std::string text = model->toJson();
+        const std::string v3 = "\"version\":3";
+        const std::size_t at = text.find(v3);
+        ASSERT_NE(at, std::string::npos);
+        text.replace(at, v3.size(), std::string("\"version\":") + version);
 
-    const std::string section = ",\"resourceDemand\":{";
-    const std::size_t at = text.find(section);
-    ASSERT_NE(at, std::string::npos);
-    const std::size_t close = text.find('}', at);
-    ASSERT_NE(close, std::string::npos);
-    text.erase(at, close - at + 1);
-
-    const std::string v3 = "\"version\":3";
-    const std::size_t vat = text.find(v3);
-    ASSERT_NE(vat, std::string::npos);
-    text.replace(vat, v3.size(), "\"version\":1");
-
-    auto v1 = CompiledModel::fromJson(text);
-    ASSERT_TRUE(v1.ok()) << v1.status().toString();
-    EXPECT_EQ(v1->resourceDemand(), model->resourceDemand());
+        auto old = CompiledModel::fromJson(text);
+        ASSERT_FALSE(old.ok()) << version;
+        EXPECT_EQ(old.status().code(), StatusCode::InvalidArgument);
+        EXPECT_NE(old.status().message().find(
+                      std::string("unsupported version ") + version),
+                  std::string::npos)
+            << old.status().message();
+        EXPECT_NE(old.status().message().find("reads version 3"),
+                  std::string::npos)
+            << old.status().message();
+    }
 }
 
 TEST(ResourceDemand, RejectsNegativeDemandComponents)

@@ -2,7 +2,7 @@
  * @file
  * Tests for the staged `Pipeline` API: stage-cache invalidation
  * granularity (option changes re-run only the stages they scope to),
- * equivalence with the one-shot `compileForFpsa` wrapper, the `Status`
+ * equivalence of staged and one-shot `result()` calls, the `Status`
  * error channel for infeasible models, and the JSON report.
  */
 
@@ -184,26 +184,27 @@ TEST(Pipeline, MatchesOneShotWrapper)
     CompileOptions opts;
     opts.duplicationDegree = 8;
 
-    // Equivalence with the deprecated facade is part of its contract
-    // until removal; suppress the intentional deprecated call.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    CompileResult one_shot = compileForFpsa(g, opts);
-#pragma GCC diagnostic pop
+    // A fresh pipeline's one-shot result() equals the result of a
+    // pipeline driven stage by stage.
+    auto one_shot = Pipeline(g, opts).result();
+    ASSERT_TRUE(one_shot.ok()) << one_shot.status().toString();
 
     Pipeline p(g, opts);
+    ASSERT_TRUE(p.synthesize().ok());
+    ASSERT_TRUE(p.map().ok());
+    ASSERT_TRUE(p.evaluate().ok());
     auto staged = p.result();
     ASSERT_TRUE(staged.ok());
     EXPECT_DOUBLE_EQ(staged->performance.throughput,
-                     one_shot.performance.throughput);
+                     one_shot->performance.throughput);
     EXPECT_DOUBLE_EQ(staged->performance.area,
-                     one_shot.performance.area);
+                     one_shot->performance.area);
     EXPECT_DOUBLE_EQ(staged->energy.perSample(),
-                     one_shot.energy.perSample());
+                     one_shot->energy.perSample());
     EXPECT_EQ(staged->allocation.totalPes,
-              one_shot.allocation.totalPes);
+              one_shot->allocation.totalPes);
     EXPECT_EQ(staged->netlist.blocks().size(),
-              one_shot.netlist.blocks().size());
+              one_shot->netlist.blocks().size());
 }
 
 TEST(Pipeline, PlaceAndRouteFeedsMeasuredDelayIntoEvaluation)

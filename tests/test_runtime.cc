@@ -102,6 +102,13 @@ TEST(JsonParser, RoundTripsWriterOutput)
     w.value(1).value(2.5).value("x");
     w.beginObject().field("k", "v").endObject();
     w.endArray();
+    // Doubles that need all 17 significant digits, plus the smallest
+    // subnormal, must parse back to the identical value.
+    const double exact[] = {0.062059689999999959, 1.0 / 3.0, 5e-324};
+    w.key("exact").beginArray();
+    for (double v : exact)
+        w.value(v);
+    w.endArray();
     w.endObject();
 
     auto doc = parseJson(w.str());
@@ -113,6 +120,9 @@ TEST(JsonParser, RoundTripsWriterOutput)
     EXPECT_TRUE((*doc)["null"].isNull());
     ASSERT_EQ((*doc)["nested"].size(), 4u);
     EXPECT_EQ((*doc)["nested"].at(3)["k"].string(), "v");
+    ASSERT_EQ((*doc)["exact"].size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_EQ((*doc)["exact"].at(i).number(), exact[i]) << i;
 }
 
 TEST(JsonParser, RejectsMalformedInput)
@@ -577,36 +587,6 @@ TEST(Engine, ModelStampAndTenantOverrideSelectPrecision)
                 fp32->output[i];
     }
     EXPECT_LT(std::sqrt(err2), 0.15 * std::max(1e-9, std::sqrt(ref2)));
-}
-
-TEST(Engine, DeprecatedExecutorKnobsStillResolve)
-{
-    auto model = std::make_shared<CompiledModel>(compileSmallCnn());
-
-    // The pre-ExecutionConfig surface keeps working (shims override
-    // only the backend).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    EngineOptions options;
-    options.executor = ExecutorKind::Reference;
-    auto engine = Engine::create(model, options);
-    ASSERT_TRUE(engine.ok()) << engine.status().toString();
-    EXPECT_EQ((*engine)->modelStats(Engine::kDefaultModel)->executor,
-              "reference");
-
-    auto multi = Engine::create(ChipCapacity::unlimited());
-    ASSERT_TRUE(multi.ok());
-    ASSERT_TRUE(
-        (*multi)->loadModel("ref", model, ExecutorKind::Reference)
-            .ok());
-    EXPECT_EQ((*multi)->modelStats("ref")->executor, "reference");
-
-    auto direct = makeExecutor(ExecutorKind::Planned, model);
-#pragma GCC diagnostic pop
-    ASSERT_TRUE(direct.ok());
-    EXPECT_EQ((*direct)->info().executor, ExecutorKind::Planned);
-    expectBitIdentical((*direct)->run(probeInput()).value(),
-                       plannedGroundTruth(model, probeInput()));
 }
 
 } // namespace

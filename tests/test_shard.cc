@@ -512,6 +512,57 @@ TEST(ShardedClusterTest, OversizedModelServesShardedWithinTolerance)
     EXPECT_TRUE(cluster->shutdown().ok());
 }
 
+TEST(ShardedClusterTest, StatsListOneEntryPerPipelineReplica)
+{
+    auto model = compileShared(chainCnn());
+    const Tensor input = probeInput({1, 12, 12});
+    const Tensor expected = referenceOutput(model, input);
+
+    ClusterOptions options;
+    options.engine.workerThreads = 2;
+    options.engine.execution =
+        ExecutionConfig{ExecutorKind::Reference};
+    const ChipCapacity capacity =
+        scaledCapacity(model->resourceDemand(), 0.7);
+    auto created = ClusterEngine::create({{"chip0", capacity, {}},
+                                          {"chip1", capacity, {}},
+                                          {"chip2", capacity, {}},
+                                          {"chip3", capacity, {}}},
+                                         options);
+    ASSERT_TRUE(created.ok()) << created.status().toString();
+    auto cluster = std::move(created).value();
+    ASSERT_TRUE(cluster->loadModel("big", model).ok());
+
+    // Every replica is listed once, its stage chips joined by '+'.
+    const auto expect_listed = [&](int replicas) {
+        ASSERT_EQ(cluster->replicaCount("big"), replicas);
+        auto parsed = parseJson(cluster->statsJson());
+        ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
+        const JsonValue &listed = (*parsed)["tenants"]["big"]["replicas"];
+        ASSERT_EQ(listed.size(), static_cast<std::size_t>(replicas));
+        for (const JsonValue &replica : listed.array())
+            EXPECT_NE(replica.string().find('+'), std::string::npos)
+                << replica.string();
+        EXPECT_TRUE((*parsed)["tenants"]["big"]["groups"].isNull());
+    };
+    expect_listed(1);
+    ASSERT_TRUE(cluster->setReplicas("big", 2).ok());
+    expect_listed(2);
+
+    // Both pipelines serve, then one drains away losslessly.
+    std::vector<std::future<StatusOr<InferenceResult>>> futures;
+    for (int i = 0; i < 8; ++i)
+        futures.push_back(cluster->submit("big", input));
+    ASSERT_TRUE(cluster->setReplicas("big", 1).ok());
+    for (auto &f : futures) {
+        auto r = f.get();
+        ASSERT_TRUE(r.ok()) << r.status().toString();
+        expectClose(r->output, expected, 1e-4);
+    }
+    expect_listed(1);
+    EXPECT_TRUE(cluster->shutdown().ok());
+}
+
 TEST(ShardedClusterTest, ShardGroupFailsOverAsAUnitWithZeroLoss)
 {
     auto chaos = std::make_shared<FaultInjector>();
