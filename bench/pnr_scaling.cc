@@ -60,11 +60,13 @@ scalingNetlist(std::uint64_t seed, int blocks)
     BlockId prev_smb = -1;
     for (int g = 0; g < kGroups; ++g) {
         const BlockId smb =
-            nl.addBlock(BlockType::Smb, "buf" + std::to_string(g));
-        nl.addNet("g" + std::to_string(g) + ".out", smb,
+            nl.addBlock(BlockType::Smb,
+                        std::string("buf").append(std::to_string(g)));
+        const std::string group = std::string("g").append(std::to_string(g));
+        nl.addNet(group + ".out", smb,
                   group_pes[static_cast<std::size_t>(g)], 64);
         if (prev_smb >= 0) {
-            nl.addNet("g" + std::to_string(g) + ".in",
+            nl.addNet(group + ".in",
                       group_pes[static_cast<std::size_t>(g - 1)][0],
                       {smb}, 64);
         }
@@ -95,7 +97,7 @@ scalingNetlist(std::uint64_t seed, int blocks)
         do {
             b = all_pes[rng.uniformInt(all_pes.size())];
         } while (b == a);
-        nl.addNet("r" + std::to_string(i), a, {b},
+        nl.addNet(std::string("r").append(std::to_string(i)), a, {b},
                   widths[rng.uniformInt(3)]);
     }
     return nl;

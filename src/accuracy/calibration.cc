@@ -49,14 +49,18 @@ CalibrationResult::mappingSummary() const
         min_cells = std::min(min_cells, layer.cellsPerWeight);
         max_cells = std::max(max_cells, layer.cellsPerWeight);
     }
-    std::string name = uniform_method
-                           ? weightMethodName(layers.front().method)
-                           : "mixed";
-    std::string cells = min_cells == max_cells
-                            ? "x" + std::to_string(min_cells)
-                            : "x" + std::to_string(min_cells) + "..x" +
-                                  std::to_string(max_cells);
-    return name + " " + cells;
+    // Built with appends: gcc 12's -Wrestrict misfires on chained
+    // `const char * + std::string` temporaries in optimized builds.
+    std::string label = uniform_method
+                            ? weightMethodName(layers.front().method)
+                            : "mixed";
+    label += " x";
+    label += std::to_string(min_cells);
+    if (min_cells != max_cells) {
+        label += "..x";
+        label += std::to_string(max_cells);
+    }
+    return label;
 }
 
 ModelCalibrator::ModelCalibrator() : ModelCalibrator(AnalyticAccuracyModel{})

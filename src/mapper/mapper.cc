@@ -2,6 +2,8 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -132,7 +134,9 @@ netlistFromSchedule(const CoreOpGraph &graph,
         std::vector<BlockId> sink_blocks;
         for (int s : sinks)
             sink_blocks.push_back(pe_blocks[static_cast<std::size_t>(s)]);
-        nl.addNet("d" + std::to_string(u_pe),
+        std::string net_name = "d";
+        net_name += std::to_string(u_pe);
+        nl.addNet(std::move(net_name),
                   pe_blocks[static_cast<std::size_t>(u_pe)], sink_blocks,
                   options.busWidth);
     }

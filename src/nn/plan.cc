@@ -378,11 +378,13 @@ ExecutionPlan::build(const Graph &graph, const PlanOptions &options)
         }
         for (const Step &s : plan.steps_) {
             if (s.kind == OpKind::Conv2d) {
+                const std::int64_t ci_g = s.ci / s.groups;
                 const std::int64_t co_g = s.co / s.groups;
-                const std::int64_t kk = (s.ci / s.groups) * s.kernel *
-                                        s.kernel;
+                const std::int64_t kk = ci_g * s.kernel * s.kernel;
                 plan.qactElems_ = std::max(plan.qactElems_,
                                            kk * s.ho * s.wo);
+                plan.qinputElems_ = std::max(plan.qinputElems_,
+                                             ci_g * s.hi * s.wi);
                 plan.stage32Ints_ = std::max(plan.stage32Ints_,
                                              co_g * s.ho * s.wo);
             } else if (s.kind == OpKind::FullyConnected) {
@@ -390,8 +392,10 @@ ExecutionPlan::build(const Graph &graph, const PlanOptions &options)
                 plan.stage32Ints_ = std::max(plan.stage32Ints_, s.co);
             }
         }
-        // The fp32 staging buffer is only used by the fp32 coalesced
-        // path; the quantized path stages in int32.
+        // The fp32 im2col and staging buffers are only used by the fp32
+        // path; the quantized path packs int8 columns and stages in
+        // int32.
+        plan.columnsFloats_ = 0;
         plan.stageFloats_ = 0;
     }
     return plan;
@@ -416,6 +420,7 @@ ExecutionPlan::ensureCapacity(PlanContext &context, int batch) const
         static_cast<std::size_t>(columnsFloats_ * b));
     context.stage_.resize(static_cast<std::size_t>(stageFloats_ * b));
     context.qact_.resize(static_cast<std::size_t>(qactElems_ * b));
+    context.qinput_.resize(static_cast<std::size_t>(qinputElems_));
     context.stage32_.resize(
         static_cast<std::size_t>(stage32Ints_ * b));
     context.scales_.resize(
@@ -544,6 +549,7 @@ ExecutionPlan::execConvInt8(const Step &s, int nb,
     const std::int64_t ci_g = s.ci / s.groups, co_g = s.co / s.groups;
     const std::int64_t kk = ci_g * s.kernel * s.kernel;
     const std::int64_t hw = s.ho * s.wo;
+    const std::int64_t in_g = ci_g * s.hi * s.wi;
     const float *in_base = ctx.arena_.data() + s.in[0] * b;
     float *out_base = ctx.arena_.data() + s.out * b;
     const std::int8_t *w_all =
@@ -554,34 +560,44 @@ ExecutionPlan::execConvInt8(const Step &s, int nb,
     const bool coalesce = b > 1 && hw < kCoalesceColumns;
     const std::int32_t qmax = static_cast<std::int32_t>(actQmax_);
 
+    // Quantize one sample's group input against its own absmax and pack
+    // its int8 columns at `cols` (leading stride `ldm`); returns the
+    // sample's dequantization factor.  Quantizing commutes with im2col
+    // -- packing only copies, and a padded 0.0 quantizes to level 0 --
+    // so quantizing the input once (kernel^2 fewer elements than its
+    // columns) gives exactly the levels the columns would get.
+    const auto pack = [&](const float *sample_in, std::int8_t *cols,
+                          std::int64_t ldm) {
+        const float absmax = absMaxOf(sample_in, in_g);
+        const float sa = absmax > 0.0f ? absmax / actQmax_ : 0.0f;
+        const float mult = absmax > 0.0f ? 1.0f / sa : 0.0f;
+        if (identity) {
+            // The columns are the input's channel planes.
+            for (std::int64_t r = 0; r < kk; ++r)
+                quantizeTo(sample_in + r * hw, cols + r * ldm, hw, mult,
+                           qmax);
+        } else {
+            std::int8_t *qin = ctx.qinput_.data();
+            quantizeTo(sample_in, qin, in_g, mult, qmax);
+            im2colChwInt8(qin, ci_g, s.hi, s.wi, s.kernel, s.kernel,
+                          s.stride, s.pad, s.ho, s.wo, cols, ldm);
+        }
+        return sw * sa;
+    };
+
     for (std::int64_t g = 0; g < s.groups; ++g) {
         const std::int8_t *wg = w_all + g * co_g * kk;
         if (coalesce) {
-            // Same batch-wide layout as the fp32 path, but the packed
-            // columns are quantized per sample -- each sample's scale
-            // comes from its own input slice, so a sample's int8 grid
-            // (and therefore its exact int32 result) is independent of
-            // who shares the batch.
-            float *pack = ctx.columns_.data();
+            // Same batch-wide layout as the fp32 path, quantized per
+            // sample -- each sample's scale comes from its own input
+            // slice, so a sample's int8 grid (and therefore its exact
+            // int32 result) is independent of who shares the batch.
             std::int8_t *qpack = ctx.qact_.data();
             const std::int64_t ldm = b * hw;
             for (std::int64_t i = 0; i < b; ++i) {
-                const float *sample_in = in_base + i * s.inNumel[0] +
-                                         g * ci_g * s.hi * s.wi;
-                kernels_->im2colChw(sample_in, ci_g, s.hi, s.wi,
-                                    s.kernel, s.kernel, s.stride, s.pad,
-                                    s.ho, s.wo, pack + i * hw, ldm,
-                                    0.0f);
-                const float absmax =
-                    absMaxOf(sample_in, ci_g * s.hi * s.wi);
-                const float sa =
-                    absmax > 0.0f ? absmax / actQmax_ : 0.0f;
-                const float mult = absmax > 0.0f ? 1.0f / sa : 0.0f;
-                ctx.scales_[static_cast<std::size_t>(i)] = sw * sa;
-                for (std::int64_t r = 0; r < kk; ++r)
-                    quantizeTo(pack + r * ldm + i * hw,
-                               qpack + r * ldm + i * hw, hw, mult,
-                               qmax);
+                ctx.scales_[static_cast<std::size_t>(i)] =
+                    pack(in_base + i * s.inNumel[0] + g * in_g,
+                         qpack + i * hw, ldm);
             }
             std::int32_t *stage = ctx.stage32_.data();
             kernels_->gemmInt8(wg, kk, qpack, ldm, stage, ldm, co_g,
@@ -600,23 +616,9 @@ ExecutionPlan::execConvInt8(const Step &s, int nb,
             continue;
         }
         for (std::int64_t i = 0; i < b; ++i) {
-            const float *sample_in =
-                in_base + i * s.inNumel[0] + g * ci_g * s.hi * s.wi;
-            const float absmax = absMaxOf(sample_in, ci_g * s.hi * s.wi);
-            const float sa = absmax > 0.0f ? absmax / actQmax_ : 0.0f;
-            const float mult = absmax > 0.0f ? 1.0f / sa : 0.0f;
-            const float f = sw * sa;
             std::int8_t *qcols = ctx.qact_.data();
-            if (identity) {
-                quantizeTo(sample_in, qcols, kk * hw, mult, qmax);
-            } else {
-                kernels_->im2colChw(sample_in, ci_g, s.hi, s.wi,
-                                    s.kernel, s.kernel, s.stride, s.pad,
-                                    s.ho, s.wo, ctx.columns_.data(),
-                                    hw, 0.0f);
-                quantizeTo(ctx.columns_.data(), qcols, kk * hw, mult,
-                           qmax);
-            }
+            const float f =
+                pack(in_base + i * s.inNumel[0] + g * in_g, qcols, hw);
             std::int32_t *stage = ctx.stage32_.data();
             kernels_->gemmInt8(wg, kk, qcols, hw, stage, hw, co_g, kk,
                                hw);

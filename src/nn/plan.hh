@@ -35,8 +35,12 @@
  * dynamic scale from that sample's own layer input (so batching cannot
  * change a sample's quantization grid), the GEMM runs int8 x int8 ->
  * int32, and a float epilogue rescales by (weight scale x activation
- * scale).  Integer accumulation is exact, so the int8 path is
- * bit-identical across batch sizes AND across kernel ISAs.
+ * scale).  A conv quantizes each sample's layer input once, before
+ * im2col, and packs the int8 levels: packing only copies and a padded
+ * zero is level 0, so this yields exactly the levels of quantizing the
+ * kernel^2-times larger column matrix.  Integer accumulation is exact,
+ * so the int8 path is bit-identical across batch sizes AND across
+ * kernel ISAs.
  *
  * Threading: the plan itself is immutable after build and shared
  * freely; all mutable state (the arena) lives in a `PlanContext`, one
@@ -78,12 +82,13 @@ class PlanContext
   private:
     friend class ExecutionPlan;
     std::vector<float> arena_;   //!< node activations, sample-major
-    std::vector<float> columns_; //!< im2col matrix of the widest conv
+    std::vector<float> columns_; //!< fp32 im2col of the widest conv
     std::vector<float> stage_;   //!< batched-GEMM output staging
     // Quantized-path scratch (sized only when the plan is int8/int6).
-    std::vector<std::int8_t> qact_;    //!< quantized activations/columns
+    std::vector<std::int8_t> qact_;     //!< int8 columns / fc inputs
+    std::vector<std::int8_t> qinput_;   //!< one quantized conv input
     std::vector<std::int32_t> stage32_; //!< int32 GEMM accumulators
-    std::vector<float> scales_;        //!< per-sample dequant factors
+    std::vector<float> scales_;         //!< per-sample dequant factors
     int batchCapacity_ = 0;
 };
 
@@ -185,9 +190,10 @@ class ExecutionPlan
     std::int64_t inputNumel_ = 0, outputNumel_ = 0;
     std::int64_t inputOffset_ = 0, outputOffset_ = 0;
     std::int64_t arenaFloats_ = 0;
-    std::int64_t columnsFloats_ = 0; //!< widest im2col, per sample
+    std::int64_t columnsFloats_ = 0; //!< widest fp32 im2col, per sample
     std::int64_t stageFloats_ = 0;   //!< widest conv output, per sample
     std::int64_t qactElems_ = 0;   //!< int8 scratch per sample
+    std::int64_t qinputElems_ = 0; //!< widest quantized conv input
     std::int64_t stage32Ints_ = 0; //!< int32 staging per sample
 };
 

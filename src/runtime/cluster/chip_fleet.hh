@@ -28,6 +28,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.hh"
@@ -41,6 +42,16 @@ namespace fpsa
 /** One chip's identity and budget, as handed to the fleet. */
 struct ChipSpec
 {
+    ChipSpec() = default;
+
+    /** `{"chip0", capacity}` leaves the chip at the default corner. */
+    ChipSpec(std::string chipId, ChipCapacity chipCapacity,
+             VariationProfile chipVariation = {})
+        : id(std::move(chipId)), capacity(chipCapacity),
+          variation(chipVariation)
+    {
+    }
+
     std::string id;
     ChipCapacity capacity;
 

@@ -111,22 +111,24 @@ gemmScalar(const float *a, std::int64_t lda, const float *b,
 // ----------------------------------------------------------- shared bodies
 
 /**
- * im2col packing body (see tensor/gemm.hh for the layout contract).
- * Pure copies and fills -- no float arithmetic -- so every variant is
- * bit-identical; the vector tables recompile it only for wider moves.
+ * im2col packing body (see tensor/gemm.hh for the layout contract),
+ * generic over the element type: fp32 activations for the float path,
+ * int8 levels for the quantized one.  Pure copies and fills -- no
+ * arithmetic -- so every variant is bit-identical; the vector tables
+ * recompile it only for wider moves.
  */
+template <typename T>
 inline void
-im2colBody(const float *input, std::int64_t ci, std::int64_t hi,
+im2colBody(const T *input, std::int64_t ci, std::int64_t hi,
            std::int64_t wi, std::int64_t kh, std::int64_t kw,
            std::int64_t stride, std::int64_t pad, std::int64_t ho,
-           std::int64_t wo, float *columns, std::int64_t ldm,
-           float pad_value)
+           std::int64_t wo, T *columns, std::int64_t ldm, T pad_value)
 {
     for (std::int64_t ic = 0; ic < ci; ++ic) {
-        const float *plane = input + ic * hi * wi;
+        const T *plane = input + ic * hi * wi;
         for (std::int64_t ky = 0; ky < kh; ++ky) {
             for (std::int64_t kx = 0; kx < kw; ++kx) {
-                float *row = columns + ((ic * kh + ky) * kw + kx) * ldm;
+                T *row = columns + ((ic * kh + ky) * kw + kx) * ldm;
                 // Valid output x range for this tap: ox*stride+kx-pad
                 // in [0, wi).  Everything outside is pad_value; inside
                 // is a contiguous (stride==1) or strided copy -- no
@@ -141,18 +143,18 @@ im2colBody(const float *input, std::int64_t ci, std::int64_t hi,
                                 : std::min(wo, last_ix / stride + 1);
                 for (std::int64_t oy = 0; oy < ho; ++oy) {
                     const std::int64_t iy = oy * stride + ky - pad;
-                    float *dst = row + oy * wo;
+                    T *dst = row + oy * wo;
                     if (iy < 0 || iy >= hi || ox_lo >= ox_hi) {
                         std::fill(dst, dst + wo, pad_value);
                         continue;
                     }
                     std::fill(dst, dst + ox_lo, pad_value);
-                    const float *src = plane + iy * wi - pad + kx;
+                    const T *src = plane + iy * wi - pad + kx;
                     if (stride == 1) {
                         std::memcpy(dst + ox_lo, src + ox_lo,
                                     static_cast<std::size_t>(ox_hi -
                                                              ox_lo) *
-                                        sizeof(float));
+                                        sizeof(T));
                     } else {
                         for (std::int64_t ox = ox_lo; ox < ox_hi; ++ox)
                             dst[ox] = src[ox * stride];
@@ -343,7 +345,7 @@ gemmAvx2(const float *a, std::int64_t lda, const float *b,
     }
 }
 
-/** Shared bodies recompiled for 256-bit moves / autovectorization. */
+/** The shared im2col body, recompiled for 256-bit moves. */
 __attribute__((target("avx2"))) void
 im2colAvx2(const float *input, std::int64_t ci, std::int64_t hi,
            std::int64_t wi, std::int64_t kh, std::int64_t kw,
@@ -356,10 +358,88 @@ im2colAvx2(const float *input, std::int64_t ci, std::int64_t hi,
 }
 
 /**
- * 4-row int8 tile: sign-extend 8 B bytes to int32 lanes once per k
- * step and share them across the four rows.  Integer adds commute
- * exactly, so this is bit-identical to the scalar body by value even
- * though the lane structure differs.
+ * The AVX2 int8 GEMM is pairwise: `_mm256_madd_epi16` multiplies int16
+ * lanes and adds each adjacent pair of products into one int32 lane.
+ * Interleaving B rows k and k+1 byte by byte and sign-extending them to
+ * int16 gives, per int32 lane, one column's (b[k], b[k+1]); broadcasting
+ * A's (a[k], a[k+1]) as one int32 then yields a[k]*b[k] + a[k+1]*b[k+1]
+ * for eight columns in one instruction -- two k steps per multiply,
+ * where sign-extending to int32 and `_mm256_mullo_epi32` did one.
+ *
+ * Exact over the whole int8 range: a product is at most 128*128 = 2^14
+ * and a pair sum at most 2^15, so nothing saturates (`maddubs` would:
+ * its unsigned x signed pair sums clamp to int16).  Integer adds
+ * commute exactly, so the result equals the scalar body's by value
+ * whatever the lane structure.
+ */
+
+/** One A pair as the int32 `madd` broadcasts: k low, k+1 high. */
+inline std::int32_t
+packPair(std::int8_t lo, std::int8_t hi)
+{
+    return static_cast<std::int32_t>(
+        static_cast<std::uint16_t>(lo) |
+        static_cast<std::uint32_t>(static_cast<std::uint16_t>(hi))
+            << 16);
+}
+
+/**
+ * Pack one A row's kb values of a k block into pairs[0, (kb + 1) / 2),
+ * the entries the tiles read; an odd kb pairs its last value with
+ * zero.  Sign-extending 16 bytes to int16 lays out 8 pairs at once
+ * (x86 is little-endian).
+ */
+__attribute__((target("avx2"))) inline void
+packPairsAvx2(const std::int8_t *a, std::int64_t kb, std::int32_t *pairs)
+{
+    std::int64_t p = 0;
+    for (; p + 16 <= kb; p += 16) {
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i *>(pairs + p / 2),
+            _mm256_cvtepi8_epi16(_mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(a + p))));
+    }
+    for (; p < kb; p += 2)
+        pairs[p / 2] = packPair(a[p], p + 1 < kb ? a[p + 1]
+                                                 : std::int8_t{0});
+}
+
+__attribute__((target("avx2"))) inline __m128i
+loadB16(const std::int8_t *row)
+{
+    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(row));
+}
+
+__attribute__((target("avx2"))) inline __m128i
+loadB8(const std::int8_t *row)
+{
+    return _mm_loadl_epi64(reinterpret_cast<const __m128i *>(row));
+}
+
+/** s += madd(broadcast(pair), v): two k steps over eight columns. */
+__attribute__((target("avx2"))) inline __m256i
+maddPair(__m256i s, std::int32_t pair, __m256i v)
+{
+    return _mm256_add_epi32(
+        s, _mm256_madd_epi16(_mm256_set1_epi32(pair), v));
+}
+
+__attribute__((target("avx2"))) inline __m256i
+loadC(const std::int32_t *c)
+{
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(c));
+}
+
+__attribute__((target("avx2"))) inline void
+storeC(std::int32_t *c, __m256i s)
+{
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(c), s);
+}
+
+/**
+ * 4-row int8 tile: each interleaved pair of B rows (16 columns, two
+ * int16 vectors) is shared across the four A rows; an 8-column step
+ * and a scalar loop cover the column tail.
  */
 __attribute__((target("avx2"))) void
 tile4Int8Avx2(const std::int8_t *a0, const std::int8_t *a1,
@@ -368,33 +448,65 @@ tile4Int8Avx2(const std::int8_t *a0, const std::int8_t *a1,
               std::int32_t *c1, std::int32_t *c2, std::int32_t *c3,
               std::int64_t kb, std::int64_t nb)
 {
+    std::int32_t w0[kKc / 2], w1[kKc / 2], w2[kKc / 2], w3[kKc / 2];
+    packPairsAvx2(a0, kb, w0);
+    packPairsAvx2(a1, kb, w1);
+    packPairsAvx2(a2, kb, w2);
+    packPairsAvx2(a3, kb, w3);
+    const std::int64_t pairs = (kb + 1) / 2;
+    const __m128i zero = _mm_setzero_si128();
+
     std::int64_t j = 0;
-    for (; j + 8 <= nb; j += 8) {
-        __m256i s0 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(c0 + j));
-        __m256i s1 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(c1 + j));
-        __m256i s2 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(c2 + j));
-        __m256i s3 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(c3 + j));
+    for (; j + 16 <= nb; j += 16) {
+        __m256i s0l = loadC(c0 + j), s0h = loadC(c0 + j + 8);
+        __m256i s1l = loadC(c1 + j), s1h = loadC(c1 + j + 8);
+        __m256i s2l = loadC(c2 + j), s2h = loadC(c2 + j + 8);
+        __m256i s3l = loadC(c3 + j), s3h = loadC(c3 + j + 8);
         const std::int8_t *bp = b + j;
-        for (std::int64_t p = 0; p < kb; ++p) {
-            const __m256i bv = _mm256_cvtepi8_epi32(_mm_loadl_epi64(
-                reinterpret_cast<const __m128i *>(bp + p * ldb)));
-            s0 = _mm256_add_epi32(
-                s0, _mm256_mullo_epi32(_mm256_set1_epi32(a0[p]), bv));
-            s1 = _mm256_add_epi32(
-                s1, _mm256_mullo_epi32(_mm256_set1_epi32(a1[p]), bv));
-            s2 = _mm256_add_epi32(
-                s2, _mm256_mullo_epi32(_mm256_set1_epi32(a2[p]), bv));
-            s3 = _mm256_add_epi32(
-                s3, _mm256_mullo_epi32(_mm256_set1_epi32(a3[p]), bv));
+        for (std::int64_t q = 0; q < pairs; ++q) {
+            const std::int8_t *r = bp + 2 * q * ldb;
+            const __m128i r0 = loadB16(r);
+            const __m128i r1 = 2 * q + 1 < kb ? loadB16(r + ldb) : zero;
+            const __m256i lo =
+                _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(r0, r1));
+            const __m256i hi =
+                _mm256_cvtepi8_epi16(_mm_unpackhi_epi8(r0, r1));
+            s0l = maddPair(s0l, w0[q], lo);
+            s0h = maddPair(s0h, w0[q], hi);
+            s1l = maddPair(s1l, w1[q], lo);
+            s1h = maddPair(s1h, w1[q], hi);
+            s2l = maddPair(s2l, w2[q], lo);
+            s2h = maddPair(s2h, w2[q], hi);
+            s3l = maddPair(s3l, w3[q], lo);
+            s3h = maddPair(s3h, w3[q], hi);
         }
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(c0 + j), s0);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(c1 + j), s1);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(c2 + j), s2);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(c3 + j), s3);
+        storeC(c0 + j, s0l);
+        storeC(c0 + j + 8, s0h);
+        storeC(c1 + j, s1l);
+        storeC(c1 + j + 8, s1h);
+        storeC(c2 + j, s2l);
+        storeC(c2 + j + 8, s2h);
+        storeC(c3 + j, s3l);
+        storeC(c3 + j + 8, s3h);
+    }
+    for (; j + 8 <= nb; j += 8) {
+        __m256i s0 = loadC(c0 + j), s1 = loadC(c1 + j);
+        __m256i s2 = loadC(c2 + j), s3 = loadC(c3 + j);
+        const std::int8_t *bp = b + j;
+        for (std::int64_t q = 0; q < pairs; ++q) {
+            const std::int8_t *r = bp + 2 * q * ldb;
+            const __m128i r1 = 2 * q + 1 < kb ? loadB8(r + ldb) : zero;
+            const __m256i v =
+                _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(loadB8(r), r1));
+            s0 = maddPair(s0, w0[q], v);
+            s1 = maddPair(s1, w1[q], v);
+            s2 = maddPair(s2, w2[q], v);
+            s3 = maddPair(s3, w3[q], v);
+        }
+        storeC(c0 + j, s0);
+        storeC(c1 + j, s1);
+        storeC(c2 + j, s2);
+        storeC(c3 + j, s3);
     }
     for (; j < nb; ++j) {
         std::int32_t s0 = c0[j], s1 = c1[j], s2 = c2[j], s3 = c3[j];
@@ -417,18 +529,38 @@ tile1Int8Avx2(const std::int8_t *a, const std::int8_t *b,
               std::int64_t ldb, std::int32_t *c, std::int64_t kb,
               std::int64_t nb)
 {
+    std::int32_t w[kKc / 2];
+    packPairsAvx2(a, kb, w);
+    const std::int64_t pairs = (kb + 1) / 2;
+    const __m128i zero = _mm_setzero_si128();
+
     std::int64_t j = 0;
-    for (; j + 8 <= nb; j += 8) {
-        __m256i s = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(c + j));
+    for (; j + 16 <= nb; j += 16) {
+        __m256i sl = loadC(c + j), sh = loadC(c + j + 8);
         const std::int8_t *bp = b + j;
-        for (std::int64_t p = 0; p < kb; ++p) {
-            const __m256i bv = _mm256_cvtepi8_epi32(_mm_loadl_epi64(
-                reinterpret_cast<const __m128i *>(bp + p * ldb)));
-            s = _mm256_add_epi32(
-                s, _mm256_mullo_epi32(_mm256_set1_epi32(a[p]), bv));
+        for (std::int64_t q = 0; q < pairs; ++q) {
+            const std::int8_t *r = bp + 2 * q * ldb;
+            const __m128i r0 = loadB16(r);
+            const __m128i r1 = 2 * q + 1 < kb ? loadB16(r + ldb) : zero;
+            sl = maddPair(sl, w[q],
+                          _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(r0, r1)));
+            sh = maddPair(sh, w[q],
+                          _mm256_cvtepi8_epi16(_mm_unpackhi_epi8(r0, r1)));
         }
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(c + j), s);
+        storeC(c + j, sl);
+        storeC(c + j + 8, sh);
+    }
+    for (; j + 8 <= nb; j += 8) {
+        __m256i s = loadC(c + j);
+        const std::int8_t *bp = b + j;
+        for (std::int64_t q = 0; q < pairs; ++q) {
+            const std::int8_t *r = bp + 2 * q * ldb;
+            const __m128i r1 = 2 * q + 1 < kb ? loadB8(r + ldb) : zero;
+            s = maddPair(s, w[q],
+                         _mm256_cvtepi8_epi16(
+                             _mm_unpacklo_epi8(loadB8(r), r1)));
+        }
+        storeC(c + j, s);
     }
     for (; j < nb; ++j) {
         std::int32_t s = c[j];
@@ -776,6 +908,16 @@ kernelTable(KernelIsa isa)
       default:
         return kScalarTable;
     }
+}
+
+void
+im2colChwInt8(const std::int8_t *input, std::int64_t ci, std::int64_t hi,
+              std::int64_t wi, std::int64_t kh, std::int64_t kw,
+              std::int64_t stride, std::int64_t pad, std::int64_t ho,
+              std::int64_t wo, std::int8_t *columns, std::int64_t ldm)
+{
+    im2colBody(input, ci, hi, wi, kh, kw, stride, pad, ho, wo, columns,
+               ldm, std::int8_t{0});
 }
 
 } // namespace fpsa

@@ -12,8 +12,10 @@
  *    always available, and the oracle the vector variants are tested
  *    against.
  *  - `Avx2` (x86 only, runtime CPUID-gated on AVX2+FMA) widens the
- *    fp32 inner loops to 8-lane fused multiply-adds and recompiles the
- *    packing/int8 loops for 256-bit autovectorization.
+ *    fp32 inner loops to 8-lane fused multiply-adds, recompiles the
+ *    im2col packing for 256-bit moves, and runs the int8 GEMM as a
+ *    pairwise `_mm256_madd_epi16` microkernel: two k steps of eight
+ *    columns per multiply, exact over the whole int8 range.
  *  - `Neon` (aarch64 only) uses explicit 4-lane fused multiply-adds.
  *
  * Determinism contract (what `ExecutionPlan` relies on): within one
@@ -133,6 +135,19 @@ struct KernelTable
  * immutable statics: the returned reference stays valid forever.
  */
 const KernelTable &kernelTable(KernelIsa isa = KernelIsa::Auto);
+
+/**
+ * im2col over int8 activation levels: the same layout contract as
+ * `KernelTable::im2colChw` (tensor/gemm.hh), with out-of-range taps
+ * written as level 0.  Packing only copies, so it needs no per-ISA
+ * variant.  The quantized plan packs its columns with it after
+ * quantizing the layer input once (nn/plan.hh).
+ */
+void im2colChwInt8(const std::int8_t *input, std::int64_t ci,
+                   std::int64_t hi, std::int64_t wi, std::int64_t kh,
+                   std::int64_t kw, std::int64_t stride, std::int64_t pad,
+                   std::int64_t ho, std::int64_t wo, std::int8_t *columns,
+                   std::int64_t ldm);
 
 } // namespace fpsa
 

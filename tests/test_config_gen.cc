@@ -24,7 +24,8 @@ routedChain(Netlist &nl, int n)
     for (int i = 0; i < n; ++i)
         pes.push_back(nl.addBlock(BlockType::Pe, "pe" + std::to_string(i)));
     for (int i = 0; i + 1 < n; ++i)
-        nl.addNet("n" + std::to_string(i), pes[static_cast<std::size_t>(i)],
+        nl.addNet(std::string("n").append(std::to_string(i)),
+                  pes[static_cast<std::size_t>(i)],
                   {pes[static_cast<std::size_t>(i + 1)]}, 64);
     PnrOptions opt;
     opt.fullRoute = true;

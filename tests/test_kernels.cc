@@ -5,7 +5,8 @@
  * golden equivalence of every available vector variant against the
  * scalar baseline, the per-table determinism contract (a column's bits
  * do not depend on the call's width), exactness and cross-table
- * bit-identity of the int8 GEMM, and im2col equivalence across tables.
+ * bit-identity of the int8 GEMM (every remainder path and the int8
+ * range extremes), and im2col equivalence across tables.
  */
 
 #include <gtest/gtest.h>
@@ -157,12 +158,13 @@ TEST(KernelTableGolden, ColumnBitsIndependentOfCallWidthPerTable)
     }
 }
 
-TEST(KernelTableInt8, ExactAgainstNaiveAndBitIdenticalAcrossTables)
+/** Naive int32 triple loop: the oracle every int8 table must equal. */
+std::vector<std::int32_t>
+naiveGemmInt8(const std::vector<std::int8_t> &a,
+              const std::vector<std::int8_t> &b, std::int64_t m,
+              std::int64_t k, std::int64_t n)
 {
-    const std::int64_t m = 11, k = 259, n = 23;
-    const auto a = randomInt8(static_cast<std::size_t>(m * k), 5);
-    const auto b = randomInt8(static_cast<std::size_t>(k * n), 6);
-    std::vector<std::int32_t> want(static_cast<std::size_t>(m * n));
+    std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
     for (std::int64_t i = 0; i < m; ++i) {
         for (std::int64_t j = 0; j < n; ++j) {
             std::int32_t acc = 0;
@@ -171,9 +173,19 @@ TEST(KernelTableInt8, ExactAgainstNaiveAndBitIdenticalAcrossTables)
                            a[static_cast<std::size_t>(i * k + p)]) *
                        static_cast<std::int32_t>(
                            b[static_cast<std::size_t>(p * n + j)]);
-            want[static_cast<std::size_t>(i * n + j)] = acc;
+            c[static_cast<std::size_t>(i * n + j)] = acc;
         }
     }
+    return c;
+}
+
+/** Every available table's contiguous [m x k] * [k x n] equals naive. */
+void
+expectInt8GemmExact(const std::vector<std::int8_t> &a,
+                    const std::vector<std::int8_t> &b, std::int64_t m,
+                    std::int64_t k, std::int64_t n)
+{
+    const auto want = naiveGemmInt8(a, b, m, k, n);
     for (KernelIsa isa : availableIsas()) {
         const KernelTable &t = kernelTable(isa);
         std::vector<std::int32_t> got(static_cast<std::size_t>(m * n),
@@ -181,7 +193,61 @@ TEST(KernelTableInt8, ExactAgainstNaiveAndBitIdenticalAcrossTables)
         t.gemmInt8(a.data(), k, b.data(), n, got.data(), n, m, k, n);
         for (std::size_t i = 0; i < got.size(); ++i)
             ASSERT_EQ(got[i], want[i])
-                << kernelIsaName(isa) << " element " << i;
+                << kernelIsaName(isa) << " m=" << m << " k=" << k
+                << " n=" << n << " element " << i;
+    }
+}
+
+TEST(KernelTableInt8, ExactAgainstNaiveAndBitIdenticalAcrossTables)
+{
+    const std::int64_t m = 11, k = 259, n = 23;
+    expectInt8GemmExact(
+        randomInt8(static_cast<std::size_t>(m * k), 5),
+        randomInt8(static_cast<std::size_t>(k * n), 6), m, k, n);
+}
+
+TEST(KernelTableInt8, ExactOnEveryRemainderPath)
+{
+    // The vector int8 GEMM pairs k steps, blocks k by 128 and tiles 4
+    // rows x 16 (then 8) columns.  Sweep odd k, k blocks whose last
+    // block is odd (129 = 128 + 1, 255 = 128 + 127), m tails of 1-3
+    // rows beside full tiles, and n from 1 to 17 around the column
+    // steps plus one width past the 512-column block.
+    std::uint64_t seed = 20;
+    for (std::int64_t k : {1, 2, 3, 17, 128, 129, 255}) {
+        for (std::int64_t m : {1, 2, 3, 4, 5, 7}) {
+            std::vector<std::int64_t> widths;
+            for (std::int64_t n = 1; n <= 17; ++n)
+                widths.push_back(n);
+            widths.push_back(531);
+            for (std::int64_t n : widths) {
+                seed += 2;
+                expectInt8GemmExact(
+                    randomInt8(static_cast<std::size_t>(m * k), seed),
+                    randomInt8(static_cast<std::size_t>(k * n), seed + 1),
+                    m, k, n);
+                if (HasFatalFailure())
+                    return;
+            }
+        }
+    }
+}
+
+TEST(KernelTableInt8, ExactAtTheInt8RangeExtremes)
+{
+    // All -128 and all 127 operands.  (-128) * (-128) = 2^14, so a
+    // pair of products reaches 2^15, one past int16's range: a design
+    // whose pair sums saturate to int16 (maddubs) would clamp it.
+    const std::int64_t m = 5, k = 259, n = 17;
+    for (std::int8_t av : {std::int8_t{-128}, std::int8_t{127}}) {
+        for (std::int8_t bv : {std::int8_t{-128}, std::int8_t{127}}) {
+            expectInt8GemmExact(
+                std::vector<std::int8_t>(static_cast<std::size_t>(m * k),
+                                         av),
+                std::vector<std::int8_t>(static_cast<std::size_t>(k * n),
+                                         bv),
+                m, k, n);
+        }
     }
 }
 
@@ -234,6 +300,31 @@ TEST(KernelTableGolden, Im2colIdenticalAcrossTables)
             ASSERT_EQ(got[i], want[i])
                 << kernelIsaName(isa) << " element " << i;
     }
+}
+
+TEST(KernelTableGolden, Im2colInt8MatchesFloatPacking)
+{
+    // The int8 packer is the float one over int8 levels: the same
+    // layout, with out-of-range taps written as level 0.
+    const std::int64_t ci = 2, hi = 7, wi = 6;
+    const std::int64_t kh = 3, kw = 3, stride = 2, pad = 2;
+    const std::int64_t ho = (hi + 2 * pad - kh) / stride + 1;
+    const std::int64_t wo = (wi + 2 * pad - kw) / stride + 1;
+    const auto img8 =
+        randomInt8(static_cast<std::size_t>(ci * hi * wi), 10);
+    const std::vector<float> img(img8.begin(), img8.end());
+    const std::int64_t rows = ci * kh * kw;
+    const std::int64_t ldm = ho * wo + 3; // strided destination
+    std::vector<float> want(static_cast<std::size_t>(rows * ldm), 99.0f);
+    kernelTable(KernelIsa::Scalar)
+        .im2colChw(img.data(), ci, hi, wi, kh, kw, stride, pad, ho, wo,
+                   want.data(), ldm, 0.0f);
+    std::vector<std::int8_t> got(static_cast<std::size_t>(rows * ldm),
+                                 99);
+    im2colChwInt8(img8.data(), ci, hi, wi, kh, kw, stride, pad, ho, wo,
+                  got.data(), ldm);
+    for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(static_cast<float>(got[i]), want[i]) << "element " << i;
 }
 
 } // namespace

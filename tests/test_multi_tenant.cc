@@ -148,8 +148,10 @@ TEST(ResourceDemand, RejectsNegativeDemandComponents)
     const std::string key = "\"resourceDemand\":{\"peBlocks\":";
     const std::size_t at = text.find(key);
     ASSERT_NE(at, std::string::npos);
-    text.insert(at + key.size(), "-");
-    auto poisoned = CompiledModel::fromJson(text);
+    std::string negated = text.substr(0, at + key.size());
+    negated += '-';
+    negated += text.substr(at + key.size());
+    auto poisoned = CompiledModel::fromJson(negated);
     ASSERT_FALSE(poisoned.ok());
     EXPECT_EQ(poisoned.status().code(), StatusCode::InvalidArgument);
     EXPECT_NE(poisoned.status().message().find("negative"),

@@ -5,13 +5,17 @@
  * executor across a {kernel, stride, pad, groups, odd-shape} sweep,
  * bit-identity of batched vs single-sample execution and of
  * back-to-back requests through one reused arena, zero-heap-allocation
- * behaviour of the planned path, and the liveness allocator actually
- * reusing buffers.
+ * behaviour of the planned path, the liveness allocator actually
+ * reusing buffers, and the quantized conv's bit-equality with a
+ * quantize-after-im2col oracle.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/alloc_probe.hh"
@@ -477,6 +481,145 @@ TEST(PlanInt8, QuantizedRequestPerformsZeroHeapAllocations)
     plan->runBatch(in_ptrs.data(), out_ptrs.data(), 3, context);
     EXPECT_EQ(alloc_probe::disarm(), 0)
         << "the batched int8 path must not allocate per request";
+}
+
+/**
+ * A quantized conv computed the way the plan used to: pack the float
+ * im2col matrix, quantize every packed element against the sample's own
+ * input scale (per group slice), multiply with a naive int32 loop, then
+ * rescale.  The plan quantizes the input before packing instead, so
+ * this oracle is what proves the two orders agree bit for bit.
+ */
+std::vector<float>
+quantizeAfterIm2colConv(const GraphNode &conv, const Shape &in,
+                        const float *sample, float actQmax)
+{
+    const std::int64_t ci = in[0], hi = in[1], wi = in[2];
+    const std::int64_t co = conv.outShape[0];
+    const std::int64_t ho = conv.outShape[1], wo = conv.outShape[2];
+    const std::int64_t kern = conv.attrs.kernel;
+    const std::int64_t groups = conv.attrs.groups;
+    const std::int64_t ci_g = ci / groups, co_g = co / groups;
+    const std::int64_t kk = ci_g * kern * kern, hw = ho * wo;
+    const auto level = [](float x, float mult, float qmax) {
+        return std::clamp(static_cast<std::int32_t>(std::lrintf(x * mult)),
+                          -static_cast<std::int32_t>(qmax),
+                          static_cast<std::int32_t>(qmax));
+    };
+
+    // One symmetric int8 scale for the whole layer's weights.
+    const Tensor &w = *conv.weights;
+    float wmax = 0.0f;
+    for (std::int64_t v = 0; v < w.numel(); ++v)
+        wmax = std::max(wmax, std::fabs(w[v]));
+    const float sw = wmax / 127.0f;
+    const float wmult = 1.0f / sw;
+    std::vector<std::int32_t> wq(static_cast<std::size_t>(w.numel()));
+    for (std::int64_t v = 0; v < w.numel(); ++v)
+        wq[static_cast<std::size_t>(v)] = level(w[v], wmult, 127.0f);
+
+    std::vector<float> out(static_cast<std::size_t>(co * hw));
+    std::vector<float> cols(static_cast<std::size_t>(kk * hw));
+    std::vector<std::int32_t> qcols(cols.size());
+    for (std::int64_t g = 0; g < groups; ++g) {
+        const float *x = sample + g * ci_g * hi * wi;
+        float amax = 0.0f;
+        for (std::int64_t v = 0; v < ci_g * hi * wi; ++v)
+            amax = std::max(amax, std::fabs(x[v]));
+        const float sa = amax > 0.0f ? amax / actQmax : 0.0f;
+        const float mult = amax > 0.0f ? 1.0f / sa : 0.0f;
+        im2colChw(x, ci_g, hi, wi, kern, kern, conv.attrs.stride,
+                  conv.attrs.pad, ho, wo, cols.data(), hw, 0.0f);
+        for (std::size_t v = 0; v < cols.size(); ++v)
+            qcols[v] = level(cols[v], mult, actQmax);
+        for (std::int64_t oc = g * co_g; oc < (g + 1) * co_g; ++oc) {
+            for (std::int64_t p = 0; p < hw; ++p) {
+                std::int32_t acc = 0;
+                for (std::int64_t r = 0; r < kk; ++r)
+                    acc += wq[static_cast<std::size_t>(oc * kk + r)] *
+                           qcols[static_cast<std::size_t>(r * hw + p)];
+                out[static_cast<std::size_t>(oc * hw + p)] =
+                    static_cast<float>(acc) * (sw * sa);
+            }
+        }
+    }
+    return out;
+}
+
+TEST(PlanInt8, MatchesQuantizeAfterIm2colOracle)
+{
+    struct Case
+    {
+        const char *name;
+        Shape in;
+        int co, kernel, stride, pad, groups, batch;
+        int zeroSample; //!< index of an all-zero (scale 0) sample, or -1
+    };
+    // hw < 1024 with batch > 1 takes the coalesced branch; the 40x32
+    // layer (hw = 1280) runs per sample.
+    const Case cases[] = {
+        {"pad", {3, 9, 7}, 6, 3, 1, 1, 1, 1, -1},
+        {"stride2", {3, 11, 9}, 5, 3, 2, 1, 1, 1, -1},
+        {"groups2", {4, 9, 7}, 6, 3, 1, 1, 2, 1, -1},
+        {"identity1x1", {5, 6, 7}, 4, 1, 1, 0, 1, 1, -1},
+        {"coalesced", {4, 8, 8}, 6, 3, 1, 1, 2, 3, 1},
+        {"coalescedIdentity", {3, 5, 5}, 4, 1, 1, 0, 1, 3, 2},
+        {"perSampleWide", {2, 40, 32}, 4, 3, 1, 1, 1, 2, 1},
+        {"zeroSample", {3, 6, 6}, 4, 3, 1, 1, 1, 1, 0},
+    };
+    for (const Case &c : cases) {
+        GraphBuilder b(c.in);
+        b.conv(c.co, c.kernel, c.stride, c.pad, c.groups);
+        const Graph g = weighted(b, 310);
+        const GraphNode &conv = g.node(b.tip());
+
+        std::vector<Tensor> inputs;
+        for (int i = 0; i < c.batch; ++i) {
+            inputs.push_back(
+                i == c.zeroSample
+                    ? Tensor(c.in)
+                    : randomInput(c.in,
+                                  320u + static_cast<std::uint64_t>(i)));
+        }
+        for (PrecisionMode mode :
+             {PrecisionMode::Int8, PrecisionMode::Int6}) {
+            const float qmax = mode == PrecisionMode::Int8 ? 127.0f
+                                                           : 31.0f;
+            for (KernelIsa isa : availablePlanIsas()) {
+                auto plan = ExecutionPlan::build(g, {mode, isa});
+                ASSERT_TRUE(plan.ok()) << plan.status().toString();
+                std::vector<Tensor> outs(
+                    static_cast<std::size_t>(c.batch),
+                    Tensor(plan->outputShape()));
+                std::vector<const float *> in_ptrs;
+                std::vector<float *> out_ptrs;
+                for (int i = 0; i < c.batch; ++i) {
+                    in_ptrs.push_back(
+                        inputs[static_cast<std::size_t>(i)].data());
+                    out_ptrs.push_back(
+                        outs[static_cast<std::size_t>(i)].data());
+                }
+                PlanContext context = plan->makeContext(c.batch);
+                plan->runBatch(in_ptrs.data(), out_ptrs.data(), c.batch,
+                               context);
+                for (int i = 0; i < c.batch; ++i) {
+                    const auto want = quantizeAfterIm2colConv(
+                        conv, c.in,
+                        inputs[static_cast<std::size_t>(i)].data(), qmax);
+                    const Tensor &got = outs[static_cast<std::size_t>(i)];
+                    ASSERT_EQ(static_cast<std::size_t>(got.numel()),
+                              want.size());
+                    for (std::int64_t v = 0; v < got.numel(); ++v)
+                        ASSERT_EQ(std::bit_cast<std::uint32_t>(got[v]),
+                                  std::bit_cast<std::uint32_t>(
+                                      want[static_cast<std::size_t>(v)]))
+                            << c.name << " " << precisionModeName(mode)
+                            << " " << kernelIsaName(isa) << " sample "
+                            << i << " element " << v;
+                }
+            }
+        }
+    }
 }
 
 // ----------------------------------------------------------- gemm kernels

@@ -40,7 +40,8 @@ chainNetlist(int n, int width)
     for (int i = 0; i < n; ++i)
         pes.push_back(nl.addBlock(BlockType::Pe, "pe" + std::to_string(i)));
     for (int i = 0; i + 1 < n; ++i)
-        nl.addNet("n" + std::to_string(i), pes[static_cast<std::size_t>(i)],
+        nl.addNet(std::string("n").append(std::to_string(i)),
+                  pes[static_cast<std::size_t>(i)],
                   {pes[static_cast<std::size_t>(i + 1)]}, width);
     return nl;
 }
@@ -301,7 +302,8 @@ randomNetlist(Rng &rng, int blocks, int nets, int max_width)
             } while (b == a);
             sinks.push_back(b);
         }
-        nl.addNet("n" + std::to_string(i), a, std::move(sinks),
+        nl.addNet(std::string("n").append(std::to_string(i)), a,
+                  std::move(sinks),
                   1 + static_cast<int>(rng.uniformInt(
                           static_cast<std::uint64_t>(max_width))));
     }

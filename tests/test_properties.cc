@@ -212,7 +212,10 @@ randomGraph(Rng &rng, int layers, int width)
         std::vector<CoreOpId> cur;
         for (int i = 0; i < n; ++i) {
             CoreOp op;
-            op.name = "l" + std::to_string(l) + "n" + std::to_string(i);
+            op.name = "l";
+            op.name += std::to_string(l);
+            op.name += "n";
+            op.name += std::to_string(i);
             op.group = shared ? group : g.newGroup();
             op.cols = 4;
             op.etaLevels = 4.0;
@@ -273,7 +276,8 @@ randomNetlist(Rng &rng, int blocks, int nets, int width)
 {
     Netlist nl;
     for (int i = 0; i < blocks; ++i)
-        nl.addBlock(BlockType::Pe, "b" + std::to_string(i));
+        nl.addBlock(BlockType::Pe,
+                    std::string("b").append(std::to_string(i)));
     for (int i = 0; i < nets; ++i) {
         const BlockId a =
             static_cast<BlockId>(rng.uniformInt(
@@ -283,7 +287,8 @@ randomNetlist(Rng &rng, int blocks, int nets, int width)
             b = static_cast<BlockId>(rng.uniformInt(
                 static_cast<std::uint64_t>(blocks)));
         } while (b == a);
-        nl.addNet("n" + std::to_string(i), a, {b}, width);
+        nl.addNet(std::string("n").append(std::to_string(i)), a, {b},
+                  width);
     }
     return nl;
 }
