@@ -2,11 +2,19 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot kernels:
  * crossbar current summation, spiking PE windows, SA placement moves,
- * PathFinder routing, synthesis and scheduling.  These guard the
+ * PathFinder routing, synthesis and scheduling, plus the fp32 and int8
+ * GEMMs of every kernel table the host can run.  These guard the
  * simulator's own performance (not the modeled hardware's).
+ *
+ * Run only the GEMMs with `--benchmark_filter=Gemm`; each row is
+ * labelled with its kernel table and reports GFLOP/s (GOP/s for int8)
+ * computed from the shape.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.hh"
 #include "mapper/groups.hh"
@@ -19,6 +27,7 @@
 #include "pnr/pnr_flow.hh"
 #include "reram/crossbar.hh"
 #include "synth/synthesizer.hh"
+#include "tensor/kernels.hh"
 
 namespace
 {
@@ -159,6 +168,93 @@ BM_RunCoreOpsCnn(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RunCoreOpsCnn)->Unit(benchmark::kMicrosecond);
+
+/**
+ * GEMM shapes (m, k, n) of the served models: the VGG17 convolutions
+ * of perfbench's `convnet` workload, then the fleet CNN's.
+ */
+constexpr std::int64_t kGemmShapes[][3] = {
+    {48, 432, 1024}, {96, 864, 256},  {96, 864, 64},  {96, 864, 16},
+    {32, 27, 16384}, {64, 288, 4096}, {64, 576, 1024},
+};
+
+/** Args {isa, m, k, n} for every available table and every shape. */
+void
+gemmArgs(benchmark::internal::Benchmark *b)
+{
+    for (KernelIsa isa :
+         {KernelIsa::Scalar, KernelIsa::Avx2, KernelIsa::Neon}) {
+        if (!kernelIsaAvailable(isa))
+            continue;
+        for (const auto &shape : kGemmShapes)
+            b->Args({static_cast<std::int64_t>(isa), shape[0], shape[1],
+                     shape[2]});
+    }
+    b->ArgNames({"isa", "m", "k", "n"});
+}
+
+/** Label the row with its table and report 2mkn ops per iteration. */
+void
+reportGemm(benchmark::State &state, const KernelTable &table,
+           const char *unit, std::int64_t m, std::int64_t k,
+           std::int64_t n)
+{
+    state.SetLabel(kernelIsaName(table.isa));
+    state.counters[unit] = benchmark::Counter(
+        2e-9 * static_cast<double>(m * k * n),
+        benchmark::Counter::kIsIterationInvariantRate);
+}
+
+void
+BM_GemmFp32(benchmark::State &state)
+{
+    const KernelTable &table =
+        kernelTable(static_cast<KernelIsa>(state.range(0)));
+    const std::int64_t m = state.range(1), k = state.range(2),
+                       n = state.range(3);
+    Rng rng(5);
+    std::vector<float> a(static_cast<std::size_t>(m * k));
+    std::vector<float> b(static_cast<std::size_t>(k * n));
+    std::vector<float> c(static_cast<std::size_t>(m * n));
+    for (float &v : a)
+        v = static_cast<float>(rng.normal(0.0, 1.0));
+    for (float &v : b)
+        v = static_cast<float>(rng.normal(0.0, 1.0));
+    for (auto _ : state) {
+        table.gemmRowMajor(a.data(), k, b.data(), n, c.data(), n, m, k,
+                           n);
+        benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
+    }
+    reportGemm(state, table, "GFLOP/s", m, k, n);
+}
+BENCHMARK(BM_GemmFp32)->Apply(gemmArgs)->Unit(benchmark::kMicrosecond);
+
+void
+BM_GemmInt8(benchmark::State &state)
+{
+    const KernelTable &table =
+        kernelTable(static_cast<KernelIsa>(state.range(0)));
+    const std::int64_t m = state.range(1), k = state.range(2),
+                       n = state.range(3);
+    Rng rng(6);
+    std::vector<std::int8_t> a(static_cast<std::size_t>(m * k));
+    std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
+    std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
+    for (std::int8_t &v : a)
+        v = static_cast<std::int8_t>(
+            static_cast<int>(rng.uniformInt(255)) - 127);
+    for (std::int8_t &v : b)
+        v = static_cast<std::int8_t>(
+            static_cast<int>(rng.uniformInt(255)) - 127);
+    for (auto _ : state) {
+        table.gemmInt8(a.data(), k, b.data(), n, c.data(), n, m, k, n);
+        benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
+    }
+    reportGemm(state, table, "GOP/s", m, k, n);
+}
+BENCHMARK(BM_GemmInt8)->Apply(gemmArgs)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

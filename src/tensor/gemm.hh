@@ -33,8 +33,10 @@ namespace fpsa
  * C[m x n] = A[m x k] * B[k x n], all row-major with the given leading
  * strides (elements between consecutive rows).  C is overwritten.
  *
- * Cache-blocked over k and n with a 4-row register tile; accumulation
- * per element is strictly k-ascending (see file comment).
+ * Cache-blocked over k and n, with a register tile per kernel table
+ * (tensor/kernels.hh): 4 rows for the scalar and NEON tables, 6 rows
+ * by 16 columns for AVX2.  Accumulation per element is strictly
+ * k-ascending (see file comment).
  */
 void gemmRowMajor(const float *a, std::int64_t lda, const float *b,
                   std::int64_t ldb, float *c, std::int64_t ldc,

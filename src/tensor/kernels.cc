@@ -24,7 +24,7 @@ namespace
 
 /**
  * Block sizes shared by every variant: one k-panel of B (kKc rows x
- * kNc columns) plus the four C rows the register tile holds stay
+ * kNc columns) plus the C rows a register tile holds stay
  * resident in L2 while the inner loops stream over them.  The vector
  * variants MUST keep these constants: the k-blocking is part of each
  * column's accumulation order, and the plan's batched==single
@@ -249,70 +249,85 @@ gemmInt8Scalar(const std::int8_t *a, std::int64_t lda,
 #if FPSA_KERNELS_X86
 
 /**
- * 4-row fp32 tile, 8-lane FMA: every column -- vector lanes and the
- * scalar tail alike -- accumulates with a *fused* multiply-add in
- * k-ascending order, so a column's value is independent of where the
- * tiling puts it (the table-level determinism contract).
+ * R-row fp32 register tile, 8-lane FMA: C[R x nb] += A[R x kb] *
+ * B[kb x nb] for one (k, n) block.  The 16-column body keeps 2R
+ * accumulators (12 ymm registers at R = 6); per k it loads two B
+ * vectors straight from the row and issues one broadcast FMA per A row
+ * and vector, enough independent chains to hide the FMA latency.  An
+ * 8-column step and a scalar loop cover the column tail.
+ *
+ * Every column -- vector lanes and the scalar tail alike -- accumulates
+ * c = fma(a[p], b[p][j], c) in k-ascending order, so a column's value
+ * does not depend on R or on where the tiling puts it (the table-level
+ * determinism contract).  B is not packed: packing a strip was measured
+ * no faster, and slower on batch-1 fc layers.
+ *
+ * Every loop over r is unrolled by pragma so the accumulator arrays
+ * become registers; without it gcc -O2 keeps them in memory and the
+ * tile runs at half speed.
  */
+template <int R>
 __attribute__((target("avx2,fma"))) void
-tile4Avx2(const float *a0, const float *a1, const float *a2,
-          const float *a3, const float *b, std::int64_t ldb, float *c0,
-          float *c1, float *c2, float *c3, std::int64_t kb,
-          std::int64_t nb)
+tileAvx2(const float *a, std::int64_t lda, const float *b,
+         std::int64_t ldb, float *c, std::int64_t ldc, std::int64_t kb,
+         std::int64_t nb)
 {
     std::int64_t j = 0;
-    for (; j + 8 <= nb; j += 8) {
-        __m256 s0 = _mm256_loadu_ps(c0 + j);
-        __m256 s1 = _mm256_loadu_ps(c1 + j);
-        __m256 s2 = _mm256_loadu_ps(c2 + j);
-        __m256 s3 = _mm256_loadu_ps(c3 + j);
-        const float *bp = b + j;
-        for (std::int64_t p = 0; p < kb; ++p) {
-            const __m256 bv = _mm256_loadu_ps(bp + p * ldb);
-            s0 = _mm256_fmadd_ps(_mm256_set1_ps(a0[p]), bv, s0);
-            s1 = _mm256_fmadd_ps(_mm256_set1_ps(a1[p]), bv, s1);
-            s2 = _mm256_fmadd_ps(_mm256_set1_ps(a2[p]), bv, s2);
-            s3 = _mm256_fmadd_ps(_mm256_set1_ps(a3[p]), bv, s3);
+    for (; j + 16 <= nb; j += 16) {
+        __m256 lo[R], hi[R];
+#pragma GCC unroll 6
+        for (int r = 0; r < R; ++r) {
+            lo[r] = _mm256_loadu_ps(c + r * ldc + j);
+            hi[r] = _mm256_loadu_ps(c + r * ldc + j + 8);
         }
-        _mm256_storeu_ps(c0 + j, s0);
-        _mm256_storeu_ps(c1 + j, s1);
-        _mm256_storeu_ps(c2 + j, s2);
-        _mm256_storeu_ps(c3 + j, s3);
+        for (std::int64_t p = 0; p < kb; ++p) {
+            const float *bp = b + p * ldb + j;
+            const __m256 b0 = _mm256_loadu_ps(bp);
+            const __m256 b1 = _mm256_loadu_ps(bp + 8);
+#pragma GCC unroll 6
+            for (int r = 0; r < R; ++r) {
+                const __m256 av = _mm256_broadcast_ss(a + r * lda + p);
+                lo[r] = _mm256_fmadd_ps(av, b0, lo[r]);
+                hi[r] = _mm256_fmadd_ps(av, b1, hi[r]);
+            }
+        }
+#pragma GCC unroll 6
+        for (int r = 0; r < R; ++r) {
+            _mm256_storeu_ps(c + r * ldc + j, lo[r]);
+            _mm256_storeu_ps(c + r * ldc + j + 8, hi[r]);
+        }
+    }
+    if (j + 8 <= nb) {
+        __m256 s[R];
+#pragma GCC unroll 6
+        for (int r = 0; r < R; ++r)
+            s[r] = _mm256_loadu_ps(c + r * ldc + j);
+        for (std::int64_t p = 0; p < kb; ++p) {
+            const __m256 bv = _mm256_loadu_ps(b + p * ldb + j);
+#pragma GCC unroll 6
+            for (int r = 0; r < R; ++r)
+                s[r] = _mm256_fmadd_ps(
+                    _mm256_broadcast_ss(a + r * lda + p), bv, s[r]);
+        }
+#pragma GCC unroll 6
+        for (int r = 0; r < R; ++r)
+            _mm256_storeu_ps(c + r * ldc + j, s[r]);
+        j += 8;
     }
     for (; j < nb; ++j) {
-        float s0 = c0[j], s1 = c1[j], s2 = c2[j], s3 = c3[j];
+        float s[R];
+#pragma GCC unroll 6
+        for (int r = 0; r < R; ++r)
+            s[r] = c[r * ldc + j];
         for (std::int64_t p = 0; p < kb; ++p) {
             const float bv = b[p * ldb + j];
-            s0 = __builtin_fmaf(a0[p], bv, s0);
-            s1 = __builtin_fmaf(a1[p], bv, s1);
-            s2 = __builtin_fmaf(a2[p], bv, s2);
-            s3 = __builtin_fmaf(a3[p], bv, s3);
+#pragma GCC unroll 6
+            for (int r = 0; r < R; ++r)
+                s[r] = __builtin_fmaf(a[r * lda + p], bv, s[r]);
         }
-        c0[j] = s0;
-        c1[j] = s1;
-        c2[j] = s2;
-        c3[j] = s3;
-    }
-}
-
-__attribute__((target("avx2,fma"))) void
-tile1Avx2(const float *a, const float *b, std::int64_t ldb, float *c,
-          std::int64_t kb, std::int64_t nb)
-{
-    std::int64_t j = 0;
-    for (; j + 8 <= nb; j += 8) {
-        __m256 s = _mm256_loadu_ps(c + j);
-        const float *bp = b + j;
-        for (std::int64_t p = 0; p < kb; ++p)
-            s = _mm256_fmadd_ps(_mm256_set1_ps(a[p]),
-                                _mm256_loadu_ps(bp + p * ldb), s);
-        _mm256_storeu_ps(c + j, s);
-    }
-    for (; j < nb; ++j) {
-        float s = c[j];
-        for (std::int64_t p = 0; p < kb; ++p)
-            s = __builtin_fmaf(a[p], b[p * ldb + j], s);
-        c[j] = s;
+#pragma GCC unroll 6
+        for (int r = 0; r < R; ++r)
+            c[r * ldc + j] = s[r];
     }
 }
 
@@ -330,16 +345,18 @@ gemmAvx2(const float *a, std::int64_t lda, const float *b,
             const std::int64_t kb = std::min(kKc, k - pc);
             const float *bp = b + pc * ldb + jc;
             std::int64_t i = 0;
-            for (; i + 4 <= m; i += 4) {
-                const float *ap = a + i * lda + pc;
-                float *cp = c + i * ldc + jc;
-                tile4Avx2(ap, ap + lda, ap + 2 * lda, ap + 3 * lda, bp,
-                          ldb, cp, cp + ldc, cp + 2 * ldc, cp + 3 * ldc,
-                          kb, nb);
-            }
-            for (; i < m; ++i) {
-                tile1Avx2(a + i * lda + pc, bp, ldb, c + i * ldc + jc,
-                          kb, nb);
+            for (; i + 6 <= m; i += 6)
+                tileAvx2<6>(a + i * lda + pc, lda, bp, ldb,
+                            c + i * ldc + jc, ldc, kb, nb);
+            const float *ap = a + i * lda + pc;
+            float *cp = c + i * ldc + jc;
+            switch (m - i) {
+              case 5: tileAvx2<5>(ap, lda, bp, ldb, cp, ldc, kb, nb); break;
+              case 4: tileAvx2<4>(ap, lda, bp, ldb, cp, ldc, kb, nb); break;
+              case 3: tileAvx2<3>(ap, lda, bp, ldb, cp, ldc, kb, nb); break;
+              case 2: tileAvx2<2>(ap, lda, bp, ldb, cp, ldc, kb, nb); break;
+              case 1: tileAvx2<1>(ap, lda, bp, ldb, cp, ldc, kb, nb); break;
+              default: break;
             }
         }
     }

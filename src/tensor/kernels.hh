@@ -11,9 +11,12 @@
  *    register-tile kernels, compiled with the build's default flags) --
  *    always available, and the oracle the vector variants are tested
  *    against.
- *  - `Avx2` (x86 only, runtime CPUID-gated on AVX2+FMA) widens the
- *    fp32 inner loops to 8-lane fused multiply-adds, recompiles the
- *    im2col packing for 256-bit moves, and runs the int8 GEMM as a
+ *  - `Avx2` (x86 only, runtime CPUID-gated on AVX2+FMA) runs the fp32
+ *    GEMM on one register tile templated on its row count: 6 rows by
+ *    16 columns (12 ymm accumulators, one broadcast FMA per row and B
+ *    vector) with 1..5-row tails, every element one fused
+ *    multiply-add chain in k order.  It recompiles the im2col packing
+ *    for 256-bit moves, and runs the int8 GEMM as a
  *    pairwise `_mm256_madd_epi16` microkernel: two k steps of eight
  *    columns per multiply, exact over the whole int8 range.
  *  - `Neon` (aarch64 only) uses explicit 4-lane fused multiply-adds.

@@ -25,6 +25,7 @@
 #include "runtime/cluster/autoscaler.hh"
 #include "runtime/cluster/chip_fleet.hh"
 #include "runtime/cluster/cluster_engine.hh"
+#include "runtime/cluster/fault_injection.hh"
 #include "runtime/cluster/placement.hh"
 #include "runtime/executor.hh"
 
@@ -462,10 +463,12 @@ TEST(ClusterEngine, ScaleDownDrainsWithoutFailingAcceptedRequests)
 TEST(Autoscaler, ScalesUpUnderBacklogAndBackDownWhenIdle)
 {
     auto cnn = compileShared(smallCnn());
+    auto chaos = std::make_shared<FaultInjector>();
     ClusterOptions options;
     options.engine.workerThreads = 1;
     options.engine.maxBatch = 2;
     options.engine.queueDepth = 1024;
+    options.engine.faultHook = chaos;
     auto cluster = ClusterEngine::create(
         {{"c0", ChipCapacity::unlimited()},
          {"c1", ChipCapacity::unlimited()},
@@ -485,10 +488,16 @@ TEST(Autoscaler, ScalesUpUnderBacklogAndBackDownWhenIdle)
     EXPECT_TRUE(autoscaler.evaluateOnce().empty());
 
     // Pile on a backlog, then take one control step: one new replica.
+    // The chips are wedged so the backlog cannot drain before the step
+    // sees it, however fast the kernels run.
+    for (const char *chip : {"c0", "c1", "c2"})
+        chaos->wedge(chip);
     std::vector<std::future<StatusOr<InferenceResult>>> futures;
     for (int i = 0; i < 96; ++i)
         futures.push_back((*cluster)->submit("m", probeInput()));
     auto decisions = autoscaler.evaluateOnce();
+    for (const char *chip : {"c0", "c1", "c2"})
+        chaos->unwedge(chip);
     ASSERT_EQ(decisions.size(), 1u);
     EXPECT_EQ(decisions[0].model, "m");
     EXPECT_EQ(decisions[0].fromReplicas, 1);
@@ -526,9 +535,11 @@ TEST(Autoscaler, RecordsRejectedScaleUpOnAFullFleet)
 {
     auto cnn = compileShared(smallCnn());
     const ChipCapacity one = capacityFor(cnn->resourceDemand(), 1);
+    auto chaos = std::make_shared<FaultInjector>();
     ClusterOptions options;
     options.engine.workerThreads = 1;
     options.engine.queueDepth = 1024;
+    options.engine.faultHook = chaos;
     // Two chips; the second is occupied by another tenant, so the hot
     // tenant has nowhere to grow.
     auto cluster =
@@ -542,10 +553,15 @@ TEST(Autoscaler, RecordsRejectedScaleUpOnAFullFleet)
     knobs.scaleUpAfter = 1;
     Autoscaler autoscaler(**cluster, knobs);
 
+    // Wedged chips keep the backlog in place for the control step.
+    chaos->wedge("c0");
+    chaos->wedge("c1");
     std::vector<std::future<StatusOr<InferenceResult>>> futures;
     for (int i = 0; i < 32; ++i)
         futures.push_back((*cluster)->submit("hot", probeInput()));
     auto decisions = autoscaler.evaluateOnce();
+    chaos->unwedge("c0");
+    chaos->unwedge("c1");
     ASSERT_EQ(decisions.size(), 1u);
     EXPECT_EQ(decisions[0].fromReplicas, 1);
     EXPECT_EQ(decisions[0].toReplicas, 1); // rejected, not applied

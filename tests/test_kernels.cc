@@ -3,14 +3,17 @@
  * Tests for the runtime-dispatched kernel layer (tensor/kernels.hh):
  * ISA name/parse round-trips, resolution and availability semantics,
  * golden equivalence of every available vector variant against the
- * scalar baseline, the per-table determinism contract (a column's bits
- * do not depend on the call's width), exactness and cross-table
+ * scalar baseline, bit-exactness of the vector fp32 GEMMs against a
+ * naive fused multiply-add loop on every tile path, the per-table
+ * determinism contract (a column's bits do not depend on the call's
+ * width), exactness and cross-table
  * bit-identity of the int8 GEMM (every remainder path and the int8
  * range extremes), and im2col equivalence across tables.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -137,25 +140,123 @@ TEST(KernelTableGolden, ColumnBitsIndependentOfCallWidthPerTable)
 {
     // The determinism contract the batched serving path relies on:
     // within one table, computing a column alone gives the same bits
-    // as computing it inside a wide call.
-    const std::int64_t m = 7, k = 333, n = 29;
-    const auto a = randomFloats(static_cast<std::size_t>(m * k), 3);
-    const auto b = randomFloats(static_cast<std::size_t>(k * n), 4);
-    for (KernelIsa isa : availableIsas()) {
-        const KernelTable &t = kernelTable(isa);
-        std::vector<float> wide(static_cast<std::size_t>(m * n));
-        t.gemmRowMajor(a.data(), k, b.data(), n, wide.data(), n, m, k,
-                       n);
-        for (std::int64_t j = 0; j < n; ++j) {
-            std::vector<float> narrow(static_cast<std::size_t>(m));
-            t.gemmRowMajor(a.data(), k, b.data() + j, n, narrow.data(),
-                           1, m, k, 1);
-            for (std::int64_t i = 0; i < m; ++i)
-                ASSERT_EQ(narrow[static_cast<std::size_t>(i)],
-                          wide[static_cast<std::size_t>(i * n + j)])
-                    << kernelIsaName(isa) << " " << i << "," << j;
+    // as computing it inside a wide call.  m crosses the vector tables'
+    // row tiles and their tails; n = 531 crosses the 512-column block.
+    const std::int64_t k = 333;
+    std::uint64_t seed = 3;
+    for (std::int64_t m : {1, 5, 6, 7, 12, 13}) {
+        for (std::int64_t n : {29, 531}) {
+            seed += 2;
+            const auto a =
+                randomFloats(static_cast<std::size_t>(m * k), seed);
+            const auto b =
+                randomFloats(static_cast<std::size_t>(k * n), seed + 1);
+            for (KernelIsa isa : availableIsas()) {
+                const KernelTable &t = kernelTable(isa);
+                std::vector<float> wide(static_cast<std::size_t>(m * n));
+                t.gemmRowMajor(a.data(), k, b.data(), n, wide.data(), n,
+                               m, k, n);
+                for (std::int64_t j = 0; j < n; ++j) {
+                    std::vector<float> narrow(static_cast<std::size_t>(m));
+                    t.gemmRowMajor(a.data(), k, b.data() + j, n,
+                                   narrow.data(), 1, m, k, 1);
+                    for (std::int64_t i = 0; i < m; ++i)
+                        ASSERT_EQ(
+                            narrow[static_cast<std::size_t>(i)],
+                            wide[static_cast<std::size_t>(i * n + j)])
+                            << kernelIsaName(isa) << " m=" << m
+                            << " n=" << n << " " << i << "," << j;
+                }
+            }
         }
     }
+}
+
+/**
+ * The vector tables' fp32 oracle: every element is one fused
+ * multiply-add chain s = fma(a[i][p], b[p][j], s), k ascending from
+ * +0, on strided operands.
+ */
+std::vector<float>
+naiveFusedGemm(const std::vector<float> &a, std::int64_t lda,
+               const std::vector<float> &b, std::int64_t ldb,
+               std::int64_t m, std::int64_t k, std::int64_t n)
+{
+    std::vector<float> c(static_cast<std::size_t>(m * n));
+    for (std::int64_t i = 0; i < m; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+            float s = 0.0f;
+            for (std::int64_t p = 0; p < k; ++p)
+                s = std::fma(a[static_cast<std::size_t>(i * lda + p)],
+                             b[static_cast<std::size_t>(p * ldb + j)], s);
+            c[static_cast<std::size_t>(i * n + j)] = s;
+        }
+    }
+    return c;
+}
+
+/**
+ * Every non-scalar table's [m x k] * [k x n] with leading strides
+ * (lda, ldb, ldc) equals the fused oracle bit for bit, and leaves C's
+ * padding columns [n, ldc) untouched.
+ */
+void
+expectVectorGemmFused(std::int64_t m, std::int64_t k, std::int64_t n,
+                      std::int64_t lda, std::int64_t ldb,
+                      std::int64_t ldc, std::uint64_t seed)
+{
+    const auto a = randomFloats(static_cast<std::size_t>(m * lda), seed);
+    const auto b =
+        randomFloats(static_cast<std::size_t>(k * ldb), seed + 1);
+    const auto want = naiveFusedGemm(a, lda, b, ldb, m, k, n);
+    constexpr float kSentinel = -1234.5f;
+    for (KernelIsa isa : availableIsas()) {
+        if (isa == KernelIsa::Scalar)
+            continue; // unfused multiply-add: not this oracle's table
+        std::vector<float> got(static_cast<std::size_t>(m * ldc),
+                               kSentinel);
+        kernelTable(isa).gemmRowMajor(a.data(), lda, b.data(), ldb,
+                                      got.data(), ldc, m, k, n);
+        for (std::int64_t i = 0; i < m; ++i) {
+            for (std::int64_t j = 0; j < ldc; ++j) {
+                const float g = got[static_cast<std::size_t>(i * ldc + j)];
+                const float w =
+                    j < n ? want[static_cast<std::size_t>(i * n + j)]
+                          : kSentinel;
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(g),
+                          std::bit_cast<std::uint32_t>(w))
+                    << kernelIsaName(isa) << " m=" << m << " k=" << k
+                    << " n=" << n << " ldc=" << ldc << " element " << i
+                    << "," << j;
+            }
+        }
+    }
+}
+
+TEST(KernelTableGolden, VectorGemmEqualsNaiveFusedLoopOnEveryTilePath)
+{
+    // m = 1..13 covers the 6-row tile and every row tail; k covers one
+    // step, a full 128-deep k block and one past it, and two blocks
+    // plus one; n = 1..40 covers the 16-column body, the 8-column step
+    // and the scalar tail, and 531 / 1030 cross the 512-column block.
+    std::vector<std::int64_t> widths;
+    for (std::int64_t n = 1; n <= 40; ++n)
+        widths.push_back(n);
+    widths.push_back(531);
+    widths.push_back(1030);
+    std::uint64_t seed = 100;
+    for (std::int64_t k : {1, 2, 127, 128, 129, 257}) {
+        for (std::int64_t m = 1; m <= 13; ++m) {
+            for (std::int64_t n : widths) {
+                seed += 2;
+                expectVectorGemmFused(m, k, n, k, n, n, seed);
+                if (HasFatalFailure())
+                    return;
+            }
+        }
+    }
+    // Strided operands: A, B and C rows all padded past the data.
+    expectVectorGemmFused(13, 129, 37, 131, 45, 41, 7);
 }
 
 /** Naive int32 triple loop: the oracle every int8 table must equal. */

@@ -184,47 +184,66 @@ TEST(PlanGolden, AvgPoolAndStridedGroupedStack)
 
 // -------------------------------------------- batched / arena bit-identity
 
+/** Every kernel ISA whose table can actually run on this host. */
+std::vector<KernelIsa>
+availablePlanIsas()
+{
+    std::vector<KernelIsa> isas{KernelIsa::Scalar};
+    for (KernelIsa isa : {KernelIsa::Avx2, KernelIsa::Neon})
+        if (kernelIsaAvailable(isa))
+            isas.push_back(isa);
+    return isas;
+}
+
 TEST(PlanBatch, BatchedExecutionIsBitIdenticalToSingle)
 {
     GraphBuilder b({2, 14, 14});
     b.conv(8, 3, 1, 1).relu().maxPool(2, 2);
     b.conv(12, 3, 2, 1, 2).relu().flatten().fc(20).relu().fc(6);
     Graph g = weighted(b, 8);
-    auto plan = ExecutionPlan::build(g);
-    ASSERT_TRUE(plan.ok()) << plan.status().toString();
 
-    constexpr int kBatch = 5;
+    // Seven samples: the fc GEMMs (m = batch) cross one 6-row register
+    // tile of the vector tables plus a 1-row tail.
+    constexpr int kBatch = 7;
     std::vector<Tensor> inputs;
-    std::vector<Tensor> singles;
     for (int i = 0; i < kBatch; ++i)
         inputs.push_back(randomInput(
             {2, 14, 14}, 100u + static_cast<std::uint64_t>(i)));
 
-    PlanContext single_ctx = plan->makeContext();
-    for (int i = 0; i < kBatch; ++i) {
-        Tensor out(plan->outputShape());
-        plan->run(inputs[static_cast<std::size_t>(i)].data(),
-                  out.data(), single_ctx);
-        singles.push_back(std::move(out));
-    }
+    for (KernelIsa isa : availablePlanIsas()) {
+        auto plan = ExecutionPlan::build(g, {PrecisionMode::Fp32, isa});
+        ASSERT_TRUE(plan.ok()) << plan.status().toString();
 
-    std::vector<const float *> in_ptrs;
-    std::vector<Tensor> batched(static_cast<std::size_t>(kBatch),
-                                Tensor(plan->outputShape()));
-    std::vector<float *> out_ptrs;
-    for (int i = 0; i < kBatch; ++i) {
-        in_ptrs.push_back(inputs[static_cast<std::size_t>(i)].data());
-        out_ptrs.push_back(batched[static_cast<std::size_t>(i)].data());
-    }
-    PlanContext batch_ctx = plan->makeContext(kBatch);
-    plan->runBatch(in_ptrs.data(), out_ptrs.data(), kBatch, batch_ctx);
+        PlanContext single_ctx = plan->makeContext();
+        std::vector<Tensor> singles;
+        for (int i = 0; i < kBatch; ++i) {
+            Tensor out(plan->outputShape());
+            plan->run(inputs[static_cast<std::size_t>(i)].data(),
+                      out.data(), single_ctx);
+            singles.push_back(std::move(out));
+        }
 
-    for (int i = 0; i < kBatch; ++i) {
-        for (std::int64_t v = 0;
-             v < singles[static_cast<std::size_t>(i)].numel(); ++v) {
-            ASSERT_EQ(batched[static_cast<std::size_t>(i)][v],
-                      singles[static_cast<std::size_t>(i)][v])
-                << "sample " << i << " element " << v;
+        std::vector<const float *> in_ptrs;
+        std::vector<Tensor> batched(static_cast<std::size_t>(kBatch),
+                                    Tensor(plan->outputShape()));
+        std::vector<float *> out_ptrs;
+        for (int i = 0; i < kBatch; ++i) {
+            in_ptrs.push_back(inputs[static_cast<std::size_t>(i)].data());
+            out_ptrs.push_back(
+                batched[static_cast<std::size_t>(i)].data());
+        }
+        PlanContext batch_ctx = plan->makeContext(kBatch);
+        plan->runBatch(in_ptrs.data(), out_ptrs.data(), kBatch,
+                       batch_ctx);
+
+        for (int i = 0; i < kBatch; ++i) {
+            for (std::int64_t v = 0;
+                 v < singles[static_cast<std::size_t>(i)].numel(); ++v) {
+                ASSERT_EQ(batched[static_cast<std::size_t>(i)][v],
+                          singles[static_cast<std::size_t>(i)][v])
+                    << kernelIsaName(isa) << " sample " << i
+                    << " element " << v;
+            }
         }
     }
 }
@@ -319,16 +338,6 @@ TEST(PlanBuild, RejectsGraphsWithoutWeights)
 }
 
 // ------------------------------------------------ precision / ISA variants
-
-std::vector<KernelIsa>
-availablePlanIsas()
-{
-    std::vector<KernelIsa> isas{KernelIsa::Scalar};
-    for (KernelIsa isa : {KernelIsa::Avx2, KernelIsa::Neon})
-        if (kernelIsaAvailable(isa))
-            isas.push_back(isa);
-    return isas;
-}
 
 Graph
 mixedStackGraph(std::uint64_t seed)
