@@ -446,7 +446,7 @@ namespace
  * already amortizes the weight traffic and the combined im2col matrix
  * stops fitting in cache, so samples run back-to-back against the
  * same packed panel instead.  Either way each output column's
- * accumulation order is fixed (tensor/gemm.hh), keeping batched
+ * accumulation order is fixed (tensor/kernels.hh), keeping batched
  * results bit-identical to single-sample runs.
  *
  * Re-tuned from 256 when the kernels went vector: a narrow GEMM

@@ -23,7 +23,7 @@
  * `runBatch` executes B samples through one GEMM per layer (the im2col
  * matrices of all samples are packed side by side; a batch of fc inputs
  * is one [B x in] operand), and is bit-identical per sample to B
- * single-sample `run` calls (see tensor/gemm.hh's determinism
+ * single-sample `run` calls (see tensor/kernels.hh's determinism
  * contract).
  *
  * A plan is built for one `PlanOptions{precision, kernelIsa}`: the

@@ -13,15 +13,6 @@ namespace fpsa
 namespace
 {
 
-std::future<StatusOr<InferenceResult>>
-readyFuture(StatusOr<InferenceResult> value)
-{
-    std::promise<StatusOr<InferenceResult>> promise;
-    auto future = promise.get_future();
-    promise.set_value(std::move(value));
-    return future;
-}
-
 /**
  * Conservative cross-replica merge: counters and service rates sum,
  * queue-wait percentiles take the worst replica (a tail gate must not
@@ -89,7 +80,8 @@ ClusterEngine::ClusterEngine(std::unique_ptr<ChipFleet> fleet,
       health_(std::make_unique<HealthTracker>(fleet_->size(),
                                               options_.health))
 {
-    reaper_ = std::thread(&ClusterEngine::reaperLoop, this);
+    if (options_.retryBudget > 0)
+        backoffThread_ = std::thread(&ClusterEngine::backoffLoop, this);
 }
 
 ClusterEngine::~ClusterEngine()
@@ -613,165 +605,131 @@ ClusterEngine::pickReplica(const ReplicaTable &replicas,
     return Status::error(StatusCode::Unavailable, message);
 }
 
-std::future<StatusOr<InferenceResult>>
+Status
 ClusterEngine::attemptOn(const Replica &replica, const std::string &model,
-                         const Tensor &input, bool block)
+                         Tensor input, Engine::Completion done, bool block)
 {
     if (replica.router)
-        return replica.router->submit(input, block);
+        return replica.router->submit(std::move(input), std::move(done),
+                                      block);
     Engine &engine = fleet_->engine(replica.chips.front());
-    return block ? engine.submit(model, input)
-                 : engine.trySubmit(model, input);
+    return block ? engine.submit(model, std::move(input), std::move(done))
+                 : engine.trySubmit(model, std::move(input),
+                                    std::move(done));
 }
 
 std::future<StatusOr<InferenceResult>>
 ClusterEngine::submit(const std::string &model, Tensor input)
 {
-    // One routing attempt per live replica, plus one for a re-read of
-    // the table -- enough to outlast any single scale operation.
+    auto request = std::make_shared<Inflight>();
+    request->model = model;
+    request->input = std::move(input);
+    auto future = request->promise.get_future();
+
+    // With failover disabled, a refusal re-routes inline: one attempt
+    // per live replica, plus one for a re-read of the table -- enough
+    // to outlast any single scale operation.
     const std::size_t max_attempts = fleet_->size() + 1;
     for (std::size_t attempt = 0;; ++attempt) {
         std::shared_ptr<const ReplicaTable> replicas;
+        // Shed bound: tenants with an explicit SLO shed at their EDF
+        // deadline; best-effort tenants get the (generous) cluster
+        // bound.
+        double shed_millis = options_.bestEffortShedMillis;
         {
             std::lock_guard<std::mutex> lock(mu_);
             if (stopping_) {
-                return readyFuture(Status::error(
+                request->promise.set_value(Status::error(
                     StatusCode::Unavailable,
                     "cluster is shut down; request rejected"));
+                return future;
             }
             auto it = tenants_.find(model);
             if (it == tenants_.end()) {
-                return readyFuture(Status::error(
+                request->promise.set_value(Status::error(
                     StatusCode::InvalidArgument,
                     "cluster: no model named '" + model + "'"));
+                return future;
             }
             replicas = it->second.replicas;
+            const TenantOptions &tenant = it->second.tenant;
+            if (tenant.sloMillis > 0.0)
+                shed_millis =
+                    tenant.sloMillis / std::max(1, tenant.priorityClass);
         }
 
         auto picked = pickReplica(*replicas, model, kNoChip);
-        if (!picked.ok())
-            return readyFuture(picked.status());
-        const Replica &replica = (*replicas)[*picked];
-
-        // The replica copies the input per attempt; an accepted
-        // request returns a pending future the failover reaper then
-        // supervises (or, with failover disabled, the caller holds
-        // the replica's future directly).
-        auto future = attemptOn(replica, model, input, /*block=*/true);
-        if (future.wait_for(std::chrono::seconds(0)) !=
-            std::future_status::ready) {
-            if (options_.retryBudget <= 0)
-                return future;
-            return superviseInflight(model, std::move(input),
-                                     std::move(future),
-                                     replica.healthChip());
-        }
-
-        // An immediately-ready future is a rejection (the replica
-        // started draining between the table read and the submit) or
-        // an instant failure (a fast-failing chip can settle a batch
-        // inside this window).  Success and model-level errors pass
-        // through; a ready Unavailable goes to the supervised retry
-        // path, so fast failures face the same retry budget and shed
-        // deadline as slow ones.  With failover disabled, re-route
-        // inline a bounded number of times.
-        StatusOr<InferenceResult> result = future.get();
-        if (result.ok() ||
-            result.status().code() != StatusCode::Unavailable)
-            return readyFuture(std::move(result));
-        if (options_.retryBudget > 0)
-            return superviseFailed(model, std::move(input),
-                                   replica.healthChip(), result.status());
-        if (attempt + 1 >= max_attempts)
-            return readyFuture(std::move(result));
-    }
-}
-
-ClusterEngine::Inflight
-ClusterEngine::newInflight(const std::string &model, Tensor input,
-                           std::size_t chip)
-{
-    Inflight entry;
-    entry.model = model;
-    entry.input = std::move(input);
-    entry.chip = chip;
-
-    // Shed bound: tenants with an explicit SLO shed at their EDF
-    // deadline; best-effort tenants get the (generous) cluster bound.
-    double shed_millis = options_.bestEffortShedMillis;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = tenants_.find(model);
-        if (it != tenants_.end() && it->second.tenant.sloMillis > 0.0) {
-            shed_millis =
-                it->second.tenant.sloMillis /
-                std::max(1, it->second.tenant.priorityClass);
-        }
-    }
-    if (shed_millis > 0.0) {
-        entry.hasDeadline = true;
-        entry.deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<
-                std::chrono::steady_clock::duration>(
-                std::chrono::duration<double, std::milli>(shed_millis));
-    }
-    return entry;
-}
-
-std::future<StatusOr<InferenceResult>>
-ClusterEngine::superviseInflight(
-    const std::string &model, Tensor input,
-    std::future<StatusOr<InferenceResult>> attempt, std::size_t chip)
-{
-    Inflight entry = newInflight(model, std::move(input), chip);
-    entry.attempt = std::move(attempt);
-    entry.wasPending = chip != kNoChip;
-
-    auto future = entry.promise.get_future();
-    {
-        std::lock_guard<std::mutex> lock(pendingMu_);
-        if (reaperStop_) {
-            // Shutdown already retired the reaper: the engines are
-            // draining, so the attempt resolves promptly; forward it
-            // rather than strand the entry.
-            entry.promise.set_value(entry.attempt.get());
+        if (!picked.ok()) {
+            request->promise.set_value(picked.status());
             return future;
         }
-        pending_.push_back(std::move(entry));
-    }
-    pendingCv_.notify_all();
-    return future;
-}
+        const Replica &replica = (*replicas)[*picked];
 
-std::future<StatusOr<InferenceResult>>
-ClusterEngine::superviseFailed(const std::string &model, Tensor input,
-                               std::size_t chip, Status error)
-{
-    // A first attempt that settled Unavailable inside submit():
-    // rejected at the queue or failed before submit() returned.
-    // Charge it to the budget/deadline like any other failed attempt
-    // (wasPending stays false -- a rejection says nothing about the
-    // chip's health) and let the reaper resubmit after backoff.
-    Inflight entry = newInflight(model, std::move(input), chip);
+        // The replica copies the input per attempt; the request keeps
+        // it for resubmission.
+        if (options_.retryBudget <= 0) {
+            Status admitted = attemptOn(
+                replica, model, request->input,
+                [request](StatusOr<InferenceResult> result) {
+                    request->promise.set_value(std::move(result));
+                },
+                /*block=*/true);
+            if (admitted.ok())
+                return future;
+            if (admitted.code() != StatusCode::Unavailable ||
+                attempt + 1 >= max_attempts) {
+                request->promise.set_value(std::move(admitted));
+                return future;
+            }
+            continue;
+        }
 
-    auto future = entry.promise.get_future();
-    std::lock_guard<std::mutex> lock(pendingMu_);
-    if (reaperStop_) {
-        entry.promise.set_value(std::move(error));
+        if (shed_millis > 0.0) {
+            request->hasDeadline = true;
+            request->deadline =
+                std::chrono::steady_clock::now() +
+                std::chrono::duration_cast<
+                    std::chrono::steady_clock::duration>(
+                    std::chrono::duration<double, std::milli>(
+                        shed_millis));
+        }
+        const std::size_t chip = replica.healthChip();
+        Status admitted = attemptOn(replica, model, request->input,
+                                    supervise(request, chip),
+                                    /*block=*/true);
+        if (admitted.ok())
+            return future;
+        // Refused: the replica started draining between the table
+        // read and the submit.  Model-level errors pass through; an
+        // Unavailable refusal faces the same retry budget and shed
+        // deadline as a failed attempt, but says nothing about the
+        // chip's health.
+        if (admitted.code() != StatusCode::Unavailable) {
+            request->promise.set_value(std::move(admitted));
+            return future;
+        }
+        request->chip = chip;
+        settle(request, std::move(admitted), kNoChip);
         return future;
     }
-    if (settleLocked(entry, std::move(error))) {
-        pending_.push_back(std::move(entry));
-        pendingCv_.notify_all();
-    }
-    return future;
 }
 
-bool
-ClusterEngine::settleLocked(Inflight &entry,
-                            StatusOr<InferenceResult> result)
+Engine::Completion
+ClusterEngine::supervise(std::shared_ptr<Inflight> request,
+                         std::size_t chip)
 {
+    return [this, request = std::move(request),
+            chip](StatusOr<InferenceResult> result) {
+        request->chip = chip;
+        settle(request, std::move(result), chip);
+    };
+}
+
+void
+ClusterEngine::settle(const std::shared_ptr<Inflight> &request,
+                      StatusOr<InferenceResult> result, std::size_t charged)
+{
+    Inflight &entry = *request;
     // Anything but Unavailable / ResourceExhausted is final: success,
     // a model-level error, or a shed already applied.  Unavailable is
     // the retryable class (chip fault, drain race); ResourceExhausted
@@ -783,17 +741,17 @@ ClusterEngine::settleLocked(Inflight &entry,
     if (result.ok() ||
         (!backpressure &&
          result.status().code() != StatusCode::Unavailable)) {
-        if (entry.wasPending)
-            health_->recordOutcome(entry.chip, result.ok());
+        if (charged != kNoChip)
+            health_->recordOutcome(charged, result.ok());
         entry.promise.set_value(std::move(result));
-        return false;
+        return;
     }
 
     // A failed attempt that had been accepted is a chip-side failure;
-    // an immediate rejection is backpressure or a drain race and says
-    // nothing about the chip's health.
-    if (entry.wasPending)
-        health_->recordOutcome(entry.chip, false);
+    // a refusal is backpressure or a drain race and says nothing about
+    // the chip's health.
+    if (charged != kNoChip)
+        health_->recordOutcome(charged, false);
     entry.lastError = result.status();
 
     const auto now = std::chrono::steady_clock::now();
@@ -805,7 +763,7 @@ ClusterEngine::settleLocked(Inflight &entry,
                 " failover retries; its deadline passed while "
                 "failing over (last error: " +
                 entry.lastError.message() + ")"));
-        return false;
+        return;
     }
     // Waiting out backpressure consumes no retry budget -- only the
     // shed deadline above bounds it, exactly like a blocking submit.
@@ -816,166 +774,109 @@ ClusterEngine::settleLocked(Inflight &entry,
                 "cluster: request for '" + entry.model +
                     "' failed after " + std::to_string(entry.retries) +
                     " failover retries: " + entry.lastError.message()));
-            return false;
+            return;
         }
         ++entry.retries;
     }
-    entry.inBackoff = true;
-    entry.attempt = std::future<StatusOr<InferenceResult>>();
     entry.backoffMillis =
         entry.backoffMillis <= 0.0
             ? options_.retryBackoffMillis
             : std::min(entry.backoffMillis * 2.0,
                        options_.maxRetryBackoffMillis);
-    entry.wakeAt = now + std::chrono::duration_cast<
-                             std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double, std::milli>(
-                           std::max(0.0, entry.backoffMillis)));
-    return true;
-}
-
-bool
-ClusterEngine::reapOnce()
-{
-    // Requires pendingMu_ (the reaper loop's lock).  Lock order here:
-    // pendingMu_ -> mu_ / health / chip engines, all leaves.
-    bool progress = false;
-    const auto now = std::chrono::steady_clock::now();
-    for (auto it = pending_.begin(); it != pending_.end();) {
-        Inflight &entry = *it;
-        if (!entry.inBackoff) {
-            if (entry.attempt.wait_for(std::chrono::seconds(0)) !=
-                std::future_status::ready) {
-                ++it;
-                continue;
-            }
-            progress = true;
-            if (settleLocked(entry, entry.attempt.get())) {
-                ++it; // retry scheduled; entry stays
-            } else {
-                it = pending_.erase(it);
-            }
-            continue;
+    const auto wake =
+        now + std::chrono::duration_cast<
+                  std::chrono::steady_clock::duration>(
+                  std::chrono::duration<double, std::milli>(
+                      std::max(0.0, entry.backoffMillis)));
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (!stopping_) {
+            backoff_.emplace(wake, request);
+            backoffCv_.notify_one();
+            return;
         }
-
-        // Backoff expired: resubmit to the healthiest surviving
-        // replica (avoiding the chip that just failed when possible).
-        if (now < entry.wakeAt) {
-            ++it;
-            continue;
-        }
-        progress = true;
-        bool stopping = false;
-        std::shared_ptr<const ReplicaTable> replicas;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            stopping = stopping_;
-            auto tenant = tenants_.find(entry.model);
-            if (tenant != tenants_.end())
-                replicas = tenant->second.replicas;
-        }
-        if (stopping) {
-            entry.promise.set_value(Status::error(
-                StatusCode::Unavailable,
-                "cluster: shut down while failing over a request "
-                "for '" +
-                    entry.model +
-                    "' (last error: " + entry.lastError.message() +
-                    ")"));
-            it = pending_.erase(it);
-            continue;
-        }
-
-        StatusOr<std::size_t> target = Status::error(
-            StatusCode::Unavailable,
-            "cluster: model '" + entry.model + "' is no longer loaded");
-        if (replicas)
-            target = pickReplica(*replicas, entry.model, entry.chip);
-        if (!target.ok()) {
-            // No live replica *right now* -- recovery may still
-            // re-place one.  Burn a retry and wait again so a dead
-            // fleet cannot park requests forever.  Not a chip error:
-            // the failed attempt was already charged to its chip.
-            entry.wasPending = false;
-            if (settleLocked(entry, target.status())) {
-                ++it;
-            } else {
-                it = pending_.erase(it);
-            }
-            continue;
-        }
-        const Replica &replica = (*replicas)[*target];
-        auto attempt =
-            attemptOn(replica, entry.model, entry.input, /*block=*/false);
-        entry.inBackoff = false;
-        entry.wasPending = false;
-        if (attempt.wait_for(std::chrono::seconds(0)) ==
-            std::future_status::ready) {
-            // Rejected at submit.  A drain race (Unavailable) counts
-            // against the budget; a full queue (ResourceExhausted) is
-            // backpressure and only waits.  Neither charges the
-            // chip's health.  On backpressure `entry.chip` keeps
-            // pointing at the chip that actually failed, so the next
-            // pick still avoids it rather than the busy survivor.
-            auto rejected = attempt.get();
-            if (!(!rejected.ok() &&
-                  rejected.status().code() ==
-                      StatusCode::ResourceExhausted))
-                entry.chip = replica.healthChip();
-            if (settleLocked(entry, std::move(rejected))) {
-                ++it;
-            } else {
-                it = pending_.erase(it);
-            }
-            continue;
-        }
-        entry.chip = replica.healthChip();
-        entry.wasPending = entry.chip != kNoChip;
-        entry.attempt = std::move(attempt);
-        ++it;
     }
-    return progress;
+    failAtShutdown(entry);
 }
 
 void
-ClusterEngine::reaperLoop()
+ClusterEngine::retry(std::shared_ptr<Inflight> request)
 {
-    std::unique_lock<std::mutex> lock(pendingMu_);
-    while (!reaperStop_) {
-        if (pending_.empty()) {
-            pendingCv_.wait(lock, [this] {
-                return reaperStop_ || !pending_.empty();
-            });
-            continue;
-        }
-        reapOnce();
-        if (reaperStop_)
-            break;
-        // Poll cadence while requests are in flight; wakes early on
-        // new registrations and on shutdown.
-        pendingCv_.wait_for(lock, std::chrono::microseconds(500),
-                            [this] { return reaperStop_; });
+    bool stopping = false;
+    std::shared_ptr<const ReplicaTable> replicas;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        stopping = stopping_;
+        auto tenant = tenants_.find(request->model);
+        if (tenant != tenants_.end())
+            replicas = tenant->second.replicas;
+    }
+    if (stopping) {
+        failAtShutdown(*request);
+        return;
     }
 
-    // Shutdown drain: the fleet's engines have been (or are being)
-    // shut down, so every accepted attempt resolves; entries parked
-    // in backoff can never be resubmitted and fail Unavailable.
-    // Every promise resolves -- no caller is left holding a broken
-    // future.
-    for (Inflight &entry : pending_) {
-        if (entry.inBackoff) {
-            entry.promise.set_value(Status::error(
-                StatusCode::Unavailable,
-                "cluster: shut down while failing over a request "
-                "for '" +
-                    entry.model +
-                    "' (last error: " + entry.lastError.message() +
-                    ")"));
-        } else {
-            entry.promise.set_value(entry.attempt.get());
-        }
+    StatusOr<std::size_t> target = Status::error(
+        StatusCode::Unavailable,
+        "cluster: model '" + request->model + "' is no longer loaded");
+    if (replicas)
+        target = pickReplica(*replicas, request->model, request->chip);
+    if (!target.ok()) {
+        // No live replica *right now* -- recovery may still re-place
+        // one.  Burn a retry and wait again so a dead fleet cannot
+        // park requests forever.  Not a chip error: the failed attempt
+        // was already charged to its chip.
+        settle(request, target.status(), kNoChip);
+        return;
     }
-    pending_.clear();
+    const Replica &replica = (*replicas)[*target];
+    const std::size_t chip = replica.healthChip();
+    Status admitted =
+        attemptOn(replica, request->model, request->input,
+                  supervise(request, chip), /*block=*/false);
+    if (admitted.ok())
+        return;
+    // Refused.  A drain race (Unavailable) counts against the budget;
+    // a full queue (ResourceExhausted) is backpressure and only waits.
+    // Neither charges the chip's health.  On backpressure
+    // `request->chip` keeps pointing at the chip that actually failed,
+    // so the next pick still avoids it rather than the busy survivor.
+    if (admitted.code() != StatusCode::ResourceExhausted)
+        request->chip = chip;
+    settle(request, std::move(admitted), kNoChip);
+}
+
+void
+ClusterEngine::backoffLoop()
+{
+    std::unique_lock<std::mutex> lock(mu_);
+    while (!stopping_) {
+        if (backoff_.empty()) {
+            backoffCv_.wait(lock);
+            continue;
+        }
+        const auto wake = backoff_.begin()->first;
+        if (std::chrono::steady_clock::now() < wake) {
+            backoffCv_.wait_until(lock, wake);
+            continue;
+        }
+        std::shared_ptr<Inflight> request =
+            std::move(backoff_.begin()->second);
+        backoff_.erase(backoff_.begin());
+        lock.unlock();
+        retry(std::move(request));
+        lock.lock();
+    }
+}
+
+void
+ClusterEngine::failAtShutdown(Inflight &request)
+{
+    request.promise.set_value(Status::error(
+        StatusCode::Unavailable,
+        "cluster: shut down while failing over a request for '" +
+            request.model +
+            "' (last error: " + request.lastError.message() + ")"));
 }
 
 StatusOr<InferenceResult>
@@ -1007,6 +908,10 @@ Status
 ClusterEngine::shutdown()
 {
     std::vector<std::shared_ptr<ShardRouter>> routers;
+    std::multimap<std::chrono::steady_clock::time_point,
+                  std::shared_ptr<Inflight>>
+        parked;
+    std::thread backoff;
     {
         std::lock_guard<std::mutex> lock(mu_);
         stopping_ = true;
@@ -1014,7 +919,18 @@ ClusterEngine::shutdown()
             for (const Replica &replica : *entry.replicas)
                 if (replica.router)
                     routers.push_back(replica.router);
+        parked.swap(backoff_);
+        backoff = std::move(backoffThread_);
     }
+    // Requests waiting out a backoff can never be resubmitted now:
+    // they fail Unavailable at once, and so does every attempt that
+    // settles for a retry from here on (settle sees stopping_).
+    backoffCv_.notify_all();
+    if (backoff.joinable())
+        backoff.join();
+    for (auto &[wake, request] : parked)
+        failAtShutdown(*request);
+
     // Drain every pipeline while its stage engines still serve --
     // accepted multi-stage requests flow out the tail before the fleet
     // goes down.  New submits are already rejected via stopping_.
@@ -1022,20 +938,10 @@ ClusterEngine::shutdown()
         router->beginDrain();
     for (const auto &router : routers)
         router->awaitDrained();
-    // Chip engines' shutdown is idempotent and drains every queue --
-    // after this, every chip future held by the reaper is resolved.
-    Status drained = fleet_->shutdown();
-
-    std::thread reaper;
-    {
-        std::lock_guard<std::mutex> lock(pendingMu_);
-        reaperStop_ = true;
-        reaper = std::move(reaper_);
-    }
-    pendingCv_.notify_all();
-    if (reaper.joinable())
-        reaper.join();
-    return drained;
+    // Chip engines' shutdown is idempotent and drains every queue:
+    // after it returns, every accepted attempt's completion has run,
+    // so every accepted request's future is resolved.
+    return fleet_->shutdown();
 }
 
 // ------------------------------------------------------------------ health
@@ -1078,8 +984,8 @@ ClusterEngine::repairOnce()
     for (const auto &[name, snapshot] : tenants) {
         // Evict every replica with a Failed chip: pull it from the
         // routing table first (new submits skip it), then retire it --
-        // queued requests fail fast on the dead chip and fail over
-        // through the reaper -- releasing its chip budgets.
+        // queued requests fail fast on the dead chip and their
+        // completions fail them over -- releasing its chip budgets.
         std::vector<std::int64_t> failed;
         for (const Replica &replica : *snapshot.replicas)
             if (failed_chip(replica) != kNoChip)

@@ -42,6 +42,11 @@
  *    A multi-stage replica scales, drains and fails over as a unit.
  *  - The per-chip engines run the SLO-aware deadline scheduler from
  *    `EngineOptions`, so cluster tenants inherit per-tenant SLOs.
+ *  - Every request is event-driven: each attempt's completion callback
+ *    settles it (resolve, or retry on a surviving replica), and a
+ *    pipeline stage's completion starts the next stage.  Nothing polls
+ *    for completions and no thread blocks on a request; the one
+ *    background thread sleeps until the earliest failover retry is due.
  *
  * `tenantLoad()` is the observation surface the `Autoscaler` builds
  * its control loop on; `statsJson()` bundles per-chip, per-tenant and
@@ -56,7 +61,6 @@
 #include <cstdint>
 #include <future>
 #include <limits>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -369,11 +373,15 @@ class ClusterEngine
     };
 
     /**
-     * One accepted request under failover supervision.  The caller
-     * holds the future of `promise`; `attempt` is the current
-     * replica's future.  The reaper resolves `promise` exactly once --
-     * with the first success, a non-retryable error, the exhausted
-     * retry budget's last error, or a `DeadlineExceeded` shed.
+     * One cluster request.  The caller holds the future of
+     * `promise`, which resolves exactly once.  Exactly one party owns
+     * the rest at a time: the attempt in flight (its completion runs
+     * `settle`), the backoff queue, or the thread running `retry`.
+     * With failover disabled the completion resolves `promise`
+     * directly; otherwise `settle` resolves it -- with the first
+     * success, a non-retryable error, the exhausted retry budget's
+     * last error, or a `DeadlineExceeded` shed -- or parks it for a
+     * retry after its backoff.
      */
     struct Inflight
     {
@@ -381,19 +389,15 @@ class ClusterEngine
         Tensor input; //!< retained for resubmission
 
         std::promise<StatusOr<InferenceResult>> promise;
-        std::future<StatusOr<InferenceResult>> attempt;
 
         /**
-         * The one-stage replica chip of the last attempt, avoided on
-         * retry; `kNoChip` after a pipeline attempt, whose outcome
-         * never charges one chip's health (the per-stage probes own
-         * that signal).
+         * The one-stage replica chip of the last failed attempt,
+         * avoided on retry; `kNoChip` after a pipeline attempt, whose
+         * outcome never charges one chip's health (the per-stage
+         * probes own that signal).
          */
         std::size_t chip = kNoChip;
         int retries = 0;
-        bool wasPending = false; //!< `chip` accepted the attempt
-        bool inBackoff = false;  //!< waiting for wakeAt, no attempt
-        std::chrono::steady_clock::time_point wakeAt;
         double backoffMillis = 0.0;
         bool hasDeadline = false;
         std::chrono::steady_clock::time_point deadline; //!< shed bound
@@ -483,42 +487,49 @@ class ClusterEngine
                                        const Replica &replica) const;
 
     /**
-     * Send one request to `replica`.  With `block` false a full queue
-     * returns an immediately-ready `ResourceExhausted` instead of
-     * waiting (the failover reaper's semantics).
+     * Send one request to `replica` with `Engine::submit`'s contract:
+     * an error return is a refusal and `done` never runs; OK means
+     * `done` runs exactly once.  With `block` false a full queue
+     * refuses `ResourceExhausted` instead of waiting (the failover
+     * retry's semantics).
      */
-    std::future<StatusOr<InferenceResult>> attemptOn(
-        const Replica &replica, const std::string &model,
-        const Tensor &input, bool block);
-
-    /** A fresh supervision entry with its shed deadline computed. */
-    Inflight newInflight(const std::string &model, Tensor input,
-                         std::size_t chip);
-
-    /** Hand an accepted request to the failover reaper. */
-    std::future<StatusOr<InferenceResult>> superviseInflight(
-        const std::string &model, Tensor input,
-        std::future<StatusOr<InferenceResult>> attempt, std::size_t chip);
+    Status attemptOn(const Replica &replica, const std::string &model,
+                     Tensor input, Engine::Completion done, bool block);
 
     /**
-     * Supervised retry for a first attempt that settled Unavailable
-     * inside submit() (queue rejection or fast failure): applies the
-     * same budget/backoff/shed policy before the caller sees an error.
+     * The completion for an attempt of `request` on the replica whose
+     * health chip is `chip`: it charges the outcome to `chip`, marks
+     * it as the chip to avoid, and settles the request.
      */
-    std::future<StatusOr<InferenceResult>> superviseFailed(
-        const std::string &model, Tensor input, std::size_t chip,
-        Status error);
-
-    void reaperLoop();
-
-    /** One reaper scan; returns true when any entry made progress. */
-    bool reapOnce();
+    Engine::Completion supervise(std::shared_ptr<Inflight> request,
+                                 std::size_t chip);
 
     /**
-     * Final decision for one settled attempt: resolve, retry (true ->
-     * entry stays registered), or shed.  Requires pendingMu_.
+     * Final decision for one settled attempt, with the retry, backoff
+     * and shed policy: resolve the request, or park it in the backoff
+     * queue.  `charged` is the chip whose health the outcome counts
+     * against (`kNoChip` for a refusal, which says nothing about the
+     * chip).  Never blocks; safe on an engine worker.
      */
-    bool settleLocked(Inflight &entry, StatusOr<InferenceResult> result);
+    void settle(const std::shared_ptr<Inflight> &request,
+                StatusOr<InferenceResult> result, std::size_t charged);
+
+    /**
+     * Resubmit a request whose backoff has expired to the best
+     * surviving replica, avoiding the chip that just failed it, with
+     * non-blocking admission; a refusal settles it again.
+     */
+    void retry(std::shared_ptr<Inflight> request);
+
+    /**
+     * The backoff thread: sleeps until the earliest parked retry is
+     * due, runs it, and exits at shutdown.  Never sees a request that
+     * is in flight.
+     */
+    void backoffLoop();
+
+    /** Resolve a request that shutdown caught failing over. */
+    static void failAtShutdown(Inflight &request);
 
     ClusterOptions options_;
     std::unique_ptr<PlacementPolicy> policy_;
@@ -534,7 +545,12 @@ class ClusterEngine
     std::mutex opsMu_;
     std::int64_t nextReplicaId_ = 0; //!< guarded by opsMu_
 
-    mutable std::mutex mu_; //!< guards tenants_ + stopping_
+    /**
+     * Guards tenants_, stopping_, the drift clock and the backoff
+     * queue.  Never held while calling into a chip engine or router,
+     * so engine workers may take it inside completions.
+     */
+    mutable std::mutex mu_;
     std::map<std::string, TenantEntry> tenants_;
     bool stopping_ = false;
 
@@ -545,15 +561,14 @@ class ClusterEngine
     double driftClock_ = 0.0;
 
     /**
-     * Failover supervision state.  Lock order: pendingMu_ before mu_
-     * and before any chip engine's internals (via trySubmit); never
-     * under opsMu_.
+     * Requests waiting out a failover backoff, by wake time (guarded
+     * by mu_).  Requests in flight are never here.
      */
-    std::mutex pendingMu_;
-    std::condition_variable pendingCv_; //!< wakes the reaper
-    std::list<Inflight> pending_;
-    bool reaperStop_ = false;
-    std::thread reaper_;
+    std::multimap<std::chrono::steady_clock::time_point,
+                  std::shared_ptr<Inflight>>
+        backoff_;
+    std::condition_variable backoffCv_; //!< wakes the backoff thread
+    std::thread backoffThread_; //!< only when retryBudget > 0
 };
 
 } // namespace fpsa

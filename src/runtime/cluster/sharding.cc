@@ -1,6 +1,7 @@
 #include "runtime/cluster/sharding.hh"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <utility>
 
@@ -14,15 +15,6 @@ namespace fpsa
 
 namespace
 {
-
-std::future<StatusOr<InferenceResult>>
-readyFuture(StatusOr<InferenceResult> value)
-{
-    std::promise<StatusOr<InferenceResult>> promise;
-    auto future = promise.get_future();
-    promise.set_value(std::move(value));
-    return future;
-}
 
 bool
 fitsCapacity(const ResourceDemand &demand, const ChipCapacity &capacity)
@@ -350,7 +342,7 @@ ModelPartitioner::partition(const CompiledModel &model,
 
 struct ShardRouter::Context
 {
-    std::promise<StatusOr<InferenceResult>> promise;
+    Engine::Completion done; //!< the caller's
     double queueMillis = 0.0;
     double execMillis = 0.0;
     NanoSeconds modeledLatency = 0.0;
@@ -365,6 +357,15 @@ namespace
 
 constexpr std::size_t kQueueWaitSamples = 4096;
 
+std::int64_t
+leastQueueDepth(ChipFleet &fleet, const std::vector<std::size_t> &chips)
+{
+    int depth = std::numeric_limits<int>::max();
+    for (std::size_t chip : chips)
+        depth = std::min(depth, fleet.engine(chip).options().queueDepth);
+    return depth;
+}
+
 } // namespace
 
 ShardRouter::ShardRouter(ChipFleet &fleet, std::string name,
@@ -374,99 +375,39 @@ ShardRouter::ShardRouter(ChipFleet &fleet, std::string name,
                          Options options)
     : fleet_(fleet), name_(std::move(name)), model_(std::move(model)),
       chips_(std::move(chips)), stageTenants_(std::move(stageTenants)),
-      options_(options)
+      options_(options), inflightBound_(leastQueueDepth(fleet_, chips_))
 {
-    const std::size_t stages = chips_.size();
-    edges_.reserve(stages);
-    for (std::size_t s = 0; s < stages; ++s)
-        edges_.push_back(std::make_unique<Edge>());
-    threads_.reserve(stages);
-    for (std::size_t s = 1; s < stages; ++s)
-        threads_.emplace_back(&ShardRouter::forwardLoop, this, s);
-    threads_.emplace_back(&ShardRouter::tailLoop, this);
 }
 
 ShardRouter::~ShardRouter()
 {
     beginDrain();
     awaitDrained();
-    for (auto &edge : edges_) {
-        {
-            std::lock_guard<std::mutex> lock(edge->mu);
-            edge->closed = true;
-        }
-        edge->notEmpty.notify_all();
-        edge->notFull.notify_all();
-    }
-    for (std::thread &thread : threads_)
-        if (thread.joinable())
-            thread.join();
 }
 
-std::future<StatusOr<InferenceResult>>
-ShardRouter::submit(Tensor input, bool block)
+Status
+ShardRouter::submit(Tensor input, Engine::Completion done, bool block)
 {
+    // Claim an in-flight slot before touching the stage-0 engine, so
+    // the bound covers requests mid-submit too.
     {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (draining_) {
-            return readyFuture(Status::error(
-                StatusCode::Unavailable,
-                "shard router for '" + name_ +
-                    "' is draining; request rejected"));
-        }
-    }
-
-    // Reserve an ingress slot before touching the stage-0 engine, so
-    // the edge bound covers requests mid-submit too.
-    Edge &ingress = *edges_.front();
-    const std::size_t depth =
-        static_cast<std::size_t>(std::max(1, options_.edgeQueueDepth));
-    {
-        std::unique_lock<std::mutex> lock(ingress.mu);
-        if (ingress.items.size() + ingress.reserved >= depth) {
-            if (!block) {
-                return readyFuture(Status::error(
-                    StatusCode::ResourceExhausted,
-                    "shard router for '" + name_ +
-                        "' ingress queue is full"));
-            }
-            ingress.notFull.wait(lock, [&] {
-                return ingress.closed ||
-                       ingress.items.size() + ingress.reserved < depth;
+        std::unique_lock<std::mutex> lock(mu_);
+        if (block)
+            roomCv_.wait(lock, [this] {
+                return draining_ || inflight_ < inflightBound_;
             });
+        if (draining_) {
+            return Status::error(StatusCode::Unavailable,
+                                 "shard router for '" + name_ +
+                                     "' is draining; request rejected");
         }
-        if (ingress.closed) {
-            return readyFuture(Status::error(
-                StatusCode::Unavailable,
-                "shard router for '" + name_ + "' is shut down"));
+        if (inflight_ >= inflightBound_) {
+            return Status::error(
+                StatusCode::ResourceExhausted,
+                "shard router for '" + name_ + "' has " +
+                    std::to_string(inflightBound_) +
+                    " requests in flight; request rejected");
         }
-        ++ingress.reserved;
-    }
-
-    Engine &head = fleet_.engine(chips_.front());
-    auto attempt =
-        block ? head.submit(stageTenants_.front(), std::move(input))
-              : head.trySubmit(stageTenants_.front(), std::move(input));
-    if (attempt.wait_for(std::chrono::seconds(0)) ==
-        std::future_status::ready) {
-        StatusOr<InferenceResult> settled = attempt.get();
-        if (!settled.ok()) {
-            // Rejected at the head (backpressure or a drain race):
-            // not accepted, so release the slot and surface as-is.
-            {
-                std::lock_guard<std::mutex> lock(ingress.mu);
-                --ingress.reserved;
-            }
-            ingress.notFull.notify_one();
-            return readyFuture(std::move(settled));
-        }
-        attempt = readyFuture(std::move(settled));
-    }
-
-    auto context = std::make_shared<Context>();
-    auto future = context->promise.get_future();
-    {
-        std::lock_guard<std::mutex> lock(mu_);
         ++inflight_;
         ++stats_.accepted;
         if (!started_) {
@@ -474,181 +415,127 @@ ShardRouter::submit(Tensor input, bool block)
             firstSubmit_ = std::chrono::steady_clock::now();
         }
     }
-    {
-        std::lock_guard<std::mutex> lock(ingress.mu);
-        --ingress.reserved;
-        ingress.items.push_back(
-            Item{std::move(context), std::move(attempt)});
+
+    auto context = std::make_shared<Context>();
+    context->done = std::move(done);
+    Status admitted = submitStage(context, 0, std::move(input));
+    if (!admitted.ok()) {
+        // Refused at the head (a drain race): not accepted, so give
+        // the slot back and surface the refusal as-is.
+        std::lock_guard<std::mutex> lock(mu_);
+        --stats_.accepted;
+        --inflight_;
+        roomCv_.notify_one();
+        if (inflight_ == 0 && completing_ == 0)
+            drainedCv_.notify_all();
     }
-    ingress.notEmpty.notify_one();
-    return future;
+    return admitted;
+}
+
+Status
+ShardRouter::submitStage(const std::shared_ptr<Context> &context,
+                         std::size_t stage, Tensor input)
+{
+    // Non-blocking: the in-flight bound is at most this stage's
+    // queueDepth and only this router feeds the stage tenant, so its
+    // queue always has room.  A refusal means the stage is draining
+    // or its engine is shut down.
+    return fleet_.engine(chips_[stage])
+        .trySubmit(stageTenants_[stage], std::move(input),
+                   [this, context, stage](StatusOr<InferenceResult> r) {
+                       onStageDone(context, stage, std::move(r));
+                   });
 }
 
 void
-ShardRouter::forwardLoop(std::size_t stage)
+ShardRouter::onStageDone(const std::shared_ptr<Context> &context,
+                         std::size_t stage, StatusOr<InferenceResult> result)
 {
-    Edge &from = *edges_[stage - 1];
-    for (;;) {
-        Item item;
-        {
-            std::unique_lock<std::mutex> lock(from.mu);
-            from.notEmpty.wait(lock, [&] {
-                return from.closed || !from.items.empty();
-            });
-            if (from.items.empty())
-                return; // closed and drained
-            item = std::move(from.items.front());
-            from.items.pop_front();
-        }
-        from.notFull.notify_one();
-
-        StatusOr<InferenceResult> result = item.attempt.get();
-        if (!result.ok()) {
-            fail(item.context, result.status());
-            continue;
-        }
-        accumulate(*item.context, *result);
-
-        // Price the forward on the modeled interconnect.
-        const ShardSpec &spec = model_->plan.shards[stage - 1];
-        const std::size_t a = chips_[stage - 1];
-        const std::size_t b = chips_[stage];
-        const std::int64_t hops = static_cast<std::int64_t>(
-            a > b ? a - b : b - a);
-        const NanoSeconds transfer = interconnectTransferNs(
-            options_.interconnect, hops, spec.cutBytesAfter);
-        item.context->interconnectBytes += spec.cutBytesAfter;
-        item.context->interconnectNanos += transfer;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.forwards;
-            stats_.interconnectBytes += spec.cutBytesAfter;
-            stats_.interconnectNanos += transfer;
-        }
-
-        // Forward the cut activations; the engine's own backpressure
-        // bounds this stage's queue.
-        auto attempt = fleet_.engine(b).submit(
-            stageTenants_[stage], std::move(result->output));
-
-        Edge &to = *edges_[stage];
-        const std::size_t depth = static_cast<std::size_t>(
-            std::max(1, options_.edgeQueueDepth));
-        bool pushed = false;
-        {
-            std::unique_lock<std::mutex> lock(to.mu);
-            to.notFull.wait(lock, [&] {
-                return to.closed ||
-                       to.items.size() + to.reserved < depth;
-            });
-            if (!to.closed) {
-                to.items.push_back(
-                    Item{item.context, std::move(attempt)});
-                pushed = true;
-            }
-        }
-        if (pushed) {
-            to.notEmpty.notify_one();
-        } else {
-            // Closed mid-flight: unreachable in the drain-then-close
-            // lifecycle, but never strand a promise.
-            fail(item.context,
-                 Status::error(StatusCode::Unavailable,
-                               "shard router for '" + name_ +
-                                   "' shut down mid-pipeline"));
-        }
+    if (!result.ok()) {
+        finish(*context, result.status());
+        return;
     }
-}
+    context->queueMillis += result->queueMillis;
+    context->execMillis += result->execMillis;
+    context->modeledLatency += result->modeledLatency;
+    context->modeledEnergy += result->modeledEnergy;
+    context->batchSize = std::max(context->batchSize, result->batchSize);
 
-void
-ShardRouter::tailLoop()
-{
-    Edge &from = *edges_.back();
-    for (;;) {
-        Item item;
-        {
-            std::unique_lock<std::mutex> lock(from.mu);
-            from.notEmpty.wait(lock, [&] {
-                return from.closed || !from.items.empty();
-            });
-            if (from.items.empty())
-                return;
-            item = std::move(from.items.front());
-            from.items.pop_front();
-        }
-        from.notFull.notify_one();
-
-        StatusOr<InferenceResult> result = item.attempt.get();
-        if (!result.ok()) {
-            fail(item.context, result.status());
-            continue;
-        }
-        accumulate(*item.context, *result);
-
-        InferenceResult out = std::move(*result);
-        const Context &context = *item.context;
+    const std::size_t next = stage + 1;
+    if (next == chips_.size()) {
+        InferenceResult out = std::move(result).value();
         out.model = name_;
-        out.queueMillis = context.queueMillis;
-        out.execMillis = context.execMillis;
-        out.batchSize = context.batchSize;
-        out.modeledEnergy = context.modeledEnergy;
+        out.queueMillis = context->queueMillis;
+        out.execMillis = context->execMillis;
+        out.batchSize = context->batchSize;
+        out.modeledEnergy = context->modeledEnergy;
         out.shards = static_cast<int>(chips_.size());
-        out.interconnectBytes = context.interconnectBytes;
-        out.interconnectNanos = context.interconnectNanos;
+        out.interconnectBytes = context->interconnectBytes;
+        out.interconnectNanos = context->interconnectNanos;
         // The modeled per-request latency of a sharded request is the
         // stages' modeled latencies plus the interconnect term.
         out.modeledLatency =
-            context.modeledLatency + context.interconnectNanos;
-        complete(item.context, std::move(out));
+            context->modeledLatency + context->interconnectNanos;
+        finish(*context, std::move(out));
+        return;
     }
-}
 
-void
-ShardRouter::accumulate(Context &context,
-                        const InferenceResult &stage) const
-{
-    context.queueMillis += stage.queueMillis;
-    context.execMillis += stage.execMillis;
-    context.modeledLatency += stage.modeledLatency;
-    context.modeledEnergy += stage.modeledEnergy;
-    context.batchSize = std::max(context.batchSize, stage.batchSize);
-}
-
-void
-ShardRouter::fail(const std::shared_ptr<Context> &context, Status error)
-{
-    context->promise.set_value(std::move(error));
-    bool drained = false;
+    // Price the forward on the modeled interconnect.
+    const ShardSpec &spec = model_->plan.shards[stage];
+    const std::size_t a = chips_[stage];
+    const std::size_t b = chips_[next];
+    const std::int64_t hops = static_cast<std::int64_t>(
+        a > b ? a - b : b - a);
+    const NanoSeconds transfer = interconnectTransferNs(
+        options_.interconnect, hops, spec.cutBytesAfter);
+    context->interconnectBytes += spec.cutBytesAfter;
+    context->interconnectNanos += transfer;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.failed;
-        drained = --inflight_ == 0;
+        ++stats_.forwards;
+        stats_.interconnectBytes += spec.cutBytesAfter;
+        stats_.interconnectNanos += transfer;
     }
-    if (drained)
-        drainedCv_.notify_all();
+
+    Status forwarded =
+        submitStage(context, next, std::move(result->output));
+    if (!forwarded.ok())
+        finish(*context, std::move(forwarded));
 }
 
 void
-ShardRouter::complete(const std::shared_ptr<Context> &context,
-                      InferenceResult result)
+ShardRouter::finish(Context &context, StatusOr<InferenceResult> result)
 {
-    const double queue_wait = result.queueMillis;
-    context->promise.set_value(std::move(result));
-    bool drained = false;
+    // Same order as the engine's: (1) telemetry and the slot release,
+    // so a caller acting on its completion sees its request counted
+    // and no longer pending; (2) the caller's completion; (3) the
+    // completing decrement, so awaitDrained never returns before every
+    // drained request's completion has run.
     {
         std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.completed;
-        if (queueWaits_.size() < kQueueWaitSamples) {
-            queueWaits_.push_back(queue_wait);
+        --inflight_;
+        ++completing_;
+        roomCv_.notify_one();
+        if (result.ok()) {
+            ++stats_.completed;
+            if (queueWaits_.size() < kQueueWaitSamples) {
+                queueWaits_.push_back(result->queueMillis);
+            } else {
+                queueWaits_[queueWaitCursor_] = result->queueMillis;
+                queueWaitCursor_ =
+                    (queueWaitCursor_ + 1) % kQueueWaitSamples;
+            }
+            lastComplete_ = std::chrono::steady_clock::now();
         } else {
-            queueWaits_[queueWaitCursor_] = queue_wait;
-            queueWaitCursor_ =
-                (queueWaitCursor_ + 1) % kQueueWaitSamples;
+            ++stats_.failed;
         }
-        lastComplete_ = std::chrono::steady_clock::now();
-        drained = --inflight_ == 0;
     }
-    if (drained)
+    context.done(std::move(result));
+    // Notify under the lock: once drained the router may be destroyed,
+    // so nothing may touch it after the unlock.
+    std::lock_guard<std::mutex> lock(mu_);
+    --completing_;
+    if (inflight_ == 0 && completing_ == 0)
         drainedCv_.notify_all();
 }
 
@@ -657,13 +544,15 @@ ShardRouter::beginDrain()
 {
     std::lock_guard<std::mutex> lock(mu_);
     draining_ = true;
+    roomCv_.notify_all();
 }
 
 void
 ShardRouter::awaitDrained()
 {
     std::unique_lock<std::mutex> lock(mu_);
-    drainedCv_.wait(lock, [this] { return inflight_ == 0; });
+    drainedCv_.wait(lock,
+                    [this] { return inflight_ == 0 && completing_ == 0; });
 }
 
 std::int64_t

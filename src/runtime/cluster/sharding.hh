@@ -18,11 +18,14 @@
  *    the piece's input) compiled to a real `CompiledModel`.
  *
  *  - `ShardRouter` runs the pipeline.  Each shard is a tenant on its
- *    assigned chip's engine; the router forwards each request's
- *    intermediate activations stage to stage through per-edge bounded
- *    queues, so concurrent requests stream (stage 0 works on request
- *    N+1 while stage 1 works on request N) and a slow stage
- *    backpressures its upstream instead of buffering unboundedly.
+ *    assigned chip's engine.  The router owns no thread and no queue:
+ *    a stage's completion callback prices the hop and submits the cut
+ *    activations to the next stage's engine, and the tail's completion
+ *    resolves the caller's request -- so concurrent requests stream
+ *    (stage 0 works on request N+1 while stage 1 works on request N),
+ *    the way FPSA's stages push results into the next through the
+ *    routing fabric.  One in-flight bound per router, checked at
+ *    ingress, keeps a slow stage from buffering the request stream.
  *    Every forward is priced by the modeled interconnect
  *    (`InterconnectParams`, src/sim/perf_model.hh) and surfaces in the
  *    request's `InferenceResult` (`shards`, `interconnectBytes`,
@@ -41,12 +44,9 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.hh"
@@ -155,16 +155,26 @@ class ModelPartitioner
 
 /**
  * Executes one multi-stage replica as a streaming chip-to-chip
- * pipeline.
+ * pipeline, driven entirely by completion callbacks.
  *
  * Construction wires K already-loaded stage tenants (one per shard,
  * on `chips[s]`'s engine) into a pipeline; `submit` feeds stage 0 and
- * resolves its future with the final stage's output plus merged
- * telemetry.  Thread-safe; `beginDrain` + `awaitDrained` implement
- * the cluster's zero-loss hot-swap contract (stop accepting, let
- * every accepted request flow out the tail).  The router never
- * unloads its stage tenants -- the cluster owns their lifecycle and
- * must keep the engines serving until the router is drained.
+ * each stage's completion -- on that stage engine's worker -- submits
+ * the cut activations to the next stage.  The tail's completion runs
+ * the caller's `done` with the final output plus merged telemetry; the
+ * first stage error runs it with that error.
+ *
+ * Backpressure is one in-flight bound, checked at ingress: the
+ * smallest `queueDepth` among the stage engines.  Each stage tenant's
+ * queue is fed only by this router, so a forward never finds it full
+ * and forwards use the engines' non-blocking admission -- no engine
+ * worker ever blocks inside a callback.
+ *
+ * Thread-safe; `beginDrain` + `awaitDrained` implement the cluster's
+ * zero-loss hot-swap contract (stop accepting, let every accepted
+ * request flow out the tail).  The router never unloads its stage
+ * tenants -- the cluster owns their lifecycle and must keep the
+ * engines serving until the router is drained.
  */
 class ShardRouter
 {
@@ -172,14 +182,6 @@ class ShardRouter
     struct Options
     {
         InterconnectParams interconnect;
-
-        /**
-         * Bound of each inter-stage queue, in requests: a stage more
-         * than this far ahead of its consumer blocks (backpressure),
-         * which keeps a slow stage from buffering the whole request
-         * stream in flight.
-         */
-        int edgeQueueDepth = 64;
     };
 
     /** Cumulative router telemetry (since construction). */
@@ -223,14 +225,15 @@ class ShardRouter
     ShardRouter &operator=(const ShardRouter &) = delete;
 
     /**
-     * Feed one request into the pipeline.  With `block` true a full
-     * ingress edge waits (front-door semantics); false returns an
-     * immediately-ready `ResourceExhausted` instead (the failover
-     * reaper's trySubmit semantics).  After `beginDrain` every submit
-     * is an immediately-ready `Unavailable`.
+     * Feed one request into the pipeline, with `Engine::submit`'s
+     * contract: an error return means the request was refused and
+     * `done` never runs; OK means `done` runs exactly once.  At the
+     * in-flight bound a `block`ing submit waits (front-door
+     * semantics); otherwise it is refused `ResourceExhausted` (a
+     * failover retry's backpressure signal).  After `beginDrain` every
+     * submit is refused `Unavailable`.
      */
-    std::future<StatusOr<InferenceResult>> submit(Tensor input,
-                                                  bool block = true);
+    Status submit(Tensor input, Engine::Completion done, bool block);
 
     /** Stop accepting new requests (idempotent). */
     void beginDrain();
@@ -241,7 +244,10 @@ class ShardRouter
      */
     void awaitDrained();
 
-    /** Accepted requests not yet resolved. */
+    /**
+     * Accepted requests not yet resolved (a request whose completion
+     * is running no longer counts).
+     */
     std::int64_t pending() const;
 
     Stats stats() const;
@@ -259,36 +265,20 @@ class ShardRouter
     /** Per-request accumulator threaded through the stages. */
     struct Context;
 
-    /** One in-flight stage attempt awaiting its consumer. */
-    struct Item
-    {
-        std::shared_ptr<Context> context;
-        std::future<StatusOr<InferenceResult>> attempt;
-    };
+    /** Submit `input` to stage `stage`; its completion continues. */
+    Status submitStage(const std::shared_ptr<Context> &context,
+                       std::size_t stage, Tensor input);
 
-    /** One bounded inter-stage queue. */
-    struct Edge
-    {
-        std::mutex mu;
-        std::condition_variable notEmpty;
-        std::condition_variable notFull;
-        std::deque<Item> items;
-        std::size_t reserved = 0; //!< slots claimed by submitters
-        bool closed = false;
-    };
+    /** Stage `stage`'s completion: forward, or finish at the tail. */
+    void onStageDone(const std::shared_ptr<Context> &context,
+                     std::size_t stage, StatusOr<InferenceResult> result);
 
-    void forwardLoop(std::size_t stage); //!< consumes edges_[stage-1]
-    void tailLoop();                     //!< consumes the last edge
-
-    /** Merge one stage's result into the request accumulator. */
-    void accumulate(Context &context, const InferenceResult &stage) const;
-
-    /** Resolve a request with an error (counts a failure). */
-    void fail(const std::shared_ptr<Context> &context, Status error);
-
-    /** Resolve a request with the pipeline's final result. */
-    void complete(const std::shared_ptr<Context> &context,
-                  InferenceResult result);
+    /**
+     * Resolve a request: count it and release its in-flight slot, run
+     * the caller's `done`, then mark it drained.  The router may be
+     * destroyed as soon as it is marked drained.
+     */
+    void finish(Context &context, StatusOr<InferenceResult> result);
 
     ChipFleet &fleet_;
     const std::string name_;
@@ -296,14 +286,14 @@ class ShardRouter
     const std::vector<std::size_t> chips_;
     const std::vector<std::string> stageTenants_;
     const Options options_;
-
-    std::vector<std::unique_ptr<Edge>> edges_; //!< one per stage
-    std::vector<std::thread> threads_;
+    const std::int64_t inflightBound_; //!< the stages' least queueDepth
 
     mutable std::mutex mu_;
-    std::condition_variable drainedCv_;
+    std::condition_variable roomCv_;    //!< blocked submitters
+    std::condition_variable drainedCv_; //!< awaitDrained
     bool draining_ = false;
-    std::int64_t inflight_ = 0;
+    std::int64_t inflight_ = 0;   //!< accepted, result not yet known
+    std::int64_t completing_ = 0; //!< caller's `done` still running
     Stats stats_;
     std::vector<double> queueWaits_; //!< bounded sample ring
     std::size_t queueWaitCursor_ = 0;

@@ -44,7 +44,7 @@ percentile(const std::vector<double> &sorted, double p)
 struct Request
 {
     Tensor input;
-    std::promise<StatusOr<InferenceResult>> promise;
+    Engine::Completion done;
     Clock::time_point enqueued;
 };
 
@@ -212,7 +212,8 @@ struct Engine::Tenant
     const std::unique_ptr<Executor> executor;
 
     std::deque<Request> queue;
-    int inflight = 0;      //!< dequeued but not yet completed
+    int inflight = 0;      //!< dequeued, not yet served
+    int completing = 0;    //!< served; completion still running
     bool draining = false; //!< unloadModel in progress: no new submits
     bool evicted = false;  //!< drained and removed from the engine
     Telemetry telemetry;
@@ -421,7 +422,8 @@ Engine::unloadModel(const std::string &name)
     // see the drain (they fail with Unavailable).
     notFull_.notify_all();
     drained_.wait(lock, [&] {
-        return tenant->queue.empty() && tenant->inflight == 0;
+        return tenant->queue.empty() && tenant->inflight == 0 &&
+               tenant->completing == 0;
     });
     tenants_.erase(name);
     registry_.remove(name);
@@ -455,49 +457,46 @@ Engine::pendingRequests(const std::string &name) const
 
 // ---------------------------------------------------------------- requests
 
-std::future<StatusOr<InferenceResult>>
-Engine::submit(const std::string &model, Tensor input)
+Status
+Engine::submit(const std::string &model, Tensor input, Completion done)
 {
-    return submitWithLock(std::unique_lock<std::mutex>(mu_), model,
-                          std::move(input), /*block=*/true);
+    return admitWithLock(std::unique_lock<std::mutex>(mu_), model,
+                         std::move(input), std::move(done),
+                         /*block=*/true);
 }
 
-std::future<StatusOr<InferenceResult>>
-Engine::trySubmit(const std::string &model, Tensor input)
+Status
+Engine::trySubmit(const std::string &model, Tensor input, Completion done)
 {
-    return submitWithLock(std::unique_lock<std::mutex>(mu_), model,
-                          std::move(input), /*block=*/false);
+    return admitWithLock(std::unique_lock<std::mutex>(mu_), model,
+                         std::move(input), std::move(done),
+                         /*block=*/false);
 }
 
-std::future<StatusOr<InferenceResult>>
-Engine::submitWithLock(std::unique_lock<std::mutex> lock,
-                       const std::string &model, Tensor input,
-                       bool block)
+Status
+Engine::admitWithLock(std::unique_lock<std::mutex> lock,
+                      const std::string &model, Tensor input,
+                      Completion done, bool block)
 {
-    std::promise<StatusOr<InferenceResult>> promise;
-    std::future<StatusOr<InferenceResult>> future = promise.get_future();
-    auto reject = [&](StatusCode code, std::string why,
-                      Tenant *tenant) {
+    auto refuse = [&](StatusCode code, std::string why, Tenant *tenant) {
         ++aggregate_->rejected;
         if (tenant)
             ++tenant->telemetry.rejected;
-        lock.unlock();
-        promise.set_value(Status::error(code, std::move(why)));
-        return std::move(future);
+        return Status::error(code, std::move(why));
     };
 
     if (stopping_) {
-        return reject(StatusCode::Unavailable,
+        return refuse(StatusCode::Unavailable,
                       "engine is shut down; request rejected", nullptr);
     }
     auto it = tenants_.find(model);
     if (it == tenants_.end()) {
-        return reject(StatusCode::InvalidArgument,
+        return refuse(StatusCode::InvalidArgument,
                       "engine: no model named '" + model + "'", nullptr);
     }
     std::shared_ptr<Tenant> tenant = it->second;
     if (tenant->draining) {
-        return reject(StatusCode::Unavailable,
+        return refuse(StatusCode::Unavailable,
                       "engine: model '" + model +
                           "' is unloading; request rejected",
                       tenant.get());
@@ -510,7 +509,7 @@ Engine::submitWithLock(std::unique_lock<std::mutex> lock,
     if (!block &&
         tenant->queue.size() >=
             static_cast<std::size_t>(options_.queueDepth)) {
-        return reject(StatusCode::ResourceExhausted,
+        return refuse(StatusCode::ResourceExhausted,
                       "engine: model '" + model + "' queue full (" +
                           std::to_string(options_.queueDepth) +
                           " waiting) on chip '" + options_.chipId +
@@ -523,7 +522,7 @@ Engine::submitWithLock(std::unique_lock<std::mutex> lock,
                    static_cast<std::size_t>(options_.queueDepth);
     });
     if (stopping_ || tenant->draining) {
-        return reject(StatusCode::Unavailable,
+        return refuse(StatusCode::Unavailable,
                       "engine: model '" + model +
                           "' stopped accepting requests",
                       tenant.get());
@@ -532,36 +531,65 @@ Engine::submitWithLock(std::unique_lock<std::mutex> lock,
     const auto now = Clock::now();
     tenant->telemetry.recordSubmit(now);
     aggregate_->recordSubmit(now);
-    tenant->queue.push_back(Request{std::move(input), std::move(promise),
-                                    now});
+    tenant->queue.push_back(Request{std::move(input), std::move(done), now});
     ++queuedTotal_;
     lock.unlock();
     notEmpty_.notify_one();
+    return Status();
+}
+
+namespace
+{
+
+/**
+ * The future form of an admission: the completion resolves the
+ * promise; a refusal resolves it right away with the admission error.
+ */
+template <typename Admit>
+std::future<StatusOr<InferenceResult>>
+futureOf(Admit &&admit)
+{
+    auto promise =
+        std::make_shared<std::promise<StatusOr<InferenceResult>>>();
+    auto future = promise->get_future();
+    Status admitted = admit([promise](StatusOr<InferenceResult> result) {
+        promise->set_value(std::move(result));
+    });
+    if (!admitted.ok())
+        promise->set_value(std::move(admitted));
     return future;
+}
+
+} // namespace
+
+std::future<StatusOr<InferenceResult>>
+Engine::submit(const std::string &model, Tensor input)
+{
+    return futureOf([&](Completion done) {
+        return submit(model, std::move(input), std::move(done));
+    });
 }
 
 std::future<StatusOr<InferenceResult>>
 Engine::submit(Tensor input)
 {
-    // Resolve the sole tenant and enqueue under ONE lock hold, so a
-    // concurrent hot swap between resolution and routing cannot fail
-    // a request while exactly one model is resident.
-    std::unique_lock<std::mutex> lock(mu_);
-    if (tenants_.size() != 1) {
-        std::promise<StatusOr<InferenceResult>> promise;
-        auto future = promise.get_future();
-        ++aggregate_->rejected;
-        lock.unlock();
-        promise.set_value(Status::error(
-            StatusCode::InvalidArgument,
-            "engine: name-free submit needs exactly one loaded "
-            "model, " +
-                std::to_string(tenants_.size()) + " are loaded"));
-        return future;
-    }
-    const std::string sole = tenants_.begin()->first;
-    return submitWithLock(std::move(lock), sole, std::move(input),
-                          /*block=*/true);
+    return futureOf([&](Completion done) {
+        // Resolve the sole tenant and enqueue under ONE lock hold, so a
+        // concurrent hot swap between resolution and routing cannot
+        // fail a request while exactly one model is resident.
+        std::unique_lock<std::mutex> lock(mu_);
+        if (tenants_.size() != 1) {
+            ++aggregate_->rejected;
+            return Status::error(
+                StatusCode::InvalidArgument,
+                "engine: name-free submit needs exactly one loaded "
+                "model, " +
+                    std::to_string(tenants_.size()) + " are loaded");
+        }
+        const std::string sole = tenants_.begin()->first;
+        return admitWithLock(std::move(lock), sole, std::move(input),
+                             std::move(done), /*block=*/true);
+    });
 }
 
 StatusOr<InferenceResult>
@@ -728,7 +756,7 @@ Engine::workerLoop()
         const auto exec_start = Clock::now();
         // The fault hook sits between dequeue and execution: a non-OK
         // return fails the whole batch through the normal result path
-        // (so futures resolve, telemetry counts the failures and the
+        // (so completions run, telemetry counts the failures and the
         // drain contract holds), and any hook-side stall or sleep is
         // charged to this batch's execution wall-clock.
         Status fault;
@@ -752,12 +780,13 @@ Engine::workerLoop()
                 millisBetween(request.enqueued, dequeued);
             const bool ok = output.ok();
 
-            // Ordering contract, per request: (1) telemetry, so a
-            // client reading stats() right after future.get() sees its
-            // own request counted; (2) resolve the future; (3) the
-            // inflight decrement, so unloadModel -- which returns once
-            // inflight hits 0 -- never returns before the drained
-            // requests' futures are resolved.
+            // Ordering contract, per request: (1) telemetry, and the
+            // request stops counting as pending, so a client acting on
+            // its completion sees it counted and routes as if it were
+            // gone; (2) run the completion, outside every engine lock;
+            // (3) the completing decrement, so unloadModel never
+            // returns before the drained requests' completions have
+            // run.
             {
                 std::lock_guard<std::mutex> lock(mu_);
                 tenant->telemetry.recordOutcome(
@@ -766,10 +795,12 @@ Engine::workerLoop()
                 aggregate_->recordOutcome(queue_ms, exec_end, ok,
                                           tenant->modeledLatency,
                                           tenant->modeledEnergy);
+                --tenant->inflight;
+                ++tenant->completing;
             }
 
             if (!ok) {
-                request.promise.set_value(output.status());
+                request.done(output.status());
             } else {
                 InferenceResult result;
                 result.output = std::move(output).value();
@@ -779,14 +810,14 @@ Engine::workerLoop()
                 result.batchSize = static_cast<int>(batch.size());
                 result.modeledLatency = tenant->modeledLatency;
                 result.modeledEnergy = tenant->modeledEnergy;
-                request.promise.set_value(std::move(result));
+                request.done(std::move(result));
             }
 
             {
                 std::lock_guard<std::mutex> lock(mu_);
-                --tenant->inflight;
+                --tenant->completing;
                 if (tenant->draining && tenant->queue.empty() &&
-                    tenant->inflight == 0) {
+                    tenant->inflight == 0 && tenant->completing == 0) {
                     drained_.notify_all();
                 }
             }
@@ -811,7 +842,7 @@ Engine::shutdown()
         for (std::thread &worker : workers_)
             worker.join();
         // Workers exit only once every queue is drained; every queued
-        // request's future has resolved.
+        // request's completion has run.
         drainStatus_ = Status();
     });
     return drainStatus_;

@@ -13,7 +13,9 @@
  *     engine->loadModel("lenet", lenet,
  *                       ExecutionConfig{ExecutorKind::Spiking});
  *     engine->loadModel("mlp", mlp);
- *     auto f = engine->submit("lenet", image);     // async
+ *     auto f = engine->submit("lenet", image);     // async (future)
+ *     engine->submit("lenet", image,               // async (callback)
+ *                    [](StatusOr<InferenceResult> r) { ... });
  *     StatusOr<InferenceResult> r = engine->infer("mlp", sample);
  *     engine->unloadModel("mlp");                  // drains, then evicts
  *
@@ -34,12 +36,17 @@
  *    breakdown in the message) when resident demand + the new model's
  *    would exceed the `ChipCapacity`.
  *  - `unloadModel` hot-swaps: the tenant stops accepting requests,
- *    its queued/inflight requests all drain to their futures, and only
- *    then is it evicted -- other tenants keep serving throughout.
+ *    its queued/inflight requests all drain (their completions run),
+ *    and only then is it evicted -- other tenants keep serving
+ *    throughout.
+ *  - Every request path is one completion callback: the worker that
+ *    serves an accepted request runs its `Completion` exactly once;
+ *    the future-returning `submit`/`infer` are thin wrappers over it.
  *  - `submit` applies per-tenant backpressure: when `queueDepth`
  *    requests of that model are waiting it blocks until the scheduler
- *    drains (or the tenant/engine goes away, which fails the request
- *    with `StatusCode::Unavailable`).
+ *    drains (or the tenant/engine goes away, which refuses the request
+ *    with `StatusCode::Unavailable`); `trySubmit` refuses with
+ *    `ResourceExhausted` instead of waiting.
  *  - `shutdown()` stops accepting work, drains every tenant's queue,
  *    joins the workers, and returns the drain Status.  It is
  *    idempotent and safe to call concurrently (with itself and with
@@ -57,6 +64,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -293,7 +301,7 @@ class Engine
 
     /**
      * Hot-swap eviction: stop accepting requests for `name`, drain its
-     * queued and inflight requests (their futures all resolve), then
+     * queued and inflight requests (their completions all run), then
      * release its chip resources.  Blocks the caller until the drain
      * completes; other tenants keep serving throughout.
      */
@@ -303,28 +311,52 @@ class Engine
     std::vector<std::string> modelNames() const;
 
     /**
-     * Requests accepted for `name` but not yet completed (queued +
-     * inflight); 0 for an absent tenant.  The cluster router's
+     * Requests accepted for `name` but not yet served (queued +
+     * executing; a request whose completion is running no longer
+     * counts); 0 for an absent tenant.  The cluster router's
      * least-outstanding-requests signal.
      */
     std::int64_t pendingRequests(const std::string &name) const;
 
     // ------------------------------------------------------- requests
 
-    /** Queue one sample for `model`; the future resolves when served. */
-    std::future<StatusOr<InferenceResult>> submit(const std::string &model,
-                                                  Tensor input);
+    /**
+     * Receives one accepted request's outcome.  It runs on the engine
+     * worker that served the request, outside every engine lock, so
+     * it may submit further work (the cluster chains shard stages and
+     * failover retries this way) -- but only through `trySubmit`: a
+     * worker must never block inside a completion.  It must not throw.
+     */
+    using Completion = std::function<void(StatusOr<InferenceResult>)>;
 
     /**
-     * Non-blocking submit: where `submit` would wait on the tenant's
-     * backpressure, this returns an immediately-ready
-     * `ResourceExhausted` ("queue full") instead.  The cluster
-     * failover path uses it so a retry worker is never parked on one
-     * chip's full queue; the distinct code tells it the target is
-     * busy, not broken, so the wait must not consume retry budget.
+     * Queue one sample for `model`; `done` receives the outcome.  An
+     * error return means admission refused the request (shutdown,
+     * unknown or unloading tenant) and `done` never runs.  OK means
+     * the request is accepted and `done` runs exactly once -- with the
+     * output, the executor's error, or a fault-hook failure -- after
+     * the request's telemetry is recorded and before `unloadModel` or
+     * `shutdown` can observe it drained.  Blocks while `queueDepth`
+     * requests of `model` are waiting.
      */
-    std::future<StatusOr<InferenceResult>> trySubmit(
-        const std::string &model, Tensor input);
+    Status submit(const std::string &model, Tensor input, Completion done);
+
+    /**
+     * Non-blocking `submit`: where `submit` would wait on the tenant's
+     * backpressure, admission refuses with `ResourceExhausted` ("queue
+     * full") instead.  The distinct code tells a failover retry the
+     * target is busy, not broken, so the wait must not consume retry
+     * budget.
+     */
+    Status trySubmit(const std::string &model, Tensor input,
+                     Completion done);
+
+    /**
+     * Future form of `submit`: a refused request comes back as an
+     * immediately-ready future holding the admission error.
+     */
+    std::future<StatusOr<InferenceResult>> submit(const std::string &model,
+                                                  Tensor input);
 
     /**
      * Name-free convenience: routes to the engine's sole resident
@@ -392,12 +424,12 @@ class Engine
     void workerLoop();
 
     /**
-     * The submit path proper; consumes an already-held lock.  With
-     * `block` false a full tenant queue rejects instead of waiting.
+     * The admission path proper; consumes an already-held lock.  With
+     * `block` false a full tenant queue refuses instead of waiting.
      */
-    std::future<StatusOr<InferenceResult>> submitWithLock(
-        std::unique_lock<std::mutex> lock, const std::string &model,
-        Tensor input, bool block);
+    Status admitWithLock(std::unique_lock<std::mutex> lock,
+                         const std::string &model, Tensor input,
+                         Completion done, bool block);
 
     /**
      * Requires mu_: the tenant whose head-of-queue request has the
@@ -411,7 +443,7 @@ class Engine
     mutable std::mutex mu_;
     std::condition_variable notEmpty_; //!< workers wait for requests
     std::condition_variable notFull_;  //!< submitters wait for room
-    std::condition_variable drained_;  //!< unloaders wait for inflight 0
+    std::condition_variable drained_;  //!< unloaders wait for the drain
     std::map<std::string, std::shared_ptr<Tenant>> tenants_;
     std::size_t queuedTotal_ = 0;
     bool stopping_ = false;

@@ -111,9 +111,9 @@ gemmScalar(const float *a, std::int64_t lda, const float *b,
 // ----------------------------------------------------------- shared bodies
 
 /**
- * im2col packing body (see tensor/gemm.hh for the layout contract),
- * generic over the element type: fp32 activations for the float path,
- * int8 levels for the quantized one.  Pure copies and fills -- no
+ * im2col packing body (see `KernelTable::im2colChw` for the layout
+ * contract), generic over the element type: fp32 activations for the
+ * float path, int8 levels for the quantized one.  Pure copies and fills -- no
  * arithmetic -- so every variant is bit-identical; the vector tables
  * recompile it only for wider moves.
  */

@@ -22,14 +22,17 @@
  *  - `Neon` (aarch64 only) uses explicit 4-lane fused multiply-adds.
  *
  * Determinism contract (what `ExecutionPlan` relies on): within one
- * table, every output column accumulates its products in the same
- * k-ascending order with the same (fused or unfused) multiply-add
- * operation regardless of the column count, the column's position, or
- * pointer alignment -- vector bodies cover remainder columns with a
- * scalar *fused* multiply-add so a column computes the same value
- * whether it lands in a full vector or the tail.  A batched call that
- * widens `n` is therefore bit-identical per column to single-sample
- * calls through the same table.  Different tables may differ within
+ * table, for a fixed reduction length k, every output column
+ * accumulates its products in the same k-ascending order with the same
+ * (fused or unfused) multiply-add operation regardless of the column
+ * count, the column's position, or pointer alignment -- the k loop is
+ * blocked identically for every call, column tiling never reorders a
+ * column's partial sums, and vector bodies cover remainder columns
+ * with a scalar *fused* multiply-add so a column computes the same
+ * value whether it lands in a full vector or the tail.  A batched call
+ * that widens `n` is therefore bit-identical per column to
+ * single-sample calls through the same table -- the property the
+ * executor's batch path and its tests rely on.  Different tables may differ within
  * float rounding (FMA vs separate multiply+add); the int8 GEMM is
  * exact integer arithmetic and bit-identical across every table.
  *
@@ -102,19 +105,39 @@ int precisionActivationBits(PrecisionMode mode);
 
 /**
  * One instruction-set variant of the dense kernels.  All functions are
- * thread-safe pure procedures; semantics match tensor/gemm.hh.
+ * thread-safe pure procedures.  Callers that promise bit-identity
+ * against a stamped config (an `ExecutionPlan`) hold one pinned table;
+ * everything else goes through `kernelTable()`.
  */
 struct KernelTable
 {
     KernelIsa isa = KernelIsa::Scalar; //!< the variant actually bound
 
-    /** C[m x n] = A[m x k] * B[k x n], row-major, C overwritten. */
+    /**
+     * C[m x n] = A[m x k] * B[k x n], all row-major with the given
+     * leading strides (elements between consecutive rows); C is
+     * overwritten.  Cache-blocked over k and n, with a register tile
+     * per table: 4 rows for the scalar and NEON tables, 6 rows by 16
+     * columns for AVX2.  Accumulation per element is strictly
+     * k-ascending (see the determinism contract above).
+     */
     void (*gemmRowMajor)(const float *a, std::int64_t lda,
                          const float *b, std::int64_t ldb, float *c,
                          std::int64_t ldc, std::int64_t m,
                          std::int64_t k, std::int64_t n) = nullptr;
 
-    /** im2col packer; see tensor/gemm.hh for the layout contract. */
+    /**
+     * Pack one CHW image into an im2col matrix of shape
+     * [ci*kh*kw x ho*wo] (row-major, leading stride `ldm`): row
+     * (ic*kh + ky)*kw + kx holds input channel `ic` sampled at kernel
+     * tap (ky, kx) for every output position.  Symmetric padding is
+     * resolved here -- out-of-range taps are written as `pad_value` --
+     * so the GEMM consuming the matrix runs with no bounds checks.
+     * `columns` points at the first column this image occupies, so a
+     * batch packs B images side by side into one
+     * [ci*kh*kw x B*ho*wo] matrix (ldm = B*ho*wo) and multiplies them
+     * in a single GEMM.
+     */
     void (*im2colChw)(const float *input, std::int64_t ci,
                       std::int64_t hi, std::int64_t wi, std::int64_t kh,
                       std::int64_t kw, std::int64_t stride,
@@ -141,7 +164,7 @@ const KernelTable &kernelTable(KernelIsa isa = KernelIsa::Auto);
 
 /**
  * im2col over int8 activation levels: the same layout contract as
- * `KernelTable::im2colChw` (tensor/gemm.hh), with out-of-range taps
+ * `KernelTable::im2colChw`, with out-of-range taps
  * written as level 0.  Packing only copies, so it needs no per-ISA
  * variant.  The quantized plan packs its columns with it after
  * quantizing the layer input once (nn/plan.hh).

@@ -5,9 +5,9 @@
  * `infer(..., timeoutMillis)` against a wedged executor, failover
  * routing with retry budgets and deadline-aware shedding in
  * `ClusterEngine`, self-healing re-placement via `repairOnce()` /
- * `RecoveryManager`, the bounded control-loop histories, and a chaos
- * race of tenant ops against a fail-stopping chip (run under TSan in
- * CI).
+ * `RecoveryManager`, shutdown with retries parked in backoff, the
+ * bounded control-loop histories, and a chaos race of tenant ops
+ * against a fail-stopping chip (run under TSan in CI).
  */
 
 #include <gtest/gtest.h>
@@ -404,6 +404,63 @@ TEST(ClusterFailoverTest, RetryBudgetBoundsFailoverAttempts)
     EXPECT_NE(r.status().message().find("failed after 2 failover"),
               std::string::npos);
     EXPECT_TRUE(rig.cluster->shutdown().ok());
+}
+
+TEST(ClusterFailoverTest, ShutdownFailsRequestsParkedInBackoffAtOnce)
+{
+    // Every chip fail-stopped and a 10 s backoff: each accepted
+    // request fails its first attempt and parks for a retry that
+    // shutdown must not wait for.
+    constexpr double kBackoffMillis = 10000.0;
+    ClusterOptions options;
+    options.retryBudget = 100;
+    options.retryBackoffMillis = kBackoffMillis;
+    options.maxRetryBackoffMillis = kBackoffMillis;
+    options.bestEffortShedMillis = 0.0; // never shed
+    ClusterRig rig = makeRig(2, 1, options);
+    ASSERT_TRUE(rig.cluster->loadModel("cnn", rig.model, 2).ok());
+    rig.chaos->failStop("chip0");
+    rig.chaos->failStop("chip1");
+
+    constexpr int kRequests = 16;
+    std::vector<std::future<StatusOr<InferenceResult>>> futures;
+    for (int i = 0; i < kRequests; ++i)
+        futures.push_back(rig.cluster->submit("cnn", probeInput()));
+
+    // Wait until every first attempt has failed on its chip.
+    const auto failed_attempts = [&] {
+        std::int64_t failed = 0;
+        for (std::size_t c = 0; c < rig.cluster->fleet().size(); ++c)
+            failed += rig.cluster->fleet().engine(c).stats().failed;
+        return failed;
+    };
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (failed_attempts() < kRequests &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(failed_attempts(), kRequests);
+    EXPECT_EQ(futures.front().wait_for(std::chrono::milliseconds(20)),
+              std::future_status::timeout);
+
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_TRUE(rig.cluster->shutdown().ok());
+    for (auto &f : futures) {
+        ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready);
+        auto r = f.get();
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.status().code(), StatusCode::Unavailable);
+        EXPECT_NE(r.status().message().find("shut down while failing "
+                                            "over"),
+                  std::string::npos)
+            << r.status().message();
+    }
+    const double elapsed_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    EXPECT_LT(elapsed_ms, kBackoffMillis / 10.0);
 }
 
 TEST(ClusterFailoverTest, BoundedClusterInferTimesOutWhileWedged)

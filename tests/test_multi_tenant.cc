@@ -6,7 +6,10 @@
  * `ModelRegistry` admission control with per-resource breakdowns, and
  * the multi-tenant `Engine` -- request routing by model name, disjoint
  * per-tenant batches, hot-swap unload that drains one tenant without
- * stalling the rest, and shutdown idempotence under concurrency.
+ * stalling the rest, shutdown idempotence under concurrency, and the
+ * completion contract every request path rests on (admission error =>
+ * the completion never runs; OK => it runs exactly once) under seeded
+ * 4-thread schedules.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/json.hh"
@@ -23,6 +27,7 @@
 #include "nn/builder.hh"
 #include "nn/execute.hh"
 #include "pipeline.hh"
+#include "runtime/cluster/fault_injection.hh"
 #include "runtime/engine.hh"
 #include "runtime/model_registry.hh"
 
@@ -699,6 +704,299 @@ TEST(SloScheduler, HigherPriorityClassJumpsTheQueue)
     bad.sloMillis = -1.0;
     EXPECT_EQ((*engine)->loadModel("bad", cnn, bad).code(),
               StatusCode::InvalidArgument);
+}
+
+// ------------------------------------------------- completion contract
+
+/**
+ * One admission slot and one run counter per request: the ledger the
+ * completion-contract tests check.  `admission[id]` is written only by
+ * the thread that submitted `id`; `runs[id]` by the engine worker that
+ * ran its completion.
+ */
+struct CompletionLedger
+{
+    explicit CompletionLedger(int requests)
+        : admission(static_cast<std::size_t>(requests), StatusCode::Ok),
+          runs(static_cast<std::size_t>(requests))
+    {
+    }
+
+    Engine::Completion
+    doneFor(int id)
+    {
+        return [this, id](StatusOr<InferenceResult> result) {
+            runs[static_cast<std::size_t>(id)].fetch_add(1);
+            (result.ok() ? served : failed).fetch_add(1);
+        };
+    }
+
+    void
+    admit(int id, const Status &status)
+    {
+        admission[static_cast<std::size_t>(id)] = status.code();
+        if (status.ok())
+            accepted.fetch_add(1);
+    }
+
+    int
+    totalRuns() const
+    {
+        int total = 0;
+        for (const auto &count : runs)
+            total += count.load();
+        return total;
+    }
+
+    /** Admission error => 0 runs; OK => exactly 1.  Returns accepted. */
+    int
+    expectContract() const
+    {
+        int ok = 0;
+        for (std::size_t id = 0; id < runs.size(); ++id) {
+            const int expected = admission[id] == StatusCode::Ok ? 1 : 0;
+            EXPECT_EQ(runs[id].load(), expected)
+                << "request " << id << " admitted "
+                << statusCodeName(admission[id]);
+            ok += expected;
+        }
+        return ok;
+    }
+
+    std::vector<StatusCode> admission;
+    std::vector<std::atomic<int>> runs;
+    std::atomic<int> accepted{0};
+    std::atomic<int> served{0};
+    std::atomic<int> failed{0};
+};
+
+constexpr int kContractThreads = 4;
+constexpr std::uint64_t kContractSeeds[] = {11, 12, 13};
+
+/**
+ * Four submitting threads, each replaying its own seeded schedule:
+ * request `t * perThread + i` is handed to `submit(rng, id)`, with a
+ * seeded yield in front of some submits so the interleaving varies
+ * by seed.
+ */
+template <typename Submit>
+void
+runSeededSubmitters(int perThread, std::uint64_t seed, Submit submit)
+{
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kContractThreads; ++t) {
+        threads.emplace_back([&, t] {
+            Rng rng(seed * 1000 + static_cast<std::uint64_t>(t));
+            for (int i = 0; i < perThread; ++i) {
+                if (rng.bernoulli(0.25))
+                    std::this_thread::yield();
+                submit(rng, t * perThread + i);
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+}
+
+TEST(EngineCompletionContract, NormalServeRunsEachCompletionOnce)
+{
+    auto cnn = compileShared(smallCnn());
+    auto mlp = compileShared(smallMlp());
+    for (std::uint64_t seed : kContractSeeds) {
+        SCOPED_TRACE(seed);
+        EngineOptions options;
+        options.workerThreads = 2;
+        auto engine = Engine::create(ChipCapacity::unlimited(), options);
+        ASSERT_TRUE(engine.ok());
+        ASSERT_TRUE((*engine)->loadModel("cnn", cnn).ok());
+        ASSERT_TRUE((*engine)->loadModel("mlp", mlp).ok());
+
+        constexpr int kPerThread = 24;
+        CompletionLedger ledger(kContractThreads * kPerThread);
+        runSeededSubmitters(kPerThread, seed, [&](Rng &rng, int id) {
+            const char *tenant = rng.bernoulli(0.5) ? "cnn" : "mlp";
+            ledger.admit(id, (*engine)->submit(tenant, probeInput(),
+                                               ledger.doneFor(id)));
+        });
+        ASSERT_TRUE((*engine)->shutdown().ok());
+        EXPECT_EQ(ledger.expectContract(), kContractThreads * kPerThread);
+        EXPECT_EQ(ledger.served.load(), kContractThreads * kPerThread);
+        EXPECT_EQ(ledger.failed.load(), 0);
+    }
+}
+
+TEST(EngineCompletionContract, CompletionSeesItsRequestServed)
+{
+    // Inside its completion a request is already counted as completed
+    // and no longer pending, so routing on pendingRequests() right
+    // after a result arrives sees an idle replica.
+    auto engine = Engine::create(compileShared(smallCnn()));
+    ASSERT_TRUE(engine.ok());
+    std::promise<std::pair<std::int64_t, std::int64_t>> seen;
+    auto observed = seen.get_future();
+    ASSERT_TRUE((*engine)
+                    ->submit(Engine::kDefaultModel, probeInput(),
+                             [&](StatusOr<InferenceResult> r) {
+                                 EXPECT_TRUE(r.ok());
+                                 seen.set_value(
+                                     {(*engine)->pendingRequests(
+                                          Engine::kDefaultModel),
+                                      (*engine)->stats().completed});
+                             })
+                    .ok());
+    const auto [pending, completed] = observed.get();
+    EXPECT_EQ(pending, 0);
+    EXPECT_EQ(completed, 1);
+    ASSERT_TRUE((*engine)->shutdown().ok());
+}
+
+TEST(EngineCompletionContract, FaultFailedBatchesRunEachCompletionOnce)
+{
+    auto cnn = compileShared(smallCnn());
+    for (std::uint64_t seed : kContractSeeds) {
+        SCOPED_TRACE(seed);
+        auto chaos = std::make_shared<FaultInjector>(seed);
+        chaos->setTransientErrorRate("chip0", 0.5);
+        EngineOptions options;
+        options.workerThreads = 2;
+        options.faultHook = chaos;
+        auto engine = Engine::create(cnn, options);
+        ASSERT_TRUE(engine.ok());
+
+        constexpr int kPerThread = 24;
+        CompletionLedger ledger(kContractThreads * kPerThread);
+        runSeededSubmitters(kPerThread, seed, [&](Rng &, int id) {
+            ledger.admit(id, (*engine)->submit(Engine::kDefaultModel,
+                                               probeInput(),
+                                               ledger.doneFor(id)));
+        });
+        ASSERT_TRUE((*engine)->shutdown().ok());
+        EXPECT_EQ(ledger.expectContract(), kContractThreads * kPerThread);
+        // Every injected fault failed a whole batch of >= 1 request.
+        EXPECT_GE(chaos->injectedFaults(), 1);
+        EXPECT_GE(ledger.failed.load(), chaos->injectedFaults());
+        EXPECT_EQ(ledger.served.load() + ledger.failed.load(),
+                  kContractThreads * kPerThread);
+    }
+}
+
+TEST(EngineCompletionContract, UnloadDrainRacingSubmittersRunsEachOnce)
+{
+    auto cnn = compileShared(smallCnn());
+    auto mlp = compileShared(smallMlp());
+    for (std::uint64_t seed : kContractSeeds) {
+        SCOPED_TRACE(seed);
+        EngineOptions options;
+        options.workerThreads = 2;
+        auto engine = Engine::create(ChipCapacity::unlimited(), options);
+        ASSERT_TRUE(engine.ok());
+        ASSERT_TRUE((*engine)->loadModel("keeper", cnn).ok());
+        ASSERT_TRUE((*engine)->loadModel("victim", mlp).ok());
+
+        constexpr int kPerThread = 32;
+        CompletionLedger ledger(kContractThreads * kPerThread);
+        std::thread submitters([&] {
+            runSeededSubmitters(kPerThread, seed, [&](Rng &rng, int id) {
+                const char *tenant =
+                    rng.bernoulli(0.75) ? "victim" : "keeper";
+                ledger.admit(id, (*engine)->submit(tenant, probeInput(),
+                                                   ledger.doneFor(id)));
+            });
+        });
+        while (ledger.accepted.load() < 16)
+            std::this_thread::yield();
+        ASSERT_TRUE((*engine)->unloadModel("victim").ok());
+        submitters.join();
+        ASSERT_TRUE((*engine)->shutdown().ok());
+
+        ledger.expectContract();
+        for (StatusCode code : ledger.admission)
+            EXPECT_TRUE(code == StatusCode::Ok ||
+                        code == StatusCode::Unavailable ||
+                        code == StatusCode::InvalidArgument)
+                << statusCodeName(code);
+        EXPECT_EQ(ledger.failed.load(), 0);
+    }
+}
+
+TEST(EngineCompletionContract, ShutdownRacingSubmittersRunsEachOnce)
+{
+    auto cnn = compileShared(smallCnn());
+    for (std::uint64_t seed : kContractSeeds) {
+        SCOPED_TRACE(seed);
+        EngineOptions options;
+        options.workerThreads = 2;
+        auto engine = Engine::create(cnn, options);
+        ASSERT_TRUE(engine.ok());
+
+        constexpr int kPerThread = 32;
+        CompletionLedger ledger(kContractThreads * kPerThread);
+        std::thread submitters([&] {
+            runSeededSubmitters(kPerThread, seed, [&](Rng &, int id) {
+                ledger.admit(id, (*engine)->submit(Engine::kDefaultModel,
+                                                   probeInput(),
+                                                   ledger.doneFor(id)));
+            });
+        });
+        while (ledger.accepted.load() < 16)
+            std::this_thread::yield();
+        ASSERT_TRUE((*engine)->shutdown().ok());
+        // Shutdown has drained: every completion admitted so far has
+        // run, and nothing admitted from here on.
+        const int runs_at_shutdown = ledger.totalRuns();
+        submitters.join();
+        EXPECT_EQ(ledger.totalRuns(), runs_at_shutdown);
+
+        EXPECT_EQ(ledger.expectContract(), runs_at_shutdown);
+        for (StatusCode code : ledger.admission)
+            EXPECT_TRUE(code == StatusCode::Ok ||
+                        code == StatusCode::Unavailable)
+                << statusCodeName(code);
+        EXPECT_EQ(ledger.failed.load(), 0);
+    }
+}
+
+TEST(EngineCompletionContract, FullQueueRefusesWithoutRunningCompletion)
+{
+    auto cnn = compileShared(smallCnn());
+    for (std::uint64_t seed : kContractSeeds) {
+        SCOPED_TRACE(seed);
+        auto chaos = std::make_shared<FaultInjector>(seed);
+        EngineOptions options;
+        options.workerThreads = 2;
+        options.maxBatch = 1;
+        options.queueDepth = 2;
+        options.faultHook = chaos;
+        auto engine = Engine::create(cnn, options);
+        ASSERT_TRUE(engine.ok());
+
+        // Wedged workers hold at most one request each and the queue
+        // two more, so at most 4 of the 64 non-blocking submits fit.
+        chaos->wedge("chip0");
+        constexpr int kPerThread = 16;
+        CompletionLedger ledger(kContractThreads * kPerThread);
+        runSeededSubmitters(kPerThread, seed, [&](Rng &, int id) {
+            ledger.admit(id, (*engine)->trySubmit(Engine::kDefaultModel,
+                                                  probeInput(),
+                                                  ledger.doneFor(id)));
+        });
+        EXPECT_EQ(ledger.totalRuns(), 0);
+        int refused = 0;
+        for (StatusCode code : ledger.admission) {
+            if (code == StatusCode::Ok)
+                continue;
+            EXPECT_EQ(code, StatusCode::ResourceExhausted)
+                << statusCodeName(code);
+            ++refused;
+        }
+        EXPECT_GE(refused, kContractThreads * kPerThread - 4);
+
+        chaos->unwedge("chip0");
+        ASSERT_TRUE((*engine)->shutdown().ok());
+        EXPECT_EQ(ledger.expectContract(),
+                  kContractThreads * kPerThread - refused);
+        EXPECT_EQ(ledger.served.load(), ledger.accepted.load());
+    }
 }
 
 } // namespace

@@ -23,7 +23,6 @@
 #include "nn/builder.hh"
 #include "nn/execute.hh"
 #include "nn/plan.hh"
-#include "tensor/gemm.hh"
 #include "tensor/kernels.hh"
 #include "tensor/tensor.hh"
 
@@ -537,8 +536,9 @@ quantizeAfterIm2colConv(const GraphNode &conv, const Shape &in,
             amax = std::max(amax, std::fabs(x[v]));
         const float sa = amax > 0.0f ? amax / actQmax : 0.0f;
         const float mult = amax > 0.0f ? 1.0f / sa : 0.0f;
-        im2colChw(x, ci_g, hi, wi, kern, kern, conv.attrs.stride,
-                  conv.attrs.pad, ho, wo, cols.data(), hw, 0.0f);
+        kernelTable().im2colChw(x, ci_g, hi, wi, kern, kern,
+                                conv.attrs.stride, conv.attrs.pad, ho, wo,
+                                cols.data(), hw, 0.0f);
         for (std::size_t v = 0; v < cols.size(); ++v)
             qcols[v] = level(cols[v], mult, actQmax);
         for (std::int64_t oc = g * co_g; oc < (g + 1) * co_g; ++oc) {
@@ -644,7 +644,8 @@ TEST(Gemm, MatchesNaiveTripleLoop)
     for (float &v : bm)
         v = static_cast<float>(rng.normal(0.0, 1.0));
     std::vector<float> c(static_cast<std::size_t>(m * n));
-    gemmRowMajor(a.data(), bm.data(), c.data(), m, k, n);
+    kernelTable().gemmRowMajor(a.data(), k, bm.data(), n, c.data(), n, m,
+                               k, n);
     for (std::int64_t i = 0; i < m; ++i) {
         for (std::int64_t j = 0; j < n; ++j) {
             double acc = 0.0;
@@ -673,12 +674,13 @@ TEST(Gemm, ColumnResultsIndependentOfWidth)
     for (float &v : bm)
         v = static_cast<float>(rng.normal(0.0, 1.0));
     std::vector<float> wide(static_cast<std::size_t>(m * n));
-    gemmRowMajor(a.data(), bm.data(), wide.data(), m, k, n);
+    kernelTable().gemmRowMajor(a.data(), k, bm.data(), n, wide.data(), n,
+                               m, k, n);
     // One column at a time, reading the same strided B.
     for (std::int64_t j = 0; j < n; ++j) {
         std::vector<float> narrow(static_cast<std::size_t>(m));
-        gemmRowMajor(a.data(), k, bm.data() + j, n, narrow.data(), 1,
-                     m, k, 1);
+        kernelTable().gemmRowMajor(a.data(), k, bm.data() + j, n,
+                                   narrow.data(), 1, m, k, 1);
         for (std::int64_t i = 0; i < m; ++i)
             ASSERT_EQ(narrow[static_cast<std::size_t>(i)],
                       wide[static_cast<std::size_t>(i * n + j)])
@@ -692,7 +694,8 @@ TEST(Im2col, ResolvesPaddingAtPackTime)
     // position 1,1) is the whole image; corners carry pad zeros.
     std::vector<float> img{1, 2, 3, 4, 5, 6, 7, 8, 9};
     std::vector<float> cols(9 * 9, -1.0f);
-    im2colChw(img.data(), 1, 3, 3, 3, 3, 1, 1, 3, 3, cols.data(), 9);
+    kernelTable().im2colChw(img.data(), 1, 3, 3, 3, 3, 1, 1, 3, 3,
+                            cols.data(), 9, 0.0f);
     // Row of tap (ky=1, kx=1) (the center tap) is the image itself.
     for (int i = 0; i < 9; ++i)
         EXPECT_EQ(cols[static_cast<std::size_t>(4 * 9 + i)],

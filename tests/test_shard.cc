@@ -6,13 +6,15 @@
  * equivalence of a sharded pipeline against the single-chip Reference
  * executor, `placeShards` co-location, the `ClusterEngine`
  * replicate-whole -> shard-across fallback with interconnect
- * telemetry, and a chaos run where a shard group fails over as a unit
- * with zero lost accepted requests.
+ * telemetry, a chaos run where a shard group fails over as a unit
+ * with zero lost accepted requests, and an overloaded 3-stage pipeline
+ * that must start no thread and lose nothing.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
@@ -637,6 +639,89 @@ TEST(ShardedClusterTest, ShardGroupFailsOverAsAUnitWithZeroLoss)
     expectClose(again->output, expected, 1e-4);
 
     chaos->recover(before.front());
+    EXPECT_TRUE(cluster->shutdown().ok());
+}
+
+#ifdef __linux__
+/** Threads of this process: the entries of /proc/self/task. */
+int
+processThreadCount()
+{
+    int threads = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        (void)entry;
+        ++threads;
+    }
+    return threads;
+}
+#endif
+
+TEST(ShardedClusterTest, OverloadedPipelineStartsNoThreadAndLosesNothing)
+{
+    auto model = compileShared(chainMlp());
+    const Tensor input = probeInput({1, 8, 8});
+    const Tensor expected = referenceOutput(model, input);
+
+    // Half-model chips split the MLP into three stages.  queueDepth 2
+    // makes the router's in-flight bound 2, far below the burst below,
+    // so the bound binds throughout.
+    ClusterOptions options;
+    options.engine.workerThreads = 2;
+    options.engine.queueDepth = 2;
+    options.engine.execution =
+        ExecutionConfig{ExecutorKind::Reference};
+    const ChipCapacity capacity =
+        scaledCapacity(model->resourceDemand(), 0.5);
+    auto created = ClusterEngine::create(
+        {{"c0", capacity}, {"c1", capacity}, {"c2", capacity}}, options);
+    ASSERT_TRUE(created.ok()) << created.status().toString();
+    auto cluster = std::move(created).value();
+
+#ifdef __linux__
+    const int threads_before = processThreadCount();
+#endif
+    ASSERT_TRUE(cluster->loadModel("big", model).ok());
+#ifdef __linux__
+    // The pipeline runs on the stage engines' own workers.
+    EXPECT_EQ(processThreadCount(), threads_before);
+#endif
+    constexpr std::int64_t kStages = 3;
+    ASSERT_EQ(cluster->replicaChips("big").size(),
+              static_cast<std::size_t>(kStages));
+
+    // 4 clients x 8 requests at once: 16 x queueDepth.
+    constexpr int kClients = 4;
+    constexpr int kPerClient = 8;
+    std::vector<std::vector<std::future<StatusOr<InferenceResult>>>>
+        futures(kClients);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+            for (int i = 0; i < kPerClient; ++i)
+                futures[static_cast<std::size_t>(c)].push_back(
+                    cluster->submit("big", input));
+        });
+    }
+    for (std::thread &client : clients)
+        client.join();
+    for (auto &per_client : futures) {
+        for (auto &f : per_client) {
+            auto r = f.get();
+            ASSERT_TRUE(r.ok()) << r.status().toString();
+            EXPECT_EQ(r->shards, kStages);
+            expectClose(r->output, expected, 1e-4);
+        }
+    }
+
+    auto stats = cluster->modelStats("big");
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->failed, 0);
+    EXPECT_EQ(stats->completed, kClients * kPerClient);
+    auto parsed = parseJson(cluster->statsJson());
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ((*parsed)["tenants"]["big"]["forwards"].asInt(),
+              stats->completed * (kStages - 1));
     EXPECT_TRUE(cluster->shutdown().ok());
 }
 
