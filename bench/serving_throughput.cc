@@ -346,7 +346,7 @@ main(int argc, char **argv)
         j.field("source", source);
         j.field("weights", model->graph().weightCount());
         j.field("opsPerSample", model->graph().opCount());
-        j.field("pes", model->allocation().totalPes);
+        j.field("pes", model->performance().pes);
         j.field("modeledLatencyNs", model->performance().latency);
         j.field("hardwareConcurrency",
                 static_cast<std::int64_t>(

@@ -305,7 +305,7 @@ main(int argc, char **argv)
         j.field("kind", "model");
         j.field("weights", model->graph().weightCount());
         j.field("opsPerSample", model->graph().opCount());
-        j.field("pes", model->allocation().totalPes);
+        j.field("pes", model->performance().pes);
         j.field("hardwareConcurrency",
                 static_cast<std::int64_t>(
                     std::thread::hardware_concurrency()));

@@ -130,7 +130,7 @@ main()
     }
     std::cout << "\ncompiled artifact: " << artifact << " (input "
               << shapeToString(loaded->inputShape()) << ", "
-              << loaded->allocation().totalPes << " PEs)\n";
+              << loaded->performance().pes << " PEs)\n";
 
     EngineOptions serving;
     serving.workerThreads = 2;

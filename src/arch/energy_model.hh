@@ -35,6 +35,8 @@ struct EnergyBreakdown
     PicoJoules routing = 0.0;
 
     PicoJoules total() const { return pe + smb + clb + routing; }
+
+    bool operator==(const EnergyBreakdown &) const = default;
 };
 
 /** Convert event counts to energy under a technology library. */

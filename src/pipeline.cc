@@ -1,6 +1,7 @@
 #include "pipeline.hh"
 
 #include <chrono>
+#include <limits>
 #include <utility>
 
 #include "common/json.hh"
@@ -42,6 +43,111 @@ validateGraph(const Graph &graph)
     return Status();
 }
 
+/**
+ * Reject option values the stages would divide by, shift by or
+ * allocate from -- the one range check every caller passes through,
+ * options read from an artifact file included.  Each stage checks the
+ * members in its own scope, so a fix through a scoped setter
+ * re-validates exactly the stages it invalidates.
+ */
+Status
+validateOptions(const CompileOptions &o, Stage stage)
+{
+    struct Bound
+    {
+        const char *name;
+        std::int64_t value, lo, hi;
+    };
+    constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+    // Spike windows are `1u << ioBits` cycles (PeParams::samplingWindow).
+    constexpr std::int64_t kMaxBits = 16;
+    std::vector<Bound> bounds;
+    switch (stage) {
+      case Stage::Synthesize:
+        bounds = {{"synth.crossbarRows", o.synth.crossbarRows, 1, kIntMax},
+                  {"synth.crossbarCols", o.synth.crossbarCols, 1, kIntMax},
+                  {"synth.ioBits", o.synth.ioBits, 1, kMaxBits},
+                  {"synth.weightBits", o.synth.weightBits, 1, kMaxBits},
+                  {"synth.maxWeightLevel", o.synth.maxWeightLevel, 1,
+                   kIntMax}};
+        break;
+      case Stage::Map:
+        bounds = {{"duplicationDegree", o.duplicationDegree, 1,
+                   kMaxDuplicationDegree},
+                  {"allocation.pesPerClb", o.allocation.pesPerClb, 1,
+                   kIntMax},
+                  {"allocation.smbsPerEdge", o.allocation.smbsPerEdge, 1,
+                   kIntMax},
+                  {"mapper.busWidth", o.mapper.busWidth, 1, kIntMax},
+                  {"mapper.controlWidth", o.mapper.controlWidth, 1,
+                   kIntMax},
+                  {"mapper.pesPerClb", o.mapper.pesPerClb, 1, kIntMax}};
+        break;
+      case Stage::PlaceAndRoute:
+        break;
+      case Stage::Evaluate:
+        bounds = {{"perf.ioBits", o.perf.ioBits, 1, kMaxBits}};
+        break;
+    }
+    for (const Bound &b : bounds) {
+        if (b.value < b.lo || b.value > b.hi) {
+            return Status::error(
+                StatusCode::InvalidArgument,
+                std::string("option ") + b.name + " must be in [" +
+                    std::to_string(b.lo) + ", " + std::to_string(b.hi) +
+                    "], got " + std::to_string(b.value));
+        }
+    }
+    return Status();
+}
+
+/**
+ * Reject graphs a serving artifact cannot execute: every conv/fc node
+ * needs materialized weights shaped like the node, or the executors'
+ * kernels would assert mid-request and kill the server (the shape a
+ * corrupt artifact is most likely to get wrong).
+ */
+Status
+validateServable(const Graph &graph)
+{
+    auto invalid = [](std::string why) {
+        return Status::error(StatusCode::InvalidArgument,
+                             "compile(): " + std::move(why));
+    };
+    if (graph.size() > 0 && graph.nodes().front().kind != OpKind::Input)
+        return invalid("graph does not start with an input node");
+    for (const GraphNode &n : graph.nodes()) {
+        if (n.kind != OpKind::Conv2d && n.kind != OpKind::FullyConnected)
+            continue;
+        if (!n.weights.has_value()) {
+            return invalid("node '" + n.name +
+                           "' has no materialized weights; call "
+                           "randomizeWeights (or a trainer) before "
+                           "compiling for serving");
+        }
+        if (n.inputs.empty())
+            return invalid("node '" + n.name + "' has no inputs");
+        const Shape &in = graph.node(n.inputs.front()).outShape;
+        Shape expected;
+        if (n.kind == OpKind::FullyConnected) {
+            expected = {n.attrs.units, shapeNumel(in)};
+        } else {
+            if (n.attrs.groups < 1 || in.size() != 3)
+                return invalid("node '" + n.name +
+                               "' has malformed conv geometry");
+            expected = {n.attrs.outChannels, in.front() / n.attrs.groups,
+                        n.attrs.kernel, n.attrs.kernel};
+        }
+        if (n.weights->shape() != expected) {
+            return invalid("node '" + n.name + "' weight shape " +
+                           shapeToString(n.weights->shape()) +
+                           " does not match the expected " +
+                           shapeToString(expected));
+        }
+    }
+    return Status();
+}
+
 } // namespace
 
 const char *
@@ -73,7 +179,10 @@ Pipeline::invalidateFrom(Stage first)
     switch (first) {
       case Stage::Synthesize: synthesis_.reset(); [[fallthrough]];
       case Stage::Map: map_.reset(); [[fallthrough]];
-      case Stage::PlaceAndRoute: pnr_.reset(); [[fallthrough]];
+      case Stage::PlaceAndRoute:
+        pnr_.reset();
+        restoredTiming_.reset();
+        [[fallthrough]];
       case Stage::Evaluate: eval_.reset();
     }
 }
@@ -176,6 +285,8 @@ Pipeline::synthesize()
 
     const auto start = Clock::now();
     Status status = validateGraph(graph_);
+    if (status.ok())
+        status = validateOptions(options_, Stage::Synthesize);
     if (status.ok()) {
         auto summary = std::make_shared<SynthesisSummary>(
             synthesizeSummary(graph_, options_.synth));
@@ -216,13 +327,8 @@ Pipeline::map()
     }
 
     const auto start = Clock::now();
-    Status status;
-    if (options_.duplicationDegree < 1) {
-        status = Status::error(
-            StatusCode::InvalidArgument,
-            "duplication degree must be >= 1, got " +
-                std::to_string(options_.duplicationDegree));
-    } else {
+    Status status = validateOptions(options_, Stage::Map);
+    if (status.ok()) {
         auto artifact = std::make_shared<MapArtifact>();
         artifact->allocation = allocateForDuplication(
             **synthesis, options_.duplicationDegree, options_.allocation);
@@ -308,34 +414,42 @@ Pipeline::evaluate()
         return eval_;
     }
 
+    Status status = validateOptions(options_, Stage::Evaluate);
     FpsaPerfOptions perf = options_.perf;
-    if (options_.runPlaceAndRoute) {
-        auto pnr = placeAndRoute();
-        if (!pnr.ok() && pnr.status().code() != StatusCode::Unroutable)
-            return pnr.status();
-        if (!pnr.ok()) {
-            warn("placement & routing did not fully converge; timing is "
-                 "a lower bound");
+    if (status.ok() && options_.runPlaceAndRoute) {
+        if (!restoredTiming_) {
+            auto pnr = placeAndRoute();
+            if (!pnr.ok() && pnr.status().code() != StatusCode::Unroutable)
+                return pnr.status();
+            if (!pnr.ok()) {
+                warn("placement & routing did not fully converge; timing "
+                     "is a lower bound");
+            }
         }
-        if (pnr_ && pnr_->timing.avgNetDelay > 0.0)
-            perf.wireDelayPerBit = pnr_->timing.avgNetDelay;
+        const auto timing = pnrTiming();
+        if (timing && timing->avgNetDelay > 0.0)
+            perf.wireDelayPerBit = timing->avgNetDelay;
     }
 
     const auto start = Clock::now();
-    auto artifact = std::make_shared<EvalArtifact>();
-    artifact->performance = evaluateFpsa(graph_, *synthesis_,
-                                         (*mapped)->allocation, perf);
-    artifact->energy =
-        fpsaEnergyReport(*synthesis_, (*mapped)->allocation, perf.ioBits,
-                         perf.wireDelayPerBit);
-    eval_ = std::move(artifact);
+    if (status.ok()) {
+        auto artifact = std::make_shared<EvalArtifact>();
+        artifact->performance = evaluateFpsa(graph_, *synthesis_,
+                                             (*mapped)->allocation, perf);
+        artifact->energy =
+            fpsaEnergyReport(*synthesis_, (*mapped)->allocation,
+                             perf.ioBits, perf.wireDelayPerBit);
+        eval_ = std::move(artifact);
+    }
 
     attempted_[idx] = true;
-    stageStatus_[idx] = Status();
+    stageStatus_[idx] = status;
     ++stats_[idx].runs;
     stats_[idx].lastMillis = millisSince(start);
     stats_[idx].totalMillis += stats_[idx].lastMillis;
 
+    if (!status.ok())
+        return status;
     return eval_;
 }
 
@@ -373,18 +487,8 @@ Pipeline::compile()
 StatusOr<CompiledModel>
 Pipeline::compile(const ExecutionConfig &execution)
 {
-    for (const GraphNode &node : graph_.nodes()) {
-        if ((node.kind == OpKind::Conv2d ||
-             node.kind == OpKind::FullyConnected) &&
-            !node.weights.has_value()) {
-            return Status::error(
-                StatusCode::InvalidArgument,
-                "compile(): node '" + node.name +
-                    "' has no materialized weights; call "
-                    "randomizeWeights (or a trainer) before compiling "
-                    "for serving");
-        }
-    }
+    if (Status servable = validateServable(graph_); !servable.ok())
+        return servable;
 
     auto eval = evaluate();
     if (!eval.ok())
@@ -393,25 +497,28 @@ Pipeline::compile(const ExecutionConfig &execution)
     CompiledModel::Artifacts artifacts;
     artifacts.graph = graph_;
     artifacts.options = options_;
-    artifacts.synthesis = *synthesis_;
-    artifacts.allocation = map_->allocation;
-    artifacts.netlist = map_->netlist;
-    if (options_.runPlaceAndRoute && pnr_) {
-        CompiledTiming timing;
-        timing.avgNetDelay = pnr_->timing.avgNetDelay;
-        timing.maxNetDelay = pnr_->timing.maxNetDelay;
-        timing.routed = pnr_->routed;
-        timing.placementHpwl = pnr_->placementHpwl;
-        artifacts.timing = timing;
-    }
-    artifacts.performance = (*eval)->performance;
-    artifacts.energy = (*eval)->energy;
-    // Stamp the admission-control footprint into the artifact so a
-    // serving process can budget the chip without the compile stack.
-    artifacts.demand =
-        resourceDemand(map_->allocation, map_->netlist);
+    if (options_.runPlaceAndRoute)
+        artifacts.timing = pnrTiming();
     artifacts.execution = execution;
-    return CompiledModel::fromArtifacts(std::move(artifacts));
+    return CompiledModel(std::move(artifacts), *map_, **eval);
+}
+
+void
+Pipeline::restorePlaceAndRoute(const CompiledTiming &timing)
+{
+    invalidateFrom(Stage::PlaceAndRoute);
+    restoredTiming_ = timing;
+}
+
+std::optional<CompiledTiming>
+Pipeline::pnrTiming() const
+{
+    if (restoredTiming_)
+        return restoredTiming_;
+    if (!pnr_)
+        return std::nullopt;
+    return CompiledTiming{pnr_->timing.avgNetDelay, pnr_->timing.maxNetDelay,
+                          pnr_->routed, pnr_->placementHpwl};
 }
 
 // ---------------------------------------------------------- introspection

@@ -27,10 +27,11 @@
  *             use((*eval)->performance);
  *     }
  *
- * Stage failures (zero-size layer, infeasible allocation, unroutable
- * netlist) are reported through `Status`/`StatusOr` instead of killing
- * the process, and `report()` serializes options, per-stage timings and
- * every cached artifact to JSON for benches and regression tracking.
+ * Stage failures (zero-size layer, out-of-range option, infeasible
+ * allocation, unroutable netlist) are reported through
+ * `Status`/`StatusOr` instead of killing the process, and `report()`
+ * serializes options, per-stage timings and every cached artifact to
+ * JSON for benches and regression tracking.
  *
  * Artifacts are returned as `shared_ptr<const T>`: handles stay valid
  * after the pipeline invalidates or re-runs a stage, so sweep loops can
@@ -60,6 +61,15 @@ enum class Stage
 };
 
 constexpr int kStageCount = 4;
+
+/**
+ * Largest duplication degree a `Pipeline` accepts.  Past the model's
+ * reuse, duplication replicates the whole mapped pipeline, so the
+ * mapper's netlist grows linearly with the degree; the cap keeps a
+ * degree read from a file from exhausting memory.  The repo's sweeps
+ * reach 256.
+ */
+constexpr std::int64_t kMaxDuplicationDegree = 1024;
 
 const char *stageName(Stage stage);
 
@@ -113,7 +123,13 @@ class Pipeline
     // Each call runs missing prerequisites, then returns the stage's
     // (possibly cached) artifact or the Status that stopped it.
 
-    /** Lower the graph analytically (validates it first). */
+    /**
+     * Lower the graph analytically.  Validates the graph and the
+     * `synth` options first; each later stage likewise rejects
+     * out-of-range options in its own scope with `InvalidArgument`
+     * (zero or negative sizes and widths, bit widths outside [1, 16],
+     * a duplication degree outside [1, kMaxDuplicationDegree]).
+     */
     StatusOr<std::shared_ptr<const SynthesisSummary>> synthesize();
 
     /** Allocate PEs for the duplication degree and emit the netlist. */
@@ -141,13 +157,14 @@ class Pipeline
     StatusOr<CompileResult> result();
 
     /**
-     * Terminal stage: run everything and freeze the artifacts into a
-     * deployable `CompiledModel` (graph + materialized weights +
-     * synthesis + allocation/netlist + PnR-derived timing when
-     * `runPlaceAndRoute` is set + modeled performance/energy).  The
-     * graph must have materialized conv/fc weights -- serving needs
-     * real parameters -- or `InvalidArgument` comes back.  The bundle
-     * is a snapshot: later option changes on this pipeline don't touch
+     * Terminal stage: run everything and freeze the result into a
+     * deployable `CompiledModel`: graph + materialized weights +
+     * options + PnR timing when `runPlaceAndRoute` is set, plus the
+     * modeled performance/energy and resource demand taken from the
+     * cached stages (not re-run).  The graph must have materialized
+     * conv/fc weights shaped like their nodes -- serving needs real
+     * parameters -- or `InvalidArgument` comes back.  The bundle is a
+     * snapshot: later option changes on this pipeline don't touch
      * models already compiled.  See runtime/compiled_model.hh for
      * save/load and runtime/engine.hh for serving.
      */
@@ -189,8 +206,21 @@ class Pipeline
     std::string report() const;
 
   private:
+    friend class CompiledModel; // fromArtifacts() restores PnR timing
+
     /** Drop cached artifacts (and stage statuses) from `first` on. */
     void invalidateFrom(Stage first);
+
+    /**
+     * Use a stored PnR outcome instead of running the search: with
+     * `runPlaceAndRoute` set, evaluate() takes its wire delay from
+     * `timing` exactly as from a fresh route, and compile() stores it
+     * back.  Any option change in PnR scope drops it.
+     */
+    void restorePlaceAndRoute(const CompiledTiming &timing);
+
+    /** The restored timing, else the cached PnR result's, else none. */
+    std::optional<CompiledTiming> pnrTiming() const;
 
     Graph graph_;
     CompileOptions options_;
@@ -202,6 +232,7 @@ class Pipeline
     std::shared_ptr<const SynthesisSummary> synthesis_;
     std::shared_ptr<const MapArtifact> map_;
     std::shared_ptr<const PnrResult> pnr_;
+    std::optional<CompiledTiming> restoredTiming_;
     std::shared_ptr<const EvalArtifact> eval_;
 };
 

@@ -3,14 +3,15 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <utility>
 
 #include "common/json.hh"
-#include "common/logging.hh"
 #include "nn/plan.hh"
+#include "pipeline.hh"
 #include "synth/synthesizer.hh"
 
 namespace fpsa
@@ -22,10 +23,13 @@ namespace
 constexpr const char *kFormat = "fpsa.compiled_model";
 
 /**
- * The one document version this build writes and reads: v3 carries the
- * resource-demand and execution sections.
+ * The document version this build writes: v4 holds only the stored
+ * inputs.  v3 documents also carried every derived section (synthesis,
+ * allocation, netlist, demand, performance, energy); they still load,
+ * with those sections ignored and re-derived.
  */
-constexpr std::int64_t kVersion = 3;
+constexpr std::int64_t kVersion = 4;
+constexpr std::int64_t kOldestReadableVersion = 3;
 
 bool
 opKindFromName(const std::string &name, OpKind &out)
@@ -50,38 +54,6 @@ opKindFromName(const std::string &name, OpKind &out)
         }
     }
     return false;
-}
-
-bool
-roleFromName(const std::string &name, CoreOpRole &out)
-{
-    static const std::pair<const char *, CoreOpRole> kTable[] = {
-        {"weight", CoreOpRole::Weight},
-        {"reduce", CoreOpRole::Reduce},
-        {"pool", CoreOpRole::Pool},
-        {"eltwise", CoreOpRole::Eltwise},
-    };
-    for (const auto &[n, r] : kTable) {
-        if (name == n) {
-            out = r;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-blockTypeFromName(const std::string &name, BlockType &out)
-{
-    if (name == "PE")
-        out = BlockType::Pe;
-    else if (name == "SMB")
-        out = BlockType::Smb;
-    else if (name == "CLB")
-        out = BlockType::Clb;
-    else
-        return false;
-    return true;
 }
 
 /**
@@ -122,17 +94,29 @@ emitShape(JsonWriter &j, const Shape &shape)
 class Deser
 {
   public:
-    std::int64_t
-    i64(const JsonValue &obj, const char *key)
+    /** Member `key` as a T; non-integral or out-of-range is a failure. */
+    template <typename T>
+    T
+    integer(const JsonValue &obj, const char *key)
     {
         const JsonValue *v = need(obj, key);
-        if (!v)
-            return 0;
-        if (!v->isNumber()) {
-            fail(std::string("member '") + key + "' is not a number");
-            return 0;
+        return v ? asInteger<T>(*v, key) : T{0};
+    }
+
+    template <typename T>
+    T
+    asInteger(const JsonValue &v, const std::string &what)
+    {
+        // [lo, -lo) is exactly a signed T's range, and both bounds are
+        // exact doubles; converting anything outside it is undefined.
+        constexpr double lo =
+            static_cast<double>(std::numeric_limits<T>::min());
+        const double x = v.number();
+        if (!v.isNumber() || !(x >= lo && x < -lo) || x != std::trunc(x)) {
+            fail("member '" + what + "' is not an integer in range");
+            return T{0};
         }
-        return v->asInt();
+        return static_cast<T>(x);
     }
 
     double
@@ -233,14 +217,8 @@ Shape
 readShape(Deser &d, const JsonValue &obj, const char *key)
 {
     Shape shape;
-    for (const JsonValue &dim : d.arr(obj, key).array()) {
-        if (!dim.isNumber()) {
-            d.fail(std::string("shape member in '") + key +
-                   "' is not a number");
-            break;
-        }
-        shape.push_back(dim.asInt());
-    }
+    for (const JsonValue &dim : d.arr(obj, key).array())
+        shape.push_back(d.asInteger<std::int64_t>(dim, key));
     return shape;
 }
 
@@ -283,26 +261,23 @@ readOptions(Deser &d, const JsonValue &v)
     // artifact but are irrelevant to serving it.  Loaded models keep
     // default PnrOptions.
     CompileOptions o;
-    o.duplicationDegree = d.i64(v, "duplicationDegree");
+    o.duplicationDegree = d.integer<std::int64_t>(v, "duplicationDegree");
     o.runPlaceAndRoute = d.flag(v, "runPlaceAndRoute");
     const JsonValue &synth = d.obj(v, "synth");
-    o.synth.crossbarRows = static_cast<int>(d.i64(synth, "crossbarRows"));
-    o.synth.crossbarCols = static_cast<int>(d.i64(synth, "crossbarCols"));
-    o.synth.ioBits = static_cast<int>(d.i64(synth, "ioBits"));
-    o.synth.weightBits = static_cast<int>(d.i64(synth, "weightBits"));
-    o.synth.maxWeightLevel =
-        static_cast<std::int32_t>(d.i64(synth, "maxWeightLevel"));
+    o.synth.crossbarRows = d.integer<int>(synth, "crossbarRows");
+    o.synth.crossbarCols = d.integer<int>(synth, "crossbarCols");
+    o.synth.ioBits = d.integer<int>(synth, "ioBits");
+    o.synth.weightBits = d.integer<int>(synth, "weightBits");
+    o.synth.maxWeightLevel = d.integer<std::int32_t>(synth, "maxWeightLevel");
     const JsonValue &alloc = d.obj(v, "allocation");
-    o.allocation.pesPerClb = static_cast<int>(d.i64(alloc, "pesPerClb"));
-    o.allocation.smbsPerEdge =
-        static_cast<int>(d.i64(alloc, "smbsPerEdge"));
+    o.allocation.pesPerClb = d.integer<int>(alloc, "pesPerClb");
+    o.allocation.smbsPerEdge = d.integer<int>(alloc, "smbsPerEdge");
     const JsonValue &mapper = d.obj(v, "mapper");
-    o.mapper.busWidth = static_cast<int>(d.i64(mapper, "busWidth"));
-    o.mapper.controlWidth =
-        static_cast<int>(d.i64(mapper, "controlWidth"));
-    o.mapper.pesPerClb = static_cast<int>(d.i64(mapper, "pesPerClb"));
+    o.mapper.busWidth = d.integer<int>(mapper, "busWidth");
+    o.mapper.controlWidth = d.integer<int>(mapper, "controlWidth");
+    o.mapper.pesPerClb = d.integer<int>(mapper, "pesPerClb");
     const JsonValue &perf = d.obj(v, "perf");
-    o.perf.ioBits = static_cast<int>(d.i64(perf, "ioBits"));
+    o.perf.ioBits = d.integer<int>(perf, "ioBits");
     o.perf.wireDelayPerBit = d.num(perf, "wireDelayPerBit");
     return o;
 }
@@ -395,24 +370,25 @@ readGraph(const JsonValue &v)
 
         OpAttrs attrs;
         const JsonValue &a = d.obj(n, "attrs");
-        attrs.kernel = static_cast<int>(d.i64(a, "kernel"));
-        attrs.stride = static_cast<int>(d.i64(a, "stride"));
-        attrs.pad = static_cast<int>(d.i64(a, "pad"));
-        attrs.outChannels = static_cast<int>(d.i64(a, "outChannels"));
-        attrs.groups = static_cast<int>(d.i64(a, "groups"));
-        attrs.units = static_cast<int>(d.i64(a, "units"));
+        attrs.kernel = d.integer<int>(a, "kernel");
+        attrs.stride = d.integer<int>(a, "stride");
+        attrs.pad = d.integer<int>(a, "pad");
+        attrs.outChannels = d.integer<int>(a, "outChannels");
+        attrs.groups = d.integer<int>(a, "groups");
+        attrs.units = d.integer<int>(a, "units");
 
         std::vector<NodeId> inputs;
         for (const JsonValue &in : d.arr(n, "inputs").array()) {
-            const std::int64_t ref = in.asInt();
-            if (!in.isNumber() || ref < 0 ||
-                ref >= static_cast<std::int64_t>(id)) {
+            const NodeId ref = d.asInteger<NodeId>(in, "inputs");
+            if (!d.status().ok())
+                return d.status();
+            if (ref < 0 || ref >= static_cast<NodeId>(id)) {
                 return Status::error(
                     StatusCode::InvalidArgument,
                     "compiled model: node '" + name +
                         "' references an out-of-range input");
             }
-            inputs.push_back(static_cast<NodeId>(ref));
+            inputs.push_back(ref);
         }
         if (inputs.empty()) {
             return Status::error(StatusCode::InvalidArgument,
@@ -452,11 +428,14 @@ readGraph(const JsonValue &v)
         std::vector<float> values;
         values.reserve(data.size());
         for (const JsonValue &x : data) {
-            if (!x.isNumber()) {
+            // A double beyond float's range has no float to convert to.
+            if (!x.isNumber() ||
+                !(std::fabs(x.number()) <=
+                  std::numeric_limits<float>::max())) {
                 return Status::error(
                     StatusCode::InvalidArgument,
-                    "compiled model: non-numeric weight element in "
-                    "node " + std::to_string(id));
+                    "compiled model: non-numeric or out-of-range weight "
+                    "element in node " + std::to_string(id));
             }
             values.push_back(static_cast<float>(x.number()));
         }
@@ -466,349 +445,23 @@ readGraph(const JsonValue &v)
     return graph;
 }
 
-void
-emitSynthesis(JsonWriter &j, const SynthesisSummary &s)
-{
-    j.beginObject();
-    j.key("options").beginObject();
-    j.field("crossbarRows", s.options.crossbarRows);
-    j.field("crossbarCols", s.options.crossbarCols);
-    j.field("ioBits", s.options.ioBits);
-    j.field("weightBits", s.options.weightBits);
-    j.field("maxWeightLevel",
-            static_cast<std::int64_t>(s.options.maxWeightLevel));
-    j.endObject();
-    j.field("pipelineDepth", s.pipelineDepth);
-    j.key("groups").beginArray();
-    for (const SynthGroup &g : s.groups) {
-        j.beginObject();
-        j.field("name", g.name);
-        j.field("sourceNode", static_cast<std::int64_t>(g.sourceNode));
-        j.field("role", coreOpRoleName(g.role));
-        j.field("tilesPerInstance", g.tilesPerInstance);
-        j.field("instances", g.instances);
-        j.field("macsPerInstance", g.macsPerInstance);
-        j.field("utilization", g.utilization);
-        j.field("stageDepth", g.stageDepth);
-        j.key("preds").beginArray();
-        for (int p : g.preds)
-            j.value(p);
-        j.endArray();
-        j.endObject();
-    }
-    j.endArray();
-    j.endObject();
-}
-
-StatusOr<SynthesisSummary>
-readSynthesis(const JsonValue &v)
-{
-    Deser d;
-    SynthesisSummary s;
-    const JsonValue &o = d.obj(v, "options");
-    s.options.crossbarRows = static_cast<int>(d.i64(o, "crossbarRows"));
-    s.options.crossbarCols = static_cast<int>(d.i64(o, "crossbarCols"));
-    s.options.ioBits = static_cast<int>(d.i64(o, "ioBits"));
-    s.options.weightBits = static_cast<int>(d.i64(o, "weightBits"));
-    s.options.maxWeightLevel =
-        static_cast<std::int32_t>(d.i64(o, "maxWeightLevel"));
-    s.pipelineDepth = static_cast<int>(d.i64(v, "pipelineDepth"));
-    for (const JsonValue &gv : d.arr(v, "groups").array()) {
-        SynthGroup g;
-        g.name = d.str(gv, "name");
-        g.sourceNode = static_cast<NodeId>(d.i64(gv, "sourceNode"));
-        const std::string role = d.str(gv, "role");
-        if (!role.empty() && !roleFromName(role, g.role)) {
-            return Status::error(StatusCode::InvalidArgument,
-                                 "compiled model: unknown core-op role '" +
-                                     role + "'");
-        }
-        g.tilesPerInstance = d.i64(gv, "tilesPerInstance");
-        g.instances = d.i64(gv, "instances");
-        g.macsPerInstance = d.i64(gv, "macsPerInstance");
-        g.utilization = d.num(gv, "utilization");
-        g.stageDepth = static_cast<int>(d.i64(gv, "stageDepth"));
-        for (const JsonValue &p : d.arr(gv, "preds").array()) {
-            if (!p.isNumber()) {
-                d.fail("non-numeric pred in group '" + g.name + "'");
-                break;
-            }
-            g.preds.push_back(static_cast<int>(p.asInt()));
-        }
-        s.groups.push_back(std::move(g));
-    }
-    if (!d.status().ok())
-        return d.status();
-    if (s.groups.empty()) {
-        return Status::error(StatusCode::InvalidArgument,
-                             "compiled model: synthesis has no groups");
-    }
-    return s;
-}
-
-void
-emitAllocation(JsonWriter &j, const AllocationResult &a)
-{
-    j.beginObject();
-    j.field("duplicationDegree", a.duplicationDegree);
-    j.field("totalPes", a.totalPes);
-    j.field("maxIterations", a.maxIterations);
-    j.field("replicas", a.replicas);
-    j.field("smbBlocks", a.smbBlocks);
-    j.field("clbBlocks", a.clbBlocks);
-    j.key("groups").beginArray();
-    for (const GroupAllocation &g : a.groups) {
-        j.beginObject();
-        j.field("group", g.group);
-        j.field("duplication", g.duplication);
-        j.field("pes", g.pes);
-        j.field("iterations", g.iterations);
-        j.endObject();
-    }
-    j.endArray();
-    j.endObject();
-}
-
-StatusOr<AllocationResult>
-readAllocation(const JsonValue &v)
-{
-    Deser d;
-    AllocationResult a;
-    a.duplicationDegree = d.i64(v, "duplicationDegree");
-    a.totalPes = d.i64(v, "totalPes");
-    a.maxIterations = d.i64(v, "maxIterations");
-    a.replicas = d.i64(v, "replicas");
-    a.smbBlocks = d.i64(v, "smbBlocks");
-    a.clbBlocks = d.i64(v, "clbBlocks");
-    for (const JsonValue &gv : d.arr(v, "groups").array()) {
-        GroupAllocation g;
-        g.group = static_cast<int>(d.i64(gv, "group"));
-        g.duplication = d.i64(gv, "duplication");
-        g.pes = d.i64(gv, "pes");
-        g.iterations = d.i64(gv, "iterations");
-        a.groups.push_back(g);
-    }
-    if (!d.status().ok())
-        return d.status();
-    return a;
-}
-
-void
-emitNetlist(JsonWriter &j, const Netlist &nl)
-{
-    j.beginObject();
-    j.key("blocks").beginArray();
-    for (const Block &b : nl.blocks()) {
-        j.beginObject();
-        j.field("type", blockTypeName(b.type));
-        j.field("name", b.name);
-        j.field("groupId", static_cast<std::int64_t>(b.groupId));
-        j.endObject();
-    }
-    j.endArray();
-    j.key("nets").beginArray();
-    for (const Net &n : nl.nets()) {
-        j.beginObject();
-        j.field("name", n.name);
-        j.field("driver", static_cast<std::int64_t>(n.driver));
-        j.key("sinks").beginArray();
-        for (BlockId s : n.sinks)
-            j.value(static_cast<std::int64_t>(s));
-        j.endArray();
-        j.field("width", n.width);
-        j.endObject();
-    }
-    j.endArray();
-    j.endObject();
-}
-
-StatusOr<Netlist>
-readNetlist(const JsonValue &v)
-{
-    Deser d;
-    Netlist nl;
-    for (const JsonValue &bv : d.arr(v, "blocks").array()) {
-        BlockType type;
-        const std::string type_name = d.str(bv, "type");
-        if (!d.status().ok())
-            return d.status();
-        if (!blockTypeFromName(type_name, type)) {
-            return Status::error(StatusCode::InvalidArgument,
-                                 "compiled model: unknown block type '" +
-                                     type_name + "'");
-        }
-        nl.addBlock(type, d.str(bv, "name"),
-                    static_cast<std::int32_t>(d.i64(bv, "groupId")));
-    }
-    const std::int64_t block_count =
-        static_cast<std::int64_t>(nl.blocks().size());
-    for (const JsonValue &nv : d.arr(v, "nets").array()) {
-        const std::int64_t driver = d.i64(nv, "driver");
-        std::vector<BlockId> sinks;
-        for (const JsonValue &s : d.arr(nv, "sinks").array()) {
-            if (!s.isNumber()) {
-                d.fail("non-numeric net sink");
-                break;
-            }
-            sinks.push_back(static_cast<BlockId>(s.asInt()));
-        }
-        if (!d.status().ok())
-            return d.status();
-        bool in_range = driver >= 0 && driver < block_count;
-        for (BlockId s : sinks)
-            in_range = in_range && s >= 0 && s < block_count;
-        if (!in_range) {
-            return Status::error(
-                StatusCode::InvalidArgument,
-                "compiled model: net references an out-of-range block");
-        }
-        nl.addNet(d.str(nv, "name"), static_cast<BlockId>(driver),
-                  std::move(sinks), static_cast<int>(d.i64(nv, "width")));
-    }
-    if (!d.status().ok())
-        return d.status();
-    return nl;
-}
-
-void
-emitPerformance(JsonWriter &j, const PerfReport &p)
-{
-    j.beginObject();
-    j.field("throughput", p.throughput);
-    j.field("latencyNs", p.latency);
-    j.field("opsPerSecond", p.performance);
-    j.field("areaMm2", p.area);
-    j.field("energyPerSamplePj", p.energyPerSample);
-    j.field("computePerPeNs", p.computePerPe);
-    j.field("commPerPeNs", p.commPerPe);
-    j.field("pes", p.pes);
-    j.field("duplicationDegree", p.duplicationDegree);
-    j.field("iterations", p.iterations);
-    j.endObject();
-}
-
-PerfReport
-readPerformance(Deser &d, const JsonValue &v)
-{
-    PerfReport p;
-    p.throughput = d.num(v, "throughput");
-    p.latency = d.num(v, "latencyNs");
-    p.performance = d.num(v, "opsPerSecond");
-    p.area = d.num(v, "areaMm2");
-    p.energyPerSample = d.num(v, "energyPerSamplePj");
-    p.computePerPe = d.num(v, "computePerPeNs");
-    p.commPerPe = d.num(v, "commPerPeNs");
-    p.pes = d.i64(v, "pes");
-    p.duplicationDegree = d.i64(v, "duplicationDegree");
-    p.iterations = d.i64(v, "iterations");
-    return p;
-}
-
-void
-emitResourceDemand(JsonWriter &j, const ResourceDemand &d)
-{
-    j.beginObject();
-    j.field("peBlocks", d.peBlocks);
-    j.field("smbBlocks", d.smbBlocks);
-    j.field("clbBlocks", d.clbBlocks);
-    j.field("routingTracks", d.routingTracks);
-    j.endObject();
-}
-
-ResourceDemand
-readResourceDemand(Deser &d, const JsonValue &v)
-{
-    ResourceDemand demand;
-    demand.peBlocks = d.i64(v, "peBlocks");
-    demand.smbBlocks = d.i64(v, "smbBlocks");
-    demand.clbBlocks = d.i64(v, "clbBlocks");
-    demand.routingTracks = d.i64(v, "routingTracks");
-    return demand;
-}
-
-Status
-validateArtifacts(const CompiledModel::Artifacts &a)
-{
-    auto invalid = [](std::string why) {
-        return Status::error(StatusCode::InvalidArgument,
-                             "compiled model: " + std::move(why));
-    };
-    if (a.graph.size() == 0)
-        return invalid("graph has no nodes");
-    if (a.graph.nodes().front().kind != OpKind::Input)
-        return invalid("graph does not start with an input node");
-    for (const GraphNode &n : a.graph.nodes()) {
-        if (n.kind != OpKind::Conv2d && n.kind != OpKind::FullyConnected)
-            continue;
-        if (!n.weights.has_value()) {
-            return invalid("node '" + n.name +
-                           "' has no materialized weights; run "
-                           "randomizeWeights (or a trainer) before "
-                           "compiling");
-        }
-        // Weight geometry must match the node, or the executors'
-        // kernels would assert mid-request and kill the server (the
-        // shape a corrupt artifact is most likely to get wrong).
-        if (n.inputs.empty())
-            return invalid("node '" + n.name + "' has no inputs");
-        const Shape &in =
-            a.graph.node(n.inputs.front()).outShape;
-        Shape expected;
-        if (n.kind == OpKind::FullyConnected) {
-            expected = {n.attrs.units, shapeNumel(in)};
-        } else {
-            if (n.attrs.groups < 1 || in.size() != 3)
-                return invalid("node '" + n.name +
-                               "' has malformed conv geometry");
-            expected = {n.attrs.outChannels,
-                        in.front() / n.attrs.groups, n.attrs.kernel,
-                        n.attrs.kernel};
-        }
-        if (n.weights->shape() != expected) {
-            return invalid("node '" + n.name + "' weight shape " +
-                           shapeToString(n.weights->shape()) +
-                           " does not match the expected " +
-                           shapeToString(expected));
-        }
-    }
-    if (a.synthesis.groups.empty())
-        return invalid("synthesis summary has no groups");
-    if (a.allocation.totalPes <= 0)
-        return invalid("allocation has no PEs");
-    // Negative demand would be admitted against an inflated chip
-    // budget (resident sums go negative), bypassing admission control.
-    if (a.demand.peBlocks < 0 || a.demand.smbBlocks < 0 ||
-        a.demand.clbBlocks < 0 || a.demand.routingTracks < 0) {
-        return invalid("resource demand has negative components");
-    }
-    const std::int64_t blocks =
-        static_cast<std::int64_t>(a.netlist.blocks().size());
-    for (const Net &n : a.netlist.nets()) {
-        bool ok = n.driver >= 0 && n.driver < blocks;
-        for (BlockId s : n.sinks)
-            ok = ok && s >= 0 && s < blocks;
-        if (!ok)
-            return invalid("netlist net '" + n.name +
-                           "' references an out-of-range block");
-    }
-    return Status();
-}
-
 } // namespace
 
 StatusOr<CompiledModel>
 CompiledModel::fromArtifacts(Artifacts artifacts)
 {
-    Status valid = validateArtifacts(artifacts);
-    if (!valid.ok())
-        return valid;
-    if (artifacts.demand.zero()) {
-        // Qualified: the member accessor of the same name would win
-        // unqualified lookup inside the class.
-        artifacts.demand = fpsa::resourceDemand(artifacts.allocation,
-                                                artifacts.netlist);
+    // compile() stores a timing exactly when PnR ran.  A document
+    // without one but asking for PnR would have to run the search here,
+    // which a load never does.
+    if (artifacts.timing.has_value() != artifacts.options.runPlaceAndRoute) {
+        return Status::error(StatusCode::InvalidArgument,
+                             "compiled model: timing must be present "
+                             "exactly when runPlaceAndRoute is set");
     }
-    return CompiledModel(std::move(artifacts));
+    Pipeline pipeline(std::move(artifacts.graph), artifacts.options);
+    if (artifacts.timing.has_value())
+        pipeline.restorePlaceAndRoute(*artifacts.timing);
+    return pipeline.compile(artifacts.execution);
 }
 
 namespace
@@ -859,8 +512,14 @@ struct CompiledModel::DerivedCache
     DerivedSlot<FunctionalSynthesis> synthesis;
 };
 
-CompiledModel::CompiledModel(Artifacts artifacts)
-    : a_(std::move(artifacts)), cache_(std::make_shared<DerivedCache>())
+CompiledModel::CompiledModel(Artifacts artifacts, const MapArtifact &map,
+                             const EvalArtifact &eval)
+    : a_(std::move(artifacts)), performance_(eval.performance),
+      energy_(eval.energy),
+      // Qualified: the member accessor of the same name would win
+      // unqualified lookup inside the class.
+      demand_(fpsa::resourceDemand(map.allocation, map.netlist)),
+      cache_(std::make_shared<DerivedCache>())
 {
 }
 
@@ -944,12 +603,6 @@ CompiledModel::toJson() const
     emitOptions(j, a_.options);
     j.key("graph");
     emitGraph(j, a_.graph);
-    j.key("synthesis");
-    emitSynthesis(j, a_.synthesis);
-    j.key("allocation");
-    emitAllocation(j, a_.allocation);
-    j.key("netlist");
-    emitNetlist(j, a_.netlist);
     j.key("timing");
     if (a_.timing.has_value()) {
         j.beginObject();
@@ -961,20 +614,10 @@ CompiledModel::toJson() const
     } else {
         j.null();
     }
-    j.key("resourceDemand");
-    emitResourceDemand(j, a_.demand);
     j.key("execution").beginObject();
     j.field("executor", executorKindName(a_.execution.executor));
     j.field("precision", precisionModeName(a_.execution.precision));
     j.field("kernelIsa", kernelIsaName(a_.execution.kernelIsa));
-    j.endObject();
-    j.key("performance");
-    emitPerformance(j, a_.performance);
-    j.key("energy").beginObject();
-    j.field("pePj", a_.energy.breakdown.pe);
-    j.field("smbPj", a_.energy.breakdown.smb);
-    j.field("clbPj", a_.energy.breakdown.clb);
-    j.field("routingPj", a_.energy.breakdown.routing);
     j.endObject();
     j.endObject();
     return j.str();
@@ -983,88 +626,67 @@ CompiledModel::toJson() const
 StatusOr<CompiledModel>
 CompiledModel::fromJson(const std::string &text)
 {
-    auto doc = parseJson(text);
-    if (!doc.ok())
-        return doc.status();
-
-    Deser d;
-    if (d.str(*doc, "format") != kFormat) {
-        return Status::error(StatusCode::InvalidArgument,
-                             "compiled model: not a " +
-                                 std::string(kFormat) + " document");
-    }
-    const std::int64_t version = d.i64(*doc, "version");
-    if (!d.status().ok())
-        return d.status();
-    if (version != kVersion) {
-        return Status::error(StatusCode::InvalidArgument,
-                             "compiled model: unsupported version " +
-                                 std::to_string(version) +
-                                 " (this build reads version " +
-                                 std::to_string(kVersion) + ")");
-    }
-
     Artifacts a;
-    a.options = readOptions(d, d.obj(*doc, "options"));
-    if (!d.status().ok())
-        return d.status();
+    {
+        // Scoped: the parse tree is many times the size of the graph it
+        // describes, and the stages below need only the graph.
+        auto doc = parseJson(text);
+        if (!doc.ok())
+            return doc.status();
 
-    auto graph = readGraph(d.obj(*doc, "graph"));
-    if (!graph.ok())
-        return graph.status();
-    a.graph = std::move(graph).value();
+        Deser d;
+        if (d.str(*doc, "format") != kFormat) {
+            return Status::error(StatusCode::InvalidArgument,
+                                 "compiled model: not a " +
+                                     std::string(kFormat) + " document");
+        }
+        const std::int64_t version =
+            d.integer<std::int64_t>(*doc, "version");
+        if (!d.status().ok())
+            return d.status();
+        if (version < kOldestReadableVersion || version > kVersion) {
+            return Status::error(
+                StatusCode::InvalidArgument,
+                "compiled model: unsupported version " +
+                    std::to_string(version) + " (this build reads versions " +
+                    std::to_string(kOldestReadableVersion) + " and " +
+                    std::to_string(kVersion) + ")");
+        }
 
-    auto synthesis = readSynthesis(d.obj(*doc, "synthesis"));
-    if (!synthesis.ok())
-        return synthesis.status();
-    a.synthesis = std::move(synthesis).value();
+        a.options = readOptions(d, d.obj(*doc, "options"));
+        if (!d.status().ok())
+            return d.status();
 
-    auto allocation = readAllocation(d.obj(*doc, "allocation"));
-    if (!allocation.ok())
-        return allocation.status();
-    a.allocation = std::move(allocation).value();
+        auto graph = readGraph(d.obj(*doc, "graph"));
+        if (!graph.ok())
+            return graph.status();
+        a.graph = std::move(graph).value();
 
-    auto netlist = readNetlist(d.obj(*doc, "netlist"));
-    if (!netlist.ok())
-        return netlist.status();
-    a.netlist = std::move(netlist).value();
+        if (!(*doc)["timing"].isNull()) {
+            const JsonValue &timing = d.obj(*doc, "timing");
+            CompiledTiming t;
+            t.avgNetDelay = d.num(timing, "avgNetDelayNs");
+            t.maxNetDelay = d.num(timing, "maxNetDelayNs");
+            t.routed = d.flag(timing, "routed");
+            t.placementHpwl = d.num(timing, "placementHpwl");
+            a.timing = t;
+        }
 
-    const JsonValue &timing = (*doc)["timing"];
-    if (timing.isObject()) {
-        CompiledTiming t;
-        t.avgNetDelay = d.num(timing, "avgNetDelayNs");
-        t.maxNetDelay = d.num(timing, "maxNetDelayNs");
-        t.routed = d.flag(timing, "routed");
-        t.placementHpwl = d.num(timing, "placementHpwl");
-        a.timing = t;
+        const JsonValue &execution = d.obj(*doc, "execution");
+        const std::string executor = d.str(execution, "executor");
+        const std::string precision = d.str(execution, "precision");
+        const std::string isa = d.str(execution, "kernelIsa");
+        if (!d.status().ok())
+            return d.status();
+        if (!parseExecutorKind(executor, a.execution.executor) ||
+            !parsePrecisionMode(precision, a.execution.precision) ||
+            !parseKernelIsa(isa, a.execution.kernelIsa)) {
+            return Status::error(
+                StatusCode::InvalidArgument,
+                "compiled model: unknown execution config '" + executor +
+                    "/" + precision + "/" + isa + "'");
+        }
     }
-
-    a.demand = readResourceDemand(d, d.obj(*doc, "resourceDemand"));
-
-    const JsonValue &execution = d.obj(*doc, "execution");
-    const std::string executor = d.str(execution, "executor");
-    const std::string precision = d.str(execution, "precision");
-    const std::string isa = d.str(execution, "kernelIsa");
-    if (!d.status().ok())
-        return d.status();
-    if (!parseExecutorKind(executor, a.execution.executor) ||
-        !parsePrecisionMode(precision, a.execution.precision) ||
-        !parseKernelIsa(isa, a.execution.kernelIsa)) {
-        return Status::error(StatusCode::InvalidArgument,
-                             "compiled model: unknown execution config '" +
-                                 executor + "/" + precision + "/" + isa +
-                                 "'");
-    }
-
-    a.performance = readPerformance(d, d.obj(*doc, "performance"));
-    const JsonValue &energy = d.obj(*doc, "energy");
-    a.energy.breakdown.pe = d.num(energy, "pePj");
-    a.energy.breakdown.smb = d.num(energy, "smbPj");
-    a.energy.breakdown.clb = d.num(energy, "clbPj");
-    a.energy.breakdown.routing = d.num(energy, "routingPj");
-    if (!d.status().ok())
-        return d.status();
-
     return fromArtifacts(std::move(a));
 }
 

@@ -7,15 +7,21 @@
  * type is the deployment boundary that turns it into a servable
  * system, the way reconfigurable-RRAM inference runtimes separate a
  * compiled artifact from a concurrent execution engine.  A
- * `CompiledModel` bundles everything `fpsa::Engine` needs to execute
- * and meter a model -- the computational graph with materialized
- * weights, the `SynthesisSummary`, the allocation + function-block
- * netlist the mapper produced, optional PnR-derived timing, and the
- * modeled per-sample performance/energy -- and never changes after
- * construction, so any number of engines and threads can share one
- * instance without synchronization.
+ * `CompiledModel` stores only the inputs of that stack -- the
+ * computational graph with materialized weights, the `CompileOptions`,
+ * the placement & routing timing, and the `ExecutionConfig` stamp --
+ * and carries the three derived values serving reads: the modeled
+ * per-sample performance and energy, and the chip-resource demand
+ * admission control budgets.  It never changes after construction, so
+ * any number of engines and threads can share one instance without
+ * synchronization.
  *
- * Artifacts serialize to a single versioned JSON document:
+ * Synthesis, mapping and the performance model are deterministic
+ * functions of the graph and options; only placement & routing is a
+ * search.  So an artifact document holds just the stored inputs, and
+ * loading one re-derives everything else through the same `Pipeline`
+ * stages `compile()` ran, with the saved PnR timing standing in for the
+ * search:
  *
  *     Pipeline p(model, options);
  *     auto compiled = p.compile();            // terminal pipeline stage
@@ -27,14 +33,16 @@
  *
  * ...serve many, in another process, without recompiling.  Weight
  * floats are written with round-trip precision, so a loaded model's
- * inference outputs are bit-identical to the saved one's.
+ * inference outputs -- and its derived values -- are bit-identical to
+ * the saved one's.
  *
- * `load()` reports corrupt or incompatible files as
- * `StatusCode::InvalidArgument` (it validates structure and
- * cross-references before reconstructing the graph); it does not
- * guard against adversarial files that encode geometrically
- * impossible layer shapes, which still fail loudly in shape
- * inference.
+ * The document is version 4.  Version 3 documents, which also carried
+ * every derived section, still load: their derived sections are
+ * ignored and recomputed.  `load()` reports corrupt or incompatible
+ * files -- including option values out of range and numbers that do
+ * not fit their field -- as `StatusCode::InvalidArgument`; it does not
+ * guard against adversarial files that encode geometrically impossible
+ * layer shapes, which still fail loudly in shape inference.
  *
  * Format scale: weights are stored as plain JSON numbers, sized for
  * the MLP/LeNet-class models the serving runtime executes numerically
@@ -59,7 +67,10 @@ namespace fpsa
 {
 
 class ExecutionPlan;
+class Pipeline;
+struct EvalArtifact;
 struct FunctionalSynthesis;
+struct MapArtifact;
 
 /** PnR-derived timing carried by a compiled artifact. */
 struct CompiledTiming
@@ -68,61 +79,55 @@ struct CompiledTiming
     NanoSeconds maxNetDelay = 0.0;
     bool routed = false;           //!< congestion-free full route
     double placementHpwl = 0.0;
+
+    bool operator==(const CompiledTiming &) const = default;
 };
 
 /** The immutable compile-time bundle a serving engine executes. */
 class CompiledModel
 {
   public:
-    /** Everything a compiled model carries; consumed by fromArtifacts. */
+    /**
+     * What a compiled model stores, and all its document holds.  Every
+     * other value is a deterministic function of these and is derived
+     * through the `Pipeline` stages.
+     */
     struct Artifacts
     {
         Graph graph;                 //!< weights materialized
-        CompileOptions options;
-        SynthesisSummary synthesis;
-        AllocationResult allocation;
-        Netlist netlist;
-        std::optional<CompiledTiming> timing;
-        PerfReport performance;      //!< modeled, attached per request
-        EnergyReport energy;
+        CompileOptions options;      //!< PnR knobs are not stored
 
         /**
-         * Chip-resource footprint (PE/SMB/CLB sites + routing tracks),
-         * the unit of multi-tenant admission control.  Left all-zero,
-         * `fromArtifacts` derives it from the allocation + netlist; the
-         * compile pipeline stamps it explicitly.
+         * The placement & routing outcome: present exactly when
+         * `options.runPlaceAndRoute` is set.  Its `avgNetDelay` is the
+         * wire delay the performance model uses.
          */
-        ResourceDemand demand;
+        std::optional<CompiledTiming> timing;
 
         /**
          * How this model is meant to execute (backend, precision,
          * kernel ISA), stamped by `Pipeline::compile(ExecutionConfig)`.
          * Engines use it as the model's default; tenants can still
-         * override at loadModel time.  Artifacts from before schema v3
-         * load with the all-default config.
+         * override at loadModel time.
          */
         ExecutionConfig execution;
     };
 
     /**
-     * Freeze a bundle of stage artifacts (the way `Pipeline::compile()`
-     * produces one).  Validates coherence -- non-empty graph headed by
-     * an input node, materialized conv/fc weights, netlist block
-     * references in range -- and returns `InvalidArgument` otherwise.
+     * Derive a compiled model from its stored inputs: a fresh
+     * `Pipeline` runs synthesis, mapping and evaluation -- never
+     * placement & routing, whose stored `timing` stands in for it --
+     * and `compile()` freezes the result.  Stage failures come back as
+     * their Status: out-of-range options and graphs without correctly
+     * shaped, materialized conv/fc weights are `InvalidArgument`, and
+     * so is `timing` present without `runPlaceAndRoute` or the
+     * reverse.
      */
     static StatusOr<CompiledModel> fromArtifacts(Artifacts artifacts);
 
     const Graph &graph() const { return a_.graph; }
     const CompileOptions &options() const { return a_.options; }
-    const SynthesisSummary &synthesis() const { return a_.synthesis; }
-    const AllocationResult &allocation() const { return a_.allocation; }
-    const Netlist &netlist() const { return a_.netlist; }
     const std::optional<CompiledTiming> &timing() const { return a_.timing; }
-    const PerfReport &performance() const { return a_.performance; }
-    const EnergyReport &energy() const { return a_.energy; }
-
-    /** Chip-resource footprint used for multi-tenant admission. */
-    const ResourceDemand &resourceDemand() const { return a_.demand; }
 
     /** The execution config stamped at compile time. */
     const ExecutionConfig &executionConfig() const
@@ -130,13 +135,24 @@ class CompiledModel
         return a_.execution;
     }
 
+    // ------------------------------------- derived, fixed at construction
+
+    /** Modeled per-sample performance, attached to every response. */
+    const PerfReport &performance() const { return performance_; }
+
+    /** Modeled per-sample energy breakdown. */
+    const EnergyReport &energy() const { return energy_; }
+
+    /** Chip-resource footprint used for multi-tenant admission. */
+    const ResourceDemand &resourceDemand() const { return demand_; }
+
     /** Per-sample shape of the model's input node. */
     const Shape &inputShape() const;
 
     /** Shape of the final node's output. */
     const Shape &outputShape() const;
 
-    // ------------------------------------------- derived, cached once
+    // ----------------------------------------- derived lazily, cached
 
     /**
      * The model's `ExecutionPlan` (nn/plan.hh) for the stamped
@@ -172,7 +188,11 @@ class CompiledModel
     /** The versioned JSON document (see file comment). */
     std::string toJson() const;
 
-    /** Parse a document produced by toJson(). */
+    /**
+     * Parse a document produced by toJson() (version 4, or version 3
+     * with its derived sections ignored) and re-derive the rest through
+     * fromArtifacts().
+     */
     static StatusOr<CompiledModel> fromJson(const std::string &text);
 
     /** Write toJson() to a file. */
@@ -182,11 +202,17 @@ class CompiledModel
     static StatusOr<CompiledModel> load(const std::string &path);
 
   private:
+    friend class Pipeline; // compile() builds from its cached stages
+
     struct DerivedCache; // compiled_model.cc
 
-    explicit CompiledModel(Artifacts artifacts);
+    CompiledModel(Artifacts artifacts, const MapArtifact &map,
+                  const EvalArtifact &eval);
 
     Artifacts a_;
+    PerfReport performance_;
+    EnergyReport energy_;
+    ResourceDemand demand_;
 
     /**
      * Lazily built derived artifacts (execution plan, functional

@@ -27,6 +27,8 @@ struct EnergyReport
     {
         return perSample() * 1e-12 * samples_per_second;
     }
+
+    bool operator==(const EnergyReport &) const = default;
 };
 
 /** Event counts of one sample on an allocated FPSA configuration. */

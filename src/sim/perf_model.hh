@@ -47,6 +47,8 @@ struct PerfReport
     std::int64_t pes = 0;
     std::int64_t duplicationDegree = 1;
     std::int64_t iterations = 1; //!< initiation interval in windows
+
+    bool operator==(const PerfReport &) const = default;
 };
 
 /** FPSA evaluation knobs. */

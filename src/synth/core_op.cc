@@ -24,8 +24,8 @@ coreOpRoleName(CoreOpRole role)
 CoreOpId
 CoreOpGraph::add(CoreOp op)
 {
-    fpsa_assert(op.rows >= 1 && op.rows <= 256 && op.cols >= 1 &&
-                    op.cols <= 256,
+    fpsa_assert(op.rows >= 1 && op.rows <= kCoreOpMaxSide && op.cols >= 1 &&
+                    op.cols <= kCoreOpMaxSide,
                 "core-op '%s' shape %dx%d exceeds the crossbar",
                 op.name.c_str(), op.rows, op.cols);
     ops_.push_back(std::move(op));

@@ -23,6 +23,9 @@
 namespace fpsa
 {
 
+/** Largest core-op side: one logical crossbar's rows or columns. */
+constexpr int kCoreOpMaxSide = 256;
+
 /** Index of a core-op within a CoreOpGraph. */
 using CoreOpId = std::int32_t;
 

@@ -639,15 +639,24 @@ FunctionalLowering::run()
 /**
  * Reject graphs the functional lowering cannot express, as request-path
  * `InvalidArgument` data -- the checks mirror the per-op asserts inside
- * the lower* helpers, which stay as internal invariants.
+ * the lower* helpers and `CoreOpGraph::add`, which stay as internal
+ * invariants.
  */
 Status
-validateFunctionalGraph(const Graph &graph)
+validateFunctionalGraph(const Graph &graph, const SynthOptions &o)
 {
     auto bad = [](const GraphNode &n, const std::string &why) {
         return Status::error(StatusCode::InvalidArgument,
                              "functional synthesis: node '" + n.name +
                                  "' (" + opKindName(n.kind) + ") " + why);
+    };
+    auto beyondCrossbar = [&](const GraphNode &n, std::int64_t side) {
+        const std::string max = std::to_string(kCoreOpMaxSide);
+        return bad(n, "lowers to a core-op side of " + std::to_string(side) +
+                          ", outside the " + max + "x" + max +
+                          " crossbar (" + std::to_string(o.crossbarRows) +
+                          "x" + std::to_string(o.crossbarCols) +
+                          " tiles)");
     };
     for (const GraphNode &n : graph.nodes()) {
         switch (n.kind) {
@@ -656,20 +665,44 @@ validateFunctionalGraph(const Graph &graph)
           case OpKind::Flatten:
             break;
           case OpKind::FullyConnected:
+          case OpKind::Conv2d: {
             if (!n.weights.has_value())
                 return bad(n, "lacks weights; materialize them first");
-            break;
-          case OpKind::Conv2d:
-            if (!n.weights.has_value())
-                return bad(n, "lacks weights; materialize them first");
-            if (n.attrs.groups != 1 || n.attrs.pad != 0)
+            const bool conv = n.kind == OpKind::Conv2d;
+            if (conv && (n.attrs.groups != 1 || n.attrs.pad != 0))
                 return bad(n, "supports only groups=1, pad=0");
+            // lowerMatrixNode's shapes: row tiles of the [rows x cols]
+            // matrix, and with several tiles a pos/neg split whose reduce
+            // op takes row_tiles * 2 * nc rows for a chunk of nc outputs.
+            const Shape &in = graph.node(n.inputs[0]).outShape;
+            const std::int64_t rows =
+                conv ? in[0] * n.attrs.kernel * n.attrs.kernel
+                     : shapeNumel(in);
+            const std::int64_t cols = n.outShape[0];
+            const std::int64_t row_tiles =
+                (rows + o.crossbarRows - 1) / o.crossbarRows;
+            const bool split = row_tiles > 1;
+            const std::int64_t nc = std::min<std::int64_t>(
+                cols, split ? o.crossbarCols / 2 : o.crossbarCols);
+            const std::int64_t side = std::max(
+                {std::min<std::int64_t>(rows, o.crossbarRows),
+                 split ? 2 * nc : nc, split ? row_tiles * 2 * nc : 0});
+            if (nc < 1 || side > kCoreOpMaxSide)
+                return beyondCrossbar(n, nc < 1 ? 0 : side);
             break;
-          case OpKind::MaxPool:
+          }
+          case OpKind::MaxPool: {
             if (n.attrs.kernel != 2 || n.attrs.stride != 2 ||
                 n.attrs.pad != 0)
                 return bad(n, "supports only 2x2 stride 2, pad=0");
+            // lowerMaxPool packs up to crossbarRows / 2 comparator pairs
+            // (two per output element) into 2*pack-square core-ops.
+            const std::int64_t pack = std::min<std::int64_t>(
+                2 * shapeNumel(n.outShape), o.crossbarRows / 2);
+            if (pack < 1 || 2 * pack > kCoreOpMaxSide)
+                return beyondCrossbar(n, 2 * pack);
             break;
+          }
           default:
             return bad(n, "is not a supported op (MLP/LeNet family "
                           "only; use the analytic path)");
@@ -688,7 +721,7 @@ synthesizeFunctional(const Graph &graph, const Tensor &calibration,
         return Status::error(StatusCode::InvalidArgument,
                              "functional synthesis: graph has no nodes");
     }
-    Status valid = validateFunctionalGraph(graph);
+    Status valid = validateFunctionalGraph(graph, options);
     if (!valid.ok())
         return valid;
     if (calibration.shape() != graph.nodes().front().outShape) {

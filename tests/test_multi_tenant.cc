@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for multi-tenant serving: the `ResourceDemand` admission
- * currency (stamped by `Pipeline::compile()`, persisted in the v2
- * artifact schema, derived for v1 documents), `ChipCapacity`,
+ * currency (derived from the mapped netlist by `Pipeline::compile()`,
+ * re-derived on load -- a version 3 document's stored demand is
+ * ignored), the artifact version gate, `ChipCapacity`,
  * `ModelRegistry` admission control with per-resource breakdowns, and
  * the multi-tenant `Engine` -- request routing by model name, disjoint
  * per-tenant batches, hot-swap unload that drains one tenant without
@@ -28,6 +29,7 @@
 #include "nn/execute.hh"
 #include "pipeline.hh"
 #include "runtime/cluster/fault_injection.hh"
+#include "runtime/cluster/sharding.hh"
 #include "runtime/engine.hh"
 #include "runtime/model_registry.hh"
 
@@ -96,15 +98,17 @@ capacityFor(const ResourceDemand &demand, std::int64_t copies)
 
 TEST(ResourceDemand, CompileStampsNetlistFootprint)
 {
-    auto model = compileShared(smallCnn());
+    CompileOptions options;
+    options.duplicationDegree = 2;
+    Pipeline p(smallCnn(), options);
+    auto model = p.compile();
+    ASSERT_TRUE(model.ok()) << model.status().toString();
+    const Netlist &netlist = p.mapArtifact()->netlist;
     const ResourceDemand &demand = model->resourceDemand();
-    EXPECT_EQ(demand.peBlocks,
-              model->netlist().countBlocks(BlockType::Pe));
-    EXPECT_EQ(demand.smbBlocks,
-              model->netlist().countBlocks(BlockType::Smb));
-    EXPECT_EQ(demand.clbBlocks,
-              model->netlist().countBlocks(BlockType::Clb));
-    EXPECT_EQ(demand.routingTracks, model->netlist().totalWireDemand());
+    EXPECT_EQ(demand.peBlocks, netlist.countBlocks(BlockType::Pe));
+    EXPECT_EQ(demand.smbBlocks, netlist.countBlocks(BlockType::Smb));
+    EXPECT_EQ(demand.clbBlocks, netlist.countBlocks(BlockType::Clb));
+    EXPECT_EQ(demand.routingTracks, netlist.totalWireDemand());
     EXPECT_GT(demand.peBlocks, 0);
     EXPECT_GT(demand.routingTracks, 0);
 }
@@ -117,18 +121,119 @@ TEST(ResourceDemand, SurvivesJsonRoundTrip)
     EXPECT_EQ(reloaded->resourceDemand(), model->resourceDemand());
 }
 
+TEST(ResourceDemand, ShardPieceRederivesOnLoad)
+{
+    // A ShardRouter stage serves a piece compiled from a subgraph whose
+    // input is the upstream cut tensor; its derived values survive a
+    // save/load like a whole model's.
+    auto whole = compileShared(smallMlp(), 1);
+    const ResourceDemand demand = whole->resourceDemand();
+    ChipCapacity capacity;
+    capacity.peBlocks = demand.peBlocks - 1;
+    capacity.smbBlocks = demand.smbBlocks;
+    capacity.clbBlocks = demand.clbBlocks;
+    capacity.routingTracks = demand.routingTracks;
+    auto sharded = ModelPartitioner().partition(
+        *whole, std::vector<ChipCapacity>(2, capacity), 2);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().toString();
+    const CompiledModel &piece = *sharded->pieces.back();
+
+    auto reloaded = CompiledModel::fromJson(piece.toJson());
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().toString();
+    EXPECT_EQ(reloaded->performance(), piece.performance());
+    EXPECT_EQ(reloaded->energy(), piece.energy());
+    EXPECT_EQ(reloaded->resourceDemand(), piece.resourceDemand());
+    EXPECT_EQ(reloaded->timing(), piece.timing());
+}
+
+/**
+ * A version 3 document, written by the build before artifacts stopped
+ * storing derived sections (synthesis, allocation, netlist,
+ * resourceDemand, performance, energy).  Generated with:
+ *
+ *     GraphBuilder b({4});
+ *     b.fc(3).relu().fc(2);
+ *     Graph g = b.build();
+ *     Rng rng(3);
+ *     randomizeWeights(g, rng);
+ *     CompileOptions options;
+ *     options.duplicationDegree = 2;
+ *     Pipeline p(g, options);
+ *     std::cout << p.compile()->toJson();
+ */
+constexpr const char *kVersion3Mlp = R"json({"format":"fpsa.compiled_model","version":3,"options":{"duplicationDegree":2,"runPlaceAndRoute":false,"synth":{"crossbarRows":256,"crossbarCols":256,"ioBits":6,"weightBits":8,"maxWeightLevel":120},"allocation":{"pesPerClb":8,"smbsPerEdge":1},"mapper":{"busWidth":256,"controlWidth":4,"pesPerClb":8},"perf":{"ioBits":6,"wireDelayPerBit":9.9}},"graph":{"nodes":[{"kind":"input","name":"input","inputs":[],"attrs":{"kernel":0,"stride":1,"pad":0,"outChannels":0,"groups":1,"units":0},"outShape":[4],"weights":null},{"kind":"fc","name":"fc_1","inputs":[0],"attrs":{"kernel":0,"stride":1,"pad":0,"outChannels":0,"groups":1,"units":3},"outShape":[3],"weights":{"shape":[3,4],"data":[0.98381317,0.72548616,-1.0566988,0.12737812,-0.99753416,-1.3294213,-0.64704156,0.4812636,0.3759004,0.15971114,0.5117329,0.898851]}},{"kind":"relu","name":"relu_2","inputs":[1],"attrs":{"kernel":0,"stride":1,"pad":0,"outChannels":0,"groups":1,"units":0},"outShape":[3],"weights":null},{"kind":"fc","name":"fc_3","inputs":[2],"attrs":{"kernel":0,"stride":1,"pad":0,"outChannels":0,"groups":1,"units":2},"outShape":[2],"weights":{"shape":[2,3],"data":[0.26930717,-0.5656285,0.47519696,0.24929518,2.0526173,0.23196961]}}]},"synthesis":{"options":{"crossbarRows":256,"crossbarCols":256,"ioBits":6,"weightBits":8,"maxWeightLevel":120},"pipelineDepth":2,"groups":[{"name":"fc_1","sourceNode":1,"role":"weight","tilesPerInstance":1,"instances":1,"macsPerInstance":12,"utilization":0.00018310546875,"stageDepth":1,"preds":[]},{"name":"fc_3","sourceNode":3,"role":"weight","tilesPerInstance":1,"instances":1,"macsPerInstance":6,"utilization":9.1552734375e-05,"stageDepth":1,"preds":[0]}]},"allocation":{"duplicationDegree":2,"totalPes":4,"maxIterations":1,"replicas":2,"smbBlocks":4,"clbBlocks":2,"groups":[{"group":0,"duplication":1,"pes":1,"iterations":1},{"group":1,"duplication":1,"pes":1,"iterations":1}]},"netlist":{"blocks":[{"type":"PE","name":"r0.fc_1.d0.t0","groupId":0},{"type":"PE","name":"r0.fc_3.d0.t0","groupId":1},{"type":"SMB","name":"r0.fc_1.inbuf","groupId":-1},{"type":"SMB","name":"r0.fc_1->fc_3","groupId":-1},{"type":"PE","name":"r1.fc_1.d0.t0","groupId":0},{"type":"PE","name":"r1.fc_3.d0.t0","groupId":1},{"type":"SMB","name":"r1.fc_1.inbuf","groupId":-1},{"type":"SMB","name":"r1.fc_1->fc_3","groupId":-1},{"type":"CLB","name":"ctl0","groupId":-1}],"nets":[{"name":"r0.fc_1.ext","driver":2,"sinks":[0],"width":256},{"name":"r0.fc_3.in","driver":0,"sinks":[3],"width":256},{"name":"r0.fc_3.out","driver":3,"sinks":[1],"width":256},{"name":"r1.fc_1.ext","driver":6,"sinks":[4],"width":256},{"name":"r1.fc_3.in","driver":4,"sinks":[7],"width":256},{"name":"r1.fc_3.out","driver":7,"sinks":[5],"width":256},{"name":"ctl","driver":8,"sinks":[0,1,4,5],"width":4}]},"timing":null,"resourceDemand":{"peBlocks":4,"smbBlocks":4,"clbBlocks":1,"routingTracks":1540},"execution":{"executor":"planned","precision":"fp32","kernelIsa":"auto"},"performance":{"throughput":3156565.6565656564,"latencyNs":2213.504,"opsPerSecond":113636363.63636363,"areaMm2":0.12188979999999998,"energyPerSamplePj":6596.8099999999995,"computePerPeNs":156.352,"commPerPeNs":633.6,"pes":4,"duplicationDegree":2,"iterations":1},"energy":{"pePj":3724.032,"smbPj":1177.6,"clbPj":397.568,"routingPj":1297.6100000000001}})json";
+
+/** A fresh compile of a loaded model's stored inputs. */
+CompiledModel
+recompiled(const CompiledModel &model)
+{
+    Pipeline p(model.graph(), model.options());
+    auto fresh = p.compile(model.executionConfig());
+    EXPECT_TRUE(fresh.ok()) << fresh.status().toString();
+    return std::move(fresh).value();
+}
+
+TEST(ResourceDemand, Version3DocumentLoadsByRederiving)
+{
+    auto loaded = CompiledModel::fromJson(kVersion3Mlp);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+    const CompiledModel fresh = recompiled(*loaded);
+    EXPECT_EQ(loaded->performance(), fresh.performance());
+    EXPECT_EQ(loaded->energy(), fresh.energy());
+    EXPECT_EQ(loaded->resourceDemand(), fresh.resourceDemand());
+    EXPECT_FALSE(loaded->timing().has_value());
+    // The stored v3 demand agrees with the re-derivation.
+    EXPECT_EQ(loaded->resourceDemand(), (ResourceDemand{4, 4, 1, 1540}));
+
+    // It re-serializes as a version 4 document without the derived
+    // sections, and that document loads to the same model.
+    const std::string v4 = loaded->toJson();
+    EXPECT_NE(v4.find("\"version\":4"), std::string::npos);
+    for (const char *derived : {"\"synthesis\"", "\"allocation\":{\"dup",
+                                "\"netlist\"", "\"resourceDemand\"",
+                                "\"performance\"", "\"energy\""})
+        EXPECT_EQ(v4.find(derived), std::string::npos) << derived;
+    auto again = CompiledModel::fromJson(v4);
+    ASSERT_TRUE(again.ok()) << again.status().toString();
+    EXPECT_EQ(again->toJson(), v4);
+    EXPECT_EQ(again->resourceDemand(), loaded->resourceDemand());
+}
+
+TEST(ResourceDemand, NegatedDemandInVersion3DocumentIsIgnored)
+{
+    // Negative demand in a hand-edited artifact would be admitted
+    // against an inflated budget (resident sums go negative),
+    // bypassing admission control.  A v3 document's stored demand is
+    // never read: the loaded demand is the re-derived, non-negative
+    // one.
+    const std::string text = kVersion3Mlp;
+    const std::string key = "\"resourceDemand\":{\"peBlocks\":";
+    const std::size_t at = text.find(key);
+    ASSERT_NE(at, std::string::npos);
+    std::string negated = text.substr(0, at + key.size());
+    negated += '-';
+    negated += text.substr(at + key.size());
+    auto poisoned = CompiledModel::fromJson(negated);
+    ASSERT_TRUE(poisoned.ok()) << poisoned.status().toString();
+    const ResourceDemand &demand = poisoned->resourceDemand();
+    EXPECT_EQ(demand, recompiled(*poisoned).resourceDemand());
+    EXPECT_GT(demand.peBlocks, 0);
+    EXPECT_GE(demand.smbBlocks, 0);
+    EXPECT_GE(demand.clbBlocks, 0);
+    EXPECT_GE(demand.routingTracks, 0);
+}
+
 TEST(ResourceDemand, RejectsVersion1And2Documents)
 {
-    // Only the current document version is read: an older artifact is
-    // rejected with the version found and the version this build
-    // reads, not half-loaded without its demand or execution sections.
+    // Versions 3 and 4 are read: an older artifact is rejected with the
+    // version found and the versions this build reads.
     auto model = compileShared(smallCnn());
     for (const char *version : {"1", "2"}) {
         std::string text = model->toJson();
-        const std::string v3 = "\"version\":3";
-        const std::size_t at = text.find(v3);
+        const std::string v4 = "\"version\":4";
+        const std::size_t at = text.find(v4);
         ASSERT_NE(at, std::string::npos);
-        text.replace(at, v3.size(), std::string("\"version\":") + version);
+        text.replace(at, v4.size(), std::string("\"version\":") + version);
 
         auto old = CompiledModel::fromJson(text);
         ASSERT_FALSE(old.ok()) << version;
@@ -137,38 +242,18 @@ TEST(ResourceDemand, RejectsVersion1And2Documents)
                       std::string("unsupported version ") + version),
                   std::string::npos)
             << old.status().message();
-        EXPECT_NE(old.status().message().find("reads version 3"),
+        EXPECT_NE(old.status().message().find("reads versions 3 and 4"),
                   std::string::npos)
             << old.status().message();
     }
-}
-
-TEST(ResourceDemand, RejectsNegativeDemandComponents)
-{
-    // Negative demand in a hand-edited artifact would be admitted
-    // against an inflated budget (resident sums go negative),
-    // bypassing admission control entirely.
-    auto model = compileShared(smallCnn());
-    std::string text = model->toJson();
-    const std::string key = "\"resourceDemand\":{\"peBlocks\":";
-    const std::size_t at = text.find(key);
-    ASSERT_NE(at, std::string::npos);
-    std::string negated = text.substr(0, at + key.size());
-    negated += '-';
-    negated += text.substr(at + key.size());
-    auto poisoned = CompiledModel::fromJson(negated);
-    ASSERT_FALSE(poisoned.ok());
-    EXPECT_EQ(poisoned.status().code(), StatusCode::InvalidArgument);
-    EXPECT_NE(poisoned.status().message().find("negative"),
-              std::string::npos);
 }
 
 TEST(ResourceDemand, RejectsUnknownFutureVersions)
 {
     auto model = compileShared(smallCnn());
     std::string text = model->toJson();
-    const std::string v3 = "\"version\":3";
-    text.replace(text.find(v3), v3.size(), "\"version\":4");
+    const std::string v4 = "\"version\":4";
+    text.replace(text.find(v4), v4.size(), "\"version\":5");
     auto future_doc = CompiledModel::fromJson(text);
     ASSERT_FALSE(future_doc.ok());
     EXPECT_EQ(future_doc.status().code(), StatusCode::InvalidArgument);

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the serving runtime: `CompiledModel` serialization
- * round-trips (save -> load -> infer, bit-identical), `Engine`
+ * round-trips (save -> load -> infer, bit-identical; derived values
+ * re-derived equal), option and number range checks on load, `Engine`
  * concurrency (parallel submit() agrees with sequential infer()),
  * shutdown drain semantics, backpressure, executor backends, and the
  * JSON parser underneath it all.
@@ -221,24 +222,42 @@ TEST(CompiledModel, LoadRejectsCorruptDocuments)
     ASSERT_FALSE(wrong_format.ok());
     EXPECT_EQ(wrong_format.status().code(), StatusCode::InvalidArgument);
 
-    // A structurally valid document with a dangling netlist reference.
+    // Corrupt options: a zero crossbar used to load and then divide by
+    // zero when the spiking lowering ran; the pipeline now rejects it.
     CompiledModel model = compileSmallCnn();
     const std::string good = model.toJson();
-    std::string text = good;
-    const std::string needle = "\"driver\":";
-    std::size_t at = text.find(needle);
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, needle.size() + 1, needle + "999999");
-    auto dangling = CompiledModel::fromJson(text);
-    ASSERT_FALSE(dangling.ok());
-    EXPECT_EQ(dangling.status().code(), StatusCode::InvalidArgument);
+    auto corrupted = [&](const std::string &from, const std::string &to) {
+        std::string text = good;
+        const std::size_t at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        if (at != std::string::npos)
+            text.replace(at, from.size(), to);
+        return CompiledModel::fromJson(text);
+    };
+    auto zero_crossbar =
+        corrupted("\"crossbarRows\":256", "\"crossbarRows\":0");
+    ASSERT_FALSE(zero_crossbar.ok());
+    EXPECT_EQ(zero_crossbar.status().code(), StatusCode::InvalidArgument);
+
+    // Numbers that do not fit their field are rejected, not narrowed:
+    // 2^32 + 5 would otherwise load as kernel 5, and 1e30 has no int64.
+    for (const auto &[from, to] :
+         {std::pair<std::string, std::string>{"\"kernel\":3",
+                                              "\"kernel\":4294967301"},
+          {"\"duplicationDegree\":64", "\"duplicationDegree\":1e30"},
+          {"\"kernel\":3", "\"kernel\":2.5"}}) {
+        auto narrowed = corrupted(from, to);
+        ASSERT_FALSE(narrowed.ok()) << to;
+        EXPECT_EQ(narrowed.status().code(), StatusCode::InvalidArgument)
+            << to;
+    }
 
     // Corrupt weight data (a null element) must be rejected, not
     // silently coerced to 0.  Replace the first element in place so
     // the element count still matches the shape.
-    text = good;
+    std::string text = good;
     const std::string data_needle = "\"data\":[";
-    at = text.find(data_needle);
+    const std::size_t at = text.find(data_needle);
     ASSERT_NE(at, std::string::npos);
     const std::size_t first = at + data_needle.size();
     const std::size_t comma = text.find(',', first);
@@ -269,6 +288,155 @@ TEST(CompiledModel, CarriesPnrTimingWhenRequested)
     EXPECT_EQ(reloaded->timing()->routed, compiled->timing()->routed);
 }
 
+/** Every derived value a loaded model serves must equal the saved one's. */
+void
+expectRederivedEqual(const CompiledModel &saved)
+{
+    auto loaded = CompiledModel::fromJson(saved.toJson());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+    EXPECT_EQ(loaded->performance(), saved.performance());
+    EXPECT_EQ(loaded->energy(), saved.energy());
+    EXPECT_EQ(loaded->resourceDemand(), saved.resourceDemand());
+    EXPECT_EQ(loaded->timing(), saved.timing());
+}
+
+TEST(CompiledModel, LoadRederivesEveryDerivedValue)
+{
+    expectRederivedEqual(compileSmallCnn());
+
+    Graph lenet = buildLeNet();
+    Rng rng(16);
+    randomizeWeights(lenet, rng);
+    for (bool pnr : {false, true}) {
+        CompileOptions options;
+        options.duplicationDegree = 16;
+        options.runPlaceAndRoute = pnr;
+        Pipeline p(lenet, options);
+        auto compiled = p.compile();
+        ASSERT_TRUE(compiled.ok()) << compiled.status().toString();
+        EXPECT_EQ(compiled->timing().has_value(), pnr);
+        expectRederivedEqual(*compiled);
+        if (!pnr)
+            continue;
+
+        // The stored delay, not a fresh route, sets the modeled wire
+        // time: a 20 ns delay makes each PE's 64-cycle window (6-bit
+        // I/O) spend 64 x 20 ns communicating.
+        std::string text = compiled->toJson();
+        const std::string key = "\"avgNetDelayNs\":";
+        const std::size_t key_at = text.find(key);
+        ASSERT_NE(key_at, std::string::npos);
+        const std::size_t at = key_at + key.size();
+        text.replace(at, text.find(',', at) - at, "20");
+        auto edited = CompiledModel::fromJson(text);
+        ASSERT_TRUE(edited.ok()) << edited.status().toString();
+        EXPECT_EQ(edited->timing()->avgNetDelay, 20.0);
+        EXPECT_EQ(edited->performance().commPerPe, 64 * 20.0);
+    }
+}
+
+TEST(CompiledModel, RejectsOutOfRangeOptionsOnCompileAndLoad)
+{
+    // Each bad value, set through the Pipeline and written into a saved
+    // document (`from` -> `to` in the options section).
+    struct Case
+    {
+        void (*set)(CompileOptions &);
+        std::string from;
+        std::string to;
+    };
+    const Case cases[] = {
+        {[](CompileOptions &o) { o.synth.crossbarRows = 0; },
+         "\"crossbarRows\":256", "\"crossbarRows\":0"},
+        {[](CompileOptions &o) { o.synth.crossbarCols = -4; },
+         "\"crossbarCols\":256", "\"crossbarCols\":-4"},
+        {[](CompileOptions &o) { o.synth.ioBits = 0; },
+         "\"ioBits\":6,\"weightBits\"", "\"ioBits\":0,\"weightBits\""},
+        {[](CompileOptions &o) { o.synth.ioBits = 40; },
+         "\"ioBits\":6,\"weightBits\"", "\"ioBits\":40,\"weightBits\""},
+        {[](CompileOptions &o) { o.synth.weightBits = -1; },
+         "\"weightBits\":8", "\"weightBits\":-1"},
+        {[](CompileOptions &o) { o.synth.maxWeightLevel = 0; },
+         "\"maxWeightLevel\":120", "\"maxWeightLevel\":0"},
+        {[](CompileOptions &o) { o.duplicationDegree = 0; },
+         "\"duplicationDegree\":64", "\"duplicationDegree\":0"},
+        {[](CompileOptions &o) {
+             o.duplicationDegree = kMaxDuplicationDegree + 1;
+         },
+         "\"duplicationDegree\":64",
+         "\"duplicationDegree\":" +
+             std::to_string(kMaxDuplicationDegree + 1)},
+        {[](CompileOptions &o) { o.allocation.pesPerClb = 0; },
+         "\"allocation\":{\"pesPerClb\":8",
+         "\"allocation\":{\"pesPerClb\":0"},
+        {[](CompileOptions &o) { o.allocation.smbsPerEdge = -1; },
+         "\"smbsPerEdge\":1", "\"smbsPerEdge\":-1"},
+        {[](CompileOptions &o) { o.mapper.busWidth = 0; },
+         "\"busWidth\":256", "\"busWidth\":0"},
+        {[](CompileOptions &o) { o.mapper.controlWidth = 0; },
+         "\"controlWidth\":4", "\"controlWidth\":0"},
+        {[](CompileOptions &o) { o.mapper.pesPerClb = -8; },
+         "\"controlWidth\":4,\"pesPerClb\":8",
+         "\"controlWidth\":4,\"pesPerClb\":-8"},
+        {[](CompileOptions &o) { o.perf.ioBits = 17; },
+         "\"perf\":{\"ioBits\":6", "\"perf\":{\"ioBits\":17"},
+    };
+    const std::string good = compileSmallCnn().toJson();
+    for (const Case &c : cases) {
+        CompileOptions options;
+        c.set(options);
+        Pipeline p(smallCnn(), options);
+        auto compiled = p.compile();
+        ASSERT_FALSE(compiled.ok()) << c.to;
+        EXPECT_EQ(compiled.status().code(), StatusCode::InvalidArgument)
+            << c.to;
+
+        std::string text = good;
+        const std::size_t at = text.find(c.from);
+        ASSERT_NE(at, std::string::npos) << c.from;
+        text.replace(at, c.from.size(), c.to);
+        auto loaded = CompiledModel::fromJson(text);
+        ASSERT_FALSE(loaded.ok()) << c.to;
+        EXPECT_EQ(loaded.status().code(), StatusCode::InvalidArgument)
+            << c.to;
+    }
+
+    // The ranges the repo's tests, benches and examples use still pass.
+    for (int crossbar : {64, 512}) {
+        for (int bits : {4, 10}) {
+            CompileOptions options;
+            options.synth.crossbarRows = options.synth.crossbarCols =
+                crossbar;
+            options.synth.ioBits = options.perf.ioBits = bits;
+            options.duplicationDegree = 256;
+            EXPECT_TRUE(Pipeline(smallCnn(), options).compile().ok())
+                << crossbar << "/" << bits;
+        }
+    }
+}
+
+TEST(CompiledModel, TimingMustMatchRunPlaceAndRoute)
+{
+    // A load never runs PnR, so a document asking for it without a
+    // stored timing (or the reverse) is corrupt.
+    const std::string good = compileSmallCnn().toJson();
+    std::string text = good;
+    const std::string flag = "\"runPlaceAndRoute\":false";
+    text.replace(text.find(flag), flag.size(), "\"runPlaceAndRoute\":true");
+    auto missing = CompiledModel::fromJson(text);
+    ASSERT_FALSE(missing.ok());
+    EXPECT_EQ(missing.status().code(), StatusCode::InvalidArgument);
+
+    text = good;
+    const std::string timing = "\"timing\":null";
+    text.replace(text.find(timing), timing.size(),
+                 "\"timing\":{\"avgNetDelayNs\":1.5,\"maxNetDelayNs\":2,"
+                 "\"routed\":true,\"placementHpwl\":10}");
+    auto stray = CompiledModel::fromJson(text);
+    ASSERT_FALSE(stray.ok());
+    EXPECT_EQ(stray.status().code(), StatusCode::InvalidArgument);
+}
+
 // ----------------------------------------------------------------- Engine
 
 TEST(Engine, RejectsBadOptionsAndUnservableModels)
@@ -295,6 +463,19 @@ TEST(Engine, RejectsBadOptionsAndUnservableModels)
         spiking);
     ASSERT_FALSE(engine.ok());
     EXPECT_EQ(engine.status().code(), StatusCode::InvalidArgument);
+
+    // Spiking backend on the zoo's LeNet: its split fc layer would need
+    // a reduce core-op larger than one crossbar.
+    Graph lenet = buildLeNet();
+    randomizeWeights(lenet, rng);
+    Pipeline lenet_pipeline(lenet);
+    auto lenet_model = lenet_pipeline.compile();
+    ASSERT_TRUE(lenet_model.ok()) << lenet_model.status().toString();
+    auto lenet_engine = Engine::create(
+        std::make_shared<CompiledModel>(std::move(lenet_model).value()),
+        spiking);
+    ASSERT_FALSE(lenet_engine.ok());
+    EXPECT_EQ(lenet_engine.status().code(), StatusCode::InvalidArgument);
 }
 
 TEST(Engine, InferMatchesDirectExecutionAndCarriesModeledCost)
