@@ -11,7 +11,7 @@
  * Sweep lines (`kind:"clusterSweep"`) report aggregate throughput,
  * per-tenant fairness (min/max per-tenant throughput under round-robin
  * client load) and the queue-wait tail.  One `kind:"autoscale"` line
- * drives the `Autoscaler` control loop against a backlog and counts
+ * drives the `ClusterController` scale step against a backlog and counts
  * requests lost across the scale-up and the drain-down -- the gated
  * value is 0 by construction of the hot-swap drain.
  *
@@ -38,8 +38,8 @@
 #include "nn/builder.hh"
 #include "nn/execute.hh"
 #include "pipeline.hh"
-#include "runtime/cluster/autoscaler.hh"
 #include "runtime/cluster/cluster_engine.hh"
+#include "runtime/cluster/controller.hh"
 
 using namespace fpsa;
 
@@ -197,7 +197,7 @@ runClusterPoint(const std::shared_ptr<const CompiledModel> &model,
 }
 
 /**
- * Drive the autoscaler over a 3-chip fleet: a backlog triggers
+ * Drive the controller's scale step over a 3-chip fleet: a backlog triggers
  * scale-up, idleness drains back to the floor; every accepted request
  * must resolve across both scaling events.  Returns lost requests.
  */
@@ -210,18 +210,20 @@ runAutoscalePoint(const std::shared_ptr<const CompiledModel> &model,
         std::cerr << "load: " << s.toString() << "\n";
         std::exit(1);
     }
-    AutoscalerOptions knobs;
-    knobs.scaleUpPendingPerReplica = 4.0;
-    knobs.scaleDownPendingPerReplica = 1.0;
-    knobs.scaleUpAfter = 1;
-    knobs.scaleDownAfter = 1;
-    Autoscaler autoscaler(*cluster, knobs);
+    ScalePolicy scaling;
+    scaling.scaleUpPendingPerReplica = 4.0;
+    scaling.scaleDownPendingPerReplica = 1.0;
+    scaling.scaleUpAfter = 1;
+    scaling.scaleDownAfter = 1;
+    ControllerOptions control;
+    control.scaling = scaling;
+    ClusterController controller(*cluster, control);
 
     std::vector<std::future<StatusOr<InferenceResult>>> futures;
     futures.reserve(static_cast<std::size_t>(requests));
     for (int i = 0; i < requests; ++i)
         futures.push_back(cluster->submit("hot", sampleInput(i)));
-    autoscaler.evaluateOnce(); // backlog -> grow
+    controller.evaluateOnce(); // backlog -> grow
     const int peak = cluster->replicaCount("hot");
 
     std::int64_t lost = 0;
@@ -229,7 +231,7 @@ runAutoscalePoint(const std::shared_ptr<const CompiledModel> &model,
         if (!f.get().ok())
             ++lost;
     }
-    autoscaler.evaluateOnce(); // idle -> shrink toward the floor
+    controller.evaluateOnce(); // idle -> shrink toward the floor
     // One final request rides through the post-scaling topology.
     if (!cluster->infer("hot", sampleInput(requests)).ok())
         ++lost;
@@ -242,7 +244,7 @@ runAutoscalePoint(const std::shared_ptr<const CompiledModel> &model,
     j.field("finalReplicas", cluster->replicaCount("hot"));
     j.field("lostRequests", lost);
     j.field("decisions", static_cast<std::int64_t>(
-                             autoscaler.history().size()));
+                             controller.history().size()));
     j.endObject();
     std::cout << j.str() << "\n";
     return lost;

@@ -4,7 +4,7 @@
  * 3-chip `fpsa::ClusterEngine` while a `FaultInjector` fail-stops a
  * replica-hosting chip mid-soak, then layers transient executor
  * errors and latency spikes on the survivors, and finally lets the
- * failed chip rejoin.  A `RecoveryManager` probes and re-places
+ * failed chip rejoin.  A `ClusterController` probes and re-places
  * throughout.  Emits one JSON object per line:
  *
  *   $ ./fault_tolerance > fault.jsonl            # full soak
@@ -42,8 +42,8 @@
 #include "nn/execute.hh"
 #include "pipeline.hh"
 #include "runtime/cluster/cluster_engine.hh"
+#include "runtime/cluster/controller.hh"
 #include "runtime/cluster/fault_injection.hh"
-#include "runtime/cluster/recovery.hh"
 
 using namespace fpsa;
 
@@ -141,10 +141,10 @@ runChaosSoak(const std::shared_ptr<const CompiledModel> &model,
         std::exit(1);
     }
 
-    RecoveryOptions knobs;
-    knobs.intervalMillis = 2.0;
-    RecoveryManager recovery(*cluster, knobs);
-    recovery.start();
+    ControllerOptions control;
+    control.intervalMillis = 2.0;
+    ClusterController controller(*cluster, control);
+    controller.start();
 
     const std::size_t total = static_cast<std::size_t>(requests);
     std::vector<std::future<StatusOr<InferenceResult>>> futures(total);
@@ -228,7 +228,7 @@ runChaosSoak(const std::shared_ptr<const CompiledModel> &model,
 
     submitter.join();
     collector.join();
-    recovery.stop();
+    controller.stop();
 
     std::vector<double> sorted = latency;
     std::sort(sorted.begin(), sorted.end());
@@ -242,7 +242,7 @@ runChaosSoak(const std::shared_ptr<const CompiledModel> &model,
     result.p99Millis = quantile(0.99);
     result.injectedFaults = chaos->injectedFaults();
     result.injectedSpikes = chaos->injectedSpikes();
-    result.recoveryActions = recovery.totalActions();
+    result.recoveryActions = controller.totalEvents();
     JsonWriter chips_json;
     chips_json.beginArray();
     for (const std::string &chip : cluster->replicaChips("hot"))

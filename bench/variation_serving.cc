@@ -45,7 +45,7 @@
 #include "pipeline.hh"
 #include "reram/variation.hh"
 #include "runtime/cluster/cluster_engine.hh"
-#include "runtime/cluster/recovery.hh"
+#include "runtime/cluster/controller.hh"
 
 using namespace fpsa;
 
@@ -176,10 +176,10 @@ runVariationSoak(const std::shared_ptr<const CompiledModel> &model,
         std::exit(1);
     }
 
-    // Recovery runs synchronously at the drift marks (not on a
+    // Controller ticks run synchronously at the drift marks (not on a
     // background timer) so the recalibration count and the accuracy
     // floor are deterministic.
-    RecoveryManager recovery(*cluster);
+    ClusterController controller(*cluster);
 
     const std::size_t total = static_cast<std::size_t>(requests);
     std::vector<std::future<StatusOr<InferenceResult>>> futures(total);
@@ -231,7 +231,7 @@ runVariationSoak(const std::shared_ptr<const CompiledModel> &model,
         // Two passes: recalibrateOnce re-programs one STALE replica
         // per tenant per pass, and both replicas may have drifted.
         for (int pass = 0; pass < 2; ++pass) {
-            for (const auto &action : recovery.evaluateOnce()) {
+            for (const auto &action : controller.evaluateOnce()) {
                 if (action.reason == "recalibration")
                     ++result.recalibrations;
             }

@@ -7,11 +7,11 @@
  *  - best-fit placement packs three tenants onto the fleet;
  *  - a model too wide for ANY chip is rejected with the per-chip
  *    breakdown;
- *  - the SLO-driven `Autoscaler` replicates the hot tenant onto a
- *    second chip under backlog, and least-outstanding-requests
- *    routing spreads its traffic over both replicas (batches never
- *    mix tenants);
- *  - when the burst passes, the autoscaler drains the extra replica
+ *  - the SLO-driven scale step of a `ClusterController` tick
+ *    replicates the hot tenant onto a second chip under backlog, and
+ *    least-outstanding-requests routing spreads its traffic over both
+ *    replicas (batches never mix tenants);
+ *  - when the burst passes, the next tick drains the extra replica
  *    back without failing one accepted request, and the freed chip
  *    budget lets an evicted tenant be re-placed.
  *
@@ -161,17 +161,19 @@ main()
             cluster.submit("mlp-b", sample(mlp->inputShape(), i)));
     }
 
-    // 5. The backlog trips the autoscaler: the hot tenant grows onto a
-    //    second chip, and the rest of the burst is routed to whichever
-    //    replica has the fewest outstanding requests.
-    AutoscalerOptions knobs;
-    knobs.scaleUpPendingPerReplica = 4.0;
-    knobs.scaleDownPendingPerReplica = 1.0;
-    knobs.scaleUpAfter = 1;
-    knobs.scaleDownAfter = 1;
-    Autoscaler autoscaler(cluster, knobs);
-    autoscaler.evaluateOnce();
-    std::cout << "\nafter the burst tripped the autoscaler:\n";
+    // 5. The backlog trips the controller's scale step: the hot tenant
+    //    grows onto a second chip, and the rest of the burst is routed
+    //    to whichever replica has the fewest outstanding requests.
+    ScalePolicy scaling;
+    scaling.scaleUpPendingPerReplica = 4.0;
+    scaling.scaleDownPendingPerReplica = 1.0;
+    scaling.scaleUpAfter = 1;
+    scaling.scaleDownAfter = 1;
+    ControllerOptions control;
+    control.scaling = scaling;
+    ClusterController controller(cluster, control);
+    controller.evaluateOnce();
+    std::cout << "\nafter the burst tripped the scale step:\n";
     printReplicas(cluster, "lenet-hot");
     for (int i = kHot / 2; i < kHot; ++i)
         hot_futures.push_back(
@@ -190,12 +192,12 @@ main()
         }
     }
 
-    // 6. The burst has passed: the next evaluation drains the second
-    //    LeNet replica (no accepted request was failed by the
-    //    hot-swap drain) and its chip budget frees up.
-    autoscaler.evaluateOnce();
-    std::cout << "\nautoscaler decisions:\n";
-    for (const Autoscaler::Event &e : autoscaler.history()) {
+    // 6. The burst has passed: the next tick drains the second LeNet
+    //    replica (no accepted request was failed by the hot-swap
+    //    drain) and its chip budget frees up.
+    controller.evaluateOnce();
+    std::cout << "\nscaling decisions:\n";
+    for (const ClusterEvent &e : controller.history()) {
         std::cout << "  " << e.model << ": " << e.fromReplicas << " -> "
                   << e.toReplicas << " (" << e.reason << ")\n";
     }

@@ -164,7 +164,7 @@ main()
     //    pipeline is placed on the surviving chips.
     cluster->probeChips();
     cluster->probeChips();
-    for (const ClusterEngine::RecoveryAction &action :
+    for (const ClusterEvent &action :
          cluster->repairOnce()) {
         std::cout << "repair: '" << action.model << "' "
                   << action.fromChip << " -> " << action.toChip << " ("

@@ -19,4 +19,19 @@ statusCodeName(StatusCode code)
     return "UNKNOWN";
 }
 
+Status
+checkOptionBounds(std::initializer_list<OptionBound> bounds)
+{
+    for (const OptionBound &b : bounds) {
+        if (b.value < b.lo || b.value > b.hi) {
+            return Status::error(
+                StatusCode::InvalidArgument,
+                std::string("option ") + b.name + " must be in [" +
+                    std::to_string(b.lo) + ", " + std::to_string(b.hi) +
+                    "], got " + std::to_string(b.value));
+        }
+    }
+    return Status();
+}
+
 } // namespace fpsa

@@ -13,6 +13,8 @@
 #ifndef FPSA_COMMON_STATUS_HH
 #define FPSA_COMMON_STATUS_HH
 
+#include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <utility>
@@ -81,6 +83,16 @@ class Status
     StatusCode code_ = StatusCode::Ok;
     std::string message_;
 };
+
+/** One option's value and its inclusive legal range. */
+struct OptionBound
+{
+    const char *name;
+    std::int64_t value, lo, hi;
+};
+
+/** `InvalidArgument` naming the first value outside its bound. */
+Status checkOptionBounds(std::initializer_list<OptionBound> bounds);
 
 /** Either a T or the Status explaining its absence. */
 template <typename T>

@@ -58,14 +58,13 @@
 #include "pnr/pnr_flow.hh"
 #include "reram/crossbar.hh"
 #include "reram/weight_mapping.hh"
-#include "runtime/cluster/autoscaler.hh"
 #include "runtime/cluster/chip_fleet.hh"
 #include "runtime/cluster/cluster_engine.hh"
+#include "runtime/cluster/controller.hh"
 #include "runtime/cluster/event_log.hh"
 #include "runtime/cluster/fault_injection.hh"
 #include "runtime/cluster/health.hh"
 #include "runtime/cluster/placement.hh"
-#include "runtime/cluster/recovery.hh"
 #include "runtime/cluster/sharding.hh"
 #include "runtime/compiled_model.hh"
 #include "runtime/engine.hh"

@@ -53,50 +53,25 @@ validateGraph(const Graph &graph)
 Status
 validateOptions(const CompileOptions &o, Stage stage)
 {
-    struct Bound
-    {
-        const char *name;
-        std::int64_t value, lo, hi;
-    };
     constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
-    // Spike windows are `1u << ioBits` cycles (PeParams::samplingWindow).
-    constexpr std::int64_t kMaxBits = 16;
-    std::vector<Bound> bounds;
     switch (stage) {
       case Stage::Synthesize:
-        bounds = {{"synth.crossbarRows", o.synth.crossbarRows, 1, kIntMax},
-                  {"synth.crossbarCols", o.synth.crossbarCols, 1, kIntMax},
-                  {"synth.ioBits", o.synth.ioBits, 1, kMaxBits},
-                  {"synth.weightBits", o.synth.weightBits, 1, kMaxBits},
-                  {"synth.maxWeightLevel", o.synth.maxWeightLevel, 1,
-                   kIntMax}};
-        break;
+        return validateSynthOptions(o.synth);
       case Stage::Map:
-        bounds = {{"duplicationDegree", o.duplicationDegree, 1,
-                   kMaxDuplicationDegree},
-                  {"allocation.pesPerClb", o.allocation.pesPerClb, 1,
-                   kIntMax},
-                  {"allocation.smbsPerEdge", o.allocation.smbsPerEdge, 1,
-                   kIntMax},
-                  {"mapper.busWidth", o.mapper.busWidth, 1, kIntMax},
-                  {"mapper.controlWidth", o.mapper.controlWidth, 1,
-                   kIntMax},
-                  {"mapper.pesPerClb", o.mapper.pesPerClb, 1, kIntMax}};
-        break;
+        return checkOptionBounds(
+            {{"duplicationDegree", o.duplicationDegree, 1,
+              kMaxDuplicationDegree},
+             {"allocation.pesPerClb", o.allocation.pesPerClb, 1, kIntMax},
+             {"allocation.smbsPerEdge", o.allocation.smbsPerEdge, 1,
+              kIntMax},
+             {"mapper.busWidth", o.mapper.busWidth, 1, kIntMax},
+             {"mapper.controlWidth", o.mapper.controlWidth, 1, kIntMax},
+             {"mapper.pesPerClb", o.mapper.pesPerClb, 1, kIntMax}});
       case Stage::PlaceAndRoute:
         break;
       case Stage::Evaluate:
-        bounds = {{"perf.ioBits", o.perf.ioBits, 1, kMaxBits}};
-        break;
-    }
-    for (const Bound &b : bounds) {
-        if (b.value < b.lo || b.value > b.hi) {
-            return Status::error(
-                StatusCode::InvalidArgument,
-                std::string("option ") + b.name + " must be in [" +
-                    std::to_string(b.lo) + ", " + std::to_string(b.hi) +
-                    "], got " + std::to_string(b.value));
-        }
+        return checkOptionBounds(
+            {{"perf.ioBits", o.perf.ioBits, 1, kMaxOptionBits}});
     }
     return Status();
 }
@@ -163,6 +138,13 @@ stageName(Stage stage)
 }
 
 Pipeline::Pipeline(Graph graph, CompileOptions options)
+    : Pipeline(std::make_shared<const Graph>(std::move(graph)),
+               std::move(options))
+{
+}
+
+Pipeline::Pipeline(std::shared_ptr<const Graph> graph,
+                   CompileOptions options)
     : graph_(std::move(graph)), options_(std::move(options))
 {
 }
@@ -284,12 +266,12 @@ Pipeline::synthesize()
     }
 
     const auto start = Clock::now();
-    Status status = validateGraph(graph_);
+    Status status = validateGraph(*graph_);
     if (status.ok())
         status = validateOptions(options_, Stage::Synthesize);
     if (status.ok()) {
         auto summary = std::make_shared<SynthesisSummary>(
-            synthesizeSummary(graph_, options_.synth));
+            synthesizeSummary(*graph_, options_.synth));
         if (summary->groups.empty()) {
             status = Status::error(
                 StatusCode::InvalidArgument,
@@ -434,7 +416,7 @@ Pipeline::evaluate()
     const auto start = Clock::now();
     if (status.ok()) {
         auto artifact = std::make_shared<EvalArtifact>();
-        artifact->performance = evaluateFpsa(graph_, *synthesis_,
+        artifact->performance = evaluateFpsa(*graph_, *synthesis_,
                                              (*mapped)->allocation, perf);
         artifact->energy =
             fpsaEnergyReport(*synthesis_, (*mapped)->allocation,
@@ -487,7 +469,7 @@ Pipeline::compile()
 StatusOr<CompiledModel>
 Pipeline::compile(const ExecutionConfig &execution)
 {
-    if (Status servable = validateServable(graph_); !servable.ok())
+    if (Status servable = validateServable(*graph_); !servable.ok())
         return servable;
 
     auto eval = evaluate();

@@ -102,7 +102,11 @@ class Pipeline
   public:
     explicit Pipeline(Graph graph, CompileOptions options = {});
 
-    const Graph &graph() const { return graph_; }
+    /** Compile a graph shared with the models compile() returns. */
+    explicit Pipeline(std::shared_ptr<const Graph> graph,
+                      CompileOptions options = {});
+
+    const Graph &graph() const { return *graph_; }
     const CompileOptions &options() const { return options_; }
 
     // ------------------------------------------------------- options
@@ -222,7 +226,8 @@ class Pipeline
     /** The restored timing, else the cached PnR result's, else none. */
     std::optional<CompiledTiming> pnrTiming() const;
 
-    Graph graph_;
+    /** Immutable; every compiled model shares it. */
+    std::shared_ptr<const Graph> graph_;
     CompileOptions options_;
 
     StageStats stats_[kStageCount];

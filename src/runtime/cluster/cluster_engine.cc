@@ -133,6 +133,7 @@ ClusterEngine::loadModel(const std::string &name,
     entry.model = std::move(model);
     entry.tenant = tenant;
     entry.desiredReplicas = replicas;
+    entry.loadId = nextLoadId_++;
 
     // Replicate-whole -> shard-across fallback: only a model that fits
     // no chip even empty gets multi-stage replicas (a fit-anywhere
@@ -325,22 +326,6 @@ ClusterEngine::growLocked(const std::string &name,
     return Status();
 }
 
-bool
-ClusterEngine::regrowLocked(const std::string &name,
-                            RecoveryAction &action)
-{
-    auto entry = tenantEntry(name);
-    action.status = entry.ok() ? growLocked(name, *entry, 1)
-                               : entry.status();
-    if (!action.status.ok())
-        return false;
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = tenants_.find(name);
-    if (it != tenants_.end() && !it->second.replicas->empty())
-        action.toChip = chipLabel(it->second.replicas->back());
-    return true;
-}
-
 std::vector<ClusterEngine::Replica>
 ClusterEngine::detachReplicas(const std::string &name,
                               const std::vector<std::int64_t> &ids)
@@ -439,13 +424,25 @@ ClusterEngine::setReplicas(const std::string &name, int replicas)
                                  "cluster: no model named '" + name +
                                      "'");
         }
-        it->second.desiredReplicas = replicas;
         snapshot = it->second;
+        it->second.desiredReplicas = replicas;
     }
 
     const int current = static_cast<int>(snapshot.replicas->size());
-    if (replicas > current)
-        return growLocked(name, snapshot, replicas - current);
+    if (replicas > current) {
+        Status grown = growLocked(name, snapshot, replicas - current);
+        if (!grown.ok()) {
+            // A rejected growth changes nothing the operator asked
+            // for: keep the old target (or what did get placed).
+            std::lock_guard<std::mutex> lock(mu_);
+            auto it = tenants_.find(name);
+            if (it != tenants_.end())
+                it->second.desiredReplicas = std::max(
+                    snapshot.desiredReplicas,
+                    static_cast<int>(it->second.replicas->size()));
+        }
+        return grown;
+    }
 
     // Scale down: stop routing to the victims first (newest replicas
     // drop first), then retire each -- accepted requests all resolve
@@ -960,69 +957,87 @@ ClusterEngine::chipHealth(std::size_t chip) const
     return health_->health(chip);
 }
 
-std::vector<ClusterEngine::RecoveryAction>
+std::vector<ClusterEvent>
 ClusterEngine::repairOnce()
 {
-    std::vector<RecoveryAction> actions;
+    std::vector<ClusterEvent> events;
     std::lock_guard<std::mutex> ops(opsMu_);
 
     std::map<std::string, TenantEntry> tenants;
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (stopping_)
-            return actions;
+            return events;
         tenants = tenants_;
     }
     const std::vector<ChipHealth> health = health_->snapshot();
-    const auto failed_chip = [&](const Replica &replica) {
-        for (std::size_t chip : replica.chips)
-            if (chip < health.size() && health[chip] == ChipHealth::Failed)
-                return chip;
-        return kNoChip;
-    };
-
     for (const auto &[name, snapshot] : tenants) {
-        // Evict every replica with a Failed chip: pull it from the
-        // routing table first (new submits skip it), then retire it --
-        // queued requests fail fast on the dead chip and their
-        // completions fail them over -- releasing its chip budgets.
-        std::vector<std::int64_t> failed;
+        // Every replica with a Failed chip goes; the top-up to the
+        // desired count also retries deficits left by earlier passes
+        // that found no room.
+        std::vector<std::pair<std::int64_t, std::size_t>> failed;
         for (const Replica &replica : *snapshot.replicas)
-            if (failed_chip(replica) != kNoChip)
-                failed.push_back(replica.id);
-        std::vector<std::string> evicted;
-        if (!failed.empty()) {
-            const std::vector<Replica> victims =
-                detachReplicas(name, failed);
-            for (const Replica &victim : victims)
-                evicted.push_back(fleet_->id(failed_chip(victim)));
-            retireReplicas(name, victims);
-        }
-
-        // Top the tenant back up to its desired replica count -- this
-        // also retries deficits left by earlier passes that found no
-        // room.  One replica at a time so a partial recovery sticks
-        // (growLocked rolls back its own failed step).
-        auto current = tenantEntry(name);
-        if (!current.ok())
-            continue;
-        const int deficit = current->desiredReplicas -
-                            static_cast<int>(current->replicas->size());
-        for (int i = 0; i < deficit; ++i) {
-            RecoveryAction action;
-            action.model = name;
-            if (static_cast<std::size_t>(i) < evicted.size())
-                action.fromChip = evicted[static_cast<std::size_t>(i)];
-            // No room on the surviving fleet: record the per-chip
-            // breakdown and leave the tenant degraded; a later pass
-            // retries (e.g. once the chip rejoins).
-            const bool grown = regrowLocked(name, action);
-            actions.push_back(std::move(action));
-            if (!grown)
-                break;
-        }
+            for (std::size_t chip : replica.chips)
+                if (chip < health.size() &&
+                    health[chip] == ChipHealth::Failed) {
+                    failed.emplace_back(replica.id, chip);
+                    break;
+                }
+        replaceLocked(name, failed, "failover", events);
     }
-    return actions;
+    return events;
+}
+
+bool
+ClusterEngine::replaceLocked(
+    const std::string &name,
+    const std::vector<std::pair<std::int64_t, std::size_t>> &evict,
+    const char *reason, std::vector<ClusterEvent> &events)
+{
+    // Pull the victims from the routing table first (new submits skip
+    // them), then retire them: every accepted request resolves -- on a
+    // dead chip it fails fast and its completion fails it over -- and
+    // the chip budgets are released.
+    std::vector<std::string> evicted;
+    if (!evict.empty()) {
+        std::vector<std::int64_t> ids;
+        for (const auto &[id, chip] : evict)
+            ids.push_back(id);
+        const std::vector<Replica> victims = detachReplicas(name, ids);
+        if (victims.empty())
+            return true; // unloaded or re-placed concurrently
+        for (const Replica &victim : victims)
+            for (const auto &[id, chip] : evict)
+                if (id == victim.id)
+                    evicted.push_back(fleet_->id(chip));
+        retireReplicas(name, victims);
+    }
+
+    // One replica at a time, so a partial recovery sticks (growLocked
+    // rolls back its own failed step).
+    for (std::size_t i = 0;; ++i) {
+        auto entry = tenantEntry(name);
+        if (!entry.ok() || static_cast<int>(entry->replicas->size()) >=
+                               entry->desiredReplicas)
+            return true;
+        ClusterEvent event;
+        event.model = name;
+        event.reason = reason;
+        if (i < evicted.size())
+            event.fromChip = evicted[i];
+        event.status = growLocked(name, *entry, 1);
+        if (event.status.ok()) {
+            std::lock_guard<std::mutex> lock(mu_);
+            auto it = tenants_.find(name);
+            if (it != tenants_.end() && !it->second.replicas->empty())
+                event.toChip = chipLabel(it->second.replicas->back());
+        }
+        events.push_back(std::move(event));
+        // No room on the fleet: the event carries the per-chip
+        // breakdown and the tenant keeps serving degraded.
+        if (!events.back().status.ok())
+            return false;
+    }
 }
 
 // ---------------------------------------------------------------- accuracy
@@ -1091,10 +1106,10 @@ ClusterEngine::refreshAccuracyHealth()
                                     verdict.record);
 }
 
-std::vector<ClusterEngine::RecoveryAction>
+std::vector<ClusterEvent>
 ClusterEngine::recalibrateOnce()
 {
-    std::vector<RecoveryAction> actions;
+    std::vector<ClusterEvent> events;
     std::lock_guard<std::mutex> ops(opsMu_);
 
     refreshAccuracyHealth();
@@ -1103,7 +1118,7 @@ ClusterEngine::recalibrateOnce()
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (stopping_)
-            return actions;
+            return events;
         tenants = tenants_;
     }
 
@@ -1114,30 +1129,17 @@ ClusterEngine::recalibrateOnce()
                 health_->replicaAccuracy(chip, name).state !=
                     ReplicaAccuracy::Stale)
                 continue;
-            // Re-programming is an evict + re-place: stop routing to
-            // the stale replica first, drain it off the chip (every
-            // accepted request resolves -- the zero-loss contract),
-            // then grow through the accuracy-gated placement path.
-            // The same chip is eligible again: re-programming resets
-            // its age, so a quiet chip whose replica merely aged out
-            // usually gets it right back.
-            const std::vector<Replica> victims =
-                detachReplicas(name, {replica.id});
-            if (victims.empty())
-                continue; // unloaded or re-placed concurrently
-            retireReplicas(name, victims);
-
-            RecoveryAction action;
-            action.model = name;
-            action.fromChip = fleet_->id(chip);
-            action.reason = "recalibration";
-            const bool grown = regrowLocked(name, action);
-            actions.push_back(std::move(action));
-            if (!grown)
-                break; // no room now; repairOnce's top-up loop retries
+            // Re-programming is an evict + re-place through the
+            // accuracy-gated placement path, one replica at a time so
+            // the others keep serving.  The same chip is eligible
+            // again: re-programming resets its age, so a quiet chip
+            // whose replica merely aged out usually gets it right back.
+            if (!replaceLocked(name, {{replica.id, chip}},
+                               "recalibration", events))
+                break; // no room now; repairOnce's top-up retries
         }
     }
-    return actions;
+    return events;
 }
 
 // ------------------------------------------------------------------- stats
@@ -1170,6 +1172,8 @@ ClusterEngine::tenantLoad(const std::string &name) const
     if (!entry.ok())
         return entry.status();
     TenantLoad load;
+    load.loadId = entry->loadId;
+    load.desiredReplicas = entry->desiredReplicas;
     load.replicas = static_cast<int>(entry->replicas->size());
     for (const Replica &replica : *entry->replicas) {
         load.pending += replicaPending(name, replica);

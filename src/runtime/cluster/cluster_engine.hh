@@ -48,9 +48,10 @@
  *    for completions and no thread blocks on a request; the one
  *    background thread sleeps until the earliest failover retry is due.
  *
- * `tenantLoad()` is the observation surface the `Autoscaler` builds
- * its control loop on; `statsJson()` bundles per-chip, per-tenant and
- * fleet-utilization sections.
+ * `probeChips()`, `repairOnce()`, `recalibrateOnce()` and
+ * `setReplicas()` are the actions, and `tenantLoad()` the observation,
+ * that a `ClusterController` tick is built from; `statsJson()` bundles
+ * per-chip, per-tenant and fleet-utilization sections.
  */
 
 #ifndef FPSA_RUNTIME_CLUSTER_CLUSTER_ENGINE_HH
@@ -66,6 +67,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "accuracy/calibration.hh"
@@ -78,6 +80,29 @@
 
 namespace fpsa
 {
+
+/**
+ * One control-plane event: a self-healing or re-programming
+ * re-placement of a replica (`fromChip` -> `toChip`), or a scaling
+ * decision on a tenant's replica count (`fromReplicas` ->
+ * `toReplicas`).  Rejected ones are recorded too, with the error in
+ * `status`.
+ */
+struct ClusterEvent
+{
+    std::string model;
+    std::string fromChip; //!< the evicted replica's (first failed) chip
+    std::string toChip;   //!< stage chips joined by '+'; empty on failure
+    int fromReplicas = 0;
+    int toReplicas = 0;   //!< == fromReplicas when rejected
+    Status status;        //!< OK, or the placement/load error
+
+    /**
+     * "failover", "recalibration", or for a scaling decision its
+     * trigger (the rejection Status when rejected).
+     */
+    std::string reason = "failover";
+};
 
 /** Cluster-serving knobs. */
 struct ClusterOptions
@@ -121,7 +146,7 @@ struct ClusterOptions
      * accuracy sits within this margin above its tenant's
      * `minAccuracy` is DRIFTING (routed around when an ACCURATE
      * replica exists); below the SLO itself it is STALE (re-programmed
-     * by the recovery loop).
+     * by `recalibrateOnce()`).
      */
     double accuracyDriftingMargin = 0.02;
 
@@ -165,7 +190,8 @@ class ClusterEngine
     /**
      * Scale `name` to exactly `replicas` replicas (>= 1).  Growth
      * places new replicas via the policy; shrinkage drains removed
-     * replicas without failing any accepted request.
+     * replicas without failing any accepted request.  A growth the
+     * fleet has no room for fails and keeps the desired count it had.
      */
     Status setReplicas(const std::string &name, int replicas);
 
@@ -212,24 +238,14 @@ class ClusterEngine
 
     /**
      * Probe every chip's engine once and feed the results to the
-     * health tracker -- the fail-stop detector.  `RecoveryManager`
-     * calls this on its loop cadence; tests call it directly.
+     * health tracker -- the fail-stop detector.  `ClusterController`
+     * calls this at the start of every tick; tests call it directly.
      */
     void probeChips();
 
     ChipHealth chipHealth(std::size_t chip) const;
 
     const HealthTracker &health() const { return *health_; }
-
-    /** One self-healing replica re-placement (or why it couldn't). */
-    struct RecoveryAction
-    {
-        std::string model;
-        std::string fromChip; //!< the failed replica's (first failed) chip
-        std::string toChip;   //!< stage chips joined by '+'; empty on failure
-        Status status;        //!< OK, or the placement/load error
-        std::string reason = "failover"; //!< or "recalibration"
-    };
 
     /**
      * One synchronous self-healing pass: every replica living on a
@@ -240,7 +256,7 @@ class ClusterEngine
      * serving degraded (fewer replicas) until a later pass succeeds
      * -- e.g. after the chip rejoins.  Returns the actions taken.
      */
-    std::vector<RecoveryAction> repairOnce();
+    std::vector<ClusterEvent> repairOnce();
 
     // ------------------------------------------------------- accuracy
 
@@ -264,14 +280,17 @@ class ClusterEngine
      * merely aged out usually gets it right back.  Returns the
      * actions taken, `reason == "recalibration"`.
      */
-    std::vector<RecoveryAction> recalibrateOnce();
+    std::vector<ClusterEvent> recalibrateOnce();
 
     // ---------------------------------------------------------- stats
 
-    /** The autoscaler's observation of one tenant's serving load. */
+    /** The scale step's observation of one tenant's serving load. */
     struct TenantLoad
     {
-        int replicas = 0;
+        /** Cluster-unique per `loadModel`: a reloaded name gets a new one. */
+        std::int64_t loadId = 0;
+        int desiredReplicas = 0; //!< what `repairOnce()` tops up to
+        int replicas = 0;        //!< live; below desired while degraded
         std::int64_t pending = 0; //!< queued + inflight, all replicas
         double pendingPerReplica = 0.0;
         double p95QueueMillis = 0.0; //!< max across replicas
@@ -363,6 +382,8 @@ class ClusterEngine
         std::shared_ptr<const ReplicaTable> replicas =
             std::make_shared<const ReplicaTable>();
 
+        std::int64_t loadId = 0; //!< see `TenantLoad::loadId`
+
         /**
          * Replica count the operator asked for (loadModel/
          * setReplicas).  The table can fall below it when a chip
@@ -423,11 +444,18 @@ class ClusterEngine
                       int count);
 
     /**
-     * Requires opsMu_: grow `name` by one replica for `action`,
-     * recording the status and the new replica's chips.  False when
-     * the fleet had no room.
+     * Requires opsMu_: re-place replicas of `name` -- the shared body
+     * of `repairOnce` and `recalibrateOnce`.  Each `evict` entry is a
+     * replica id and the chip to report it leaving; those replicas are
+     * routed around, drained and retired.  The tenant then regrows one
+     * replica at a time back to its desired count, appending one
+     * `reason` event per attempt to `events` and stopping at the first
+     * that finds no room (a later pass retries); false then.
      */
-    bool regrowLocked(const std::string &name, RecoveryAction &action);
+    bool replaceLocked(
+        const std::string &name,
+        const std::vector<std::pair<std::int64_t, std::size_t>> &evict,
+        const char *reason, std::vector<ClusterEvent> &events);
 
     /**
      * Pull the replicas of `name` with the given ids out of the
@@ -544,6 +572,7 @@ class ClusterEngine
      */
     std::mutex opsMu_;
     std::int64_t nextReplicaId_ = 0; //!< guarded by opsMu_
+    std::int64_t nextLoadId_ = 0;    //!< guarded by opsMu_
 
     /**
      * Guards tenants_, stopping_, the drift clock and the backoff

@@ -2,9 +2,9 @@
  * @file
  * `fpsa::EventLog<T>`: a fixed-capacity ring of control-loop events.
  *
- * The cluster's control loops (`Autoscaler`, `RecoveryManager`) record
- * every decision they make.  Those loops run for the life of the
- * process, so an unbounded history is a slow leak; the log instead
+ * The cluster's control loop (`ClusterController`) records every
+ * event of its ticks.  The loop runs for the life of the process, so
+ * an unbounded history is a slow leak; the log instead
  * keeps the most recent `capacity` events and counts the total ever
  * recorded.  `snapshot()` returns the retained events oldest-first --
  * the same order an unbounded vector would have -- so existing

@@ -458,6 +458,10 @@ CompiledModel::fromArtifacts(Artifacts artifacts)
                              "compiled model: timing must be present "
                              "exactly when runPlaceAndRoute is set");
     }
+    if (!artifacts.graph) {
+        return Status::error(StatusCode::InvalidArgument,
+                             "compiled model: no graph");
+    }
     Pipeline pipeline(std::move(artifacts.graph), artifacts.options);
     if (artifacts.timing.has_value())
         pipeline.restorePlaceAndRoute(*artifacts.timing);
@@ -545,7 +549,7 @@ CompiledModel::executionPlan(PrecisionMode precision,
     }
     return slot->get(cache_->mu, [&] {
         return ExecutionPlan::build(
-            a_.graph, PlanOptions{precision, resolved});
+            *a_.graph, PlanOptions{precision, resolved});
     });
 }
 
@@ -574,7 +578,7 @@ StatusOr<std::shared_ptr<const FunctionalSynthesis>>
 CompiledModel::functionalSynthesis() const
 {
     return cache_->synthesis.get(cache_->mu, [this] {
-        return synthesizeFunctional(a_.graph,
+        return synthesizeFunctional(*a_.graph,
                                     calibrationProbe(inputShape()),
                                     a_.options.synth);
     });
@@ -583,13 +587,13 @@ CompiledModel::functionalSynthesis() const
 const Shape &
 CompiledModel::inputShape() const
 {
-    return a_.graph.nodes().front().outShape;
+    return a_.graph->nodes().front().outShape;
 }
 
 const Shape &
 CompiledModel::outputShape() const
 {
-    return a_.graph.nodes().back().outShape;
+    return a_.graph->nodes().back().outShape;
 }
 
 std::string
@@ -602,7 +606,7 @@ CompiledModel::toJson() const
     j.key("options");
     emitOptions(j, a_.options);
     j.key("graph");
-    emitGraph(j, a_.graph);
+    emitGraph(j, *a_.graph);
     j.key("timing");
     if (a_.timing.has_value()) {
         j.beginObject();
@@ -660,7 +664,7 @@ CompiledModel::fromJson(const std::string &text)
         auto graph = readGraph(d.obj(*doc, "graph"));
         if (!graph.ok())
             return graph.status();
-        a.graph = std::move(graph).value();
+        a.graph = std::make_shared<const Graph>(std::move(graph).value());
 
         if (!(*doc)["timing"].isNull()) {
             const JsonValue &timing = d.obj(*doc, "timing");

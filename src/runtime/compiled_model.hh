@@ -94,8 +94,8 @@ class CompiledModel
      */
     struct Artifacts
     {
-        Graph graph;                 //!< weights materialized
-        CompileOptions options;      //!< PnR knobs are not stored
+        std::shared_ptr<const Graph> graph; //!< weights materialized
+        CompileOptions options;             //!< PnR knobs are not stored
 
         /**
          * The placement & routing outcome: present exactly when
@@ -125,7 +125,7 @@ class CompiledModel
      */
     static StatusOr<CompiledModel> fromArtifacts(Artifacts artifacts);
 
-    const Graph &graph() const { return a_.graph; }
+    const Graph &graph() const { return *a_.graph; }
     const CompileOptions &options() const { return a_.options; }
     const std::optional<CompiledTiming> &timing() const { return a_.timing; }
 

@@ -178,8 +178,8 @@ struct TenantOptions
      * cheapest per-layer cell mapping meeting this bound, placement
      * prefers the lowest-variance feasible chips, and replicas whose
      * drift-degraded accuracy falls below the bound go STALE and are
-     * re-programmed by the `RecoveryManager`.  A single-chip `Engine`
-     * ignores it.
+     * re-programmed by `ClusterEngine::recalibrateOnce()`, one step of
+     * the `ClusterController` tick.  A single-chip `Engine` ignores it.
      */
     double minAccuracy = 0.0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.hh"
 #include "nn/execute.hh"
@@ -52,6 +53,18 @@ SynthesisSummary::maxReuse() const
     for (const auto &g : groups)
         best = std::max(best, g.instances);
     return best;
+}
+
+Status
+validateSynthOptions(const SynthOptions &o)
+{
+    constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+    return checkOptionBounds(
+        {{"synth.crossbarRows", o.crossbarRows, 1, kIntMax},
+         {"synth.crossbarCols", o.crossbarCols, 1, kIntMax},
+         {"synth.ioBits", o.ioBits, 1, kMaxOptionBits},
+         {"synth.weightBits", o.weightBits, 1, kMaxOptionBits},
+         {"synth.maxWeightLevel", o.maxWeightLevel, 1, kIntMax}});
 }
 
 SynthesisSummary
@@ -721,6 +734,8 @@ synthesizeFunctional(const Graph &graph, const Tensor &calibration,
         return Status::error(StatusCode::InvalidArgument,
                              "functional synthesis: graph has no nodes");
     }
+    if (Status bounded = validateSynthOptions(options); !bounded.ok())
+        return bounded;
     Status valid = validateFunctionalGraph(graph, options);
     if (!valid.ok())
         return valid;

@@ -48,6 +48,17 @@ struct SynthOptions
     bool operator==(const SynthOptions &) const = default;
 };
 
+/** Largest option bit width; spike windows are `1u << ioBits` cycles. */
+constexpr int kMaxOptionBits = 16;
+
+/**
+ * `InvalidArgument` unless every option is in the range the
+ * synthesizer divides by, shifts by or allocates from: crossbar sides
+ * and the weight level >= 1, bit widths in [1, kMaxOptionBits].
+ * `synthesizeFunctional` and `Pipeline` both check through it.
+ */
+Status validateSynthOptions(const SynthOptions &options);
+
 /** Analytic description of one weight group after lowering. */
 struct SynthGroup
 {

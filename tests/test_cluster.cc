@@ -4,9 +4,9 @@
  * `PlacementPolicy` bin-packing and replica fan-out over a
  * `ChipFleet`, `ClusterEngine` replica-aware routing (batches never
  * mix tenants; accepted requests survive replica drains), per-chip
- * Infeasible breakdowns for over-fleet-budget loads, and the
- * `Autoscaler` control loop (scale-up under backlog, hysteretic
- * scale-down that never fails an in-flight request).
+ * Infeasible breakdowns for over-fleet-budget loads, and the scale
+ * step of the `ClusterController` tick (scale-up under backlog,
+ * hysteretic scale-down that never fails an in-flight request).
  */
 
 #include <gtest/gtest.h>
@@ -22,9 +22,9 @@
 #include "nn/builder.hh"
 #include "nn/execute.hh"
 #include "pipeline.hh"
-#include "runtime/cluster/autoscaler.hh"
 #include "runtime/cluster/chip_fleet.hh"
 #include "runtime/cluster/cluster_engine.hh"
+#include "runtime/cluster/controller.hh"
 #include "runtime/cluster/fault_injection.hh"
 #include "runtime/cluster/placement.hh"
 #include "runtime/executor.hh"
@@ -458,9 +458,9 @@ TEST(ClusterEngine, ScaleDownDrainsWithoutFailingAcceptedRequests)
     }
 }
 
-// --------------------------------------------------------------- autoscaler
+// ------------------------------------------------------------- scale step
 
-TEST(Autoscaler, ScalesUpUnderBacklogAndBackDownWhenIdle)
+TEST(ControllerScaling, ScalesUpUnderBacklogAndBackDownWhenIdle)
 {
     auto cnn = compileShared(smallCnn());
     auto chaos = std::make_shared<FaultInjector>();
@@ -477,15 +477,17 @@ TEST(Autoscaler, ScalesUpUnderBacklogAndBackDownWhenIdle)
     ASSERT_TRUE(cluster.ok());
     ASSERT_TRUE((*cluster)->loadModel("m", cnn, 1).ok());
 
-    AutoscalerOptions knobs;
-    knobs.scaleUpPendingPerReplica = 4.0;
-    knobs.scaleDownPendingPerReplica = 1.0;
-    knobs.scaleUpAfter = 1;
-    knobs.scaleDownAfter = 2;
-    Autoscaler autoscaler(**cluster, knobs);
+    ScalePolicy scaling;
+    scaling.scaleUpPendingPerReplica = 4.0;
+    scaling.scaleDownPendingPerReplica = 1.0;
+    scaling.scaleUpAfter = 1;
+    scaling.scaleDownAfter = 2;
+    ControllerOptions control;
+    control.scaling = scaling;
+    ClusterController controller(**cluster, control);
 
     // A quiet tenant at the floor: no decision either way.
-    EXPECT_TRUE(autoscaler.evaluateOnce().empty());
+    EXPECT_TRUE(controller.evaluateOnce().empty());
 
     // Pile on a backlog, then take one control step: one new replica.
     // The chips are wedged so the backlog cannot drain before the step
@@ -495,7 +497,7 @@ TEST(Autoscaler, ScalesUpUnderBacklogAndBackDownWhenIdle)
     std::vector<std::future<StatusOr<InferenceResult>>> futures;
     for (int i = 0; i < 96; ++i)
         futures.push_back((*cluster)->submit("m", probeInput()));
-    auto decisions = autoscaler.evaluateOnce();
+    auto decisions = controller.evaluateOnce();
     for (const char *chip : {"c0", "c1", "c2"})
         chaos->unwedge(chip);
     ASSERT_EQ(decisions.size(), 1u);
@@ -512,26 +514,26 @@ TEST(Autoscaler, ScalesUpUnderBacklogAndBackDownWhenIdle)
 
     // Idle evaluations shrink back to the floor after the hysteresis
     // threshold -- and the drain loses nothing (queues are empty).
-    EXPECT_TRUE(autoscaler.evaluateOnce().empty()); // idle streak 1
-    auto shrink = autoscaler.evaluateOnce();        // idle streak 2
+    EXPECT_TRUE(controller.evaluateOnce().empty()); // idle streak 1
+    auto shrink = controller.evaluateOnce();        // idle streak 2
     ASSERT_EQ(shrink.size(), 1u);
     EXPECT_EQ(shrink[0].fromReplicas, 2);
     EXPECT_EQ(shrink[0].toReplicas, 1);
     EXPECT_EQ((*cluster)->replicaCount("m"), 1);
     // At the floor, further idleness makes no decision.
-    EXPECT_TRUE(autoscaler.evaluateOnce().empty());
-    EXPECT_TRUE(autoscaler.evaluateOnce().empty());
+    EXPECT_TRUE(controller.evaluateOnce().empty());
+    EXPECT_TRUE(controller.evaluateOnce().empty());
 
-    EXPECT_EQ(autoscaler.history().size(), 2u);
+    EXPECT_EQ(controller.history().size(), 2u);
 
     // The background loop runs the same step safely.
-    autoscaler.start();
-    autoscaler.start(); // idempotent
-    autoscaler.stop();
-    autoscaler.stop();
+    controller.start();
+    controller.start(); // idempotent
+    controller.stop();
+    controller.stop();
 }
 
-TEST(Autoscaler, RecordsRejectedScaleUpOnAFullFleet)
+TEST(ControllerScaling, RecordsRejectedScaleUpOnAFullFleet)
 {
     auto cnn = compileShared(smallCnn());
     const ChipCapacity one = capacityFor(cnn->resourceDemand(), 1);
@@ -548,10 +550,12 @@ TEST(Autoscaler, RecordsRejectedScaleUpOnAFullFleet)
     ASSERT_TRUE((*cluster)->loadModel("hot", cnn, 1).ok());
     ASSERT_TRUE((*cluster)->loadModel("cold", cnn, 1).ok());
 
-    AutoscalerOptions knobs;
-    knobs.scaleUpPendingPerReplica = 2.0;
-    knobs.scaleUpAfter = 1;
-    Autoscaler autoscaler(**cluster, knobs);
+    ScalePolicy scaling;
+    scaling.scaleUpPendingPerReplica = 2.0;
+    scaling.scaleUpAfter = 1;
+    ControllerOptions control;
+    control.scaling = scaling;
+    ClusterController controller(**cluster, control);
 
     // Wedged chips keep the backlog in place for the control step.
     chaos->wedge("c0");
@@ -559,7 +563,7 @@ TEST(Autoscaler, RecordsRejectedScaleUpOnAFullFleet)
     std::vector<std::future<StatusOr<InferenceResult>>> futures;
     for (int i = 0; i < 32; ++i)
         futures.push_back((*cluster)->submit("hot", probeInput()));
-    auto decisions = autoscaler.evaluateOnce();
+    auto decisions = controller.evaluateOnce();
     chaos->unwedge("c0");
     chaos->unwedge("c1");
     ASSERT_EQ(decisions.size(), 1u);
@@ -571,6 +575,95 @@ TEST(Autoscaler, RecordsRejectedScaleUpOnAFullFleet)
     EXPECT_EQ((*cluster)->replicaCount("hot"), 1);
     for (auto &f : futures)
         EXPECT_TRUE(f.get().ok());
+}
+
+TEST(ControllerScaling, ReloadedTenantStartsAFreshStreak)
+{
+    auto cnn = compileShared(smallCnn());
+    ClusterOptions options;
+    options.engine.workerThreads = 1;
+    auto cluster = ClusterEngine::create(
+        {{"c0", ChipCapacity::unlimited()},
+         {"c1", ChipCapacity::unlimited()},
+         {"c2", ChipCapacity::unlimited()}},
+        options);
+    ASSERT_TRUE(cluster.ok());
+    ControllerOptions control;
+    control.scaling = ScalePolicy{};
+    ClusterController controller(**cluster, control);
+    const int idle_ticks = ScalePolicy{}.scaleDownAfter;
+
+    // Two idle ticks at the floor: no decision, but an idle streak.
+    ASSERT_TRUE((*cluster)->loadModel("x", cnn, 1).ok());
+    for (int i = 0; i + 1 < idle_ticks; ++i)
+        EXPECT_TRUE(controller.evaluateOnce().empty());
+
+    // Reloaded between ticks under the same name: the new tenant's
+    // replicas are not surplus until it has been idle on its own.
+    ASSERT_TRUE((*cluster)->unloadModel("x").ok());
+    ASSERT_TRUE((*cluster)->loadModel("x", cnn, 3).ok());
+    for (int i = 0; i + 1 < idle_ticks; ++i) {
+        EXPECT_TRUE(controller.evaluateOnce().empty());
+        EXPECT_EQ((*cluster)->replicaCount("x"), 3);
+    }
+    auto shrink = controller.evaluateOnce();
+    ASSERT_EQ(shrink.size(), 1u);
+    EXPECT_EQ(shrink[0].fromReplicas, 3);
+    EXPECT_EQ(shrink[0].toReplicas, 2);
+    EXPECT_EQ((*cluster)->replicaCount("x"), 2);
+}
+
+TEST(ControllerScaling, HotDegradedTenantKeepsItsDesiredCount)
+{
+    auto cnn = compileShared(smallCnn());
+    auto chaos = std::make_shared<FaultInjector>();
+    ClusterOptions options;
+    options.engine.workerThreads = 1;
+    options.engine.queueDepth = 1024;
+    options.engine.faultHook = chaos;
+    auto cluster = ClusterEngine::create(
+        {{"c0", ChipCapacity::unlimited()},
+         {"c1", ChipCapacity::unlimited()},
+         {"c2", ChipCapacity::unlimited()}},
+        options);
+    ASSERT_TRUE(cluster.ok());
+    ASSERT_TRUE((*cluster)->loadModel("m", cnn, 3).ok());
+
+    ScalePolicy scaling;
+    scaling.scaleUpPendingPerReplica = 4.0;
+    scaling.scaleDownPendingPerReplica = 0.0; // never shrink
+    ControllerOptions control;
+    control.scaling = scaling;
+    ClusterController controller(**cluster, control);
+
+    // Two of three chips fail: repair has nowhere to move their
+    // replicas, so the tenant serves degraded on c0.
+    chaos->failStop("c1");
+    chaos->failStop("c2");
+    for (int i = 0; i < 4 && (*cluster)->replicaCount("m") != 1; ++i)
+        controller.evaluateOnce();
+    ASSERT_EQ((*cluster)->replicaChips("m"),
+              std::vector<std::string>{"c0"});
+
+    // A backlog on the survivor makes the tenant hot.
+    chaos->wedge("c0");
+    std::vector<std::future<StatusOr<InferenceResult>>> futures;
+    for (int i = 0; i < 32; ++i)
+        futures.push_back((*cluster)->submit("m", probeInput()));
+    auto load = (*cluster)->tenantLoad("m");
+    ASSERT_TRUE(load.ok());
+    EXPECT_GT(load->pendingPerReplica, scaling.scaleUpPendingPerReplica);
+    controller.evaluateOnce();
+    chaos->unwedge("c0");
+    for (auto &f : futures)
+        EXPECT_TRUE(f.get().ok());
+
+    // The chips rejoin and repair restores every replica asked for.
+    chaos->recover("c1");
+    chaos->recover("c2");
+    for (int i = 0; i < 3; ++i)
+        controller.evaluateOnce();
+    EXPECT_EQ((*cluster)->replicaCount("m"), 3);
 }
 
 } // namespace

@@ -4,16 +4,18 @@
  * `FaultInjector`, the `HealthTracker` state machine, bounded
  * `infer(..., timeoutMillis)` against a wedged executor, failover
  * routing with retry budgets and deadline-aware shedding in
- * `ClusterEngine`, self-healing re-placement via `repairOnce()` /
- * `RecoveryManager`, shutdown with retries parked in backoff, the
- * bounded control-loop histories, and a chaos race of tenant ops
- * against a fail-stopping chip (run under TSan in CI).
+ * `ClusterEngine`, self-healing re-placement via `repairOnce()` and
+ * the `ClusterController` tick, shutdown with retries parked in
+ * backoff, the bounded controller history and its one thread, and a
+ * chaos race of tenant ops against a fail-stopping chip (run under
+ * TSan in CI).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
@@ -24,12 +26,11 @@
 #include "nn/builder.hh"
 #include "nn/execute.hh"
 #include "pipeline.hh"
-#include "runtime/cluster/autoscaler.hh"
 #include "runtime/cluster/cluster_engine.hh"
+#include "runtime/cluster/controller.hh"
 #include "runtime/cluster/event_log.hh"
 #include "runtime/cluster/fault_injection.hh"
 #include "runtime/cluster/health.hh"
-#include "runtime/cluster/recovery.hh"
 #include "runtime/engine.hh"
 
 namespace fpsa
@@ -546,16 +547,16 @@ TEST(RecoveryTest, DegradesGracefullyThenHealsWhenChipRejoins)
     EXPECT_TRUE(rig.cluster->shutdown().ok());
 }
 
-TEST(RecoveryTest, ManagerLoopHealsAndKeepsBoundedHistory)
+TEST(ClusterControllerTest, LoopHealsAndKeepsBoundedHistory)
 {
     ClusterRig rig = makeRig(3, 1);
     ASSERT_TRUE(rig.cluster->loadModel("cnn", rig.model, 2).ok());
 
-    RecoveryOptions options;
+    ControllerOptions options;
     options.intervalMillis = 2.0;
     options.historyCapacity = 4;
-    RecoveryManager recovery(*rig.cluster, options);
-    recovery.start();
+    ClusterController controller(*rig.cluster, options);
+    controller.start();
 
     rig.chaos->failStop("chip1");
     const auto deadline = std::chrono::steady_clock::now() +
@@ -564,22 +565,88 @@ TEST(RecoveryTest, ManagerLoopHealsAndKeepsBoundedHistory)
                std::vector<std::string>{"chip0", "chip2"} &&
            std::chrono::steady_clock::now() < deadline)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    recovery.stop();
+    controller.stop();
 
     EXPECT_EQ(rig.cluster->replicaChips("cnn"),
               (std::vector<std::string>{"chip0", "chip2"}));
-    auto history = recovery.history();
+    auto history = controller.history();
     ASSERT_GE(history.size(), 1u);
     EXPECT_LE(history.size(), 4u);
     EXPECT_EQ(history.back().fromChip, "chip1");
     EXPECT_EQ(history.back().toChip, "chip2");
-    EXPECT_GE(recovery.totalActions(), 1);
+    EXPECT_GE(controller.totalEvents(), 1);
     EXPECT_TRUE(rig.cluster->shutdown().ok());
 }
 
-// ------------------------------------- bounded autoscaler history
+#ifdef __linux__
+/** Threads of this process: the entries of /proc/self/task. */
+int
+processThreadCount()
+{
+    int threads = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        (void)entry;
+        ++threads;
+    }
+    return threads;
+}
 
-TEST(AutoscalerHistoryTest, HistoryIsARingKeepingNewestDecisions)
+/**
+ * The thread count once it holds still: a joined thread leaves
+ * /proc/self/task a moment after its join returns.
+ */
+int
+settledThreadCount()
+{
+    int threads = processThreadCount();
+    for (int i = 0; i < 1000; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        const int now = processThreadCount();
+        if (now == threads)
+            break;
+        threads = now;
+    }
+    return threads;
+}
+
+TEST(ClusterControllerTest, ScalingAndRecoveryShareOneThread)
+{
+    ClusterRig rig = makeRig(3, 1);
+    ASSERT_TRUE(rig.cluster->loadModel("cnn", rig.model, 1).ok());
+
+    ControllerOptions options;
+    options.scaling = ScalePolicy{};
+    options.intervalMillis = 2.0;
+    ClusterController controller(*rig.cluster, options);
+    const int before = settledThreadCount();
+    controller.start();
+    EXPECT_EQ(settledThreadCount(), before + 1);
+    controller.start(); // idempotent
+    EXPECT_EQ(settledThreadCount(), before + 1);
+
+    // The one thread both heals and scales: a failed chip's replica
+    // moves to a live chip while the scale step runs beside it.
+    rig.chaos->failStop("chip0");
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(5);
+    while (rig.cluster->replicaChips("cnn") !=
+               std::vector<std::string>{"chip1"} &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(rig.cluster->replicaChips("cnn"),
+              std::vector<std::string>{"chip1"});
+    EXPECT_EQ(settledThreadCount(), before + 1);
+
+    controller.stop();
+    EXPECT_EQ(settledThreadCount(), before);
+    EXPECT_TRUE(rig.cluster->shutdown().ok());
+}
+#endif
+
+// --------------------------------------- bounded controller history
+
+TEST(ClusterControllerTest, HistoryIsARingKeepingNewestDecisions)
 {
     auto chaos = std::make_shared<FaultInjector>();
     auto model = compileShared(smallCnn());
@@ -603,20 +670,22 @@ TEST(AutoscalerHistoryTest, HistoryIsARingKeepingNewestDecisions)
     for (int i = 0; i < 16; ++i)
         futures.push_back((*cluster)->submit("cnn", probeInput()));
 
-    AutoscalerOptions scaling;
-    scaling.scaleUpPendingPerReplica = 4.0;
-    scaling.historyCapacity = 3;
-    Autoscaler scaler(**cluster, scaling);
+    ControllerOptions control;
+    control.scaling = ScalePolicy{};
+    control.scaling->scaleUpPendingPerReplica = 4.0;
+    control.historyCapacity = 3;
+    ClusterController controller(**cluster, control);
     for (int i = 0; i < 5; ++i)
-        ASSERT_EQ(scaler.evaluateOnce().size(), 1u);
+        ASSERT_EQ(controller.evaluateOnce().size(), 1u);
 
-    EXPECT_EQ(scaler.totalDecisions(), 5);
-    auto history = scaler.history();
+    EXPECT_EQ(controller.totalEvents(), 5);
+    auto history = controller.history();
     ASSERT_EQ(history.size(), 3u);
     for (const auto &event : history) {
         EXPECT_EQ(event.fromReplicas, 1);
         EXPECT_EQ(event.toReplicas, 1); // rejected: no room on chip1
         EXPECT_NE(event.reason.find("infeasible"), std::string::npos);
+        EXPECT_EQ(event.status.code(), StatusCode::Infeasible);
     }
 
     chaos->unwedge("chip0");
@@ -634,10 +703,10 @@ TEST(ClusterChaosRaceTest, TenantOpsRacingFailStopLoseNothing)
     ClusterRig rig = makeRig(3, 2);
     ASSERT_TRUE(rig.cluster->loadModel("cnn", rig.model, 2).ok());
 
-    RecoveryOptions recover_opts;
-    recover_opts.intervalMillis = 2.0;
-    RecoveryManager recovery(*rig.cluster, recover_opts);
-    recovery.start();
+    ControllerOptions control;
+    control.intervalMillis = 2.0;
+    ClusterController controller(*rig.cluster, control);
+    controller.start();
 
     std::atomic<bool> stop{false};
     std::atomic<int> submitted{0};
@@ -693,7 +762,7 @@ TEST(ClusterChaosRaceTest, TenantOpsRacingFailStopLoseNothing)
     scale_thread.join();
     ops_thread.join();
     chaos_thread.join();
-    recovery.stop();
+    controller.stop();
 
     // Every accepted request resolved -- nothing leaked or deadlocked.
     EXPECT_EQ(submitted.load(), resolved.load());

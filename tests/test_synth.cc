@@ -303,5 +303,40 @@ TEST(Functional, UnsupportedGraphsComeBackAsInvalidArgument)
     EXPECT_EQ(mismatched.status().code(), StatusCode::InvalidArgument);
 }
 
+TEST(Functional, OutOfRangeOptionsComeBackAsInvalidArgument)
+{
+    // A 16 -> 8 fc: a crossbar of 0 rows would divide by zero in the
+    // lowering, and a 32-bit window would shift `1u` out of range.
+    GraphBuilder b({16});
+    b.fc(8);
+    Graph g = b.build();
+    Rng rng(5);
+    randomizeWeights(g, rng);
+    const Tensor x(Shape{16});
+
+    SynthOptions no_rows;
+    no_rows.crossbarRows = 0;
+    auto rows = synthesizeFunctional(g, x, no_rows);
+    ASSERT_FALSE(rows.ok());
+    EXPECT_EQ(rows.status().code(), StatusCode::InvalidArgument);
+    EXPECT_NE(rows.status().message().find("synth.crossbarRows"),
+              std::string::npos)
+        << rows.status().message();
+
+    SynthOptions wide;
+    wide.ioBits = 32;
+    auto bits = synthesizeFunctional(g, x, wide);
+    ASSERT_FALSE(bits.ok());
+    EXPECT_EQ(bits.status().code(), StatusCode::InvalidArgument);
+    EXPECT_NE(bits.status().message().find("synth.ioBits"),
+              std::string::npos)
+        << bits.status().message();
+
+    // The bounds are the ones Pipeline applies.
+    EXPECT_EQ(validateSynthOptions(no_rows), rows.status());
+    EXPECT_EQ(validateSynthOptions(wide), bits.status());
+    EXPECT_TRUE(synthesizeFunctional(g, x).ok());
+}
+
 } // namespace
 } // namespace fpsa

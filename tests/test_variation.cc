@@ -27,7 +27,7 @@
 #include "pipeline.hh"
 #include "reram/variation.hh"
 #include "runtime/cluster/cluster_engine.hh"
-#include "runtime/cluster/recovery.hh"
+#include "runtime/cluster/controller.hh"
 #include "runtime/engine.hh"
 
 namespace fpsa
@@ -369,13 +369,13 @@ TEST(VariationCluster, DriftStaleReprogramRoundTripLosesNothing)
     while (served.load() + failed.load() < 3)
         std::this_thread::yield();
 
-    // Age the fleet until the recovery loop finds STALE replicas and
+    // Age the fleet until a controller tick finds STALE replicas and
     // re-programs them (drain, re-place, fresh weights).
-    RecoveryManager recovery(**cluster);
+    ClusterController controller(**cluster);
     bool reprogrammed = false;
     for (int i = 0; i < 200 && !reprogrammed; ++i) {
         (*cluster)->advanceDrift(25.0);
-        for (const auto &action : recovery.evaluateOnce()) {
+        for (const auto &action : controller.evaluateOnce()) {
             if (action.reason == "recalibration") {
                 EXPECT_TRUE(action.status.ok())
                     << action.status.toString();
