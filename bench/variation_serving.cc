@@ -126,7 +126,7 @@ bestReplicaAccuracy(const ClusterEngine &cluster,
  * One variation soak: 2 accuracy-gated replicas on a 3-chip drifting
  * fleet.  Eight drift marks advance the logical retention clock 10 s
  * each while the stream is in flight; after sampling the served
- * accuracy, two recovery passes re-program whatever drifted STALE.
+ * accuracy, one recovery pass re-programs whatever drifted STALE.
  * The submitter is paced by queue backpressure so the stream spans
  * every mark.
  */
@@ -228,13 +228,11 @@ runVariationSoak(const std::shared_ptr<const CompiledModel> &model,
             result.minServedAccuracy,
             bestReplicaAccuracy(*cluster, "hot",
                                 &result.staleObservations));
-        // Two passes: recalibrateOnce re-programs one STALE replica
-        // per tenant per pass, and both replicas may have drifted.
-        for (int pass = 0; pass < 2; ++pass) {
-            for (const auto &action : controller.evaluateOnce()) {
-                if (action.reason == "recalibration")
-                    ++result.recalibrations;
-            }
+        // One tick: recalibrateOnce re-programs every STALE replica,
+        // one after another, in the same pass.
+        for (const auto &action : controller.evaluateOnce()) {
+            if (action.reason == "recalibration")
+                ++result.recalibrations;
         }
         result.postRecoveryFloor = std::min(
             result.postRecoveryFloor,

@@ -130,7 +130,7 @@ ClusterEngine::loadModel(const std::string &name,
     }
 
     TenantEntry entry;
-    entry.model = std::move(model);
+    entry.model = std::make_shared<const ShardedModel>(wholeModel(model));
     entry.tenant = tenant;
     entry.desiredReplicas = replicas;
     entry.loadId = nextLoadId_++;
@@ -140,7 +140,8 @@ ClusterEngine::loadModel(const std::string &name,
     // model placed on a momentarily full fleet still fails Infeasible
     // with the per-chip breakdown -- draining or scaling can fix that,
     // sharding cannot improve it).
-    if (demandOversizedForFleet(entry.model->resourceDemand(),
+    Status split_failure;
+    if (demandOversizedForFleet(model->resourceDemand(),
                                 healthyLoadViews())) {
         std::vector<ChipCapacity> capacities;
         for (const ChipLoadView &view : healthyLoadViews()) {
@@ -160,44 +161,92 @@ ClusterEngine::loadModel(const std::string &name,
         }
         ModelPartitioner partitioner;
         auto split = partitioner.partition(
-            *entry.model, capacities, /*minShards=*/2,
+            *model, capacities, /*minShards=*/2,
             /*maxShards=*/static_cast<int>(fleet_->size()));
-        if (!split.ok()) {
-            if (split.status().code() != StatusCode::Infeasible)
-                return split.status();
-            // No feasible split either.  Surface the standard
-            // per-chip placement breakdown (it carries the shard
-            // estimate) with the partitioner's reason appended.
-            Status whole = growLocked(name, entry, replicas);
-            if (whole.ok())
-                return whole;
-            return Status::error(whole.code(),
-                                 whole.message() + " (" +
-                                     split.status().message() + ")");
+        if (split.ok()) {
+            entry.model = std::make_shared<const ShardedModel>(
+                std::move(split).value());
+        } else if (split.status().code() != StatusCode::Infeasible) {
+            return split.status();
+        } else {
+            // No feasible split either: placing the whole model
+            // surfaces the standard per-chip breakdown (it carries the
+            // shard estimate), with the partitioner's reason appended.
+            split_failure = split.status();
         }
-        entry.shardedModel = std::make_shared<const ShardedModel>(
-            std::move(split).value());
     }
-    return growLocked(name, entry, replicas);
+    Status grown = growLocked(name, entry, replicas);
+    if (grown.ok())
+        return grown;
+    // Chains are published one at a time: retire the ones that made
+    // it, so a failed load leaves no tenant behind.
+    removeTenantLocked(name);
+    if (!split_failure.ok()) {
+        return Status::error(grown.code(),
+                             grown.message() + " (" +
+                                 split_failure.message() + ")");
+    }
+    return grown;
 }
 
 Status
 ClusterEngine::growLocked(const std::string &name,
                           const TenantEntry &snapshot, int count)
 {
+    const ShardedModel &model = *snapshot.model;
+    const std::vector<ShardSpec> &shards = model.plan.shards;
+    const double slo = snapshot.tenant.minAccuracy;
+    const std::uint64_t name_salt = std::hash<std::string>{}(name);
+    // Piece `s` calibrated against `chip`'s variation profile.
+    const auto calibrate = [&](std::size_t s, std::size_t chip) {
+        const VariationProfile &profile = fleet_->variation(chip);
+        return calibrator_.calibrate(
+            model.pieces[s]->graph(), profile.model, slo,
+            options_.calibrationSeed ^ profile.seed ^ name_salt);
+    };
+    const auto unload_stages = [&](const Replica &replica,
+                                   std::size_t stages) {
+        for (std::size_t s = 0; s < stages; ++s)
+            fleet_->engine(replica.chips[s])
+                .unloadModel(stageTenant(name, replica, s));
+    };
+
     while (count > 0) {
         // Each round yields the stage chains of the replicas it adds,
-        // and for accuracy-gated tenants every chip's calibration.
+        // and for an accuracy-gated whole model every chip's
+        // calibration, which placement needs up front.
         std::vector<std::vector<std::size_t>> chains;
         std::vector<CalibrationResult> per_chip;
         const std::vector<ChipLoadView> views = healthyLoadViews();
-        if (snapshot.shardedModel) {
+        if (model.shardCount() == 1) {
+            // All `count` replicas at once on distinct chips.
+            // Accuracy-gated tenants calibrate the model against
+            // every chip's variation profile, so placement can reject
+            // chips that cannot meet the SLO and prefer the quietest
+            // silicon among those that can.
+            PlacementRequest request;
+            request.model = name;
+            request.demand = shards.front().demand;
+            request.replicas = count;
+            if (slo > 0.0) {
+                request.minAccuracy = slo;
+                for (std::size_t chip = 0; chip < views.size(); ++chip) {
+                    CalibrationResult calibration = calibrate(0, chip);
+                    request.predictedAccuracy.push_back(
+                        calibration.predictedAccuracy);
+                    request.mappingSummary.push_back(
+                        calibration.mappingSummary());
+                    per_chip.push_back(std::move(calibration));
+                }
+            }
+            auto placed = policy_->place(request, views);
+            if (!placed.ok())
+                return placed.status();
+            for (std::size_t chip : *placed)
+                chains.push_back({chip});
+        } else {
             // One hop-minimising chain, disjoint from the tenant's
             // live replicas so one chip loss never takes out two.
-            // Pipelines skip the accuracy gate: their pieces span
-            // chips with different variation profiles.
-            const std::vector<ShardSpec> &shards =
-                snapshot.shardedModel->plan.shards;
             ShardPlacementRequest request;
             request.model = name;
             for (std::size_t s = 0; s < shards.size(); ++s) {
@@ -218,86 +267,52 @@ ClusterEngine::growLocked(const std::string &name,
             if (!chain.ok())
                 return chain.status();
             chains.push_back(std::move(chain).value());
-        } else {
-            // All `count` replicas at once on distinct chips.
-            // Accuracy-gated tenants calibrate the model against
-            // every chip's variation profile, so placement can reject
-            // chips that cannot meet the SLO and prefer the quietest
-            // silicon among those that can.
-            PlacementRequest request;
-            request.model = name;
-            request.demand = snapshot.model->resourceDemand();
-            request.replicas = count;
-            if (snapshot.tenant.minAccuracy > 0.0) {
-                request.minAccuracy = snapshot.tenant.minAccuracy;
-                const std::uint64_t name_salt =
-                    std::hash<std::string>{}(name);
-                for (std::size_t chip = 0; chip < views.size(); ++chip) {
-                    const VariationProfile &profile =
-                        fleet_->variation(chip);
-                    CalibrationResult calibration =
-                        calibrator_.calibrate(
-                            snapshot.model->graph(), profile.model,
-                            snapshot.tenant.minAccuracy,
-                            options_.calibrationSeed ^ profile.seed ^
-                                name_salt);
-                    request.predictedAccuracy.push_back(
-                        calibration.predictedAccuracy);
-                    request.mappingSummary.push_back(
-                        calibration.mappingSummary());
-                    per_chip.push_back(std::move(calibration));
-                }
-            }
-            auto placed = policy_->place(request, views);
-            if (!placed.ok())
-                return placed.status();
-            for (std::size_t chip : *placed)
-                chains.push_back({chip});
         }
 
-        // Load every stage of every chain; roll the round back on
-        // failure so a half-placed replica never serves.
-        const auto unload_stages = [&](const Replica &replica,
-                                       std::size_t stages) {
-            for (std::size_t s = 0; s < stages; ++s)
-                fleet_->engine(replica.chips[s])
-                    .unloadModel(stageTenant(name, replica, s));
-        };
+        // Calibrate and load every stage of every chain; roll the
+        // round back on failure so a half-placed replica never serves.
         std::vector<Replica> fresh;
+        const auto roll_back = [&](Status status) {
+            for (const Replica &undo : fresh)
+                unload_stages(undo, undo.chips.size());
+            return status;
+        };
         for (std::vector<std::size_t> &chain : chains) {
             Replica replica;
             replica.id = nextReplicaId_++;
             replica.chips = std::move(chain);
+            // Every stage's piece must meet the SLO on its own chip
+            // (placement already checked one-piece models).
+            for (std::size_t s = 0; slo > 0.0 && s < shards.size(); ++s) {
+                const std::size_t chip = replica.chips[s];
+                CalibrationResult calibration =
+                    per_chip.empty() ? calibrate(s, chip) : per_chip[chip];
+                if (calibration.predictedAccuracy < slo) {
+                    return roll_back(Status::error(
+                        StatusCode::Infeasible,
+                        "cluster: stage " + std::to_string(s) + " of '" +
+                            name + "' on chip '" + fleet_->id(chip) +
+                            "' predicts accuracy " +
+                            std::to_string(calibration.predictedAccuracy) +
+                            ", below the required " + std::to_string(slo)));
+                }
+                replica.calibrations.push_back(
+                    ReplicaCalibration{std::move(calibration), 0.0});
+            }
             std::vector<std::string> stages;
-            for (std::size_t s = 0; s < replica.chips.size(); ++s)
+            for (std::size_t s = 0; s < replica.chips.size(); ++s) {
                 stages.push_back(stageTenant(name, replica, s));
-            Status status;
-            std::size_t loaded = 0;
-            while (loaded < stages.size()) {
-                status = fleet_->engine(replica.chips[loaded])
-                             .loadModel(stages[loaded],
-                                        snapshot.shardedModel
-                                            ? snapshot.shardedModel
-                                                  ->pieces[loaded]
-                                            : snapshot.model,
-                                        snapshot.tenant);
-                if (!status.ok())
-                    break;
-                ++loaded;
+                Status status = fleet_->engine(replica.chips[s])
+                                    .loadModel(stages[s], model.pieces[s],
+                                               snapshot.tenant);
+                if (!status.ok()) {
+                    unload_stages(replica, s);
+                    return roll_back(std::move(status));
+                }
             }
-            if (!status.ok()) {
-                unload_stages(replica, loaded);
-                for (const Replica &undo : fresh)
-                    unload_stages(undo, undo.chips.size());
-                return status;
-            }
-            if (stages.size() >= 2) {
-                ShardRouter::Options router_options;
-                router_options.interconnect = options_.interconnect;
-                replica.router = std::make_shared<ShardRouter>(
-                    *fleet_, name, snapshot.shardedModel, replica.chips,
-                    std::move(stages), router_options);
-            }
+            replica.router = std::make_shared<ShardRouter>(
+                *fleet_, name, snapshot.model, replica.chips,
+                std::move(stages), options_.interconnect);
             fresh.push_back(std::move(replica));
         }
 
@@ -310,17 +325,14 @@ ClusterEngine::growLocked(const std::string &name,
             for (Replica &replica : fresh) {
                 // A fresh replica is programmed "now" on the drift
                 // clock; its accuracy ages from here.
-                if (!per_chip.empty())
-                    replica.calibration =
-                        std::make_shared<const ReplicaCalibration>(
-                            ReplicaCalibration{
-                                per_chip[replica.chips.front()],
-                                driftClock_});
+                for (ReplicaCalibration &calibration :
+                     replica.calibrations)
+                    calibration.programmedAtSeconds = driftClock_;
                 table->push_back(std::move(replica));
             }
             entry.replicas = std::move(table);
         }
-        if (!per_chip.empty())
+        if (slo > 0.0)
             refreshAccuracyHealth();
     }
     return Status();
@@ -350,16 +362,14 @@ Status
 ClusterEngine::retireReplicas(const std::string &name,
                               const std::vector<Replica> &replicas)
 {
-    // A pipeline first stops accepting and lets every accepted request
+    // A chain first stops accepting and lets every accepted request
     // flow out its tail while the stage engines still serve; each
-    // stage's unload then drains that chip's queue before releasing
-    // its budget.  Zero accepted requests are dropped.
+    // stage's unload then releases that chip's budget.  Zero accepted
+    // requests are dropped.
     Status first;
     for (const Replica &replica : replicas) {
-        if (replica.router) {
-            replica.router->beginDrain();
-            replica.router->awaitDrained();
-        }
+        replica.router->beginDrain();
+        replica.router->awaitDrained();
         for (std::size_t s = 0; s < replica.chips.size(); ++s) {
             health_->clearReplicaAccuracy(replica.chips[s], name);
             Status unloaded = fleet_->engine(replica.chips[s])
@@ -460,6 +470,12 @@ Status
 ClusterEngine::unloadModel(const std::string &name)
 {
     std::lock_guard<std::mutex> ops(opsMu_);
+    return removeTenantLocked(name);
+}
+
+Status
+ClusterEngine::removeTenantLocked(const std::string &name)
+{
     std::shared_ptr<const ReplicaTable> replicas;
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -522,15 +538,6 @@ ClusterEngine::healthyLoadViews() const
     return views;
 }
 
-std::int64_t
-ClusterEngine::replicaPending(const std::string &model,
-                              const Replica &replica) const
-{
-    if (replica.router)
-        return replica.router->pending();
-    return fleet_->engine(replica.chips.front()).pendingRequests(model);
-}
-
 StatusOr<std::size_t>
 ClusterEngine::pickReplica(const ReplicaTable &replicas,
                            const std::string &model,
@@ -542,7 +549,7 @@ ClusterEngine::pickReplica(const ReplicaTable &replicas,
     // before Degraded, then any replica off the chip that just failed
     // the request, then least outstanding requests; ties keep
     // placement order.  A replica with a Failed chip is out entirely.
-    // A multi-stage replica takes its worst stage on each criterion.
+    // A replica takes its worst stage on each criterion.
     bool found = false;
     std::size_t target = 0;
     std::int64_t best_rank = 0;
@@ -574,7 +581,7 @@ ClusterEngine::pickReplica(const ReplicaTable &replicas,
         if (dead)
             continue;
         const std::int64_t rank = accuracy_rank + health_rank + exclude_rank;
-        const std::int64_t pending = replicaPending(model, replica);
+        const std::int64_t pending = replica.router->pending();
         if (!found || rank < best_rank ||
             (rank == best_rank && pending < best_pending)) {
             found = true;
@@ -600,19 +607,6 @@ ClusterEngine::pickReplica(const ReplicaTable &replicas,
         }
     }
     return Status::error(StatusCode::Unavailable, message);
-}
-
-Status
-ClusterEngine::attemptOn(const Replica &replica, const std::string &model,
-                         Tensor input, Engine::Completion done, bool block)
-{
-    if (replica.router)
-        return replica.router->submit(std::move(input), std::move(done),
-                                      block);
-    Engine &engine = fleet_->engine(replica.chips.front());
-    return block ? engine.submit(model, std::move(input), std::move(done))
-                 : engine.trySubmit(model, std::move(input),
-                                    std::move(done));
 }
 
 std::future<StatusOr<InferenceResult>>
@@ -665,9 +659,9 @@ ClusterEngine::submit(const std::string &model, Tensor input)
         // The replica copies the input per attempt; the request keeps
         // it for resubmission.
         if (options_.retryBudget <= 0) {
-            Status admitted = attemptOn(
-                replica, model, request->input,
-                [request](StatusOr<InferenceResult> result) {
+            Status admitted = replica.router->submit(
+                request->input,
+                [request](StatusOr<InferenceResult> result, std::size_t) {
                     request->promise.set_value(std::move(result));
                 },
                 /*block=*/true);
@@ -690,10 +684,9 @@ ClusterEngine::submit(const std::string &model, Tensor input)
                     std::chrono::duration<double, std::milli>(
                         shed_millis));
         }
-        const std::size_t chip = replica.healthChip();
-        Status admitted = attemptOn(replica, model, request->input,
-                                    supervise(request, chip),
-                                    /*block=*/true);
+        Status admitted = replica.router->submit(
+            request->input, supervise(request, replica.chips),
+            /*block=*/true);
         if (admitted.ok())
             return future;
         // Refused: the replica started draining between the table
@@ -705,26 +698,33 @@ ClusterEngine::submit(const std::string &model, Tensor input)
             request->promise.set_value(std::move(admitted));
             return future;
         }
-        request->chip = chip;
-        settle(request, std::move(admitted), kNoChip);
+        settle(request, std::move(admitted));
         return future;
     }
 }
 
-Engine::Completion
+ShardRouter::Completion
 ClusterEngine::supervise(std::shared_ptr<Inflight> request,
-                         std::size_t chip)
+                         std::vector<std::size_t> chips)
 {
-    return [this, request = std::move(request),
-            chip](StatusOr<InferenceResult> result) {
-        request->chip = chip;
-        settle(request, std::move(result), chip);
+    return [this, request = std::move(request), chips = std::move(chips)](
+               StatusOr<InferenceResult> result, std::size_t failedStage) {
+        // A failed execution is a chip-side failure of its stage; a
+        // refused forward says nothing about any chip's health.
+        if (result.ok()) {
+            for (std::size_t chip : chips)
+                health_->recordOutcome(chip, true);
+        } else if (failedStage < chips.size()) {
+            request->chip = chips[failedStage];
+            health_->recordOutcome(request->chip, false);
+        }
+        settle(request, std::move(result));
     };
 }
 
 void
 ClusterEngine::settle(const std::shared_ptr<Inflight> &request,
-                      StatusOr<InferenceResult> result, std::size_t charged)
+                      StatusOr<InferenceResult> result)
 {
     Inflight &entry = *request;
     // Anything but Unavailable / ResourceExhausted is final: success,
@@ -738,17 +738,9 @@ ClusterEngine::settle(const std::shared_ptr<Inflight> &request,
     if (result.ok() ||
         (!backpressure &&
          result.status().code() != StatusCode::Unavailable)) {
-        if (charged != kNoChip)
-            health_->recordOutcome(charged, result.ok());
         entry.promise.set_value(std::move(result));
         return;
     }
-
-    // A failed attempt that had been accepted is a chip-side failure;
-    // a refusal is backpressure or a drain race and says nothing about
-    // the chip's health.
-    if (charged != kNoChip)
-        health_->recordOutcome(charged, false);
     entry.lastError = result.status();
 
     const auto now = std::chrono::steady_clock::now();
@@ -821,26 +813,22 @@ ClusterEngine::retry(std::shared_ptr<Inflight> request)
     if (!target.ok()) {
         // No live replica *right now* -- recovery may still re-place
         // one.  Burn a retry and wait again so a dead fleet cannot
-        // park requests forever.  Not a chip error: the failed attempt
-        // was already charged to its chip.
-        settle(request, target.status(), kNoChip);
+        // park requests forever.
+        settle(request, target.status());
         return;
     }
     const Replica &replica = (*replicas)[*target];
-    const std::size_t chip = replica.healthChip();
-    Status admitted =
-        attemptOn(replica, request->model, request->input,
-                  supervise(request, chip), /*block=*/false);
+    Status admitted = replica.router->submit(
+        request->input, supervise(request, replica.chips),
+        /*block=*/false);
     if (admitted.ok())
         return;
     // Refused.  A drain race (Unavailable) counts against the budget;
     // a full queue (ResourceExhausted) is backpressure and only waits.
-    // Neither charges the chip's health.  On backpressure
-    // `request->chip` keeps pointing at the chip that actually failed,
-    // so the next pick still avoids it rather than the busy survivor.
-    if (admitted.code() != StatusCode::ResourceExhausted)
-        request->chip = chip;
-    settle(request, std::move(admitted), kNoChip);
+    // Neither charges a chip's health, and `request->chip` keeps
+    // pointing at the stage chip that actually failed, so the next
+    // pick still avoids it.
+    settle(request, std::move(admitted));
 }
 
 void
@@ -914,8 +902,7 @@ ClusterEngine::shutdown()
         stopping_ = true;
         for (const auto &[name, entry] : tenants_)
             for (const Replica &replica : *entry.replicas)
-                if (replica.router)
-                    routers.push_back(replica.router);
+                routers.push_back(replica.router);
         parked.swap(backoff_);
         backoff = std::move(backoffThread_);
     }
@@ -928,9 +915,9 @@ ClusterEngine::shutdown()
     for (auto &[wake, request] : parked)
         failAtShutdown(*request);
 
-    // Drain every pipeline while its stage engines still serve --
-    // accepted multi-stage requests flow out the tail before the fleet
-    // goes down.  New submits are already rejected via stopping_.
+    // Drain every chain while its stage engines still serve -- accepted
+    // requests flow out the tail before the fleet goes down.  New
+    // submits are already rejected via stopping_.
     for (const auto &router : routers)
         router->beginDrain();
     for (const auto &router : routers)
@@ -1074,29 +1061,28 @@ ClusterEngine::refreshAccuracyHealth()
     {
         std::lock_guard<std::mutex> lock(mu_);
         for (const auto &[name, entry] : tenants_) {
+            const double slo = entry.tenant.minAccuracy;
             for (const Replica &replica : *entry.replicas) {
-                if (!replica.calibration)
-                    continue;
-                const ReplicaCalibration &calibration =
-                    *replica.calibration;
-                const std::size_t chip = replica.chips.front();
-                const double age =
-                    driftClock_ - calibration.programmedAtSeconds;
-                ReplicaAccuracyRecord record;
-                record.currentAccuracy = calibrator_.accuracyAtAge(
-                    calibration.result, fleet_->variation(chip).model,
-                    age);
-                record.predictedAccuracy =
-                    calibration.result.predictedAccuracy;
-                const double slo = entry.tenant.minAccuracy;
-                if (record.currentAccuracy >=
-                    slo + options_.accuracyDriftingMargin)
-                    record.state = ReplicaAccuracy::Accurate;
-                else if (record.currentAccuracy >= slo)
-                    record.state = ReplicaAccuracy::Drifting;
-                else
-                    record.state = ReplicaAccuracy::Stale;
-                verdicts.push_back(Verdict{chip, name, record});
+                for (std::size_t s = 0; s < replica.calibrations.size();
+                     ++s) {
+                    const ReplicaCalibration &calibration =
+                        replica.calibrations[s];
+                    const std::size_t chip = replica.chips[s];
+                    ReplicaAccuracyRecord record;
+                    record.currentAccuracy = calibrator_.accuracyAtAge(
+                        calibration.result, fleet_->variation(chip).model,
+                        driftClock_ - calibration.programmedAtSeconds);
+                    record.predictedAccuracy =
+                        calibration.result.predictedAccuracy;
+                    if (record.currentAccuracy >=
+                        slo + options_.accuracyDriftingMargin)
+                        record.state = ReplicaAccuracy::Accurate;
+                    else if (record.currentAccuracy >= slo)
+                        record.state = ReplicaAccuracy::Drifting;
+                    else
+                        record.state = ReplicaAccuracy::Stale;
+                    verdicts.push_back(Verdict{chip, name, record});
+                }
             }
         }
     }
@@ -1124,17 +1110,21 @@ ClusterEngine::recalibrateOnce()
 
     for (const auto &[name, snapshot] : tenants) {
         for (const Replica &replica : *snapshot.replicas) {
-            const std::size_t chip = replica.chips.front();
-            if (!replica.calibration ||
-                health_->replicaAccuracy(chip, name).state !=
-                    ReplicaAccuracy::Stale)
+            // One STALE stage re-programs the whole chain.
+            const auto stale = std::find_if(
+                replica.chips.begin(), replica.chips.end(),
+                [&](std::size_t chip) {
+                    return health_->replicaAccuracy(chip, name).state ==
+                           ReplicaAccuracy::Stale;
+                });
+            if (stale == replica.chips.end())
                 continue;
             // Re-programming is an evict + re-place through the
             // accuracy-gated placement path, one replica at a time so
-            // the others keep serving.  The same chip is eligible
-            // again: re-programming resets its age, so a quiet chip
-            // whose replica merely aged out usually gets it right back.
-            if (!replaceLocked(name, {{replica.id, chip}},
+            // the others keep serving.  The same chips are eligible
+            // again: re-programming resets their age, so a quiet chip
+            // whose stage merely aged out usually gets it right back.
+            if (!replaceLocked(name, {{replica.id, *stale}},
                                "recalibration", events))
                 break; // no room now; repairOnce's top-up retries
         }
@@ -1144,25 +1134,45 @@ ClusterEngine::recalibrateOnce()
 
 // ------------------------------------------------------------------- stats
 
-StatusOr<EngineStats>
-ClusterEngine::replicaStats(const std::string &model,
+StatusOr<ClusterEngine::ReplicaStats>
+ClusterEngine::replicaStats(const std::string &name,
+                            const ShardedModel &model,
                             const Replica &replica) const
 {
-    if (!replica.router)
-        return fleet_->engine(replica.chips.front()).modelStats(model);
-    // Synthesized from the router's end-to-end telemetry: per-stage
-    // engine stats would count every request once per stage.
-    const ShardRouter::Stats router = replica.router->stats();
-    EngineStats stats;
-    stats.submitted = router.accepted;
-    stats.completed = router.completed;
-    stats.failed = router.failed;
-    stats.throughput = router.throughput;
-    stats.wallSeconds = router.wallSeconds;
-    stats.p50QueueMillis = router.p50QueueMillis;
-    stats.p95QueueMillis = router.p95QueueMillis;
-    stats.p99QueueMillis = router.p99QueueMillis;
-    return stats;
+    std::vector<EngineStats> stages;
+    for (std::size_t s = 0; s < replica.chips.size(); ++s) {
+        auto stage = fleet_->engine(replica.chips[s])
+                         .modelStats(stageTenant(name, replica, s));
+        if (!stage.ok())
+            return stage.status(); // mid-drain
+        stages.push_back(std::move(stage).value());
+    }
+    // End to end: the head admits and the tail completes; every stage
+    // can fail and adds its queue wait and modeled cost; every
+    // completion short of the tail is one forward over a fixed hop.
+    ReplicaStats out;
+    EngineStats &serving = out.serving;
+    serving = stages.back();
+    serving.submitted = stages.front().submitted;
+    for (std::size_t s = 0; s + 1 < stages.size(); ++s) {
+        const EngineStats &stage = stages[s];
+        const std::int64_t bytes = model.plan.shards[s].cutBytesAfter;
+        const NanoSeconds hop =
+            forwardNanos(options_.interconnect, replica.chips[s],
+                         replica.chips[s + 1], bytes);
+        serving.failed += stage.failed;
+        serving.rejected += stage.rejected;
+        serving.p50QueueMillis += stage.p50QueueMillis;
+        serving.p95QueueMillis += stage.p95QueueMillis;
+        serving.p99QueueMillis += stage.p99QueueMillis;
+        serving.maxQueueMillis += stage.maxQueueMillis;
+        serving.modeledLatency += stage.modeledLatency + hop;
+        serving.modeledEnergyPerSample += stage.modeledEnergyPerSample;
+        out.forwards += stage.completed;
+        out.interconnectBytes += stage.completed * bytes;
+        out.interconnectNanos += static_cast<double>(stage.completed) * hop;
+    }
+    return out;
 }
 
 StatusOr<ClusterEngine::TenantLoad>
@@ -1176,15 +1186,15 @@ ClusterEngine::tenantLoad(const std::string &name) const
     load.desiredReplicas = entry->desiredReplicas;
     load.replicas = static_cast<int>(entry->replicas->size());
     for (const Replica &replica : *entry->replicas) {
-        load.pending += replicaPending(name, replica);
-        auto stats = replicaStats(name, replica);
+        load.pending += replica.router->pending();
+        auto stats = replicaStats(name, *entry->model, replica);
         if (!stats.ok())
             continue; // replica mid-drain
         load.p95QueueMillis =
-            std::max(load.p95QueueMillis, stats->p95QueueMillis);
+            std::max(load.p95QueueMillis, stats->serving.p95QueueMillis);
         load.p99QueueMillis =
-            std::max(load.p99QueueMillis, stats->p99QueueMillis);
-        load.completed += stats->completed;
+            std::max(load.p99QueueMillis, stats->serving.p99QueueMillis);
+        load.completed += stats->serving.completed;
     }
     if (load.replicas > 0)
         load.pendingPerReplica = static_cast<double>(load.pending) /
@@ -1200,9 +1210,9 @@ ClusterEngine::modelStats(const std::string &name) const
         return entry.status();
     EngineStats merged;
     for (const Replica &replica : *entry->replicas) {
-        auto stats = replicaStats(name, replica);
+        auto stats = replicaStats(name, *entry->model, replica);
         if (stats.ok())
-            mergeStats(merged, *stats);
+            mergeStats(merged, stats->serving);
     }
     return merged;
 }
@@ -1246,26 +1256,26 @@ ClusterEngine::statsJson() const
             j.value(chipLabel(replica));
         j.endArray();
         j.field("desiredReplicas", entry.desiredReplicas);
-        if (entry.shardedModel) {
-            std::int64_t forwards = 0;
-            std::int64_t bytes = 0;
-            NanoSeconds nanos = 0.0;
-            for (const Replica &replica : *entry.replicas) {
-                const ShardRouter::Stats stats = replica.router->stats();
-                forwards += stats.forwards;
-                bytes += stats.interconnectBytes;
-                nanos += stats.interconnectNanos;
-            }
-            j.field("sharded", true);
-            j.field("shards", static_cast<std::int64_t>(
-                                  entry.shardedModel->shardCount()));
-            j.field("forwards", forwards);
-            j.field("interconnectBytes", bytes);
-            j.field("interconnectNanos", nanos);
-            fleet_forwards += forwards;
-            fleet_interconnect_bytes += bytes;
-            fleet_interconnect_nanos += nanos;
+        std::int64_t forwards = 0;
+        std::int64_t bytes = 0;
+        NanoSeconds nanos = 0.0;
+        for (const Replica &replica : *entry.replicas) {
+            auto stats = replicaStats(name, *entry.model, replica);
+            if (!stats.ok())
+                continue; // replica mid-drain
+            forwards += stats->forwards;
+            bytes += stats->interconnectBytes;
+            nanos += stats->interconnectNanos;
         }
+        const int shards = entry.model->shardCount();
+        j.field("shards", static_cast<std::int64_t>(shards));
+        j.field("sharded", shards > 1);
+        j.field("forwards", forwards);
+        j.field("interconnectBytes", bytes);
+        j.field("interconnectNanos", nanos);
+        fleet_forwards += forwards;
+        fleet_interconnect_bytes += bytes;
+        fleet_interconnect_nanos += nanos;
         auto load = tenantLoad(name);
         if (load.ok()) {
             j.field("pending", load->pending);
@@ -1301,22 +1311,23 @@ ClusterEngine::statsJson() const
         j.field("minAccuracy", entry.tenant.minAccuracy);
         j.key("replicas").beginArray();
         for (const Replica &replica : *entry.replicas) {
-            if (!replica.calibration)
-                continue;
-            const ReplicaCalibration &calibration = *replica.calibration;
-            const std::size_t chip = replica.chips.front();
-            const ReplicaAccuracyRecord record =
-                health_->replicaAccuracy(chip, name);
-            j.beginObject();
-            j.field("chip", fleet_->id(chip));
-            j.field("mapping", calibration.result.mappingSummary());
-            j.field("predictedAccuracy",
-                    calibration.result.predictedAccuracy);
-            j.field("currentAccuracy", record.currentAccuracy);
-            j.field("ageSeconds",
-                    drift_clock - calibration.programmedAtSeconds);
-            j.field("accuracy", replicaAccuracyName(record.state));
-            j.endObject();
+            for (std::size_t s = 0; s < replica.calibrations.size(); ++s) {
+                const ReplicaCalibration &calibration =
+                    replica.calibrations[s];
+                const std::size_t chip = replica.chips[s];
+                const ReplicaAccuracyRecord record =
+                    health_->replicaAccuracy(chip, name);
+                j.beginObject();
+                j.field("chip", fleet_->id(chip));
+                j.field("mapping", calibration.result.mappingSummary());
+                j.field("predictedAccuracy",
+                        calibration.result.predictedAccuracy);
+                j.field("currentAccuracy", record.currentAccuracy);
+                j.field("ageSeconds",
+                        drift_clock - calibration.programmedAtSeconds);
+                j.field("accuracy", replicaAccuracyName(record.state));
+                j.endObject();
+            }
         }
         j.endArray();
         j.endObject();

@@ -12,12 +12,14 @@
  *     cluster->setReplicas("hot", 1);                     // drains one
  *
  * Every replica of a tenant is a chain of stage chips in pipeline
- * order.  A model that fits one chip gets one-stage replicas, each
- * served straight by its chip engine; a model too big for any chip is
- * split by the `ModelPartitioner` at layer boundaries into K >= 2
- * chip-sized pieces, and each replica is a K-stage `ShardRouter`
- * pipeline priced by the modeled interconnect.  Placement, routing,
- * scaling, failover and re-calibration treat both the same way.
+ * order, served by one `ShardRouter`.  A model that fits one chip is
+ * one piece, so its replicas are one-stage chains; a model too big for
+ * any chip is split by the `ModelPartitioner` at layer boundaries into
+ * K >= 2 chip-sized pieces, each forward priced by the modeled
+ * interconnect.  Routing, scaling, failover, health, calibration,
+ * re-programming and stats run one code path for every K; only the
+ * placement call differs (`place` for one piece, `placeShards` for a
+ * chain).
  *
  * Contract:
  *  - Placement goes through the configured `PlacementPolicy`.
@@ -25,27 +27,32 @@
  *    or best-fit, accuracy-gated for `minAccuracy` tenants), K
  *    replicas of a tenant on K distinct chips; multi-stage replicas
  *    get a hop-minimising chain, disjoint from the tenant's other
- *    replicas.  Placement is deterministic given the fleet state, and
+ *    replicas.  A `minAccuracy` tenant calibrates every stage's piece
+ *    against its chip, and a chain whose stage misses the SLO is not
+ *    loaded.  Placement is deterministic given the fleet state, and
  *    an unplaceable request returns `Infeasible` with the full
  *    per-chip breakdown.
  *  - Routing picks the best live replica: a replica with any `Failed`
- *    chip is out; the rest rank by accuracy state, then Healthy before
- *    Degraded, then away from the chip that just failed the request,
- *    then fewest queued + inflight requests.  Batches never mix
- *    tenants (the per-chip engine's invariant).  A submit that races
- *    a replica's drain is transparently re-routed to a surviving
- *    replica.
+ *    chip is out; the rest rank by their worst stage's accuracy state,
+ *    then Healthy before Degraded, then away from the stage chip that
+ *    just failed the request, then fewest queued + inflight requests.
+ *    Batches never mix tenants (the per-chip engine's invariant).  A
+ *    submit that races a replica's drain is transparently re-routed to
+ *    a surviving replica.
  *  - `setReplicas`/`unloadModel` scale with the hot-swap drain: a
  *    shrinking replica first stops receiving new requests, then its
  *    queued and inflight requests all resolve, then its chip budgets
  *    are released.  In-flight requests are never dropped by scaling.
- *    A multi-stage replica scales, drains and fails over as a unit.
+ *    A multi-stage replica scales, drains, fails over and is
+ *    re-programmed as a unit.
  *  - The per-chip engines run the SLO-aware deadline scheduler from
  *    `EngineOptions`, so cluster tenants inherit per-tenant SLOs.
  *  - Every request is event-driven: each attempt's completion callback
  *    settles it (resolve, or retry on a surviving replica), and a
- *    pipeline stage's completion starts the next stage.  Nothing polls
- *    for completions and no thread blocks on a request; the one
+ *    stage's completion starts the next stage.  A served request
+ *    charges every stage chip's health a success; a failed one charges
+ *    the stage chip that failed it, which the retry avoids.  Nothing
+ *    polls for completions and no thread blocks on a request; the one
  *    background thread sleeps until the earliest failover retry is due.
  *
  * `probeChips()`, `repairOnce()`, `recalibrateOnce()` and
@@ -119,7 +126,8 @@ struct ClusterOptions
      * Failover retries per request: an accepted request whose replica
      * fails (`Unavailable`) is resubmitted to a surviving replica up
      * to this many times before its error surfaces.  0 disables
-     * failover (PR-6 behavior).
+     * failover: the first attempt's outcome resolves the request, no
+     * outcome is charged to chip health, and no backoff thread runs.
      */
     int retryBudget = 3;
 
@@ -301,10 +309,13 @@ class ClusterEngine
     StatusOr<TenantLoad> tenantLoad(const std::string &name) const;
 
     /**
-     * One tenant's serving telemetry merged across its replicas:
-     * counters sum, queue-wait percentiles take the worst replica
-     * (conservative for tails), throughput is the summed per-replica
-     * service rate.
+     * One tenant's serving telemetry merged across its replicas.  A
+     * replica's numbers come from its stage engines: `submitted` from
+     * the head stage; `completed`, `throughput` and the batch fields
+     * from the tail; `failed`, `rejected`, queue-wait percentiles and
+     * modeled cost summed over stages.  Across replicas counters sum,
+     * queue-wait percentiles take the worst replica (conservative for
+     * tails) and throughput is the summed per-replica service rate.
      */
     StatusOr<EngineStats> modelStats(const std::string &name) const;
 
@@ -315,11 +326,12 @@ class ClusterEngine
      * JSON report: {"policy":..., "chips": N, "aggregate": merged
      * stats, "perChip": {id: engine report}, "tenants": {name:
      * {"replicas": [one entry per replica, its stage chip ids joined
-     * by '+'], "pending": n, "p99QueueMillis": ms, and for sharded
-     * tenants "sharded": true, "shards": K, "interconnectBytes"/
-     * "interconnectNanos"/"forwards" summed over replicas}},
-     * "interconnect": the modeled link parameters plus fleet-total
-     * traffic, "utilization": [per chip]}.
+     * by '+'], "shards": K, "sharded": K > 1, "forwards"/
+     * "interconnectBytes"/"interconnectNanos" summed over replicas,
+     * "pending": n, "p99QueueMillis": ms}}, "interconnect": the
+     * modeled link parameters plus fleet-total traffic, "variation":
+     * per-chip profiles and one entry per calibrated stage, "health",
+     * "utilization": [per chip]}.
      */
     std::string statsJson() const;
 
@@ -329,11 +341,11 @@ class ClusterEngine
     const ClusterOptions &options() const { return options_; }
 
   private:
-    /** Marks "no chip": a pipeline attempt, or nothing to avoid. */
+    /** Marks "no chip": nothing to avoid. */
     static constexpr std::size_t kNoChip =
         std::numeric_limits<std::size_t>::max();
 
-    /** One replica's calibration verdict + when it was programmed. */
+    /** One stage's calibration verdict + when it was programmed. */
     struct ReplicaCalibration
     {
         CalibrationResult result;
@@ -342,26 +354,19 @@ class ClusterEngine
 
     /**
      * One replica of a tenant's whole model: its stage chips in
-     * pipeline order.  A one-stage replica is served by its chip
-     * engine under the tenant's own name.  A replica of K >= 2 stages
-     * loads stage tenants `name#r<id>s<stage>` and streams requests
-     * through them with a `ShardRouter`; one `Failed` chip retires it
-     * as a unit.
+     * pipeline order and the `ShardRouter` that streams requests
+     * through them.  Stage `s` is the engine tenant
+     * `stageTenant(name, replica, s)` on `chips[s]`.  One `Failed`
+     * chip or one STALE stage retires the replica as a unit.
      */
     struct Replica
     {
         std::int64_t id = 0; //!< cluster-unique; names the stage tenants
         std::vector<std::size_t> chips;
-        std::shared_ptr<ShardRouter> router; //!< two or more stages only
+        std::shared_ptr<ShardRouter> router;
 
-        /** Accuracy-gated (`minAccuracy > 0`) one-stage replicas only. */
-        std::shared_ptr<const ReplicaCalibration> calibration;
-
-        /** The chip whose health this replica's request outcomes charge. */
-        std::size_t healthChip() const
-        {
-            return chips.size() == 1 ? chips.front() : kNoChip;
-        }
+        /** One per stage for `minAccuracy` tenants; empty otherwise. */
+        std::vector<ReplicaCalibration> calibrations;
     };
 
     /**
@@ -373,11 +378,12 @@ class ClusterEngine
 
     struct TenantEntry
     {
-        std::shared_ptr<const CompiledModel> model;
+        /**
+         * The pieces every replica's stages serve: one, the whole
+         * model, when it fits a chip (`wholeModel`); K >= 2 otherwise.
+         */
+        std::shared_ptr<const ShardedModel> model;
         TenantOptions tenant;
-
-        /** The pipeline pieces of a sharded tenant; null otherwise. */
-        std::shared_ptr<const ShardedModel> shardedModel;
 
         std::shared_ptr<const ReplicaTable> replicas =
             std::make_shared<const ReplicaTable>();
@@ -412,10 +418,8 @@ class ClusterEngine
         std::promise<StatusOr<InferenceResult>> promise;
 
         /**
-         * The one-stage replica chip of the last failed attempt,
-         * avoided on retry; `kNoChip` after a pipeline attempt, whose
-         * outcome never charges one chip's health (the per-stage
-         * probes own that signal).
+         * The stage chip whose execution failed the last failed
+         * attempt, avoided on retry; `kNoChip` until one fails.
          */
         std::size_t chip = kNoChip;
         int retries = 0;
@@ -423,6 +427,15 @@ class ClusterEngine
         bool hasDeadline = false;
         std::chrono::steady_clock::time_point deadline; //!< shed bound
         Status lastError;
+    };
+
+    /** One replica's end-to-end telemetry, read from its stage engines. */
+    struct ReplicaStats
+    {
+        EngineStats serving; //!< see `modelStats`
+        std::int64_t forwards = 0; //!< stage-to-stage handoffs
+        std::int64_t interconnectBytes = 0;
+        NanoSeconds interconnectNanos = 0.0;
     };
 
     ClusterEngine(std::unique_ptr<ChipFleet> fleet,
@@ -433,12 +446,22 @@ class ClusterEngine
     StatusOr<TenantEntry> tenantEntry(const std::string &name) const;
 
     /**
-     * Requires opsMu_: place, load and publish `count` >= 1 new
-     * replicas of `name`.  One-stage replicas are placed in one
+     * Requires opsMu_: drop `name` from the tenant table (new submits
+     * fail) and retire every replica it had.  `InvalidArgument` when
+     * absent.
+     */
+    Status removeTenantLocked(const std::string &name);
+
+    /**
+     * Requires opsMu_: place, calibrate, load and publish `count` >= 1
+     * new replicas of `name`.  One-stage replicas are placed in one
      * `PlacementPolicy::place` round (accuracy-gated for `minAccuracy`
      * tenants); multi-stage replicas one `placeShards` chain at a
      * time, so each chain sees the chips the previous one filled.  A
-     * round that fails to load is rolled back whole.
+     * `minAccuracy` tenant's stages are calibrated against their
+     * chips; a stage that misses the SLO fails the round `Infeasible`.
+     * A round that fails is rolled back whole; earlier rounds stay
+     * published.
      */
     Status growLocked(const std::string &name, const TenantEntry &snapshot,
                       int count);
@@ -472,7 +495,11 @@ class ClusterEngine
     Status retireReplicas(const std::string &name,
                           const std::vector<Replica> &replicas);
 
-    /** The engine tenant that serves stage `stage` of `replica`. */
+    /**
+     * The engine tenant that serves stage `stage` of `replica`: the
+     * public name for a one-stage replica (so per-chip engine stats
+     * read under it), `name#r<id>s<stage>` otherwise.
+     */
     static std::string stageTenant(const std::string &name,
                                    const Replica &replica,
                                    std::size_t stage);
@@ -481,10 +508,10 @@ class ClusterEngine
     std::string chipLabel(const Replica &replica) const;
 
     /**
-     * Re-derive every calibrated replica's accuracy health from its
+     * Re-derive every calibrated stage's accuracy health from its
      * programming age at the current drift clock and publish the
-     * verdicts to the health tracker.  Takes mu_ briefly for the
-     * snapshot; safe from any thread.
+     * verdicts to the health tracker under (stage chip, tenant name).
+     * Takes mu_ briefly for the snapshot; safe from any thread.
      */
     void refreshAccuracyHealth();
 
@@ -498,49 +525,38 @@ class ClusterEngine
      * Index of the best live replica for `model`: any `Failed` chip
      * rules a replica out; the rest rank by their worst stage's
      * accuracy state, then Healthy before Degraded, then avoiding
-     * `exclude` (the chip that just failed the request), then least
-     * outstanding requests; ties keep placement order.  `Unavailable`
-     * with a per-chip health breakdown when every replica is down.
+     * `exclude` (the stage chip that just failed the request), then
+     * least outstanding requests; ties keep placement order.
+     * `Unavailable` with a per-chip health breakdown when every
+     * replica is down.
      */
     StatusOr<std::size_t> pickReplica(const ReplicaTable &replicas,
                                       const std::string &model,
                                       std::size_t exclude) const;
 
-    /** Queued + inflight requests of `model` on `replica`. */
-    std::int64_t replicaPending(const std::string &model,
-                                const Replica &replica) const;
-
-    /** `model`'s serving telemetry on `replica`, end to end. */
-    StatusOr<EngineStats> replicaStats(const std::string &model,
-                                       const Replica &replica) const;
+    /** `name`'s telemetry on `replica` (serving `model`), end to end. */
+    StatusOr<ReplicaStats> replicaStats(const std::string &name,
+                                        const ShardedModel &model,
+                                        const Replica &replica) const;
 
     /**
-     * Send one request to `replica` with `Engine::submit`'s contract:
-     * an error return is a refusal and `done` never runs; OK means
-     * `done` runs exactly once.  With `block` false a full queue
-     * refuses `ResourceExhausted` instead of waiting (the failover
-     * retry's semantics).
+     * The completion for an attempt of `request` on the replica with
+     * stage chips `chips`: it charges the outcome to stage health (a
+     * success to every stage chip; a failed execution to its stage's
+     * chip, which becomes the chip to avoid) and settles the request.
      */
-    Status attemptOn(const Replica &replica, const std::string &model,
-                     Tensor input, Engine::Completion done, bool block);
-
-    /**
-     * The completion for an attempt of `request` on the replica whose
-     * health chip is `chip`: it charges the outcome to `chip`, marks
-     * it as the chip to avoid, and settles the request.
-     */
-    Engine::Completion supervise(std::shared_ptr<Inflight> request,
-                                 std::size_t chip);
+    ShardRouter::Completion supervise(std::shared_ptr<Inflight> request,
+                                      std::vector<std::size_t> chips);
 
     /**
      * Final decision for one settled attempt, with the retry, backoff
      * and shed policy: resolve the request, or park it in the backoff
-     * queue.  `charged` is the chip whose health the outcome counts
-     * against (`kNoChip` for a refusal, which says nothing about the
-     * chip).  Never blocks; safe on an engine worker.
+     * queue.  Charges no health: `supervise` already did for an
+     * executed attempt, and a refusal says nothing about a chip.
+     * Never blocks; safe on an engine worker.
      */
     void settle(const std::shared_ptr<Inflight> &request,
-                StatusOr<InferenceResult> result, std::size_t charged);
+                StatusOr<InferenceResult> result);
 
     /**
      * Resubmit a request whose backoff has expired to the best

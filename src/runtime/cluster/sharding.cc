@@ -338,11 +338,34 @@ ModelPartitioner::partition(const CompiledModel &model,
     return last;
 }
 
+NanoSeconds
+forwardNanos(const InterconnectParams &interconnect, std::size_t from,
+             std::size_t to, std::int64_t bytes)
+{
+    const std::int64_t hops =
+        static_cast<std::int64_t>(from > to ? from - to : to - from);
+    return interconnectTransferNs(interconnect, hops, bytes);
+}
+
+ShardedModel
+wholeModel(std::shared_ptr<const CompiledModel> model)
+{
+    ShardSpec spec;
+    spec.lastPosition = model->graph().size() - 1;
+    spec.inputShape = model->inputShape();
+    spec.outputShape = model->outputShape();
+    spec.demand = model->resourceDemand();
+    ShardedModel whole;
+    whole.plan.shards.push_back(std::move(spec));
+    whole.pieces.push_back(std::move(model));
+    return whole;
+}
+
 // -------------------------------------------------------- ShardRouter
 
 struct ShardRouter::Context
 {
-    Engine::Completion done; //!< the caller's
+    Completion done; //!< the caller's
     double queueMillis = 0.0;
     double execMillis = 0.0;
     NanoSeconds modeledLatency = 0.0;
@@ -355,14 +378,14 @@ struct ShardRouter::Context
 namespace
 {
 
-constexpr std::size_t kQueueWaitSamples = 4096;
-
+/** The least queueDepth among `chips` after the head (none: no bound). */
 std::int64_t
-leastQueueDepth(ChipFleet &fleet, const std::vector<std::size_t> &chips)
+downstreamQueueDepth(ChipFleet &fleet, const std::vector<std::size_t> &chips)
 {
-    int depth = std::numeric_limits<int>::max();
-    for (std::size_t chip : chips)
-        depth = std::min(depth, fleet.engine(chip).options().queueDepth);
+    std::int64_t depth = std::numeric_limits<std::int64_t>::max();
+    for (std::size_t s = 1; s < chips.size(); ++s)
+        depth = std::min<std::int64_t>(
+            depth, fleet.engine(chips[s]).options().queueDepth);
     return depth;
 }
 
@@ -372,10 +395,11 @@ ShardRouter::ShardRouter(ChipFleet &fleet, std::string name,
                          std::shared_ptr<const ShardedModel> model,
                          std::vector<std::size_t> chips,
                          std::vector<std::string> stageTenants,
-                         Options options)
+                         InterconnectParams interconnect)
     : fleet_(fleet), name_(std::move(name)), model_(std::move(model)),
       chips_(std::move(chips)), stageTenants_(std::move(stageTenants)),
-      options_(options), inflightBound_(leastQueueDepth(fleet_, chips_))
+      interconnect_(interconnect),
+      inflightBound_(downstreamQueueDepth(fleet_, chips_))
 {
 }
 
@@ -386,7 +410,7 @@ ShardRouter::~ShardRouter()
 }
 
 Status
-ShardRouter::submit(Tensor input, Engine::Completion done, bool block)
+ShardRouter::submit(Tensor input, Completion done, bool block)
 {
     // Claim an in-flight slot before touching the stage-0 engine, so
     // the bound covers requests mid-submit too.
@@ -398,32 +422,26 @@ ShardRouter::submit(Tensor input, Engine::Completion done, bool block)
             });
         if (draining_) {
             return Status::error(StatusCode::Unavailable,
-                                 "shard router for '" + name_ +
+                                 "replica of '" + name_ +
                                      "' is draining; request rejected");
         }
         if (inflight_ >= inflightBound_) {
             return Status::error(
                 StatusCode::ResourceExhausted,
-                "shard router for '" + name_ + "' has " +
+                "replica of '" + name_ + "' has " +
                     std::to_string(inflightBound_) +
                     " requests in flight; request rejected");
         }
         ++inflight_;
-        ++stats_.accepted;
-        if (!started_) {
-            started_ = true;
-            firstSubmit_ = std::chrono::steady_clock::now();
-        }
     }
 
     auto context = std::make_shared<Context>();
     context->done = std::move(done);
-    Status admitted = submitStage(context, 0, std::move(input));
+    Status admitted = submitStage(context, 0, std::move(input), block);
     if (!admitted.ok()) {
-        // Refused at the head (a drain race): not accepted, so give
-        // the slot back and surface the refusal as-is.
+        // Refused at the head: not accepted, so give the slot back and
+        // surface the refusal as-is.
         std::lock_guard<std::mutex> lock(mu_);
-        --stats_.accepted;
         --inflight_;
         roomCv_.notify_one();
         if (inflight_ == 0 && completing_ == 0)
@@ -434,17 +452,16 @@ ShardRouter::submit(Tensor input, Engine::Completion done, bool block)
 
 Status
 ShardRouter::submitStage(const std::shared_ptr<Context> &context,
-                         std::size_t stage, Tensor input)
+                         std::size_t stage, Tensor input, bool block)
 {
-    // Non-blocking: the in-flight bound is at most this stage's
-    // queueDepth and only this router feeds the stage tenant, so its
-    // queue always has room.  A refusal means the stage is draining
-    // or its engine is shut down.
-    return fleet_.engine(chips_[stage])
-        .trySubmit(stageTenants_[stage], std::move(input),
-                   [this, context, stage](StatusOr<InferenceResult> r) {
-                       onStageDone(context, stage, std::move(r));
-                   });
+    Engine &engine = fleet_.engine(chips_[stage]);
+    auto next = [this, context, stage](StatusOr<InferenceResult> r) {
+        onStageDone(context, stage, std::move(r));
+    };
+    return block ? engine.submit(stageTenants_[stage], std::move(input),
+                                 std::move(next))
+                 : engine.trySubmit(stageTenants_[stage], std::move(input),
+                                    std::move(next));
 }
 
 void
@@ -452,7 +469,7 @@ ShardRouter::onStageDone(const std::shared_ptr<Context> &context,
                          std::size_t stage, StatusOr<InferenceResult> result)
 {
     if (!result.ok()) {
-        finish(*context, result.status());
+        finish(*context, result.status(), stage);
         return;
     }
     context->queueMillis += result->queueMillis;
@@ -472,65 +489,46 @@ ShardRouter::onStageDone(const std::shared_ptr<Context> &context,
         out.shards = static_cast<int>(chips_.size());
         out.interconnectBytes = context->interconnectBytes;
         out.interconnectNanos = context->interconnectNanos;
-        // The modeled per-request latency of a sharded request is the
-        // stages' modeled latencies plus the interconnect term.
+        // The modeled per-request latency of a chain is the stages'
+        // modeled latencies plus the interconnect term.
         out.modeledLatency =
             context->modeledLatency + context->interconnectNanos;
-        finish(*context, std::move(out));
+        finish(*context, std::move(out), kNoStage);
         return;
     }
 
-    // Price the forward on the modeled interconnect.
-    const ShardSpec &spec = model_->plan.shards[stage];
-    const std::size_t a = chips_[stage];
-    const std::size_t b = chips_[next];
-    const std::int64_t hops = static_cast<std::int64_t>(
-        a > b ? a - b : b - a);
-    const NanoSeconds transfer = interconnectTransferNs(
-        options_.interconnect, hops, spec.cutBytesAfter);
-    context->interconnectBytes += spec.cutBytesAfter;
-    context->interconnectNanos += transfer;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.forwards;
-        stats_.interconnectBytes += spec.cutBytesAfter;
-        stats_.interconnectNanos += transfer;
-    }
-
-    Status forwarded =
-        submitStage(context, next, std::move(result->output));
+    // Price the forward on the modeled interconnect.  Non-blocking:
+    // the in-flight bound is at most this stage's queueDepth and only
+    // this router feeds the stage tenant, so its queue always has
+    // room.  A refusal means the stage is draining or its engine is
+    // shut down.
+    const std::int64_t bytes = model_->plan.shards[stage].cutBytesAfter;
+    context->interconnectBytes += bytes;
+    context->interconnectNanos +=
+        forwardNanos(interconnect_, chips_[stage], chips_[next], bytes);
+    Status forwarded = submitStage(context, next,
+                                   std::move(result->output),
+                                   /*block=*/false);
     if (!forwarded.ok())
-        finish(*context, std::move(forwarded));
+        finish(*context, std::move(forwarded), kNoStage);
 }
 
 void
-ShardRouter::finish(Context &context, StatusOr<InferenceResult> result)
+ShardRouter::finish(Context &context, StatusOr<InferenceResult> result,
+                    std::size_t failedStage)
 {
-    // Same order as the engine's: (1) telemetry and the slot release,
-    // so a caller acting on its completion sees its request counted
-    // and no longer pending; (2) the caller's completion; (3) the
-    // completing decrement, so awaitDrained never returns before every
-    // drained request's completion has run.
+    // Same order as the engine's: (1) the slot release, so a caller
+    // acting on its completion sees its request no longer pending;
+    // (2) the caller's completion; (3) the completing decrement, so
+    // awaitDrained never returns before every drained request's
+    // completion has run.
     {
         std::lock_guard<std::mutex> lock(mu_);
         --inflight_;
         ++completing_;
         roomCv_.notify_one();
-        if (result.ok()) {
-            ++stats_.completed;
-            if (queueWaits_.size() < kQueueWaitSamples) {
-                queueWaits_.push_back(result->queueMillis);
-            } else {
-                queueWaits_[queueWaitCursor_] = result->queueMillis;
-                queueWaitCursor_ =
-                    (queueWaitCursor_ + 1) % kQueueWaitSamples;
-            }
-            lastComplete_ = std::chrono::steady_clock::now();
-        } else {
-            ++stats_.failed;
-        }
     }
-    context.done(std::move(result));
+    context.done(std::move(result), failedStage);
     // Notify under the lock: once drained the router may be destroyed,
     // so nothing may touch it after the unlock.
     std::lock_guard<std::mutex> lock(mu_);
@@ -560,44 +558,6 @@ ShardRouter::pending() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return inflight_;
-}
-
-ShardRouter::Stats
-ShardRouter::stats() const
-{
-    Stats out;
-    std::vector<double> waits;
-    std::chrono::steady_clock::time_point first, last;
-    bool started = false;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        out = stats_;
-        waits = queueWaits_;
-        started = started_;
-        first = firstSubmit_;
-        last = lastComplete_;
-    }
-    if (!waits.empty()) {
-        std::sort(waits.begin(), waits.end());
-        auto percentile = [&](double q) {
-            const std::size_t index = std::min(
-                waits.size() - 1,
-                static_cast<std::size_t>(q * static_cast<double>(
-                                                 waits.size())));
-            return waits[index];
-        };
-        out.p50QueueMillis = percentile(0.50);
-        out.p95QueueMillis = percentile(0.95);
-        out.p99QueueMillis = percentile(0.99);
-    }
-    if (started && out.completed > 0) {
-        out.wallSeconds =
-            std::chrono::duration<double>(last - first).count();
-        if (out.wallSeconds > 0.0)
-            out.throughput =
-                static_cast<double>(out.completed) / out.wallSeconds;
-    }
-    return out;
 }
 
 } // namespace fpsa

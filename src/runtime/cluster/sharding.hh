@@ -17,33 +17,33 @@
  *    its own subgraph (weights carried over, the cut tensor becoming
  *    the piece's input) compiled to a real `CompiledModel`.
  *
- *  - `ShardRouter` runs the pipeline.  Each shard is a tenant on its
- *    assigned chip's engine.  The router owns no thread and no queue:
- *    a stage's completion callback prices the hop and submits the cut
- *    activations to the next stage's engine, and the tail's completion
- *    resolves the caller's request -- so concurrent requests stream
- *    (stage 0 works on request N+1 while stage 1 works on request N),
- *    the way FPSA's stages push results into the next through the
- *    routing fabric.  One in-flight bound per router, checked at
- *    ingress, keeps a slow stage from buffering the request stream.
- *    Every forward is priced by the modeled interconnect
- *    (`InterconnectParams`, src/sim/perf_model.hh) and surfaces in the
- *    request's `InferenceResult` (`shards`, `interconnectBytes`,
- *    `interconnectNanos`) and the router's stats.
+ *  - `ShardRouter` runs every replica, one stage or many.  Each piece
+ *    is a tenant on its assigned chip's engine.  The router owns no
+ *    thread, no queue and no telemetry: a stage's completion prices
+ *    the hop and submits the cut activations to the next stage's
+ *    engine, and the tail's completion resolves the caller's request
+ *    -- so concurrent requests stream (stage 0 works on request N+1
+ *    while stage 1 works on request N), the way FPSA's stages push
+ *    results into the next through the routing fabric.  Every forward
+ *    is priced by the modeled interconnect (`InterconnectParams`,
+ *    src/sim/perf_model.hh) and surfaces in the request's
+ *    `InferenceResult` (`shards`, `interconnectBytes`,
+ *    `interconnectNanos`).
  *
- * `ClusterEngine` owns the fallback policy (replicate-whole when a
- * chip fits the model, shard-across when none does), and places,
- * scales and fails over each multi-stage replica as a unit; see
- * runtime/cluster/cluster_engine.hh.
+ * `ClusterEngine` owns the fallback policy (a one-piece `wholeModel`
+ * when a chip fits the model, a K-way split when none does), and
+ * places, scales, calibrates and fails over each replica as a unit;
+ * see runtime/cluster/cluster_engine.hh.
  */
 
 #ifndef FPSA_RUNTIME_CLUSTER_SHARDING_HH
 #define FPSA_RUNTIME_CLUSTER_SHARDING_HH
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -154,69 +154,78 @@ class ModelPartitioner
 };
 
 /**
- * Executes one multi-stage replica as a streaming chip-to-chip
- * pipeline, driven entirely by completion callbacks.
+ * The modeled cost of forwarding `bytes` of cut activations from chip
+ * `from` to chip `to`: hop distance is |index difference| on the
+ * fleet's linear interconnect (`InterconnectParams`).
+ */
+NanoSeconds forwardNanos(const InterconnectParams &interconnect,
+                         std::size_t from, std::size_t to,
+                         std::int64_t bytes);
+
+/**
+ * A model served whole: one piece, the model itself, whose one
+ * `ShardSpec` carries the whole model's demand and forwards nothing.
+ */
+ShardedModel wholeModel(std::shared_ptr<const CompiledModel> model);
+
+/**
+ * Executes one replica -- a chain of 1..K stage chips -- as a
+ * streaming chip-to-chip pipeline, driven entirely by completion
+ * callbacks.
  *
- * Construction wires K already-loaded stage tenants (one per shard,
- * on `chips[s]`'s engine) into a pipeline; `submit` feeds stage 0 and
+ * Construction wires K already-loaded stage tenants (one per piece,
+ * on `chips[s]`'s engine) into a chain; `submit` feeds stage 0 and
  * each stage's completion -- on that stage engine's worker -- submits
  * the cut activations to the next stage.  The tail's completion runs
  * the caller's `done` with the final output plus merged telemetry; the
- * first stage error runs it with that error.
+ * first stage error runs it with that error and the failing stage.
  *
- * Backpressure is one in-flight bound, checked at ingress: the
- * smallest `queueDepth` among the stage engines.  Each stage tenant's
- * queue is fed only by this router, so a forward never finds it full
- * and forwards use the engines' non-blocking admission -- no engine
- * worker ever blocks inside a callback.
+ * Backpressure: the head stage admits a request exactly as a direct
+ * engine submit would (a blocking submit waits for queue room, a
+ * non-blocking one is refused `ResourceExhausted`), so a one-stage
+ * chain adds no bound of its own.  Forwards use the engines'
+ * non-blocking admission -- no engine worker ever blocks inside a
+ * callback -- so a longer chain also bounds its in-flight requests,
+ * at ingress, by the least `queueDepth` among its downstream stages:
+ * each stage tenant's queue is fed only by this router, so a forward
+ * never finds it full.
  *
- * Thread-safe; `beginDrain` + `awaitDrained` implement the cluster's
- * zero-loss hot-swap contract (stop accepting, let every accepted
- * request flow out the tail).  The router never unloads its stage
- * tenants -- the cluster owns their lifecycle and must keep the
+ * The router keeps no telemetry of its own: each stage engine counts
+ * its stage, and the cluster reads the chain's end-to-end numbers
+ * from them.  Thread-safe; `beginDrain` + `awaitDrained` implement
+ * the cluster's zero-loss hot-swap contract (stop accepting, let every
+ * accepted request flow out the tail).  The router never unloads its
+ * stage tenants -- the cluster owns their lifecycle and must keep the
  * engines serving until the router is drained.
  */
 class ShardRouter
 {
   public:
-    struct Options
-    {
-        InterconnectParams interconnect;
-    };
+    /** `Completion`'s `failedStage` when no stage's execution failed. */
+    static constexpr std::size_t kNoStage =
+        std::numeric_limits<std::size_t>::max();
 
-    /** Cumulative router telemetry (since construction). */
-    struct Stats
-    {
-        std::int64_t accepted = 0;
-        std::int64_t completed = 0;
-        std::int64_t failed = 0;
-        std::int64_t forwards = 0; //!< stage-to-stage handoffs
-
-        std::int64_t interconnectBytes = 0;  //!< summed cut tensors
-        NanoSeconds interconnectNanos = 0.0; //!< summed modeled cost
-
-        /** Summed per-stage queue waits of completed requests. */
-        double p50QueueMillis = 0.0;
-        double p95QueueMillis = 0.0;
-        double p99QueueMillis = 0.0;
-
-        double throughput = 0.0; //!< completed / wall (first->last)
-        double wallSeconds = 0.0;
-    };
+    /**
+     * Runs exactly once per accepted request, with its outcome and
+     * `failedStage`: the stage whose execution failed the request, or
+     * `kNoStage` when it succeeded or a stage refused its forward (a
+     * refusal says nothing about that stage's chip).
+     */
+    using Completion = std::function<void(StatusOr<InferenceResult> result,
+                                          std::size_t failedStage)>;
 
     /**
      * `stageTenants[s]` must already be loaded on
      * `fleet.engine(chips[s])`; `name` is the public tenant these
      * requests report as.  `model->shardCount()` == chips.size() ==
-     * stageTenants.size() >= 1.  (No default for `options`: gcc's
-     * delayed nested-class NSDMI parsing rejects one here; pass
-     * `ShardRouter::Options{}` for the defaults.)
+     * stageTenants.size() >= 1.  Every forward is priced on
+     * `interconnect`.
      */
     ShardRouter(ChipFleet &fleet, std::string name,
                 std::shared_ptr<const ShardedModel> model,
                 std::vector<std::size_t> chips,
                 std::vector<std::string> stageTenants,
-                Options options);
+                InterconnectParams interconnect);
 
     /** Drains (requires the stage engines to still be serving). */
     ~ShardRouter();
@@ -225,15 +234,15 @@ class ShardRouter
     ShardRouter &operator=(const ShardRouter &) = delete;
 
     /**
-     * Feed one request into the pipeline, with `Engine::submit`'s
+     * Feed one request into the chain, with `Engine::submit`'s
      * contract: an error return means the request was refused and
-     * `done` never runs; OK means `done` runs exactly once.  At the
-     * in-flight bound a `block`ing submit waits (front-door
-     * semantics); otherwise it is refused `ResourceExhausted` (a
-     * failover retry's backpressure signal).  After `beginDrain` every
-     * submit is refused `Unavailable`.
+     * `done` never runs; OK means `done` runs exactly once.  A
+     * `block`ing submit waits for room (front-door semantics);
+     * otherwise a full chain refuses `ResourceExhausted` (a failover
+     * retry's backpressure signal).  After `beginDrain` every submit
+     * is refused `Unavailable`.
      */
-    Status submit(Tensor input, Engine::Completion done, bool block);
+    Status submit(Tensor input, Completion done, bool block);
 
     /** Stop accepting new requests (idempotent). */
     void beginDrain();
@@ -250,43 +259,36 @@ class ShardRouter
      */
     std::int64_t pending() const;
 
-    Stats stats() const;
-
-    const std::string &name() const { return name_; }
-    const std::vector<std::size_t> &chips() const { return chips_; }
-    const std::vector<std::string> &stageTenants() const
-    {
-        return stageTenants_;
-    }
-    const ShardedModel &model() const { return *model_; }
-    const Options &options() const { return options_; }
-
   private:
     /** Per-request accumulator threaded through the stages. */
     struct Context;
 
-    /** Submit `input` to stage `stage`; its completion continues. */
+    /**
+     * Submit `input` to stage `stage`; its completion continues.
+     * Only the head's admission may block.
+     */
     Status submitStage(const std::shared_ptr<Context> &context,
-                       std::size_t stage, Tensor input);
+                       std::size_t stage, Tensor input, bool block);
 
     /** Stage `stage`'s completion: forward, or finish at the tail. */
     void onStageDone(const std::shared_ptr<Context> &context,
                      std::size_t stage, StatusOr<InferenceResult> result);
 
     /**
-     * Resolve a request: count it and release its in-flight slot, run
-     * the caller's `done`, then mark it drained.  The router may be
-     * destroyed as soon as it is marked drained.
+     * Resolve a request: release its in-flight slot, run the caller's
+     * `done`, then mark it drained.  The router may be destroyed as
+     * soon as it is marked drained.
      */
-    void finish(Context &context, StatusOr<InferenceResult> result);
+    void finish(Context &context, StatusOr<InferenceResult> result,
+                std::size_t failedStage);
 
     ChipFleet &fleet_;
     const std::string name_;
     const std::shared_ptr<const ShardedModel> model_;
     const std::vector<std::size_t> chips_;
     const std::vector<std::string> stageTenants_;
-    const Options options_;
-    const std::int64_t inflightBound_; //!< the stages' least queueDepth
+    const InterconnectParams interconnect_;
+    const std::int64_t inflightBound_; //!< downstream stages' least queueDepth
 
     mutable std::mutex mu_;
     std::condition_variable roomCv_;    //!< blocked submitters
@@ -294,12 +296,6 @@ class ShardRouter
     bool draining_ = false;
     std::int64_t inflight_ = 0;   //!< accepted, result not yet known
     std::int64_t completing_ = 0; //!< caller's `done` still running
-    Stats stats_;
-    std::vector<double> queueWaits_; //!< bounded sample ring
-    std::size_t queueWaitCursor_ = 0;
-    bool started_ = false;
-    std::chrono::steady_clock::time_point firstSubmit_;
-    std::chrono::steady_clock::time_point lastComplete_;
 };
 
 } // namespace fpsa

@@ -199,9 +199,9 @@ struct InferenceResult
     NanoSeconds modeledLatency = 0.0;
     PicoJoules modeledEnergy = 0.0;
 
-    // Sharded-pipeline telemetry (cluster `ShardRouter` requests only;
-    // zero / 1 for single-chip serving).  `modeledLatency` already
-    // includes `interconnectNanos` for sharded requests.
+    // Stage-chain telemetry (set by the cluster's `ShardRouter`; 1 /
+    // zero for a one-stage replica and single-chip serving).
+    // `modeledLatency` already includes `interconnectNanos`.
     int shards = 1;                       //!< pipeline stages traversed
     std::int64_t interconnectBytes = 0;   //!< cut activations forwarded
     NanoSeconds interconnectNanos = 0.0;  //!< modeled transfer cost

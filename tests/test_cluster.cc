@@ -3,7 +3,8 @@
  * Tests for the multi-chip cluster serving subsystem: deterministic
  * `PlacementPolicy` bin-packing and replica fan-out over a
  * `ChipFleet`, `ClusterEngine` replica-aware routing (batches never
- * mix tenants; accepted requests survive replica drains), per-chip
+ * mix tenants; accepted requests survive replica drains; one-stage
+ * replica stats are their chip engines' own), per-chip
  * Infeasible breakdowns for over-fleet-budget loads, and the scale
  * step of the `ClusterController` tick (scale-up under backlog,
  * hysteretic scale-down that never fails an in-flight request).
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
 #include <memory>
 #include <string>
@@ -336,12 +338,14 @@ TEST(ClusterEngine, RoutesReplicasAndNeverMixesTenantsInABatch)
     }
 
     // Least-outstanding routing spread the hot tenant over both of
-    // its replicas.
+    // its replicas, and the cluster's view of a one-stage replica is
+    // its chip engine's own.
     auto merged = (*cluster)->modelStats("hot");
     ASSERT_TRUE(merged.ok());
     EXPECT_EQ(merged->completed, kPerTenant);
     std::vector<std::string> hot_chips = (*cluster)->replicaChips("hot");
     ASSERT_EQ(hot_chips.size(), 2u);
+    EngineStats summed;
     for (const std::string &chip : hot_chips) {
         auto index = (*cluster)->fleet().indexOf(chip);
         ASSERT_TRUE(index.ok());
@@ -349,7 +353,21 @@ TEST(ClusterEngine, RoutesReplicasAndNeverMixesTenantsInABatch)
             (*cluster)->fleet().engine(*index).modelStats("hot");
         ASSERT_TRUE(per_chip.ok());
         EXPECT_GT(per_chip->completed, 0) << chip;
+        summed.submitted += per_chip->submitted;
+        summed.completed += per_chip->completed;
+        summed.batches += per_chip->batches;
+        summed.batchSizeCounts.resize(
+            std::max(summed.batchSizeCounts.size(),
+                     per_chip->batchSizeCounts.size()),
+            0);
+        for (std::size_t n = 0; n < per_chip->batchSizeCounts.size(); ++n)
+            summed.batchSizeCounts[n] += per_chip->batchSizeCounts[n];
     }
+    EXPECT_EQ(merged->submitted, kPerTenant);
+    EXPECT_EQ(merged->submitted, summed.submitted);
+    EXPECT_EQ(merged->completed, summed.completed);
+    EXPECT_EQ(merged->batches, summed.batches);
+    EXPECT_EQ(merged->batchSizeCounts, summed.batchSizeCounts);
 
     // Batches never mix tenants: on every chip, the per-tenant batch
     // counts partition the chip's total scheduler dequeues.
@@ -367,10 +385,16 @@ TEST(ClusterEngine, RoutesReplicasAndNeverMixesTenantsInABatch)
             << fleet.id(chip);
     }
 
-    // The cluster stats JSON surfaces per-chip and per-tenant views.
+    // The cluster stats JSON surfaces per-chip and per-tenant views,
+    // with the chain fields of a one-stage tenant.
     auto parsed = parseJson((*cluster)->statsJson());
     ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ((*parsed)["tenants"]["hot"]["replicas"].size(), 2u);
+    const JsonValue &hot = (*parsed)["tenants"]["hot"];
+    EXPECT_EQ(hot["replicas"].size(), 2u);
+    EXPECT_EQ(hot["shards"].asInt(), 1);
+    EXPECT_FALSE(hot["sharded"].boolean());
+    EXPECT_EQ(hot["forwards"].asInt(), 0);
+    EXPECT_EQ(hot["interconnectBytes"].asInt(), 0);
     EXPECT_EQ((*parsed)["chips"].asInt(), 3);
 }
 

@@ -7,8 +7,11 @@
  * executor, `placeShards` co-location, the `ClusterEngine`
  * replicate-whole -> shard-across fallback with interconnect
  * telemetry, a chaos run where a shard group fails over as a unit
- * with zero lost accepted requests, and an overloaded 3-stage pipeline
- * that must start no thread and lose nothing.
+ * with zero lost accepted requests, an overloaded 3-stage pipeline
+ * that must start no thread and lose nothing, a failed multi-chain
+ * load that must leave no tenant behind, per-stage health charging
+ * with a retry that avoids the failing stage's chip, and chain stats
+ * read from the stage engines.
  */
 
 #include <gtest/gtest.h>
@@ -722,6 +725,186 @@ TEST(ShardedClusterTest, OverloadedPipelineStartsNoThreadAndLosesNothing)
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ((*parsed)["tenants"]["big"]["forwards"].asInt(),
               stats->completed * (kStages - 1));
+    EXPECT_TRUE(cluster->shutdown().ok());
+}
+
+/** The one tenant a chip's engine hosts (a chain stage). */
+std::string
+soleTenant(ClusterEngine &cluster, const std::string &chipId)
+{
+    const std::size_t chip = cluster.fleet().indexOf(chipId).value();
+    const std::vector<std::string> names =
+        cluster.fleet().engine(chip).modelNames();
+    EXPECT_EQ(names.size(), 1u) << chipId;
+    return names.empty() ? "" : names.front();
+}
+
+TEST(ShardedClusterTest, FailedChainLoadLeavesNoTenant)
+{
+    auto model = compileShared(chainCnn());
+    ClusterOptions options;
+    options.engine.workerThreads = 2;
+    options.engine.execution =
+        ExecutionConfig{ExecutorKind::Reference};
+    const ChipCapacity capacity =
+        scaledCapacity(model->resourceDemand(), 0.7);
+    auto created = ClusterEngine::create({{"chip0", capacity},
+                                          {"chip1", capacity},
+                                          {"chip2", capacity},
+                                          {"chip3", capacity}},
+                                         options);
+    ASSERT_TRUE(created.ok()) << created.status().toString();
+    auto cluster = std::move(created).value();
+
+    // Two disjoint two-stage chains fit; the third finds no chip.
+    Status loaded = cluster->loadModel("big", model, 3);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.code(), StatusCode::Infeasible) << loaded.toString();
+
+    // The chains placed before the failure were retired with it.
+    EXPECT_EQ(cluster->replicaCount("big"), 0);
+    EXPECT_TRUE(cluster->modelNames().empty());
+    for (std::size_t chip = 0; chip < cluster->fleet().size(); ++chip) {
+        const ResourceDemand resident =
+            cluster->fleet().engine(chip).registry().residentDemand();
+        EXPECT_EQ(resident.peBlocks, 0) << chip;
+        EXPECT_EQ(resident.smbBlocks, 0) << chip;
+        EXPECT_EQ(resident.clbBlocks, 0) << chip;
+        EXPECT_EQ(resident.routingTracks, 0) << chip;
+        EXPECT_TRUE(cluster->fleet().engine(chip).modelNames().empty());
+    }
+
+    // The name is free again and serves.
+    ASSERT_TRUE(cluster->loadModel("big", model, 1).ok());
+    const Tensor input = probeInput({1, 12, 12});
+    auto result = cluster->infer("big", input);
+    ASSERT_TRUE(result.ok()) << result.status().toString();
+    expectClose(result->output, referenceOutput(model, input), 1e-4);
+    EXPECT_TRUE(cluster->shutdown().ok());
+}
+
+TEST(ShardedClusterTest, StageHealthChargesTheFailingChipAndRetryAvoidsIt)
+{
+    auto chaos = std::make_shared<FaultInjector>();
+    auto model = compileShared(chainCnn());
+    const Tensor input = probeInput({1, 12, 12});
+    const Tensor expected = referenceOutput(model, input);
+
+    ClusterOptions options;
+    options.engine.workerThreads = 2;
+    options.engine.execution =
+        ExecutionConfig{ExecutorKind::Reference};
+    options.engine.faultHook = chaos;
+    options.retryBackoffMillis = 0.2;
+    options.bestEffortShedMillis = 0.0; // never shed
+    const ChipCapacity capacity =
+        scaledCapacity(model->resourceDemand(), 0.7);
+    auto created = ClusterEngine::create({{"chip0", capacity},
+                                          {"chip1", capacity},
+                                          {"chip2", capacity},
+                                          {"chip3", capacity}},
+                                         options);
+    ASSERT_TRUE(created.ok()) << created.status().toString();
+    auto cluster = std::move(created).value();
+    ASSERT_TRUE(cluster->loadModel("big", model, 2).ok());
+
+    // Two disjoint two-stage chains, A then B in placement order.
+    const std::vector<std::string> chips = cluster->replicaChips("big");
+    ASSERT_EQ(chips.size(), 4u);
+    const std::string a_tail = chips[1];
+    const std::string b_tail = chips[3];
+    const auto index = [&](const std::string &id) {
+        return cluster->fleet().indexOf(id).value();
+    };
+
+    // Every execution on chain A's second stage fails.
+    chaos->setTransientErrorRate(a_tail, 1.0);
+
+    // The first request tries A (placement order breaks the tie),
+    // fails at its tail stage and is retried on B, away from that chip.
+    auto first = cluster->infer("big", input);
+    ASSERT_TRUE(first.ok()) << first.status().toString();
+    expectClose(first->output, expected, 1e-4);
+    auto a_stage = cluster->fleet()
+                       .engine(index(a_tail))
+                       .modelStats(soleTenant(*cluster, a_tail));
+    auto b_stage = cluster->fleet()
+                       .engine(index(b_tail))
+                       .modelStats(soleTenant(*cluster, b_tail));
+    ASSERT_TRUE(a_stage.ok() && b_stage.ok());
+    EXPECT_EQ(a_stage->failed, 1);
+    EXPECT_EQ(b_stage->completed, 1);
+
+    for (int i = 0; i < 8; ++i) {
+        auto r = cluster->infer("big", input);
+        ASSERT_TRUE(r.ok()) << r.status().toString();
+        expectClose(r->output, expected, 1e-4);
+    }
+
+    // Only the failing stage's chip is charged; its chain's healthy
+    // head and the serving chain read clean.
+    EXPECT_GT(cluster->health().errorRate(index(a_tail)), 0.0);
+    for (const std::string &chip : {chips[0], chips[2], chips[3]})
+        EXPECT_EQ(cluster->health().errorRate(index(chip)), 0.0) << chip;
+
+    chaos->setTransientErrorRate(a_tail, 0.0);
+    EXPECT_TRUE(cluster->shutdown().ok());
+}
+
+TEST(ShardedClusterTest, ChainStatsComeFromStageEngines)
+{
+    auto model = compileShared(chainMlp());
+    const Tensor input = probeInput({1, 8, 8});
+
+    // Half-model chips split the MLP into three stages.
+    ClusterOptions options;
+    options.engine.workerThreads = 2;
+    options.engine.execution =
+        ExecutionConfig{ExecutorKind::Reference};
+    const ChipCapacity capacity =
+        scaledCapacity(model->resourceDemand(), 0.5);
+    auto created = ClusterEngine::create(
+        {{"c0", capacity}, {"c1", capacity}, {"c2", capacity}}, options);
+    ASSERT_TRUE(created.ok()) << created.status().toString();
+    auto cluster = std::move(created).value();
+    ASSERT_TRUE(cluster->loadModel("big", model).ok());
+    const std::vector<std::string> chips = cluster->replicaChips("big");
+    ASSERT_EQ(chips.size(), 3u);
+
+    constexpr int kRequests = 12;
+    std::vector<std::future<StatusOr<InferenceResult>>> futures;
+    for (int i = 0; i < kRequests; ++i)
+        futures.push_back(cluster->submit("big", input));
+    for (auto &f : futures)
+        ASSERT_TRUE(f.get().ok());
+
+    std::vector<EngineStats> stages;
+    for (const std::string &chip : chips) {
+        auto stage = cluster->fleet()
+                         .engine(cluster->fleet().indexOf(chip).value())
+                         .modelStats(soleTenant(*cluster, chip));
+        ASSERT_TRUE(stage.ok());
+        stages.push_back(std::move(stage).value());
+    }
+    auto stats = cluster->modelStats("big");
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->submitted, stages.front().submitted);
+    EXPECT_EQ(stats->completed, kRequests);
+    EXPECT_EQ(stats->completed, stages.back().completed);
+    EXPECT_EQ(stats->failed, 0);
+    EXPECT_GT(stats->batches, 0);
+    EXPECT_EQ(stats->batches, stages.back().batches);
+    EXPECT_EQ(stats->batchSizeCounts, stages.back().batchSizeCounts);
+    EXPECT_DOUBLE_EQ(stats->p99QueueMillis,
+                     stages[0].p99QueueMillis + stages[1].p99QueueMillis +
+                         stages[2].p99QueueMillis);
+
+    auto parsed = parseJson(cluster->statsJson());
+    ASSERT_TRUE(parsed.ok());
+    const JsonValue &tenant = (*parsed)["tenants"]["big"];
+    EXPECT_EQ(tenant["forwards"].asInt(),
+              stages[0].completed + stages[1].completed);
+    EXPECT_GT(tenant["interconnectNanos"].number(), 0.0);
     EXPECT_TRUE(cluster->shutdown().ok());
 }
 

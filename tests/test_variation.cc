@@ -7,12 +7,14 @@
  * schema, drift-driven ACCURATE -> DRIFTING -> STALE transitions with
  * routing around drifted replicas, and the re-programming recovery
  * round trip under a concurrent request stream (zero accepted
- * requests lost; run under TSan in CI).
+ * requests lost; run under TSan in CI), for one-stage replicas and
+ * for two-stage chains calibrated stage by stage.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -40,6 +42,26 @@ smallCnn(std::uint64_t seed = 42)
 {
     GraphBuilder b({1, 8, 8});
     b.conv(4, 3, 1, 0).relu().maxPool(2, 2).flatten().fc(10);
+    Graph g = b.build();
+    Rng rng(seed);
+    randomizeWeights(g, rng);
+    return g;
+}
+
+/** A deeper weighted chain that splits into chip-sized stages. */
+Graph
+chainCnn(std::uint64_t seed = 42)
+{
+    GraphBuilder b({1, 8, 8});
+    b.conv(4, 3, 1, 0)
+        .relu()
+        .maxPool(2, 2)
+        .conv(6, 3, 1, 0)
+        .relu()
+        .flatten()
+        .fc(24)
+        .relu()
+        .fc(10);
     Graph g = b.build();
     Rng rng(seed);
     randomizeWeights(g, rng);
@@ -75,6 +97,22 @@ capacityFor(const ResourceDemand &demand, std::int64_t copies)
     c.smbBlocks = demand.smbBlocks * copies;
     c.clbBlocks = demand.clbBlocks * copies;
     c.routingTracks = demand.routingTracks * copies;
+    return c;
+}
+
+/** A capacity holding `fraction` of this demand (rounded up). */
+ChipCapacity
+fractionOf(const ResourceDemand &demand, double fraction)
+{
+    auto scale = [fraction](std::int64_t units) {
+        return static_cast<std::int64_t>(
+            std::ceil(static_cast<double>(units) * fraction));
+    };
+    ChipCapacity c;
+    c.peBlocks = scale(demand.peBlocks);
+    c.smbBlocks = scale(demand.smbBlocks);
+    c.clbBlocks = scale(demand.clbBlocks);
+    c.routingTracks = scale(demand.routingTracks);
     return c;
 }
 
@@ -405,6 +443,123 @@ TEST(VariationCluster, DriftStaleReprogramRoundTripLosesNothing)
         EXPECT_LT(replica["ageSeconds"].number(),
                   (*parsed)["variation"]["driftClockSeconds"].number());
     }
+    EXPECT_TRUE((*cluster)->shutdown().ok());
+}
+
+// ------------------------------------------------ multi-stage chains
+
+TEST(VariationCluster, ChainStageMissingTheSloIsNotLoaded)
+{
+    // Chips too small for the whole model split it into a two-stage
+    // chain; on hopelessly noisy silicon no stage meets the SLO.
+    auto model = compileShared(chainCnn());
+    const ChipCapacity cap = fractionOf(model->resourceDemand(), 0.7);
+    auto cluster = ClusterEngine::create(
+        {chipWith("chip0", cap, 0.3, 0.0, 71),
+         chipWith("chip1", cap, 0.3, 0.0, 72),
+         chipWith("chip2", cap, 0.3, 0.0, 73)});
+    ASSERT_TRUE(cluster.ok());
+
+    TenantOptions tenant;
+    tenant.minAccuracy = 0.97;
+    Status loaded = (*cluster)->loadModel("cnn", model, 1, tenant);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.code(), StatusCode::Infeasible) << loaded.toString();
+    EXPECT_NE(loaded.message().find("predicts accuracy"),
+              std::string::npos)
+        << loaded.message();
+    EXPECT_EQ((*cluster)->replicaCount("cnn"), 0);
+    EXPECT_TRUE((*cluster)->modelNames().empty());
+
+    // The same chain loads ungated.
+    ASSERT_TRUE((*cluster)->loadModel("cnn", model, 1).ok());
+    EXPECT_EQ((*cluster)->replicaChips("cnn").size(), 2u);
+    EXPECT_TRUE((*cluster)->shutdown().ok());
+}
+
+TEST(VariationCluster, ChainRecalibrationReprogramsEveryStage)
+{
+    // Two disjoint two-stage chains: A on the drifting chips, B on
+    // stable ones, so B serves while A is re-programmed.
+    auto model = compileShared(chainCnn());
+    const ChipCapacity cap = fractionOf(model->resourceDemand(), 0.7);
+    auto cluster = ClusterEngine::create(
+        {chipWith("chip0", cap, 0.01, 1e-3, 61),
+         chipWith("chip1", cap, 0.012, 1e-3, 62),
+         chipWith("chip2", cap, 0.01, 0.0, 63),
+         chipWith("chip3", cap, 0.012, 0.0, 64)});
+    ASSERT_TRUE(cluster.ok());
+
+    TenantOptions tenant;
+    tenant.minAccuracy = 0.7;
+    ASSERT_TRUE((*cluster)->loadModel("cnn", model, 2, tenant).ok());
+    ASSERT_EQ((*cluster)->replicaChips("cnn"),
+              (std::vector<std::string>{"chip0", "chip1", "chip2",
+                                        "chip3"}));
+
+    // Every stage is calibrated against its own chip.
+    const auto stages = [&] {
+        auto parsed = parseJson((*cluster)->statsJson());
+        EXPECT_TRUE(parsed.ok());
+        return (*parsed)["variation"]["tenants"]["cnn"]["replicas"];
+    };
+    const JsonValue programmed = stages();
+    ASSERT_EQ(programmed.size(), 4u);
+    for (std::size_t s = 0; s < programmed.size(); ++s) {
+        const JsonValue &stage = programmed.array()[s];
+        EXPECT_EQ(stage["chip"].string(), "chip" + std::to_string(s));
+        EXPECT_EQ(stage["accuracy"].string(), "ACCURATE");
+        EXPECT_GE(stage["predictedAccuracy"].number(), 0.7);
+    }
+
+    // A concurrent request stream races the drain + re-program below.
+    std::atomic<bool> stop{false};
+    std::atomic<int> served{0};
+    std::atomic<int> failed{0};
+    std::thread submitter([&] {
+        while (!stop.load()) {
+            auto r = (*cluster)->infer("cnn", probeInput());
+            (r.ok() ? served : failed).fetch_add(1);
+        }
+    });
+    while (served.load() + failed.load() < 3)
+        std::this_thread::yield();
+
+    // Age the fleet until a stage of chain A reads STALE.
+    bool stale = false;
+    for (int i = 0; i < 2000 && !stale; ++i) {
+        (*cluster)->advanceDrift(5.0);
+        for (const char *chip : {"chip0", "chip1"})
+            stale = stale ||
+                    replicaStateFromStats(**cluster, "cnn", chip) == "STALE";
+    }
+    ASSERT_TRUE(stale);
+
+    const std::vector<ClusterEvent> events = (*cluster)->recalibrateOnce();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].reason, "recalibration");
+    EXPECT_TRUE(events[0].status.ok()) << events[0].status.toString();
+    EXPECT_EQ(events[0].toChip, "chip0+chip1");
+
+    stop.store(true);
+    submitter.join();
+    EXPECT_GT(served.load(), 0);
+    EXPECT_EQ(failed.load(), 0); // zero lost accepted requests
+
+    // Re-programming reset both of A's stages; B's kept aging.
+    ASSERT_EQ((*cluster)->replicaCount("cnn"), 2);
+    const JsonValue reprogrammed = stages();
+    ASSERT_EQ(reprogrammed.size(), 4u);
+    for (const JsonValue &stage : reprogrammed.array()) {
+        const std::string chip = stage["chip"].string();
+        if (chip == "chip0" || chip == "chip1") {
+            EXPECT_DOUBLE_EQ(stage["ageSeconds"].number(), 0.0) << chip;
+            EXPECT_EQ(stage["accuracy"].string(), "ACCURATE") << chip;
+        } else {
+            EXPECT_GT(stage["ageSeconds"].number(), 0.0) << chip;
+        }
+    }
+    EXPECT_TRUE((*cluster)->recalibrateOnce().empty());
     EXPECT_TRUE((*cluster)->shutdown().ok());
 }
 
