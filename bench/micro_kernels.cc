@@ -14,6 +14,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -171,19 +173,24 @@ BENCHMARK(BM_RunCoreOpsCnn)->Unit(benchmark::kMicrosecond);
 
 /**
  * GEMM shapes (m, k, n) of the served models: the VGG17 convolutions
- * of perfbench's `convnet` workload, then the fleet CNN's.
+ * of perfbench's `convnet` workload, the fleet CNN's, then LeNet's
+ * first fc layer at batch 1, 4 and 8 (around the VNNI table's
+ * row-count crossover).
  */
 constexpr std::int64_t kGemmShapes[][3] = {
     {48, 432, 1024}, {96, 864, 256},  {96, 864, 64},  {96, 864, 16},
-    {32, 27, 16384}, {64, 288, 4096}, {64, 576, 1024},
+    {32, 27, 16384}, {64, 288, 4096}, {64, 576, 1024}, {1, 800, 500},
+    {4, 800, 500},   {8, 800, 500},
 };
+
+constexpr KernelIsa kGemmIsas[] = {KernelIsa::Scalar, KernelIsa::Avx2,
+                                   KernelIsa::AvxVnni, KernelIsa::Neon};
 
 /** Args {isa, m, k, n} for every available table and every shape. */
 void
 gemmArgs(benchmark::internal::Benchmark *b)
 {
-    for (KernelIsa isa :
-         {KernelIsa::Scalar, KernelIsa::Avx2, KernelIsa::Neon}) {
+    for (KernelIsa isa : kGemmIsas) {
         if (!kernelIsaAvailable(isa))
             continue;
         for (const auto &shape : kGemmShapes)
@@ -258,4 +265,24 @@ BENCHMARK(BM_GemmInt8)->Apply(gemmArgs)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 
-BENCHMARK_MAIN();
+/**
+ * google-benchmark's main, after one line naming the kernel tables
+ * this host can run: a GEMM row missing for a table means the table
+ * went untested here, and the line says so up front.
+ */
+int
+main(int argc, char **argv)
+{
+    std::string have, missing;
+    for (KernelIsa isa : kGemmIsas)
+        (kernelIsaAvailable(isa) ? have : missing) +=
+            std::string(" ") + kernelIsaName(isa);
+    std::printf("kernel tables available:%s; unavailable:%s\n",
+                have.c_str(), missing.empty() ? " none" : missing.c_str());
+    std::fflush(stdout);
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    return 0;
+}

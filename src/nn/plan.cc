@@ -122,25 +122,37 @@ quantizeTo(const float *src, std::int8_t *dst, std::int64_t n,
     }
 }
 
-/** Per-layer symmetric int8 quantization of one packed weight panel. */
-float
-quantizePanel(const std::vector<float> &panel,
-              std::vector<std::int8_t> &out)
+/**
+ * Per-output-channel symmetric int8 quantization of one packed weight
+ * panel: channel c holds the `length` values at panel[c * chStride +
+ * e * elemStride], snapped against its own absmax.  Writes the levels
+ * into `out` (the panel's layout) and one scale per channel into
+ * `scales` (0 for an all-zero channel).
+ */
+void
+quantizeChannels(const std::vector<float> &panel, std::int64_t channels,
+                 std::int64_t length, std::int64_t chStride,
+                 std::int64_t elemStride, std::vector<std::int8_t> &out,
+                 std::vector<float> &scales)
 {
     constexpr std::int32_t kQmax = 127;
-    out.resize(panel.size());
-    const float absmax =
-        absMaxOf(panel.data(),
-                 static_cast<std::int64_t>(panel.size()));
-    if (absmax == 0.0f) {
-        std::fill(out.begin(), out.end(), std::int8_t{0});
-        return 0.0f;
+    out.assign(panel.size(), std::int8_t{0});
+    scales.assign(static_cast<std::size_t>(channels), 0.0f);
+    for (std::int64_t c = 0; c < channels; ++c) {
+        const float *src = panel.data() + c * chStride;
+        float absmax = 0.0f;
+        for (std::int64_t e = 0; e < length; ++e)
+            absmax = std::max(absmax, std::fabs(src[e * elemStride]));
+        if (absmax == 0.0f)
+            continue;
+        const float scale = absmax / static_cast<float>(kQmax);
+        const float mult = 1.0f / scale;
+        std::int8_t *dst = out.data() + c * chStride;
+        for (std::int64_t e = 0; e < length; ++e)
+            quantizeTo(src + e * elemStride, dst + e * elemStride, 1,
+                       mult, kQmax);
+        scales[static_cast<std::size_t>(c)] = scale;
     }
-    const float scale = absmax / static_cast<float>(kQmax);
-    quantizeTo(panel.data(), out.data(),
-               static_cast<std::int64_t>(panel.size()),
-               1.0f / scale, kQmax);
-    return scale;
 }
 
 } // namespace
@@ -365,15 +377,25 @@ ExecutionPlan::build(const Graph &graph, const PlanOptions &options)
     plan.outputOffset_ = offsetOf(order.back());
 
     // ---- Quantized path: snap every packed panel to int8 now (one
-    // symmetric scale per layer) and size the int8/int32 scratch, so
-    // serving never allocates.  The fp32 panels are then dead weight
-    // and released.
+    // symmetric scale per output channel: a conv panel row, an fc panel
+    // column) and size the int8/int32 scratch, so serving never
+    // allocates.  The fp32 panels are then dead weight and released.
     if (plan.precision_ != PrecisionMode::Fp32) {
         plan.qweights_.resize(plan.weights_.size());
         plan.wscales_.resize(plan.weights_.size());
-        for (std::size_t w = 0; w < plan.weights_.size(); ++w) {
-            plan.wscales_[w] =
-                quantizePanel(plan.weights_[w], plan.qweights_[w]);
+        for (const Step &s : plan.steps_) {
+            if (s.weight < 0)
+                continue;
+            const auto w = static_cast<std::size_t>(s.weight);
+            if (s.kind == OpKind::Conv2d) {
+                const std::int64_t kk =
+                    (s.ci / s.groups) * s.kernel * s.kernel;
+                quantizeChannels(plan.weights_[w], s.co, kk, kk, 1,
+                                 plan.qweights_[w], plan.wscales_[w]);
+            } else {
+                quantizeChannels(plan.weights_[w], s.co, s.ci, 1, s.co,
+                                 plan.qweights_[w], plan.wscales_[w]);
+            }
             std::vector<float>().swap(plan.weights_[w]);
         }
         for (const Step &s : plan.steps_) {
@@ -554,7 +576,7 @@ ExecutionPlan::execConvInt8(const Step &s, int nb,
     float *out_base = ctx.arena_.data() + s.out * b;
     const std::int8_t *w_all =
         qweights_[static_cast<std::size_t>(s.weight)].data();
-    const float sw = wscales_[static_cast<std::size_t>(s.weight)];
+    const float *sw = wscales_[static_cast<std::size_t>(s.weight)].data();
     const bool identity =
         s.kernel == 1 && s.stride == 1 && s.pad == 0;
     const bool coalesce = b > 1 && hw < kCoalesceColumns;
@@ -562,7 +584,7 @@ ExecutionPlan::execConvInt8(const Step &s, int nb,
 
     // Quantize one sample's group input against its own absmax and pack
     // its int8 columns at `cols` (leading stride `ldm`); returns the
-    // sample's dequantization factor.  Quantizing commutes with im2col
+    // sample's activation scale.  Quantizing commutes with im2col
     // -- packing only copies, and a padded 0.0 quantizes to level 0 --
     // so quantizing the input once (kernel^2 fewer elements than its
     // columns) gives exactly the levels the columns would get.
@@ -582,7 +604,7 @@ ExecutionPlan::execConvInt8(const Step &s, int nb,
             im2colChwInt8(qin, ci_g, s.hi, s.wi, s.kernel, s.kernel,
                           s.stride, s.pad, s.ho, s.wo, cols, ldm);
         }
-        return sw * sa;
+        return sa;
     };
 
     for (std::int64_t g = 0; g < s.groups; ++g) {
@@ -608,6 +630,7 @@ ExecutionPlan::execConvInt8(const Step &s, int nb,
                     float *dst = out_base + i * s.outNumel +
                                  (g * co_g + oc) * hw;
                     const float f =
+                        sw[g * co_g + oc] *
                         ctx.scales_[static_cast<std::size_t>(i)];
                     for (std::int64_t x = 0; x < hw; ++x)
                         dst[x] = static_cast<float>(src[x]) * f;
@@ -617,14 +640,18 @@ ExecutionPlan::execConvInt8(const Step &s, int nb,
         }
         for (std::int64_t i = 0; i < b; ++i) {
             std::int8_t *qcols = ctx.qact_.data();
-            const float f =
+            const float sa =
                 pack(in_base + i * s.inNumel[0] + g * in_g, qcols, hw);
             std::int32_t *stage = ctx.stage32_.data();
             kernels_->gemmInt8(wg, kk, qcols, hw, stage, hw, co_g, kk,
                                hw);
             float *dst = out_base + i * s.outNumel + g * co_g * hw;
-            for (std::int64_t v = 0; v < co_g * hw; ++v)
-                dst[v] = static_cast<float>(stage[v]) * f;
+            for (std::int64_t oc = 0; oc < co_g; ++oc) {
+                const float f = sw[g * co_g + oc] * sa;
+                for (std::int64_t x = 0; x < hw; ++x)
+                    dst[oc * hw + x] =
+                        static_cast<float>(stage[oc * hw + x]) * f;
+            }
         }
     }
 }
@@ -638,7 +665,7 @@ ExecutionPlan::execFullyConnectedInt8(const Step &s, int nb,
     float *out_base = ctx.arena_.data() + s.out * b;
     const std::int8_t *wt =
         qweights_[static_cast<std::size_t>(s.weight)].data();
-    const float sw = wscales_[static_cast<std::size_t>(s.weight)];
+    const float *sw = wscales_[static_cast<std::size_t>(s.weight)].data();
     const std::int32_t qmax = static_cast<std::int32_t>(actQmax_);
 
     // Quantize each sample's input row against its own absmax, then
@@ -650,18 +677,18 @@ ExecutionPlan::execFullyConnectedInt8(const Step &s, int nb,
         const float absmax = absMaxOf(row, s.ci);
         const float sa = absmax > 0.0f ? absmax / actQmax_ : 0.0f;
         const float mult = absmax > 0.0f ? 1.0f / sa : 0.0f;
-        ctx.scales_[static_cast<std::size_t>(i)] = sw * sa;
+        ctx.scales_[static_cast<std::size_t>(i)] = sa;
         quantizeTo(row, qin + i * s.ci, s.ci, mult, qmax);
     }
     std::int32_t *stage = ctx.stage32_.data();
     kernels_->gemmInt8(qin, s.ci, wt, s.co, stage, s.co, b, s.ci,
                        s.co);
     for (std::int64_t i = 0; i < b; ++i) {
-        const float f = ctx.scales_[static_cast<std::size_t>(i)];
+        const float sa = ctx.scales_[static_cast<std::size_t>(i)];
         const std::int32_t *src = stage + i * s.co;
         float *dst = out_base + i * s.co;
         for (std::int64_t u = 0; u < s.co; ++u)
-            dst[u] = static_cast<float>(src[u]) * f;
+            dst[u] = static_cast<float>(src[u]) * (sw[u] * sa);
     }
 }
 

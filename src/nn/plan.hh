@@ -31,11 +31,13 @@
  * batched==single promise holds against a fixed instruction-set
  * variant), and `PrecisionMode::Int8`/`Int6` switch conv/fc layers to
  * the quantized data path -- weights are symmetric-quantized to int8
- * per layer at build time, activations are quantized per sample with a
- * dynamic scale from that sample's own layer input (so batching cannot
- * change a sample's quantization grid), the GEMM runs int8 x int8 ->
- * int32, and a float epilogue rescales by (weight scale x activation
- * scale).  A conv quantizes each sample's layer input once, before
+ * per output channel at build time (each conv panel row and each fc
+ * panel column against its own absmax, so one large channel cannot
+ * flatten the others' levels), activations are quantized per sample
+ * with a dynamic scale from that sample's own layer input (so batching
+ * cannot change a sample's quantization grid), the GEMM runs int8 x
+ * int8 -> int32, and a float epilogue rescales each output channel by
+ * (its weight scale x the activation scale).  A conv quantizes each sample's layer input once, before
  * im2col, and packs the int8 levels: packing only copies and a padded
  * zero is level 0, so this yields exactly the levels of quantizing the
  * kernel^2-times larger column matrix.  Integer accumulation is exact,
@@ -88,7 +90,7 @@ class PlanContext
     std::vector<std::int8_t> qact_;     //!< int8 columns / fc inputs
     std::vector<std::int8_t> qinput_;   //!< one quantized conv input
     std::vector<std::int32_t> stage32_; //!< int32 GEMM accumulators
-    std::vector<float> scales_;         //!< per-sample dequant factors
+    std::vector<float> scales_;         //!< per-sample activation scales
     int batchCapacity_ = 0;
 };
 
@@ -178,9 +180,10 @@ class ExecutionPlan
     std::vector<std::vector<float>> weights_; //!< packed GEMM panels
 
     // Quantized path (empty for Fp32 plans): per-layer int8 panels in
-    // the same layout as weights_, with one symmetric scale each.
+    // the same layout as weights_, with one symmetric scale per output
+    // channel (conv panel row, fc panel column).
     std::vector<std::vector<std::int8_t>> qweights_;
-    std::vector<float> wscales_;
+    std::vector<std::vector<float>> wscales_;
 
     PrecisionMode precision_ = PrecisionMode::Fp32;
     const KernelTable *kernels_ = nullptr; //!< pinned at build

@@ -650,15 +650,15 @@ ClusterEngine::submit(const std::string &model, Tensor input)
         }
 
         auto picked = pickReplica(*replicas, model, kNoChip);
-        if (!picked.ok()) {
-            request->promise.set_value(picked.status());
-            return future;
-        }
-        const Replica &replica = (*replicas)[*picked];
 
         // The replica copies the input per attempt; the request keeps
         // it for resubmission.
         if (options_.retryBudget <= 0) {
+            if (!picked.ok()) {
+                request->promise.set_value(picked.status());
+                return future;
+            }
+            const Replica &replica = (*replicas)[*picked];
             Status admitted = replica.router->submit(
                 request->input,
                 [request](StatusOr<InferenceResult> result, std::size_t) {
@@ -684,6 +684,14 @@ ClusterEngine::submit(const std::string &model, Tensor input)
                     std::chrono::duration<double, std::milli>(
                         shed_millis));
         }
+        if (!picked.ok()) {
+            // No live replica right now -- e.g. the tenant's only one is
+            // detached for re-programming.  Wait it out in backoff, the
+            // same as `retry` does, within the budget and shed deadline.
+            settle(request, picked.status());
+            return future;
+        }
+        const Replica &replica = (*replicas)[*picked];
         Status admitted = replica.router->submit(
             request->input, supervise(request, replica.chips),
             /*block=*/true);

@@ -223,6 +223,9 @@ class ClusterEngine
     /**
      * Route one sample to the least-loaded replica of `model`.  The
      * future resolves when served; a drain race re-routes internally.
+     * With `retryBudget > 0`, finding no live replica (say, the only
+     * one is detached for re-programming) waits in backoff like a
+     * failover retry instead of failing at once.
      */
     std::future<StatusOr<InferenceResult>> submit(
         const std::string &model, Tensor input);

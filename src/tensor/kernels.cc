@@ -9,6 +9,7 @@
 
 #if defined(__x86_64__) || defined(__i386__)
 #define FPSA_KERNELS_X86 1
+#include <cpuid.h>
 #include <immintrin.h>
 #endif
 #if defined(__aarch64__)
@@ -618,6 +619,52 @@ gemmInt8Avx2(const std::int8_t *a, std::int64_t lda,
     }
 }
 
+/**
+ * Below this many A rows the VNNI table runs the `madd` GEMM above
+ * instead: packing B into offset quads costs about one pass over B,
+ * which one to four rows do not earn back (best of 300 on a 4-vCPU
+ * Xeon: 4 x 800 x 500 takes 38 us madd vs 55-63 us packed, 8 x 800 x
+ * 500 takes 93 us vs 75 us).
+ */
+constexpr std::int64_t kVnniMinRows = 5;
+
+#define FPSA_VNNI_NS vex
+#define FPSA_VNNI_TARGET "avx2,fma,avxvnni"
+#define FPSA_VNNI_DPBUSD _mm256_dpbusd_avx_epi32
+#include "tensor/kernels_vnni.inc"
+#undef FPSA_VNNI_NS
+#undef FPSA_VNNI_TARGET
+#undef FPSA_VNNI_DPBUSD
+
+#define FPSA_VNNI_NS evex
+#define FPSA_VNNI_TARGET "avx2,fma,avx512vnni,avx512vl"
+#define FPSA_VNNI_DPBUSD _mm256_dpbusd_epi32
+#include "tensor/kernels_vnni.inc"
+#undef FPSA_VNNI_NS
+#undef FPSA_VNNI_TARGET
+#undef FPSA_VNNI_DPBUSD
+
+/**
+ * AVX-VNNI (CPUID leaf 7 sub-leaf 1, EAX bit 4), read directly:
+ * not every supported compiler knows `__builtin_cpu_supports
+ * ("avxvnni")`.  The VEX encoding needs only the AVX state that the
+ * AVX2 check already confirmed the OS saves.
+ */
+bool
+hasAvxVnni()
+{
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    return __get_cpuid_count(7, 1, &eax, &ebx, &ecx, &edx) != 0 &&
+           (eax & (1u << 4)) != 0;
+}
+
+bool
+hasAvx512Vnni()
+{
+    return __builtin_cpu_supports("avx512vnni") &&
+           __builtin_cpu_supports("avx512vl");
+}
+
 #endif // FPSA_KERNELS_X86
 
 // ------------------------------------------------------------------- NEON
@@ -728,6 +775,7 @@ compiledIn(KernelIsa isa)
       case KernelIsa::Scalar:
         return true;
       case KernelIsa::Avx2:
+      case KernelIsa::AvxVnni:
 #if FPSA_KERNELS_X86
         return true;
 #else
@@ -758,6 +806,13 @@ cpuSupports(KernelIsa isa)
 #else
         return false;
 #endif
+      case KernelIsa::AvxVnni:
+#if FPSA_KERNELS_X86
+        return cpuSupports(KernelIsa::Avx2) &&
+               (hasAvxVnni() || hasAvx512Vnni());
+#else
+        return false;
+#endif
       case KernelIsa::Neon:
 #if FPSA_KERNELS_NEON
         return true; // baseline on aarch64
@@ -783,7 +838,7 @@ envCap()
         KernelIsa parsed = KernelIsa::Auto;
         if (!parseKernelIsa(env, parsed)) {
             warn("FPSA_KERNEL_ISA='%s' is not a known ISA "
-                 "(auto/scalar/avx2/neon); ignoring",
+                 "(auto/scalar/avx2/avxvnni/neon); ignoring",
                  env);
             return KernelIsa::Auto;
         }
@@ -796,6 +851,8 @@ KernelIsa
 detectBest()
 {
 #if FPSA_KERNELS_X86
+    if (cpuSupports(KernelIsa::AvxVnni))
+        return KernelIsa::AvxVnni;
     if (cpuSupports(KernelIsa::Avx2))
         return KernelIsa::Avx2;
 #endif
@@ -810,6 +867,12 @@ const KernelTable kScalarTable{KernelIsa::Scalar, &gemmScalar,
 #if FPSA_KERNELS_X86
 const KernelTable kAvx2Table{KernelIsa::Avx2, &gemmAvx2, &im2colAvx2,
                              &gemmInt8Avx2};
+// The fp32 slots are the AVX2 functions themselves, so fp32 plans are
+// bit-identical between the two tables.
+const KernelTable kAvxVnniTable{KernelIsa::AvxVnni, &gemmAvx2,
+                                &im2colAvx2, &vex::gemmInt8};
+const KernelTable kAvx512VnniTable{KernelIsa::AvxVnni, &gemmAvx2,
+                                   &im2colAvx2, &evex::gemmInt8};
 #endif
 #if FPSA_KERNELS_NEON
 const KernelTable kNeonTable{KernelIsa::Neon, &gemmNeon, &im2colScalar,
@@ -825,6 +888,7 @@ kernelIsaName(KernelIsa isa)
       case KernelIsa::Auto: return "auto";
       case KernelIsa::Scalar: return "scalar";
       case KernelIsa::Avx2: return "avx2";
+      case KernelIsa::AvxVnni: return "avxvnni";
       case KernelIsa::Neon: return "neon";
     }
     return "?";
@@ -839,7 +903,8 @@ parseKernelIsa(const std::string &name, KernelIsa &out)
         lower.push_back(static_cast<char>(
             std::tolower(static_cast<unsigned char>(c))));
     for (KernelIsa isa : {KernelIsa::Auto, KernelIsa::Scalar,
-                          KernelIsa::Avx2, KernelIsa::Neon}) {
+                          KernelIsa::Avx2, KernelIsa::AvxVnni,
+                          KernelIsa::Neon}) {
         if (lower == kernelIsaName(isa)) {
             out = isa;
             return true;
@@ -917,6 +982,11 @@ kernelTable(KernelIsa isa)
 #if FPSA_KERNELS_X86
       case KernelIsa::Avx2:
         return kAvx2Table;
+      case KernelIsa::AvxVnni: {
+        static const KernelTable &vnni =
+            hasAvxVnni() ? kAvxVnniTable : kAvx512VnniTable;
+        return vnni;
+      }
 #endif
 #if FPSA_KERNELS_NEON
       case KernelIsa::Neon:

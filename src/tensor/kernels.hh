@@ -19,6 +19,21 @@
  *    for 256-bit moves, and runs the int8 GEMM as a
  *    pairwise `_mm256_madd_epi16` microkernel: two k steps of eight
  *    columns per multiply, exact over the whole int8 range.
+ *  - `AvxVnni` (x86 only, CPUID-gated on AVX2+FMA plus AVX-VNNI, or
+ *    AVX512-VNNI with AVX512VL) shares `Avx2`'s fp32 GEMM and im2col
+ *    functions -- fp32 plans are bit-identical between the two -- and
+ *    runs the int8 GEMM on `vpdpbusd`: four k steps of eight columns
+ *    per instruction, no sign extension.  `vpdpbusd` multiplies an
+ *    unsigned byte by a signed one, so B enters as B + 128 (`xor
+ *    0x80`), packed once per 128 x 512 block into 4-byte k-quads (a
+ *    64 KB stack buffer), A rows are broadcast as signed k-quads, and
+ *    every 6-row x 16-column tile seeds its accumulators with
+ *    -128 * rowsum(A block).  The offset cancels exactly --
+ *    sum(a * (b + 128)) - 128 * sum(a) = sum(a * b) in wrapping int32,
+ *    whose true result fits -- so the contract stays exact int32 math
+ *    for any int8 operands: no caller sees the offset, signed inputs
+ *    (a network's first layer) included.  Calls with fewer than five
+ *    rows, which do not earn back the packing, run the madd GEMM.
  *  - `Neon` (aarch64 only) uses explicit 4-lane fused multiply-adds.
  *
  * Determinism contract (what `ExecutionPlan` relies on): within one
@@ -37,12 +52,14 @@
  * exact integer arithmetic and bit-identical across every table.
  *
  * Selection: `kernelTable(KernelIsa::Auto)` picks the best variant the
- * CPU supports.  The environment variable `FPSA_KERNEL_ISA`
- * (`scalar` / `avx2` / `neon` / `auto`, read once at first use) caps
- * what detection may return -- `FPSA_KERNEL_ISA=scalar` forces every
- * consumer in the process onto the portable baseline, the override CI
- * uses to keep both code paths green.  Requesting an unavailable ISA
- * falls back to `Scalar`.
+ * CPU supports (`AvxVnni` over `Avx2` over `Scalar` on x86).  The
+ * environment variable `FPSA_KERNEL_ISA` (`scalar` / `avx2` /
+ * `avxvnni` / `neon` / `auto`, read once at first use) limits the
+ * available variants to {`Scalar`, that one} --
+ * `FPSA_KERNEL_ISA=scalar` forces every consumer in the process onto
+ * the portable baseline, and `FPSA_KERNEL_ISA=avx2` masks the VNNI
+ * table so the madd int8 GEMM runs; CI uses both to keep every code
+ * path green.  Requesting an unavailable ISA falls back to `Scalar`.
  */
 
 #ifndef FPSA_TENSOR_KERNELS_HH
@@ -57,15 +74,16 @@ namespace fpsa
 /** Instruction-set variants a kernel table can be built from. */
 enum class KernelIsa
 {
-    Auto,   //!< resolve to the best available variant at runtime
-    Scalar, //!< portable baseline; always available
-    Avx2,   //!< x86 AVX2+FMA (8-lane fp32 FMA)
-    Neon,   //!< aarch64 NEON (4-lane fp32 FMA)
+    Auto,    //!< resolve to the best available variant at runtime
+    Scalar,  //!< portable baseline; always available
+    Avx2,    //!< x86 AVX2+FMA (8-lane fp32 FMA)
+    AvxVnni, //!< Avx2's fp32 kernels + a `vpdpbusd` int8 GEMM
+    Neon,    //!< aarch64 NEON (4-lane fp32 FMA)
 };
 
 const char *kernelIsaName(KernelIsa isa);
 
-/** Parse "auto"/"scalar"/"avx2"/"neon" (case-insensitive). */
+/** Parse "auto"/"scalar"/"avx2"/"avxvnni"/"neon" (case-insensitive). */
 bool parseKernelIsa(const std::string &name, KernelIsa &out);
 
 /**
@@ -147,8 +165,8 @@ struct KernelTable
 
     /**
      * C[m x n] = A[m x k] * B[k x n] with int8 operands and int32
-     * accumulation (exact; bit-identical across tables).  C is
-     * overwritten.
+     * accumulation (exact for the whole int8 range; bit-identical
+     * across tables).  C is overwritten.
      */
     void (*gemmInt8)(const std::int8_t *a, std::int64_t lda,
                      const std::int8_t *b, std::int64_t ldb,

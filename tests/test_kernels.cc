@@ -7,8 +7,9 @@
  * naive fused multiply-add loop on every tile path, the per-table
  * determinism contract (a column's bits do not depend on the call's
  * width), exactness and cross-table
- * bit-identity of the int8 GEMM (every remainder path and the int8
- * range extremes), and im2col equivalence across tables.
+ * bit-identity of the int8 GEMM (every remainder path, strided
+ * operands, the int8 range extremes and the VNNI table's +128
+ * offset), and im2col equivalence across tables.
  */
 
 #include <gtest/gtest.h>
@@ -52,7 +53,8 @@ std::vector<KernelIsa>
 availableIsas()
 {
     std::vector<KernelIsa> isas{KernelIsa::Scalar};
-    for (KernelIsa isa : {KernelIsa::Avx2, KernelIsa::Neon})
+    for (KernelIsa isa :
+         {KernelIsa::Avx2, KernelIsa::AvxVnni, KernelIsa::Neon})
         if (kernelIsaAvailable(isa))
             isas.push_back(isa);
     return isas;
@@ -61,7 +63,8 @@ availableIsas()
 TEST(KernelIsaApi, NameParseRoundTrip)
 {
     for (KernelIsa isa : {KernelIsa::Auto, KernelIsa::Scalar,
-                          KernelIsa::Avx2, KernelIsa::Neon}) {
+                          KernelIsa::Avx2, KernelIsa::AvxVnni,
+                          KernelIsa::Neon}) {
         KernelIsa parsed;
         ASSERT_TRUE(parseKernelIsa(kernelIsaName(isa), parsed));
         EXPECT_EQ(parsed, isa);
@@ -70,6 +73,8 @@ TEST(KernelIsaApi, NameParseRoundTrip)
     EXPECT_FALSE(parseKernelIsa("sse9", out));
     EXPECT_TRUE(parseKernelIsa("AVX2", out)); // case-insensitive
     EXPECT_EQ(out, KernelIsa::Avx2);
+    EXPECT_TRUE(parseKernelIsa("AvxVnni", out));
+    EXPECT_EQ(out, KernelIsa::AvxVnni);
 }
 
 TEST(KernelIsaApi, PrecisionNameParseRoundTrip)
@@ -94,7 +99,8 @@ TEST(KernelIsaApi, ResolutionNeverReturnsAutoAndFallsBackToScalar)
     const KernelIsa best = resolveKernelIsa(KernelIsa::Auto);
     EXPECT_NE(best, KernelIsa::Auto);
     EXPECT_TRUE(kernelIsaAvailable(best));
-    for (KernelIsa isa : {KernelIsa::Avx2, KernelIsa::Neon}) {
+    for (KernelIsa isa :
+         {KernelIsa::Avx2, KernelIsa::AvxVnni, KernelIsa::Neon}) {
         const KernelIsa resolved = resolveKernelIsa(isa);
         if (kernelIsaAvailable(isa))
             EXPECT_EQ(resolved, isa);
@@ -108,6 +114,24 @@ TEST(KernelIsaApi, ResolutionNeverReturnsAutoAndFallsBackToScalar)
         EXPECT_NE(t.gemmRowMajor, nullptr);
         EXPECT_NE(t.im2colChw, nullptr);
         EXPECT_NE(t.gemmInt8, nullptr);
+    }
+}
+
+TEST(KernelIsaApi, AutoPrefersVnniAndKeepsAvx2Fp32Kernels)
+{
+    if (!kernelIsaAvailable(KernelIsa::AvxVnni))
+        GTEST_SKIP() << "no AVX-VNNI or AVX512-VNNI+VL on this host (or "
+                        "FPSA_KERNEL_ISA masks it): the avxvnni table "
+                        "went untested";
+    EXPECT_EQ(resolveKernelIsa(KernelIsa::Auto), KernelIsa::AvxVnni);
+    // The VNNI table changes only the int8 GEMM: its fp32 slots are the
+    // AVX2 functions, so fp32 plans are bit-identical between them.
+    if (kernelIsaAvailable(KernelIsa::Avx2)) {
+        const KernelTable &vnni = kernelTable(KernelIsa::AvxVnni);
+        const KernelTable &avx2 = kernelTable(KernelIsa::Avx2);
+        EXPECT_EQ(vnni.gemmRowMajor, avx2.gemmRowMajor);
+        EXPECT_EQ(vnni.im2colChw, avx2.im2colChw);
+        EXPECT_NE(vnni.gemmInt8, avx2.gemmInt8);
     }
 }
 
@@ -336,12 +360,16 @@ TEST(KernelTableInt8, ExactOnEveryRemainderPath)
 
 TEST(KernelTableInt8, ExactAtTheInt8RangeExtremes)
 {
-    // All -128 and all 127 operands.  (-128) * (-128) = 2^14, so a
+    // All -128, -1, 0 or 127 operands.  (-128) * (-128) = 2^14, so a
     // pair of products reaches 2^15, one past int16's range: a design
-    // whose pair sums saturate to int16 (maddubs) would clamp it.
+    // whose pair sums saturate to int16 (maddubs) would clamp it.  The
+    // VNNI table sees B + 128 up to 255 against A down to -128, and its
+    // -128 * rowsum seed must cancel the offset whatever the signs.
     const std::int64_t m = 5, k = 259, n = 17;
-    for (std::int8_t av : {std::int8_t{-128}, std::int8_t{127}}) {
-        for (std::int8_t bv : {std::int8_t{-128}, std::int8_t{127}}) {
+    for (std::int8_t av : {std::int8_t{-128}, std::int8_t{-1},
+                           std::int8_t{0}, std::int8_t{127}}) {
+        for (std::int8_t bv : {std::int8_t{-128}, std::int8_t{-1},
+                               std::int8_t{127}}) {
             expectInt8GemmExact(
                 std::vector<std::int8_t>(static_cast<std::size_t>(m * k),
                                          av),
@@ -350,6 +378,60 @@ TEST(KernelTableInt8, ExactAtTheInt8RangeExtremes)
                 m, k, n);
         }
     }
+}
+
+/**
+ * One strided int8 GEMM through `isa` and through the scalar table,
+ * compared bit for bit.  Every leading dimension is padded past its
+ * rows, and C starts as garbage, which the GEMM must overwrite.
+ */
+void
+expectInt8MatchesScalarStrided(KernelIsa isa, std::int64_t m,
+                               std::int64_t k, std::int64_t n,
+                               std::int64_t lda, std::int64_t ldb,
+                               std::int64_t ldc, std::uint64_t seed)
+{
+    const auto a = randomInt8(static_cast<std::size_t>(m * lda), seed);
+    const auto b =
+        randomInt8(static_cast<std::size_t>(k * ldb), seed + 1);
+    std::vector<std::int32_t> want(static_cast<std::size_t>(m * ldc), -3);
+    std::vector<std::int32_t> got(want.size(), -3);
+    kernelTable(KernelIsa::Scalar)
+        .gemmInt8(a.data(), lda, b.data(), ldb, want.data(), ldc, m, k, n);
+    kernelTable(isa).gemmInt8(a.data(), lda, b.data(), ldb, got.data(),
+                              ldc, m, k, n);
+    for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i], want[i])
+            << kernelIsaName(isa) << " m=" << m << " k=" << k
+            << " n=" << n << " lda=" << lda << " ldb=" << ldb
+            << " ldc=" << ldc << " element " << i;
+}
+
+TEST(KernelTableInt8, EveryTableMatchesScalarOnVnniEdgeShapes)
+{
+    // The VNNI GEMM packs B in k-quads of 128-deep blocks, 16-column
+    // groups of 512-column blocks, and tiles A in 6 rows (1..4 rows
+    // defer to the madd GEMM).  Sweep k % 4 != 0, k across the 128
+    // block edge, n % 16 != 0 and n > 512, m % 6 != 0, with padded
+    // leading dimensions.
+    std::uint64_t seed = 900;
+    for (KernelIsa isa : availableIsas()) {
+        for (std::int64_t k : {1, 3, 6, 127, 128, 129, 261}) {
+            for (std::int64_t m : {1, 4, 5, 6, 7, 11, 13}) {
+                for (std::int64_t n : {1, 5, 16, 17, 31, 48, 530}) {
+                    seed += 2;
+                    expectInt8MatchesScalarStrided(isa, m, k, n, k + 3,
+                                                   n + 5, n + 2, seed);
+                    if (HasFatalFailure())
+                        return;
+                }
+            }
+        }
+    }
+    if (!kernelIsaAvailable(KernelIsa::AvxVnni))
+        GTEST_SKIP() << "no AVX-VNNI or AVX512-VNNI+VL on this host (or "
+                        "FPSA_KERNEL_ISA masks it): the other tables "
+                        "passed, the avxvnni table went untested";
 }
 
 TEST(KernelTableInt8, ColumnBitsIndependentOfCallWidth)

@@ -6,8 +6,9 @@
  * bit-identity of batched vs single-sample execution and of
  * back-to-back requests through one reused arena, zero-heap-allocation
  * behaviour of the planned path, the liveness allocator actually
- * reusing buffers, and the quantized conv's bit-equality with a
- * quantize-after-im2col oracle.
+ * reusing buffers, the quantized conv's bit-equality with a
+ * per-channel quantize-after-im2col oracle, and bit-identical int8
+ * zoo-model outputs between the madd and VNNI kernel tables.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "common/rng.hh"
 #include "nn/builder.hh"
 #include "nn/execute.hh"
+#include "nn/models.hh"
 #include "nn/plan.hh"
 #include "tensor/kernels.hh"
 #include "tensor/tensor.hh"
@@ -188,7 +190,8 @@ std::vector<KernelIsa>
 availablePlanIsas()
 {
     std::vector<KernelIsa> isas{KernelIsa::Scalar};
-    for (KernelIsa isa : {KernelIsa::Avx2, KernelIsa::Neon})
+    for (KernelIsa isa :
+         {KernelIsa::Avx2, KernelIsa::AvxVnni, KernelIsa::Neon})
         if (kernelIsaAvailable(isa))
             isas.push_back(isa);
     return isas;
@@ -462,6 +465,69 @@ TEST(PlanInt8, BatchedBitIdenticalToSingleAndAcrossIsas)
     }
 }
 
+/** Outputs of `plan` for `inputs`, run as one batch. */
+std::vector<Tensor>
+runBatchOf(const ExecutionPlan &plan, const std::vector<Tensor> &inputs)
+{
+    std::vector<Tensor> outs(inputs.size(), Tensor(plan.outputShape()));
+    std::vector<const float *> in_ptrs;
+    std::vector<float *> out_ptrs;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        in_ptrs.push_back(inputs[i].data());
+        out_ptrs.push_back(outs[i].data());
+    }
+    const int batch = static_cast<int>(inputs.size());
+    PlanContext context = plan.makeContext(batch);
+    plan.runBatch(in_ptrs.data(), out_ptrs.data(), batch, context);
+    return outs;
+}
+
+TEST(PlanInt8, ZooModelsBitIdenticalBetweenMaddAndVnniKernels)
+{
+    if (!kernelIsaAvailable(KernelIsa::AvxVnni))
+        GTEST_SKIP() << "no AVX-VNNI or AVX512-VNNI+VL on this host (or "
+                        "FPSA_KERNEL_ISA masks it): the avxvnni table "
+                        "went untested";
+    // The served models end to end: convolutions take the packed VNNI
+    // GEMM (VGG17's first, signed-input layer included); fc layers run
+    // it only from batch 5 up (fewer rows defer to madd), so batch 8
+    // puts the MLP on it too.
+    for (ModelId id : {ModelId::Vgg17Cifar, ModelId::LeNet,
+                       ModelId::Mlp500_100}) {
+        Graph g = buildModel(id);
+        Rng rng(1234);
+        randomizeWeights(g, rng);
+        const Shape in_shape = g.node(g.topoOrder().front()).outShape;
+        for (PrecisionMode mode :
+             {PrecisionMode::Int8, PrecisionMode::Int6}) {
+            auto madd = ExecutionPlan::build(g, {mode, KernelIsa::Avx2});
+            auto vnni = ExecutionPlan::build(g, {mode, KernelIsa::AvxVnni});
+            ASSERT_TRUE(madd.ok()) << madd.status().toString();
+            ASSERT_TRUE(vnni.ok()) << vnni.status().toString();
+            ASSERT_EQ(vnni->kernelIsa(), KernelIsa::AvxVnni);
+            for (int batch : {1, 4, 8}) {
+                std::vector<Tensor> inputs;
+                for (int i = 0; i < batch; ++i)
+                    inputs.push_back(randomInput(
+                        in_shape, 700u + static_cast<std::uint64_t>(i)));
+                const auto want = runBatchOf(*madd, inputs);
+                const auto got = runBatchOf(*vnni, inputs);
+                for (int i = 0; i < batch; ++i)
+                    for (std::int64_t v = 0;
+                         v < want[static_cast<std::size_t>(i)].numel(); ++v)
+                        ASSERT_EQ(std::bit_cast<std::uint32_t>(
+                                      got[static_cast<std::size_t>(i)][v]),
+                                  std::bit_cast<std::uint32_t>(
+                                      want[static_cast<std::size_t>(i)][v]))
+                            << modelName(id) << " "
+                            << precisionModeName(mode) << " batch "
+                            << batch << " sample " << i << " element "
+                            << v;
+            }
+        }
+    }
+}
+
 TEST(PlanInt8, QuantizedRequestPerformsZeroHeapAllocations)
 {
     const Graph g = mixedStackGraph(306);
@@ -495,7 +561,7 @@ TEST(PlanInt8, QuantizedRequestPerformsZeroHeapAllocations)
  * A quantized conv computed the way the plan used to: pack the float
  * im2col matrix, quantize every packed element against the sample's own
  * input scale (per group slice), multiply with a naive int32 loop, then
- * rescale.  The plan quantizes the input before packing instead, so
+ * rescale each output channel by its own weight scale.  The plan quantizes the input before packing instead, so
  * this oracle is what proves the two orders agree bit for bit.
  */
 std::vector<float>
@@ -515,16 +581,22 @@ quantizeAfterIm2colConv(const GraphNode &conv, const Shape &in,
                           static_cast<std::int32_t>(qmax));
     };
 
-    // One symmetric int8 scale for the whole layer's weights.
+    // One symmetric int8 scale per output channel (OIHW row).
     const Tensor &w = *conv.weights;
-    float wmax = 0.0f;
-    for (std::int64_t v = 0; v < w.numel(); ++v)
-        wmax = std::max(wmax, std::fabs(w[v]));
-    const float sw = wmax / 127.0f;
-    const float wmult = 1.0f / sw;
-    std::vector<std::int32_t> wq(static_cast<std::size_t>(w.numel()));
-    for (std::int64_t v = 0; v < w.numel(); ++v)
-        wq[static_cast<std::size_t>(v)] = level(w[v], wmult, 127.0f);
+    std::vector<float> sw(static_cast<std::size_t>(co), 0.0f);
+    std::vector<std::int32_t> wq(static_cast<std::size_t>(w.numel()), 0);
+    for (std::int64_t oc = 0; oc < co; ++oc) {
+        float wmax = 0.0f;
+        for (std::int64_t r = 0; r < kk; ++r)
+            wmax = std::max(wmax, std::fabs(w[oc * kk + r]));
+        if (wmax == 0.0f)
+            continue;
+        sw[static_cast<std::size_t>(oc)] = wmax / 127.0f;
+        const float wmult = 1.0f / sw[static_cast<std::size_t>(oc)];
+        for (std::int64_t r = 0; r < kk; ++r)
+            wq[static_cast<std::size_t>(oc * kk + r)] =
+                level(w[oc * kk + r], wmult, 127.0f);
+    }
 
     std::vector<float> out(static_cast<std::size_t>(co * hw));
     std::vector<float> cols(static_cast<std::size_t>(kk * hw));
@@ -548,7 +620,8 @@ quantizeAfterIm2colConv(const GraphNode &conv, const Shape &in,
                     acc += wq[static_cast<std::size_t>(oc * kk + r)] *
                            qcols[static_cast<std::size_t>(r * hw + p)];
                 out[static_cast<std::size_t>(oc * hw + p)] =
-                    static_cast<float>(acc) * (sw * sa);
+                    static_cast<float>(acc) *
+                    (sw[static_cast<std::size_t>(oc)] * sa);
             }
         }
     }

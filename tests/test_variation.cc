@@ -8,7 +8,8 @@
  * routing around drifted replicas, and the re-programming recovery
  * round trip under a concurrent request stream (zero accepted
  * requests lost; run under TSan in CI), for one-stage replicas and
- * for two-stage chains calibrated stage by stage.
+ * for two-stage chains calibrated stage by stage, and for a tenant's
+ * sole replica, whose requests wait in backoff while it is detached.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +31,7 @@
 #include "reram/variation.hh"
 #include "runtime/cluster/cluster_engine.hh"
 #include "runtime/cluster/controller.hh"
+#include "runtime/cluster/fault_injection.hh"
 #include "runtime/engine.hh"
 
 namespace fpsa
@@ -560,6 +562,72 @@ TEST(VariationCluster, ChainRecalibrationReprogramsEveryStage)
         }
     }
     EXPECT_TRUE((*cluster)->recalibrateOnce().empty());
+    EXPECT_TRUE((*cluster)->shutdown().ok());
+}
+
+TEST(VariationCluster, SoleReplicaRecalibrationParksRequestsInBackoff)
+{
+    // One replica on one chip: re-programming it detaches the tenant's
+    // only replica, so a request arriving in that window finds no live
+    // replica.  With a retry budget it waits in backoff until the
+    // re-programmed replica is back instead of failing at once.  Every
+    // batch stalls 2 ms, so the drain of the detached replica spans
+    // several completions, and each of three synchronous streams
+    // submits again into the empty table.  The budget (backoff doubling
+    // to 50 ms) outlasts one re-program.
+    auto model = compileShared(smallCnn());
+    auto slow = std::make_shared<FaultInjector>();
+    slow->setLatencySpike("chip0", 2.0, 1.0);
+    ClusterOptions options;
+    options.retryBudget = 20;
+    options.engine.faultHook = slow;
+    auto cluster = ClusterEngine::create(
+        {chipWith("chip0", capacityFor(model->resourceDemand(), 1), 0.01,
+                  1e-3, 81)},
+        options);
+    ASSERT_TRUE(cluster.ok());
+
+    TenantOptions tenant;
+    tenant.minAccuracy = 0.7;
+    ASSERT_TRUE((*cluster)->loadModel("cnn", model, 1, tenant).ok());
+
+    std::atomic<bool> stop{false};
+    std::atomic<int> served{0};
+    std::atomic<int> failed{0};
+    std::vector<std::thread> streams;
+    for (int t = 0; t < 3; ++t) {
+        streams.emplace_back([&] {
+            while (!stop.load()) {
+                auto r = (*cluster)->infer("cnn", probeInput());
+                (r.ok() ? served : failed).fetch_add(1);
+            }
+        });
+    }
+    while (served.load() + failed.load() < 3)
+        std::this_thread::yield();
+
+    bool stale = false;
+    for (int i = 0; i < 2000 && !stale; ++i) {
+        (*cluster)->advanceDrift(5.0);
+        stale = replicaStateFromStats(**cluster, "cnn", "chip0") == "STALE";
+    }
+    ASSERT_TRUE(stale);
+
+    const std::vector<ClusterEvent> events = (*cluster)->recalibrateOnce();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].reason, "recalibration");
+    EXPECT_TRUE(events[0].status.ok()) << events[0].status.toString();
+    EXPECT_EQ(events[0].toChip, "chip0");
+
+    // The streams go on through the re-programmed replica.
+    const int after = served.load();
+    while (served.load() < after + 3)
+        std::this_thread::yield();
+    stop.store(true);
+    for (std::thread &stream : streams)
+        stream.join();
+    EXPECT_EQ(failed.load(), 0); // zero requests lost to the window
+    EXPECT_EQ(replicaStateFromStats(**cluster, "cnn", "chip0"), "ACCURATE");
     EXPECT_TRUE((*cluster)->shutdown().ok());
 }
 
