@@ -174,13 +174,14 @@ BENCHMARK(BM_RunCoreOpsCnn)->Unit(benchmark::kMicrosecond);
 /**
  * GEMM shapes (m, k, n) of the served models: the VGG17 convolutions
  * of perfbench's `convnet` workload, the fleet CNN's, then LeNet's
- * first fc layer at batch 1, 4 and 8 (around the VNNI table's
+ * first fc layer at batch 1 and 4 through 8 (around the VNNI table's
  * row-count crossover).
  */
 constexpr std::int64_t kGemmShapes[][3] = {
     {48, 432, 1024}, {96, 864, 256},  {96, 864, 64},  {96, 864, 16},
     {32, 27, 16384}, {64, 288, 4096}, {64, 576, 1024}, {1, 800, 500},
-    {4, 800, 500},   {8, 800, 500},
+    {4, 800, 500},   {5, 800, 500},   {6, 800, 500},   {7, 800, 500},
+    {8, 800, 500},
 };
 
 constexpr KernelIsa kGemmIsas[] = {KernelIsa::Scalar, KernelIsa::Avx2,

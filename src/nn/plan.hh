@@ -37,12 +37,12 @@
  * with a dynamic scale from that sample's own layer input (so batching
  * cannot change a sample's quantization grid), the GEMM runs int8 x
  * int8 -> int32, and a float epilogue rescales each output channel by
- * (its weight scale x the activation scale).  A conv quantizes each sample's layer input once, before
- * im2col, and packs the int8 levels: packing only copies and a padded
- * zero is level 0, so this yields exactly the levels of quantizing the
- * kernel^2-times larger column matrix.  Integer accumulation is exact,
- * so the int8 path is bit-identical across batch sizes AND across
- * kernel ISAs.
+ * (its weight scale x the activation scale).  A conv quantizes each
+ * sample's layer input once, before im2col, and packs the int8 levels:
+ * packing only copies and a padded zero is level 0, so this yields
+ * exactly the levels of quantizing the kernel^2-times larger column
+ * matrix.  Integer accumulation is exact, so the int8 path is
+ * bit-identical across batch sizes AND across kernel ISAs.
  *
  * Threading: the plan itself is immutable after build and shared
  * freely; all mutable state (the arena) lives in a `PlanContext`, one

@@ -622,9 +622,10 @@ gemmInt8Avx2(const std::int8_t *a, std::int64_t lda,
 /**
  * Below this many A rows the VNNI table runs the `madd` GEMM above
  * instead: packing B into offset quads costs about one pass over B,
- * which one to four rows do not earn back (best of 300 on a 4-vCPU
- * Xeon: 4 x 800 x 500 takes 38 us madd vs 55-63 us packed, 8 x 800 x
- * 500 takes 93 us vs 75 us).
+ * which one to four rows do not earn back.  Medians of micro_kernels
+ * on a 4-vCPU Xeon, m x 800 x 500, madd vs packed: m = 4 takes 38 us
+ * vs 55-63 us, m = 5 58 us vs 55 us, m = 6 75 us vs 59 us, m = 7
+ * 88 us vs 65 us, m = 8 79 us vs 68 us.
  */
 constexpr std::int64_t kVnniMinRows = 5;
 
@@ -847,20 +848,6 @@ envCap()
     return cap;
 }
 
-KernelIsa
-detectBest()
-{
-#if FPSA_KERNELS_X86
-    if (cpuSupports(KernelIsa::AvxVnni))
-        return KernelIsa::AvxVnni;
-    if (cpuSupports(KernelIsa::Avx2))
-        return KernelIsa::Avx2;
-#endif
-#if FPSA_KERNELS_NEON
-    return KernelIsa::Neon;
-#endif
-    return KernelIsa::Scalar;
-}
 
 const KernelTable kScalarTable{KernelIsa::Scalar, &gemmScalar,
                                &im2colScalar, &gemmInt8Scalar};
@@ -878,6 +865,10 @@ const KernelTable kAvx512VnniTable{KernelIsa::AvxVnni, &gemmAvx2,
 const KernelTable kNeonTable{KernelIsa::Neon, &gemmNeon, &im2colScalar,
                              &gemmInt8Scalar};
 #endif
+
+/** The order `Auto` tries the vector tables in, best first. */
+constexpr KernelIsa kAutoPreference[] = {KernelIsa::AvxVnni,
+                                         KernelIsa::Avx2, KernelIsa::Neon};
 
 } // namespace
 
@@ -928,8 +919,12 @@ KernelIsa
 resolveKernelIsa(KernelIsa requested)
 {
     if (requested == KernelIsa::Auto) {
-        const KernelIsa best = detectBest();
-        return kernelIsaAvailable(best) ? best : KernelIsa::Scalar;
+        // Best first; the env cap can mask a better table (avx2 masks
+        // avxvnni), so take the first one that is actually available.
+        for (KernelIsa isa : kAutoPreference)
+            if (kernelIsaAvailable(isa))
+                return isa;
+        return KernelIsa::Scalar;
     }
     return kernelIsaAvailable(requested) ? requested
                                          : KernelIsa::Scalar;

@@ -51,15 +51,16 @@
  * float rounding (FMA vs separate multiply+add); the int8 GEMM is
  * exact integer arithmetic and bit-identical across every table.
  *
- * Selection: `kernelTable(KernelIsa::Auto)` picks the best variant the
- * CPU supports (`AvxVnni` over `Avx2` over `Scalar` on x86).  The
+ * Selection: `kernelTable(KernelIsa::Auto)` picks the best available
+ * variant (`AvxVnni` over `Avx2` over `Scalar` on x86).  The
  * environment variable `FPSA_KERNEL_ISA` (`scalar` / `avx2` /
  * `avxvnni` / `neon` / `auto`, read once at first use) limits the
- * available variants to {`Scalar`, that one} --
- * `FPSA_KERNEL_ISA=scalar` forces every consumer in the process onto
- * the portable baseline, and `FPSA_KERNEL_ISA=avx2` masks the VNNI
- * table so the madd int8 GEMM runs; CI uses both to keep every code
- * path green.  Requesting an unavailable ISA falls back to `Scalar`.
+ * available variants to {`Scalar`, that one}, and `Auto` then
+ * resolves to the best of those -- `FPSA_KERNEL_ISA=scalar` forces
+ * every consumer in the process onto the portable baseline, and
+ * `FPSA_KERNEL_ISA=avx2` masks the VNNI table so `Auto` runs the
+ * madd int8 GEMM; CI uses both to keep every code path green.
+ * Requesting an unavailable ISA falls back to `Scalar`.
  */
 
 #ifndef FPSA_TENSOR_KERNELS_HH

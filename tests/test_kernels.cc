@@ -117,6 +117,22 @@ TEST(KernelIsaApi, ResolutionNeverReturnsAutoAndFallsBackToScalar)
     }
 }
 
+TEST(KernelIsaApi, AutoResolvesToTheBestTableTheCapLeavesAvailable)
+{
+    // Under FPSA_KERNEL_ISA=avx2 on a VNNI host the cap masks AvxVnni;
+    // Auto must then take Avx2, not drop to Scalar.
+    KernelIsa expected = KernelIsa::Scalar;
+    for (KernelIsa isa :
+         {KernelIsa::AvxVnni, KernelIsa::Avx2, KernelIsa::Neon}) {
+        if (kernelIsaAvailable(isa)) {
+            expected = isa;
+            break;
+        }
+    }
+    EXPECT_EQ(resolveKernelIsa(KernelIsa::Auto), expected);
+    EXPECT_EQ(kernelTable(KernelIsa::Auto).isa, expected);
+}
+
 TEST(KernelIsaApi, AutoPrefersVnniAndKeepsAvx2Fp32Kernels)
 {
     if (!kernelIsaAvailable(KernelIsa::AvxVnni))

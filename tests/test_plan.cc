@@ -561,8 +561,9 @@ TEST(PlanInt8, QuantizedRequestPerformsZeroHeapAllocations)
  * A quantized conv computed the way the plan used to: pack the float
  * im2col matrix, quantize every packed element against the sample's own
  * input scale (per group slice), multiply with a naive int32 loop, then
- * rescale each output channel by its own weight scale.  The plan quantizes the input before packing instead, so
- * this oracle is what proves the two orders agree bit for bit.
+ * rescale each output channel by its own weight scale.  The plan
+ * quantizes the input before packing instead, so this oracle is what
+ * proves the two orders agree bit for bit.
  */
 std::vector<float>
 quantizeAfterIm2colConv(const GraphNode &conv, const Shape &in,
