@@ -10,7 +10,9 @@
  *   $ ./inference_throughput --small         # CI sizes
  *
  * Per model it reports:
- *  - reference / planned single-sample latency and the speedup ratio
+ *  - reference / planned single-sample latency and the speedup ratio:
+ *    the median over reference and plan runs taken in pairs, back to
+ *    back, so a slow spell of the host hits both sides of a pair
  *    (machine-portable: both sides run on the same host);
  *  - the same planned latency pinned to the scalar kernel table and
  *    the vector-over-scalar ratio (`vectorSpeedup`) -- what the SIMD
@@ -30,6 +32,7 @@
  * amortized already and sit at ~1.0 by design, reported as info).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -70,19 +73,24 @@ sampleInput(const Shape &shape, int id)
     return t;
 }
 
-/** Best-of-`reps` single-sample latency of the reference kernels. */
+/** One single-sample run of the reference kernels, in milliseconds. */
 double
-timeReference(const Graph &graph, const Tensor &input, int reps)
+timeReferenceOnce(const Graph &graph, const Tensor &input)
 {
-    double best = 1e30;
-    for (int r = 0; r < reps; ++r) {
-        const auto start = Clock::now();
-        Tensor out = runGraphFinal(graph, input);
-        best = std::min(best, millisSince(start));
-        if (out.numel() == 0)
-            std::exit(1); // defeat dead-code elimination
-    }
-    return best;
+    const auto start = Clock::now();
+    Tensor out = runGraphFinal(graph, input);
+    const double ms = millisSince(start);
+    if (out.numel() == 0)
+        std::exit(1); // defeat dead-code elimination
+    return ms;
+}
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t mid = v.size() / 2;
+    return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
 }
 
 struct PlannedTiming
@@ -92,18 +100,22 @@ struct PlannedTiming
     long allocsPerRequest = 0;
     std::int64_t arenaFloats = 0;
     KernelIsa isa = KernelIsa::Scalar;
+    double referenceMillis = 0.0; //!< best paired reference run
+    double pairedSpeedup = 0.0;   //!< median of reference / plan pairs
 };
 
 /**
  * Build a plan for one execution config, time it, and release it
  * before the next config (three resident VGG16 plans would double the
  * bench's footprint for no measurement benefit).  `batch` <= 0 skips
- * the batched timing.
+ * the batched timing.  `pairs` > 0 first runs that many reference /
+ * plan pairs back to back and reports the median of their ratios, so
+ * a host slowdown that hits both sides of one pair cancels out.
  */
 PlannedTiming
 timePlanned(const Graph &graph, PrecisionMode precision,
             KernelIsa isa, int reps, int batch_reps, int batch,
-            const Tensor &input)
+            const Tensor &input, int pairs = 0)
 {
     auto plan = ExecutionPlan::build(graph, {precision, isa});
     if (!plan.ok()) {
@@ -121,6 +133,19 @@ timePlanned(const Graph &graph, PrecisionMode precision,
 
     plan->run(input.data(), out.data(), context); // warm caches
     double best = 1e30;
+    std::vector<double> ratios;
+    t.referenceMillis = 1e30;
+    for (int r = 0; r < pairs; ++r) {
+        const double ref_ms = timeReferenceOnce(graph, input);
+        const auto start = Clock::now();
+        plan->run(input.data(), out.data(), context);
+        const double plan_ms = millisSince(start);
+        ratios.push_back(ref_ms / plan_ms);
+        t.referenceMillis = std::min(t.referenceMillis, ref_ms);
+        best = std::min(best, plan_ms);
+    }
+    if (pairs > 0)
+        t.pairedSpeedup = median(ratios);
     for (int r = 0; r < reps; ++r) {
         const auto start = Clock::now();
         plan->run(input.data(), out.data(), context);
@@ -226,14 +251,14 @@ main(int argc, char **argv)
         // Repeat counts scale down with model size; the reference side
         // of the big models is the wall-clock hog.
         const bool huge = ops > 1000000000;
-        const int ref_reps = huge ? 1 : (small ? 3 : 5);
+        const int pairs = huge ? 1 : (small ? 5 : 7);
         const int plan_reps = huge ? 2 : 10;
         const int batch_reps = huge ? 1 : plan_reps;
 
-        const double ref_ms = timeReference(graph, input, ref_reps);
         const PlannedTiming vec =
             timePlanned(graph, PrecisionMode::Fp32, KernelIsa::Auto,
-                        plan_reps, batch_reps, batch, input);
+                        plan_reps, batch_reps, batch, input, pairs);
+        const double ref_ms = vec.referenceMillis;
         const PlannedTiming scalar =
             timePlanned(graph, PrecisionMode::Fp32, KernelIsa::Scalar,
                         plan_reps, 0, 0, input);
@@ -244,7 +269,7 @@ main(int argc, char **argv)
         ModelResult r;
         r.name = modelName(id);
         r.ops = ops;
-        r.speedup = ref_ms / vec.singleMillis;
+        r.speedup = vec.pairedSpeedup;
         r.vectorSpeedup = scalar.singleMillis / vec.singleMillis;
         r.int8Speedup = scalar.singleMillis / int8.singleMillis;
         r.batchSpeedup =

@@ -25,9 +25,17 @@
  * report aggregate throughput plus the min/max per-tenant share, and
  * the summary's `tenantFairness` is min/max at the widest point --
  * 1.0 means perfectly even service under the tenant round-robin.
+ *
+ * The `lowLoadSplit` line times sequential `infer()` calls of VGG17
+ * fp32 -- one request in flight at a time -- on a 1-worker engine and
+ * on a 3-worker engine, alternating between the two.  The 3-worker
+ * engine lends its idle workers to the request (nn/team.hh), so the
+ * summary's `lowLoadSplitSpeedup_VGG17`, the 1-worker median latency
+ * over the 3-worker one, is what splitting buys at low load.
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <future>
@@ -43,6 +51,7 @@
 #include "common/rng.hh"
 #include "nn/builder.hh"
 #include "nn/execute.hh"
+#include "nn/models.hh"
 #include "pipeline.hh"
 #include "runtime/compiled_model.hh"
 #include "runtime/engine.hh"
@@ -276,6 +285,84 @@ runTenantPoint(const std::shared_ptr<const CompiledModel> &model,
     return best;
 }
 
+double
+medianOf(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t mid = v.size() / 2;
+    return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+/**
+ * Median sequential `infer()` latency of VGG17 fp32 on a 1-worker
+ * engine over the same on a 3-worker engine; the two engines take
+ * turns, request by request, so a slow spell of the host hits both.
+ */
+double
+runLowLoadSplit(int requests)
+{
+    Graph graph = buildVgg17Cifar();
+    Rng rng(2019);
+    randomizeWeights(graph, rng);
+    const Tensor input = [&] {
+        Tensor t(graph.node(0).outShape);
+        for (std::int64_t i = 0; i < t.numel(); ++i)
+            t[i] = static_cast<float>(i % 97) / 97.0f - 0.3f;
+        return t;
+    }();
+    Pipeline pipeline(std::move(graph));
+    auto compiled = pipeline.compile();
+    if (!compiled.ok()) {
+        std::cerr << "vgg17 compile: " << compiled.status().toString()
+                  << "\n";
+        std::exit(1);
+    }
+    auto model =
+        std::make_shared<const CompiledModel>(std::move(compiled).value());
+
+    std::unique_ptr<Engine> engines[2];
+    const int workers[2] = {1, 3};
+    std::vector<double> millis[2];
+    for (int e = 0; e < 2; ++e) {
+        EngineOptions options;
+        options.workerThreads = workers[e];
+        auto engine = Engine::create(model, options);
+        if (!engine.ok()) {
+            std::cerr << "engine: " << engine.status().toString() << "\n";
+            std::exit(1);
+        }
+        engines[e] = std::move(engine).value();
+        (void)engines[e]->infer(input); // warm-up
+    }
+    for (int r = 0; r < requests; ++r) {
+        for (int e = 0; e < 2; ++e) {
+            const auto start = std::chrono::steady_clock::now();
+            auto result = engines[e]->infer(input);
+            const double ms = std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+            if (!result.ok()) {
+                std::cerr << "vgg17 infer: "
+                          << result.status().toString() << "\n";
+                std::exit(1);
+            }
+            millis[e].push_back(ms);
+        }
+    }
+    const double one = medianOf(millis[0]), three = medianOf(millis[1]);
+    JsonWriter j;
+    j.beginObject();
+    j.field("kind", "lowLoadSplit");
+    j.field("model", "VGG17");
+    j.field("requests", requests);
+    j.field("medianMillis1Worker", one);
+    j.field("medianMillis3Workers", three);
+    j.field("speedup", one / three);
+    j.endObject();
+    std::cout << j.str() << "\n";
+    return one / three;
+}
+
 } // namespace
 
 int
@@ -387,6 +474,8 @@ main(int argc, char **argv)
                                 /*repeats=*/3);
     }
 
+    const double split_speedup = runLowLoadSplit(small ? 41 : 81);
+
     JsonWriter j;
     j.beginObject();
     j.field("kind", "summary");
@@ -400,6 +489,7 @@ main(int argc, char **argv)
     j.field("tenantsAtWidest", widest.tenants);
     j.field("aggregateThroughputAtWidest", widest.aggregateThroughput);
     j.field("tenantFairness", widest.fairness);
+    j.field("lowLoadSplitSpeedup_VGG17", split_speedup);
     j.field("hardwareConcurrency",
             static_cast<std::int64_t>(
                 std::thread::hardware_concurrency()));

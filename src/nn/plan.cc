@@ -1,6 +1,7 @@
 #include "nn/plan.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -114,11 +115,43 @@ void
 quantizeTo(const float *src, std::int8_t *dst, std::int64_t n,
            float mult, std::int32_t qmax)
 {
+    // lrintf, inline: for |x| < 2^22, adding and subtracting 1.5 * 2^23
+    // rounds x to an integer in the current (round-half-to-even) mode,
+    // exactly as lrintf does.  Scaled levels sit within [-qmax, qmax],
+    // so the library call is left only for values out of that range.
+    constexpr float kRound = 12582912.0f; // 1.5 * 2^23
     for (std::int64_t v = 0; v < n; ++v) {
-        const std::int32_t q = static_cast<std::int32_t>(
-            std::lrintf(src[v] * mult));
+        const float x = src[v] * mult;
+        const std::int32_t q =
+            std::fabs(x) < 4194304.0f // 2^22
+                ? static_cast<std::int32_t>((x + kRound) - kRound)
+                : static_cast<std::int32_t>(std::lrintf(x));
         dst[v] = static_cast<std::int8_t>(
             std::clamp(q, -qmax, qmax));
+    }
+}
+
+/**
+ * out[v] = std::max(0.0f, in[v]) bit for bit -- negatives, -0 and NaN
+ * become +0 -- without the data-dependent branch the compiler emits
+ * for std::max: keep x's bits iff they encode a value in [+0, +inf],
+ * four lanes at a time.
+ */
+void
+reluTo(const float *in, float *out, std::int64_t n)
+{
+    using Bits4 = std::uint32_t __attribute__((vector_size(16)));
+    constexpr std::uint32_t kInf = 0x7f800000u;
+    std::int64_t v = 0;
+    for (; v + 4 <= n; v += 4) {
+        Bits4 bits;
+        std::memcpy(&bits, in + v, sizeof bits);
+        bits &= reinterpret_cast<Bits4>(bits <= kInf);
+        std::memcpy(out + v, &bits, sizeof bits);
+    }
+    for (; v < n; ++v) {
+        const auto bits = std::bit_cast<std::uint32_t>(in[v]);
+        out[v] = std::bit_cast<float>(bits <= kInf ? bits : 0u);
     }
 }
 
@@ -480,6 +513,42 @@ namespace
  */
 constexpr std::int64_t kCoalesceColumns = 1024;
 
+/**
+ * `n` GEMM output columns, split in 16-aligned chunks of at least 64
+ * columns, or 256 on the quantized path: its GEMM does about four
+ * times the multiply-adds per second, so a chunk needs four times the
+ * columns to outweigh what a split costs (waking a helper, repacking
+ * the weights per call, cold caches).  Measured on a 4-vCPU x86 VM,
+ * splitting VGG17's 256-column int8 convs three ways cut the int8 plan
+ * by ~15% for ~35% more CPU.
+ */
+SplitRange
+columnRange(std::int64_t n, bool quantized)
+{
+    return SplitRange{n, 16, quantized ? 16 : 4};
+}
+
+/** `n` input channels, split in blocks of whole channels. */
+SplitRange
+channelRange(std::int64_t n)
+{
+    return SplitRange{n, 1, 1};
+}
+
+/**
+ * The context's team when a GEMM of `macs` multiply-adds over the
+ * columns `columns` should split: it is large, and its columns can be
+ * cut at least in two (a split im2col alone does not pay).
+ */
+PlanTeam *
+splitTeam(const PlanContext &ctx, std::int64_t macs,
+          const SplitRange &columns)
+{
+    return macs >= ExecutionPlan::kSplitMacs && columns.maxChunks() >= 2
+               ? ctx.team()
+               : nullptr;
+}
+
 } // namespace
 
 void
@@ -496,6 +565,8 @@ ExecutionPlan::execConv(const Step &s, int nb, PlanContext &ctx) const
     const bool identity =
         s.kernel == 1 && s.stride == 1 && s.pad == 0;
     const bool coalesce = b > 1 && hw < kCoalesceColumns;
+    const SplitRange columns = columnRange(hw, false);
+    PlanTeam *team = splitTeam(ctx, co_g * kk * hw, columns);
 
     for (std::int64_t g = 0; g < s.groups; ++g) {
         const float *wg = w_all + g * co_g * kk;
@@ -528,22 +599,27 @@ ExecutionPlan::execConv(const Step &s, int nb, PlanContext &ctx) const
         }
         // Wide layers: per-sample GEMM straight into the activation
         // arena (no staging); the im2col pack is reused sample by
-        // sample and stays cache-resident.
+        // sample and stays cache-resident.  With a team, im2col splits
+        // by input-channel blocks, then the GEMM by output columns.
         for (std::int64_t i = 0; i < b; ++i) {
             const float *sample_in =
                 in_base + i * s.inNumel[0] + g * ci_g * s.hi * s.wi;
-            const float *cols = sample_in;
-            if (!identity) {
-                kernels_->im2colChw(sample_in, ci_g, s.hi, s.wi,
-                                    s.kernel, s.kernel, s.stride, s.pad,
-                                    s.ho, s.wo, ctx.columns_.data(),
-                                    hw, 0.0f);
-                cols = ctx.columns_.data();
-            }
-            kernels_->gemmRowMajor(wg, kk, cols, hw,
-                                   out_base + i * s.outNumel +
-                                       g * co_g * hw,
-                                   hw, co_g, kk, hw);
+            float *packed = ctx.columns_.data();
+            const float *cols = identity ? sample_in : packed;
+            float *out = out_base + i * s.outNumel + g * co_g * hw;
+            forkJoin(
+                team, channelRange(identity ? 0 : ci_g),
+                [&](std::int64_t c0, std::int64_t c1) {
+                    kernels_->im2colChw(
+                        sample_in + c0 * s.hi * s.wi, c1 - c0, s.hi, s.wi,
+                        s.kernel, s.kernel, s.stride, s.pad, s.ho, s.wo,
+                        packed + c0 * s.kernel * s.kernel * hw, hw, 0.0f);
+                },
+                columns,
+                [&](std::int64_t x0, std::int64_t x1) {
+                    kernels_->gemmRowMajor(wg, kk, cols + x0, hw, out + x0,
+                                           hw, co_g, kk, x1 - x0);
+                });
         }
     }
 }
@@ -558,9 +634,15 @@ ExecutionPlan::execFullyConnected(const Step &s, int nb,
     const float *wt = weights_[static_cast<std::size_t>(s.weight)]
                           .data();
     // Inputs are sample-major and contiguous: [b x in] times the
-    // pre-transposed [in x units] panel is the whole batch in one GEMM.
-    kernels_->gemmRowMajor(in_base, s.ci, wt, s.co, out_base, s.co, b,
-                           s.ci, s.co);
+    // pre-transposed [in x units] panel is the whole batch in one GEMM
+    // (split by output units with a team).
+    const SplitRange units = columnRange(s.co, false);
+    forkJoin(splitTeam(ctx, b * s.ci * s.co, units), units,
+             [&](std::int64_t u0, std::int64_t u1) {
+                 kernels_->gemmRowMajor(in_base, s.ci, wt + u0, s.co,
+                                        out_base + u0, s.co, b, s.ci,
+                                        u1 - u0);
+             });
 }
 
 void
@@ -581,30 +663,48 @@ ExecutionPlan::execConvInt8(const Step &s, int nb,
         s.kernel == 1 && s.stride == 1 && s.pad == 0;
     const bool coalesce = b > 1 && hw < kCoalesceColumns;
     const std::int32_t qmax = static_cast<std::int32_t>(actQmax_);
+    const SplitRange columns = columnRange(hw, true);
+    PlanTeam *team = splitTeam(ctx, co_g * kk * hw, columns);
 
-    // Quantize one sample's group input against its own absmax and pack
-    // its int8 columns at `cols` (leading stride `ldm`); returns the
-    // sample's activation scale.  Quantizing commutes with im2col
-    // -- packing only copies, and a padded 0.0 quantizes to level 0 --
-    // so quantizing the input once (kernel^2 fewer elements than its
-    // columns) gives exactly the levels the columns would get.
-    const auto pack = [&](const float *sample_in, std::int8_t *cols,
-                          std::int64_t ldm) {
+    // A sample's activation scale against its group input's absmax, and
+    // the multiplier that quantizes to it (both 0 for an all-zero
+    // input).
+    struct ActScale
+    {
+        float scale = 0.0f, mult = 0.0f;
+    };
+    const auto scaleOf = [&](const float *sample_in) {
         const float absmax = absMaxOf(sample_in, in_g);
-        const float sa = absmax > 0.0f ? absmax / actQmax_ : 0.0f;
-        const float mult = absmax > 0.0f ? 1.0f / sa : 0.0f;
+        ActScale a;
+        if (absmax > 0.0f) {
+            a.scale = absmax / actQmax_;
+            a.mult = 1.0f / a.scale;
+        }
+        return a;
+    };
+    // Quantize input channels [c0, c1) of one sample's group input
+    // with multiplier `mult` and pack their int8 columns at `cols`
+    // (leading stride `ldm`).  Quantizing commutes with im2col --
+    // packing only copies, and a padded 0.0 quantizes to level 0 -- so
+    // quantizing the input once (kernel^2 fewer elements than its
+    // columns) gives exactly the levels the columns would get.
+    const std::int64_t plane = s.hi * s.wi;
+    const auto pack = [&](const float *sample_in, float mult,
+                          std::int8_t *cols, std::int64_t ldm,
+                          std::int64_t c0, std::int64_t c1) {
         if (identity) {
             // The columns are the input's channel planes.
-            for (std::int64_t r = 0; r < kk; ++r)
+            for (std::int64_t r = c0; r < c1; ++r)
                 quantizeTo(sample_in + r * hw, cols + r * ldm, hw, mult,
                            qmax);
-        } else {
-            std::int8_t *qin = ctx.qinput_.data();
-            quantizeTo(sample_in, qin, in_g, mult, qmax);
-            im2colChwInt8(qin, ci_g, s.hi, s.wi, s.kernel, s.kernel,
-                          s.stride, s.pad, s.ho, s.wo, cols, ldm);
+            return;
         }
-        return sa;
+        std::int8_t *qin = ctx.qinput_.data() + c0 * plane;
+        quantizeTo(sample_in + c0 * plane, qin, (c1 - c0) * plane, mult,
+                   qmax);
+        im2colChwInt8(qin, c1 - c0, s.hi, s.wi, s.kernel, s.kernel,
+                      s.stride, s.pad, s.ho, s.wo,
+                      cols + c0 * s.kernel * s.kernel * ldm, ldm);
     };
 
     for (std::int64_t g = 0; g < s.groups; ++g) {
@@ -617,9 +717,11 @@ ExecutionPlan::execConvInt8(const Step &s, int nb,
             std::int8_t *qpack = ctx.qact_.data();
             const std::int64_t ldm = b * hw;
             for (std::int64_t i = 0; i < b; ++i) {
-                ctx.scales_[static_cast<std::size_t>(i)] =
-                    pack(in_base + i * s.inNumel[0] + g * in_g,
-                         qpack + i * hw, ldm);
+                const float *sample_in =
+                    in_base + i * s.inNumel[0] + g * in_g;
+                const ActScale a = scaleOf(sample_in);
+                ctx.scales_[static_cast<std::size_t>(i)] = a.scale;
+                pack(sample_in, a.mult, qpack + i * hw, ldm, 0, ci_g);
             }
             std::int32_t *stage = ctx.stage32_.data();
             kernels_->gemmInt8(wg, kk, qpack, ldm, stage, ldm, co_g,
@@ -638,20 +740,34 @@ ExecutionPlan::execConvInt8(const Step &s, int nb,
             }
             continue;
         }
+        // Per sample: quantize and pack, one GEMM, then the dequantize
+        // epilogue.  With a team, quantize and pack split by
+        // input-channel blocks, then each chunk of output columns runs
+        // its GEMM and its epilogue.
         for (std::int64_t i = 0; i < b; ++i) {
+            const float *sample_in = in_base + i * s.inNumel[0] + g * in_g;
+            const ActScale a = scaleOf(sample_in);
             std::int8_t *qcols = ctx.qact_.data();
-            const float sa =
-                pack(in_base + i * s.inNumel[0] + g * in_g, qcols, hw);
             std::int32_t *stage = ctx.stage32_.data();
-            kernels_->gemmInt8(wg, kk, qcols, hw, stage, hw, co_g, kk,
-                               hw);
             float *dst = out_base + i * s.outNumel + g * co_g * hw;
-            for (std::int64_t oc = 0; oc < co_g; ++oc) {
-                const float f = sw[g * co_g + oc] * sa;
-                for (std::int64_t x = 0; x < hw; ++x)
-                    dst[oc * hw + x] =
-                        static_cast<float>(stage[oc * hw + x]) * f;
-            }
+            forkJoin(team, channelRange(ci_g),
+                     [&](std::int64_t c0, std::int64_t c1) {
+                         pack(sample_in, a.mult, qcols, hw, c0, c1);
+                     },
+                     columns,
+                     [&](std::int64_t x0, std::int64_t x1) {
+                         kernels_->gemmInt8(wg, kk, qcols + x0, hw,
+                                            stage + x0, hw, co_g, kk,
+                                            x1 - x0);
+                         for (std::int64_t oc = 0; oc < co_g; ++oc) {
+                             const float f = sw[g * co_g + oc] * a.scale;
+                             for (std::int64_t x = x0; x < x1; ++x)
+                                 dst[oc * hw + x] =
+                                     static_cast<float>(
+                                         stage[oc * hw + x]) *
+                                     f;
+                         }
+                     });
         }
     }
 }
@@ -680,16 +796,24 @@ ExecutionPlan::execFullyConnectedInt8(const Step &s, int nb,
         ctx.scales_[static_cast<std::size_t>(i)] = sa;
         quantizeTo(row, qin + i * s.ci, s.ci, mult, qmax);
     }
+    // With a team, each chunk of output units runs its GEMM and its
+    // dequantize epilogue.
     std::int32_t *stage = ctx.stage32_.data();
-    kernels_->gemmInt8(qin, s.ci, wt, s.co, stage, s.co, b, s.ci,
-                       s.co);
-    for (std::int64_t i = 0; i < b; ++i) {
-        const float sa = ctx.scales_[static_cast<std::size_t>(i)];
-        const std::int32_t *src = stage + i * s.co;
-        float *dst = out_base + i * s.co;
-        for (std::int64_t u = 0; u < s.co; ++u)
-            dst[u] = static_cast<float>(src[u]) * (sw[u] * sa);
-    }
+    const SplitRange units = columnRange(s.co, true);
+    forkJoin(splitTeam(ctx, b * s.ci * s.co, units), units,
+             [&](std::int64_t u0, std::int64_t u1) {
+                 kernels_->gemmInt8(qin, s.ci, wt + u0, s.co, stage + u0,
+                                    s.co, b, s.ci, u1 - u0);
+                 for (std::int64_t i = 0; i < b; ++i) {
+                     const float sa =
+                         ctx.scales_[static_cast<std::size_t>(i)];
+                     const std::int32_t *src = stage + i * s.co;
+                     float *dst = out_base + i * s.co;
+                     for (std::int64_t u = u0; u < u1; ++u)
+                         dst[u] =
+                             static_cast<float>(src[u]) * (sw[u] * sa);
+                 }
+             });
 }
 
 void
@@ -796,13 +920,9 @@ ExecutionPlan::runBatch(const float *const *inputs,
             }
             break;
           }
-          case OpKind::Relu: {
-            const float *in_base = arena + s.in[0] * b;
-            const std::int64_t n = s.outNumel * b;
-            for (std::int64_t v = 0; v < n; ++v)
-                out_base[v] = std::max(0.0f, in_base[v]);
+          case OpKind::Relu:
+            reluTo(arena + s.in[0] * b, out_base, s.outNumel * b);
             break;
-          }
           case OpKind::Add: {
             // Same pairwise left-to-right order as the reference.
             const std::int64_t n = s.outNumel * b;

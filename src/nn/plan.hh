@@ -46,7 +46,18 @@
  *
  * Threading: the plan itself is immutable after build and shared
  * freely; all mutable state (the arena) lives in a `PlanContext`, one
- * per concurrent caller, reused across requests.
+ * per concurrent caller, reused across requests.  A context may also
+ * carry a fork-join team (`PlanContext::setTeam`, nn/team.hh): a conv
+ * or fc step whose m*k*n reaches `kSplitMacs` is then split across the
+ * caller and whatever helpers the team lends.  The GEMM splits by
+ * output columns, in 16-aligned chunks of at least 64 (256 on the
+ * quantized path, whose GEMM is ~4x faster per column); fp32 im2col
+ * splits by input-channel blocks; the quantized path's quantize (and
+ * its int8 im2col) splits by channel block, and each column chunk
+ * runs its own dequantize epilogue.  Every chunk writes only its own
+ * slice and a column's bits do not depend on the call width, so a
+ * split run is bit-identical to an unsplit one.  The batch-coalesced
+ * conv branch is not split.
  */
 
 #ifndef FPSA_NN_PLAN_HH
@@ -57,6 +68,7 @@
 
 #include "common/status.hh"
 #include "nn/graph.hh"
+#include "nn/team.hh"
 #include "tensor/kernels.hh"
 
 namespace fpsa
@@ -81,8 +93,17 @@ class PlanContext
     /** Largest batch this context can serve without reallocating. */
     int batchCapacity() const { return batchCapacity_; }
 
+    /**
+     * Split large steps of the runs through this context across
+     * `team` (null, the default, runs every step on the caller).  The
+     * team must outlive those runs; the context does not own it.
+     */
+    void setTeam(PlanTeam *team) { team_ = team; }
+    PlanTeam *team() const { return team_; }
+
   private:
     friend class ExecutionPlan;
+    PlanTeam *team_ = nullptr;
     std::vector<float> arena_;   //!< node activations, sample-major
     std::vector<float> columns_; //!< fp32 im2col of the widest conv
     std::vector<float> stage_;   //!< batched-GEMM output staging
@@ -98,6 +119,13 @@ class PlanContext
 class ExecutionPlan
 {
   public:
+    /**
+     * A conv or fc step splits across a context's team when its GEMM's
+     * m*k*n (per sample and group for a conv, whole-batch for an fc)
+     * reaches this many multiply-adds.
+     */
+    static constexpr std::int64_t kSplitMacs = std::int64_t{1} << 22;
+
     /**
      * Compile `graph` into a plan.  Requires materialized conv/fc
      * weights and a single Input head; returns `InvalidArgument`

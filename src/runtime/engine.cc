@@ -302,9 +302,13 @@ Engine::Engine(ChipCapacity capacity, EngineOptions options)
     : options_(options), registry_(capacity, options.chipId),
       aggregate_(new Telemetry(options.maxBatch))
 {
+    // One lane per worker; a one-worker engine has nobody to lend, so
+    // it starts no helper and never splits.
+    if (options_.workerThreads > 1)
+        helpers_ = std::make_unique<HelperPool>(options_.workerThreads);
     workers_.reserve(static_cast<std::size_t>(options_.workerThreads));
     for (int i = 0; i < options_.workerThreads; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+        workers_.emplace_back([this, i] { workerLoop(i); });
 }
 
 Engine::~Engine()
@@ -693,8 +697,10 @@ Engine::pickTenantLocked()
 }
 
 void
-Engine::workerLoop()
+Engine::workerLoop(int lane_index)
 {
+    HelperPool::Lane *lane =
+        helpers_ ? &helpers_->lane(lane_index) : nullptr;
     std::vector<Request> batch;
     for (;;) {
         batch.clear();
@@ -764,7 +770,14 @@ Engine::workerLoop()
             fault = options_.faultHook->beforeExecute(options_.chipId);
         std::vector<StatusOr<Tensor>> outputs;
         if (fault.ok()) {
-            outputs = tenant->executor->runBatch(inputs);
+            // While this worker executes it counts as busy, and its
+            // lane borrows whichever helpers the other busy workers
+            // leave free.
+            if (lane)
+                lane->enter();
+            outputs = tenant->executor->runBatch(inputs, lane);
+            if (lane)
+                lane->leave();
         } else {
             outputs.reserve(batch.size());
             for (std::size_t r = 0; r < batch.size(); ++r)
@@ -841,6 +854,8 @@ Engine::shutdown()
         drained_.notify_all();
         for (std::thread &worker : workers_)
             worker.join();
+        if (helpers_)
+            helpers_->stop();
         // Workers exit only once every queue is drained; every queued
         // request's completion has run.
         drainStatus_ = Status();

@@ -52,6 +52,21 @@
  *    idempotent and safe to call concurrently (with itself and with
  *    `submit`); later calls return the same drain Status.
  *
+ * Idle workers are lent to executing requests, the way FPSA's mapper
+ * duplicates a slow layer onto parallel PEs.  An engine with
+ * `workerThreads` > 1 also starts `workerThreads - 1` helper threads
+ * (nn/team.hh's `HelperPool`), parked on a condition variable.  Each
+ * worker owns one lane of that pool and counts as busy while it
+ * executes a batch; the planned executor then splits each large conv
+ * or fc layer of the batch by output columns, recruiting for each
+ * layer at most `workerThreads` - busy workers - helpers already lent
+ * helpers, so the runnable plan threads never exceed `workerThreads`.
+ * At low load a request runs on up to `workerThreads` cores; under
+ * full load nobody is lent and every request runs on its own worker.
+ * A one-worker engine starts no helper and never splits.  Outputs are
+ * bit-identical either way (nn/plan.hh).  `shutdown()` joins the
+ * helpers after the workers.
+ *
  * `stats()` aggregates serving telemetry across tenants;
  * `modelStats(name)` scopes it to one tenant (throughput, p50/p95
  * queue wait, batch histogram, the model's modeled per-sample
@@ -79,6 +94,7 @@
 #include "runtime/compiled_model.hh"
 #include "runtime/executor.hh"
 #include "runtime/fault_hook.hh"
+#include "nn/team.hh"
 #include "runtime/model_registry.hh"
 
 namespace fpsa
@@ -421,7 +437,8 @@ class Engine
 
     Engine(ChipCapacity capacity, EngineOptions options);
 
-    void workerLoop();
+    /** Serve batches; `lane_index` is this worker's helper lane. */
+    void workerLoop(int lane_index);
 
     /**
      * The admission path proper; consumes an already-held lock.  With
@@ -454,6 +471,7 @@ class Engine
 
     std::once_flag shutdownOnce_;
     Status drainStatus_;
+    std::unique_ptr<HelperPool> helpers_; //!< null for one worker
     std::vector<std::thread> workers_;
 };
 

@@ -12,7 +12,8 @@ namespace fpsa
 {
 
 std::vector<StatusOr<Tensor>>
-Executor::runBatch(const std::vector<const Tensor *> &inputs) const
+Executor::runBatch(const std::vector<const Tensor *> &inputs,
+                   PlanTeam * /*team*/) const
 {
     std::vector<StatusOr<Tensor>> outputs;
     outputs.reserve(inputs.size());
@@ -112,7 +113,8 @@ class PlannedExecutor final : public Executor
     }
 
     std::vector<StatusOr<Tensor>>
-    runBatch(const std::vector<const Tensor *> &inputs) const override
+    runBatch(const std::vector<const Tensor *> &inputs,
+             PlanTeam *team) const override
     {
         // Per-request shape screening: bad requests get their own
         // Status and the valid remainder still rides one batched plan
@@ -135,8 +137,10 @@ class PlannedExecutor final : public Executor
         }
         if (!in_ptrs.empty()) {
             PlanContext context = acquireContext();
+            context.setTeam(team);
             plan_->runBatch(in_ptrs.data(), out_ptrs.data(),
                             static_cast<int>(in_ptrs.size()), context);
+            context.setTeam(nullptr);
             contexts_.release(std::move(context));
         }
         return outputs;

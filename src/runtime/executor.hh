@@ -35,6 +35,7 @@
 
 #include "common/status.hh"
 #include "runtime/compiled_model.hh"
+#include "nn/team.hh"
 #include "runtime/execution_config.hh"
 #include "tensor/tensor.hh"
 
@@ -69,10 +70,12 @@ class Executor
      * each with its own per-request Status (one bad shape never fails
      * its batch-mates).  The base implementation loops `run`; the
      * planned backend overrides it with true batched kernels that are
-     * bit-identical per sample to the single-sample path.
+     * bit-identical per sample to the single-sample path, and splits
+     * its large layers across `team` when one is given (outputs stay
+     * bit-identical; nn/team.hh).  The other backends ignore `team`.
      */
     virtual std::vector<StatusOr<Tensor>> runBatch(
-        const std::vector<const Tensor *> &inputs) const;
+        const std::vector<const Tensor *> &inputs, PlanTeam *team) const;
 };
 
 /**

@@ -455,16 +455,73 @@ storeC(std::int32_t *c, __m256i s)
 }
 
 /**
+ * R A rows (their k pairs packed in w[r]) times the 8 B columns at
+ * `b`, accumulated into c[r][0, 8): the 8-column step of the int8
+ * tiles.
+ */
+template <int R>
+__attribute__((target("avx2"))) inline void
+cols8Int8Avx2(const std::int32_t *const (&w)[R], std::int64_t pairs,
+              std::int64_t kb, const std::int8_t *b, std::int64_t ldb,
+              std::int32_t *const (&c)[R])
+{
+    const __m128i zero = _mm_setzero_si128();
+    __m256i s[R];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+        s[r] = loadC(c[r]);
+    for (std::int64_t q = 0; q < pairs; ++q) {
+        const std::int8_t *row = b + 2 * q * ldb;
+        const __m128i r1 = 2 * q + 1 < kb ? loadB8(row + ldb) : zero;
+        const __m256i v =
+            _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(loadB8(row), r1));
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r)
+            s[r] = maddPair(s[r], w[r][q], v);
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+        storeC(c[r], s[r]);
+}
+
+/**
+ * The last `cols` < 8 columns: one 8-column step over `tail`, a copy
+ * of those columns of the B block zero-padded to 8 (leading stride 8,
+ * made once per block by `gemmInt8Avx2`), and a padded copy of C's, so
+ * the tail runs vector code instead of a strided scalar loop and no
+ * load or store passes the operands.  Integer sums are exact, so the
+ * copied columns get the same values the scalar loop gave.
+ */
+template <int R>
+__attribute__((target("avx2"))) inline void
+tailInt8Avx2(const std::int32_t *const (&w)[R], std::int64_t pairs,
+             std::int64_t kb, const std::int8_t *tail,
+             std::int32_t *const (&c)[R], std::int64_t cols)
+{
+    alignas(32) std::int32_t ct[R][8] = {};
+    const auto width = static_cast<std::size_t>(cols);
+    std::int32_t *cp[R];
+    for (int r = 0; r < R; ++r) {
+        std::memcpy(ct[r], c[r], width * sizeof(std::int32_t));
+        cp[r] = ct[r];
+    }
+    cols8Int8Avx2<R>(w, pairs, kb, tail, 8, cp);
+    for (int r = 0; r < R; ++r)
+        std::memcpy(c[r], ct[r], width * sizeof(std::int32_t));
+}
+
+/**
  * 4-row int8 tile: each interleaved pair of B rows (16 columns, two
  * int16 vectors) is shared across the four A rows; an 8-column step
- * and a scalar loop cover the column tail.
+ * covers the column tail, and `tail` (see `tailInt8Avx2`) the last
+ * nb % 8 columns.
  */
 __attribute__((target("avx2"))) void
 tile4Int8Avx2(const std::int8_t *a0, const std::int8_t *a1,
               const std::int8_t *a2, const std::int8_t *a3,
               const std::int8_t *b, std::int64_t ldb, std::int32_t *c0,
               std::int32_t *c1, std::int32_t *c2, std::int32_t *c3,
-              std::int64_t kb, std::int64_t nb)
+              std::int64_t kb, std::int64_t nb, const std::int8_t *tail)
 {
     std::int32_t w0[kKc / 2], w1[kKc / 2], w2[kKc / 2], w3[kKc / 2];
     packPairsAvx2(a0, kb, w0);
@@ -508,44 +565,21 @@ tile4Int8Avx2(const std::int8_t *a0, const std::int8_t *a1,
         storeC(c3 + j + 8, s3h);
     }
     for (; j + 8 <= nb; j += 8) {
-        __m256i s0 = loadC(c0 + j), s1 = loadC(c1 + j);
-        __m256i s2 = loadC(c2 + j), s3 = loadC(c3 + j);
-        const std::int8_t *bp = b + j;
-        for (std::int64_t q = 0; q < pairs; ++q) {
-            const std::int8_t *r = bp + 2 * q * ldb;
-            const __m128i r1 = 2 * q + 1 < kb ? loadB8(r + ldb) : zero;
-            const __m256i v =
-                _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(loadB8(r), r1));
-            s0 = maddPair(s0, w0[q], v);
-            s1 = maddPair(s1, w1[q], v);
-            s2 = maddPair(s2, w2[q], v);
-            s3 = maddPair(s3, w3[q], v);
-        }
-        storeC(c0 + j, s0);
-        storeC(c1 + j, s1);
-        storeC(c2 + j, s2);
-        storeC(c3 + j, s3);
+        const std::int32_t *w[4] = {w0, w1, w2, w3};
+        std::int32_t *c[4] = {c0 + j, c1 + j, c2 + j, c3 + j};
+        cols8Int8Avx2<4>(w, pairs, kb, b + j, ldb, c);
     }
-    for (; j < nb; ++j) {
-        std::int32_t s0 = c0[j], s1 = c1[j], s2 = c2[j], s3 = c3[j];
-        for (std::int64_t p = 0; p < kb; ++p) {
-            const std::int32_t bv = b[p * ldb + j];
-            s0 += static_cast<std::int32_t>(a0[p]) * bv;
-            s1 += static_cast<std::int32_t>(a1[p]) * bv;
-            s2 += static_cast<std::int32_t>(a2[p]) * bv;
-            s3 += static_cast<std::int32_t>(a3[p]) * bv;
-        }
-        c0[j] = s0;
-        c1[j] = s1;
-        c2[j] = s2;
-        c3[j] = s3;
+    if (j < nb) {
+        const std::int32_t *w[4] = {w0, w1, w2, w3};
+        std::int32_t *c[4] = {c0 + j, c1 + j, c2 + j, c3 + j};
+        tailInt8Avx2<4>(w, pairs, kb, tail, c, nb - j);
     }
 }
 
 __attribute__((target("avx2"))) void
 tile1Int8Avx2(const std::int8_t *a, const std::int8_t *b,
               std::int64_t ldb, std::int32_t *c, std::int64_t kb,
-              std::int64_t nb)
+              std::int64_t nb, const std::int8_t *tail)
 {
     std::int32_t w[kKc / 2];
     packPairsAvx2(a, kb, w);
@@ -568,24 +602,14 @@ tile1Int8Avx2(const std::int8_t *a, const std::int8_t *b,
         storeC(c + j, sl);
         storeC(c + j + 8, sh);
     }
+    const std::int32_t *wr[1] = {w};
     for (; j + 8 <= nb; j += 8) {
-        __m256i s = loadC(c + j);
-        const std::int8_t *bp = b + j;
-        for (std::int64_t q = 0; q < pairs; ++q) {
-            const std::int8_t *r = bp + 2 * q * ldb;
-            const __m128i r1 = 2 * q + 1 < kb ? loadB8(r + ldb) : zero;
-            s = maddPair(s, w[q],
-                         _mm256_cvtepi8_epi16(
-                             _mm_unpacklo_epi8(loadB8(r), r1)));
-        }
-        storeC(c + j, s);
+        std::int32_t *cr[1] = {c + j};
+        cols8Int8Avx2<1>(wr, pairs, kb, b + j, ldb, cr);
     }
-    for (; j < nb; ++j) {
-        std::int32_t s = c[j];
-        for (std::int64_t p = 0; p < kb; ++p)
-            s += static_cast<std::int32_t>(a[p]) *
-                 static_cast<std::int32_t>(b[p * ldb + j]);
-        c[j] = s;
+    if (j < nb) {
+        std::int32_t *cr[1] = {c + j};
+        tailInt8Avx2<1>(wr, pairs, kb, tail, cr, nb - j);
     }
 }
 
@@ -603,17 +627,27 @@ gemmInt8Avx2(const std::int8_t *a, std::int64_t lda,
         for (std::int64_t pc = 0; pc < k; pc += kKc) {
             const std::int64_t kb = std::min(kKc, k - pc);
             const std::int8_t *bp = b + pc * ldb + jc;
+            // The block's last nb % 8 columns, zero-padded to 8, once
+            // for every row tile.
+            alignas(16) std::int8_t tail[kKc * 8];
+            const std::int64_t cols = nb % 8;
+            if (cols > 0) {
+                std::memset(tail, 0, static_cast<std::size_t>(kb * 8));
+                for (std::int64_t p = 0; p < kb; ++p)
+                    std::memcpy(tail + p * 8, bp + p * ldb + nb - cols,
+                                static_cast<std::size_t>(cols));
+            }
             std::int64_t i = 0;
             for (; i + 4 <= m; i += 4) {
                 const std::int8_t *ap = a + i * lda + pc;
                 std::int32_t *cp = c + i * ldc + jc;
                 tile4Int8Avx2(ap, ap + lda, ap + 2 * lda, ap + 3 * lda,
                               bp, ldb, cp, cp + ldc, cp + 2 * ldc,
-                              cp + 3 * ldc, kb, nb);
+                              cp + 3 * ldc, kb, nb, tail);
             }
             for (; i < m; ++i) {
                 tile1Int8Avx2(a + i * lda + pc, bp, ldb,
-                              c + i * ldc + jc, kb, nb);
+                              c + i * ldc + jc, kb, nb, tail);
             }
         }
     }

@@ -15,7 +15,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
@@ -32,6 +31,7 @@
 #include "runtime/cluster/fault_injection.hh"
 #include "runtime/cluster/health.hh"
 #include "runtime/engine.hh"
+#include "thread_count.hh"
 
 namespace fpsa
 {
@@ -579,37 +579,6 @@ TEST(ClusterControllerTest, LoopHealsAndKeepsBoundedHistory)
 }
 
 #ifdef __linux__
-/** Threads of this process: the entries of /proc/self/task. */
-int
-processThreadCount()
-{
-    int threads = 0;
-    for (const auto &entry :
-         std::filesystem::directory_iterator("/proc/self/task")) {
-        (void)entry;
-        ++threads;
-    }
-    return threads;
-}
-
-/**
- * The thread count once it holds still: a joined thread leaves
- * /proc/self/task a moment after its join returns.
- */
-int
-settledThreadCount()
-{
-    int threads = processThreadCount();
-    for (int i = 0; i < 1000; ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        const int now = processThreadCount();
-        if (now == threads)
-            break;
-        threads = now;
-    }
-    return threads;
-}
-
 TEST(ClusterControllerTest, ScalingAndRecoveryShareOneThread)
 {
     ClusterRig rig = makeRig(3, 1);

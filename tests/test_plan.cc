@@ -7,16 +7,22 @@
  * back-to-back requests through one reused arena, zero-heap-allocation
  * behaviour of the planned path, the liveness allocator actually
  * reusing buffers, the quantized conv's bit-equality with a
- * per-channel quantize-after-im2col oracle, and bit-identical int8
- * zoo-model outputs between the madd and VNNI kernel tables.
+ * per-channel quantize-after-im2col oracle, bit-identical int8
+ * zoo-model outputs between the madd and VNNI kernel tables, and
+ * bit-identity of steps split across a fork-join team (nn/team.hh).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/alloc_probe.hh"
@@ -25,6 +31,7 @@
 #include "nn/execute.hh"
 #include "nn/models.hh"
 #include "nn/plan.hh"
+#include "nn/team.hh"
 #include "tensor/kernels.hh"
 #include "tensor/tensor.hh"
 
@@ -702,6 +709,220 @@ TEST(PlanInt8, MatchesQuantizeAfterIm2colOracle)
                 }
             }
         }
+    }
+}
+
+// ------------------------------------------------- split across a team
+
+/**
+ * Every step above the split threshold, with the shapes the split has
+ * to get right: 33 x 33 = 1089 output columns (not a multiple of 16,
+ * and wide enough that batches of 2 and 3 still run per sample), a
+ * grouped conv, a 1x1 identity conv, and an fc layer of 3990 units;
+ * all wide enough to split on the quantized path too.
+ */
+Graph
+splitStackGraph(std::uint64_t seed)
+{
+    GraphBuilder b({8, 33, 33});
+    b.conv(64, 3, 1, 1).relu();    // 64 x 72 x 1089
+    b.conv(32, 3, 1, 1, 2).relu(); // 2 groups of 16 x 288 x 1089
+    b.conv(128, 1, 1, 0).relu();   // identity: 128 x 32 x 1089
+    b.maxPool(3, 3).maxPool(3, 3).flatten(); // 128 x 3 x 3
+    b.fc(3990).relu().fc(10);                // 1152 x 3990
+    return weighted(b, seed);
+}
+
+/** `runBatch` of `inputs` through a fresh context using `team`. */
+std::vector<Tensor>
+runBatchWithTeam(const ExecutionPlan &plan,
+                 const std::vector<Tensor> &inputs, PlanTeam *team)
+{
+    std::vector<const float *> in_ptrs;
+    std::vector<Tensor> outs(inputs.size(), Tensor(plan.outputShape()));
+    std::vector<float *> out_ptrs;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        in_ptrs.push_back(inputs[i].data());
+        out_ptrs.push_back(outs[i].data());
+    }
+    PlanContext context = plan.makeContext();
+    context.setTeam(team);
+    plan.runBatch(in_ptrs.data(), out_ptrs.data(),
+                  static_cast<int>(inputs.size()), context);
+    return outs;
+}
+
+void
+expectBitsEqual(const std::vector<Tensor> &got,
+                const std::vector<Tensor> &want, const std::string &what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        for (std::int64_t v = 0; v < want[i].numel(); ++v) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i][v]),
+                      std::bit_cast<std::uint32_t>(want[i][v]))
+                << what << " sample " << i << " element " << v;
+        }
+    }
+}
+
+/** A team that cuts every job for `participants` but runs it alone. */
+class RecordingTeam final : public PlanTeam
+{
+  public:
+    explicit RecordingTeam(int participants) : participants_(participants)
+    {
+    }
+
+    void
+    run(SplitJob &job) override
+    {
+        job.partition(participants_);
+        job.drain();
+    }
+
+  private:
+    int participants_;
+};
+
+TEST(PlanSplit, ChunksAreSixteenAlignedAtLeastSixtyFourWideAndCoverAll)
+{
+    for (std::int64_t n : {128, 200, 256, 1000, 1089}) {
+        for (int participants = 1; participants <= 4; ++participants) {
+            std::vector<std::pair<std::int64_t, std::int64_t>> chunks;
+            std::mutex mu;
+            RecordingTeam team(participants);
+            forkJoin(&team, SplitRange{n, 16, 4},
+                     [&](std::int64_t x0, std::int64_t x1) {
+                         std::lock_guard<std::mutex> lock(mu);
+                         chunks.emplace_back(x0, x1);
+                     });
+            std::sort(chunks.begin(), chunks.end());
+            ASSERT_FALSE(chunks.empty());
+            EXPECT_EQ(chunks.front().first, 0);
+            EXPECT_EQ(chunks.back().second, n);
+            if (participants == 1) {
+                EXPECT_EQ(chunks.size(), 1u) << "n " << n;
+            } else {
+                EXPECT_GE(chunks.size(), 2u) << "n " << n;
+            }
+            for (std::size_t c = 0; c < chunks.size(); ++c) {
+                EXPECT_EQ(chunks[c].first % 16, 0) << "n " << n;
+                EXPECT_GE(chunks[c].second - chunks[c].first, 64)
+                    << "n " << n;
+                if (c > 0) {
+                    EXPECT_EQ(chunks[c].first, chunks[c - 1].second);
+                }
+            }
+        }
+    }
+}
+
+TEST(PlanSplit, BitIdenticalToUnsplitAcrossTablesTeamsAndBatches)
+{
+    const Graph g = splitStackGraph(410);
+    std::vector<Tensor> inputs;
+    for (int i = 0; i < 3; ++i)
+        inputs.push_back(randomInput(
+            {8, 33, 33}, 411u + static_cast<std::uint64_t>(i)));
+
+    for (PrecisionMode mode :
+         {PrecisionMode::Fp32, PrecisionMode::Int8, PrecisionMode::Int6}) {
+        for (KernelIsa isa : availablePlanIsas()) {
+            auto plan = ExecutionPlan::build(g, {mode, isa});
+            ASSERT_TRUE(plan.ok()) << plan.status().toString();
+            for (int batch = 1; batch <= 3; ++batch) {
+                const std::vector<Tensor> sub(inputs.begin(),
+                                              inputs.begin() + batch);
+                const std::vector<Tensor> want =
+                    runBatchWithTeam(*plan, sub, nullptr);
+                for (int lanes = 1; lanes <= 3; ++lanes) {
+                    HelperPool pool(lanes);
+                    HelperPool::Lane &lane = pool.lane(0);
+                    lane.enter();
+                    const std::vector<Tensor> got =
+                        runBatchWithTeam(*plan, sub, &lane);
+                    lane.leave();
+                    expectBitsEqual(got, want,
+                                    std::string(precisionModeName(mode)) +
+                                        " " + kernelIsaName(isa) +
+                                        " batch " + std::to_string(batch) +
+                                        " team " + std::to_string(lanes));
+                    if (HasFatalFailure())
+                        return;
+                }
+            }
+        }
+    }
+}
+
+TEST(PlanSplit, SteadyStateSplitRequestPerformsZeroHeapAllocations)
+{
+    const Graph g = splitStackGraph(420);
+    const Tensor input = randomInput({8, 33, 33}, 421);
+    HelperPool pool(3);
+    HelperPool::Lane &lane = pool.lane(0);
+    for (PrecisionMode mode : {PrecisionMode::Fp32, PrecisionMode::Int8}) {
+        auto plan = ExecutionPlan::build(g, {mode, KernelIsa::Auto});
+        ASSERT_TRUE(plan.ok()) << plan.status().toString();
+        Tensor out(plan->outputShape());
+        PlanContext context = plan->makeContext();
+        context.setTeam(&lane);
+        lane.enter();
+        plan->run(input.data(), out.data(), context); // warm-up
+        alloc_probe::arm();
+        plan->run(input.data(), out.data(), context);
+        const long allocations = alloc_probe::disarm();
+        lane.leave();
+        EXPECT_EQ(allocations, 0)
+            << precisionModeName(mode)
+            << ": a split request must not allocate";
+    }
+}
+
+TEST(PlanSplit, ConcurrentLanesOfOnePoolStayBitIdentical)
+{
+    // Three callers share one pool, each on its own lane and context,
+    // so helpers move between lanes mid-run; every output must still
+    // be the unsplit one.
+    GraphBuilder b({8, 33, 33});
+    b.conv(64, 3, 1, 1).relu().maxPool(3, 3).flatten().fc(10);
+    const Graph g = weighted(b, 430);
+    for (PrecisionMode mode : {PrecisionMode::Fp32, PrecisionMode::Int8}) {
+        auto plan = ExecutionPlan::build(g, {mode, KernelIsa::Auto});
+        ASSERT_TRUE(plan.ok()) << plan.status().toString();
+        std::vector<Tensor> inputs, want;
+        for (int t = 0; t < 3; ++t) {
+            inputs.push_back(randomInput(
+                {8, 33, 33}, 431u + static_cast<std::uint64_t>(t)));
+            want.push_back(
+                runBatchWithTeam(*plan, {inputs.back()}, nullptr)[0]);
+        }
+        HelperPool pool(3);
+        std::atomic<int> mismatches{0};
+        std::vector<std::thread> callers;
+        for (int t = 0; t < 3; ++t) {
+            callers.emplace_back([&, t] {
+                HelperPool::Lane &lane = pool.lane(t);
+                PlanContext context = plan->makeContext();
+                context.setTeam(&lane);
+                Tensor out(plan->outputShape());
+                const Tensor &in = inputs[static_cast<std::size_t>(t)];
+                const Tensor &expect = want[static_cast<std::size_t>(t)];
+                for (int r = 0; r < 8; ++r) {
+                    lane.enter();
+                    plan->run(in.data(), out.data(), context);
+                    lane.leave();
+                    for (std::int64_t v = 0; v < out.numel(); ++v)
+                        if (std::bit_cast<std::uint32_t>(out[v]) !=
+                            std::bit_cast<std::uint32_t>(expect[v]))
+                            ++mismatches;
+                }
+            });
+        }
+        for (std::thread &caller : callers)
+            caller.join();
+        EXPECT_EQ(mismatches.load(), 0) << precisionModeName(mode);
     }
 }
 

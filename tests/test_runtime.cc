@@ -29,6 +29,7 @@
 #include "runtime/compiled_model.hh"
 #include "runtime/engine.hh"
 #include "runtime/executor.hh"
+#include "thread_count.hh"
 
 namespace fpsa
 {
@@ -612,6 +613,135 @@ TEST(Engine, ShutdownDrainsQueuedRequestsAndRejectsNewOnes)
     // Idempotent: a second shutdown (and the destructor) are no-ops
     // that return the same drain status.
     EXPECT_TRUE((*engine)->shutdown().ok());
+}
+
+// ------------------------------------------------- lent workers (split)
+
+/** A CNN whose 64 x 72 x 1089 conv is above the plan's split threshold. */
+std::shared_ptr<const CompiledModel>
+compileSplitCnn()
+{
+    GraphBuilder b({8, 33, 33});
+    b.conv(64, 3, 1, 1).relu().maxPool(3, 3).flatten().fc(10);
+    Graph g = b.build();
+    Rng rng(77);
+    randomizeWeights(g, rng);
+    Pipeline p(std::move(g));
+    auto compiled = p.compile();
+    EXPECT_TRUE(compiled.ok()) << compiled.status().toString();
+    return std::make_shared<const CompiledModel>(
+        std::move(compiled).value());
+}
+
+Tensor
+splitInput(int which)
+{
+    Tensor t({8, 33, 33});
+    for (std::int64_t i = 0; i < t.numel(); ++i)
+        t[i] = static_cast<float>((i * (which + 3)) % 13) / 13.0f - 0.4f;
+    return t;
+}
+
+#ifdef __linux__
+TEST(EngineSplit, OneWorkerEngineStartsNoHelperThread)
+{
+    auto model = compileSplitCnn();
+    const int before = settledThreadCount();
+    {
+        EngineOptions options;
+        options.workerThreads = 1;
+        auto engine = Engine::create(model, options);
+        ASSERT_TRUE(engine.ok());
+        EXPECT_EQ(settledThreadCount(), before + 1); // the worker only
+        auto result = (*engine)->infer(splitInput(0));
+        ASSERT_TRUE(result.ok()) << result.status().toString();
+        expectBitIdentical(result->output,
+                           plannedGroundTruth(model, splitInput(0)));
+        EXPECT_EQ(settledThreadCount(), before + 1);
+        EXPECT_TRUE((*engine)->shutdown().ok());
+        EXPECT_EQ(settledThreadCount(), before);
+    }
+    {
+        // Three workers lend to each other through two helpers.
+        EngineOptions options;
+        options.workerThreads = 3;
+        auto engine = Engine::create(model, options);
+        ASSERT_TRUE(engine.ok());
+        EXPECT_EQ(settledThreadCount(), before + 5);
+        EXPECT_TRUE((*engine)->shutdown().ok());
+        EXPECT_EQ(settledThreadCount(), before);
+    }
+}
+#endif
+
+TEST(EngineSplit, OverloadedThreeWorkerEngineResolvesEveryRequestOnce)
+{
+    auto model = compileSplitCnn();
+    std::vector<Tensor> want;
+    for (int i = 0; i < 4; ++i)
+        want.push_back(plannedGroundTruth(model, splitInput(i)));
+#ifdef __linux__
+    const int before = settledThreadCount();
+#endif
+
+    EngineOptions options;
+    options.workerThreads = 3;
+    options.maxBatch = 2;
+    options.queueDepth = 512;
+    auto engine = Engine::create(model, options);
+    ASSERT_TRUE(engine.ok());
+
+    // Far more requests than workers, from several submitters at once:
+    // lone requests split across idle workers, a full engine lends
+    // nobody, and the load swings between the two.
+    constexpr int kSubmitters = 3, kPerSubmitter = 24;
+    constexpr int kTotal = kSubmitters * kPerSubmitter;
+    std::vector<std::atomic<int>> calls(kTotal);
+    std::atomic<int> wrong{0}, failed{0};
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kSubmitters; ++t) {
+        submitters.emplace_back([&, t] {
+            for (int r = 0; r < kPerSubmitter; ++r) {
+                const int id = t * kPerSubmitter + r;
+                const int which = id % 4;
+                Status admitted = (*engine)->submit(
+                    Engine::kDefaultModel, splitInput(which),
+                    [&, id, which](StatusOr<InferenceResult> result) {
+                        calls[static_cast<std::size_t>(id)]++;
+                        if (!result.ok()) {
+                            ++failed;
+                            return;
+                        }
+                        const Tensor &expect =
+                            want[static_cast<std::size_t>(which)];
+                        for (std::int64_t v = 0; v < expect.numel(); ++v)
+                            if (result->output[v] != expect[v]) {
+                                ++wrong;
+                                return;
+                            }
+                    });
+                if (!admitted.ok())
+                    ++failed;
+                if (r % 8 == 7) // let the engine drain to low load
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(2));
+            }
+        });
+    }
+    for (std::thread &submitter : submitters)
+        submitter.join();
+    EXPECT_TRUE((*engine)->shutdown().ok());
+
+    for (int id = 0; id < kTotal; ++id)
+        EXPECT_EQ(calls[static_cast<std::size_t>(id)].load(), 1)
+            << "request " << id;
+    EXPECT_EQ(failed.load(), 0);
+    EXPECT_EQ(wrong.load(), 0);
+    EXPECT_EQ((*engine)->stats().completed, kTotal);
+#ifdef __linux__
+    EXPECT_EQ(settledThreadCount(), before)
+        << "shutdown must join every worker and helper";
+#endif
 }
 
 TEST(CompiledModel, DerivedArtifactsAreBuiltOnceAndShared)
