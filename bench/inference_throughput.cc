@@ -109,8 +109,9 @@ struct PlannedTiming
  * before the next config (three resident VGG16 plans would double the
  * bench's footprint for no measurement benefit).  `batch` <= 0 skips
  * the batched timing.  `pairs` > 0 first runs that many reference /
- * plan pairs back to back and reports the median of their ratios, so
- * a host slowdown that hits both sides of one pair cancels out.
+ * plan pairs back to back (an untimed plan run between the two
+ * re-warms the caches) and reports the median of their ratios, so a
+ * host slowdown that hits both sides of one pair cancels out.
  */
 PlannedTiming
 timePlanned(const Graph &graph, PrecisionMode precision,
@@ -137,6 +138,9 @@ timePlanned(const Graph &graph, PrecisionMode precision,
     t.referenceMillis = 1e30;
     for (int r = 0; r < pairs; ++r) {
         const double ref_ms = timeReferenceOnce(graph, input);
+        // Untimed: the reference run evicted the plan's weights and
+        // arena, and the ratio is meant to time a warm plan.
+        plan->run(input.data(), out.data(), context);
         const auto start = Clock::now();
         plan->run(input.data(), out.data(), context);
         const double plan_ms = millisSince(start);

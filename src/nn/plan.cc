@@ -1,7 +1,6 @@
 #include "nn/plan.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -115,43 +114,11 @@ void
 quantizeTo(const float *src, std::int8_t *dst, std::int64_t n,
            float mult, std::int32_t qmax)
 {
-    // lrintf, inline: for |x| < 2^22, adding and subtracting 1.5 * 2^23
-    // rounds x to an integer in the current (round-half-to-even) mode,
-    // exactly as lrintf does.  Scaled levels sit within [-qmax, qmax],
-    // so the library call is left only for values out of that range.
-    constexpr float kRound = 12582912.0f; // 1.5 * 2^23
     for (std::int64_t v = 0; v < n; ++v) {
-        const float x = src[v] * mult;
-        const std::int32_t q =
-            std::fabs(x) < 4194304.0f // 2^22
-                ? static_cast<std::int32_t>((x + kRound) - kRound)
-                : static_cast<std::int32_t>(std::lrintf(x));
+        const std::int32_t q = static_cast<std::int32_t>(
+            std::lrintf(src[v] * mult));
         dst[v] = static_cast<std::int8_t>(
             std::clamp(q, -qmax, qmax));
-    }
-}
-
-/**
- * out[v] = std::max(0.0f, in[v]) bit for bit -- negatives, -0 and NaN
- * become +0 -- without the data-dependent branch the compiler emits
- * for std::max: keep x's bits iff they encode a value in [+0, +inf],
- * four lanes at a time.
- */
-void
-reluTo(const float *in, float *out, std::int64_t n)
-{
-    using Bits4 = std::uint32_t __attribute__((vector_size(16)));
-    constexpr std::uint32_t kInf = 0x7f800000u;
-    std::int64_t v = 0;
-    for (; v + 4 <= n; v += 4) {
-        Bits4 bits;
-        std::memcpy(&bits, in + v, sizeof bits);
-        bits &= reinterpret_cast<Bits4>(bits <= kInf);
-        std::memcpy(out + v, &bits, sizeof bits);
-    }
-    for (; v < n; ++v) {
-        const auto bits = std::bit_cast<std::uint32_t>(in[v]);
-        out[v] = std::bit_cast<float>(bits <= kInf ? bits : 0u);
     }
 }
 
@@ -920,9 +887,13 @@ ExecutionPlan::runBatch(const float *const *inputs,
             }
             break;
           }
-          case OpKind::Relu:
-            reluTo(arena + s.in[0] * b, out_base, s.outNumel * b);
+          case OpKind::Relu: {
+            const float *in_base = arena + s.in[0] * b;
+            const std::int64_t n = s.outNumel * b;
+            for (std::int64_t v = 0; v < n; ++v)
+                out_base[v] = std::max(0.0f, in_base[v]);
             break;
+          }
           case OpKind::Add: {
             // Same pairwise left-to-right order as the reference.
             const std::int64_t n = s.outNumel * b;

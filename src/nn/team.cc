@@ -119,7 +119,7 @@ HelperPool::helperLoop()
         lane->joined_.fetch_add(1, std::memory_order_relaxed);
         SplitJob *job = lane->job_;
         lock.unlock();
-        job->drain();
+        helperChunks_.fetch_add(job->drain(), std::memory_order_relaxed);
         lane->joined_.fetch_sub(1, std::memory_order_release);
         lane->joined_.notify_one();
         lock.lock();

@@ -109,13 +109,18 @@ class SplitJob
         }
     }
 
-    /** Claim and run chunks until none is left unclaimed. */
-    void
+    /**
+     * Claim and run chunks until none is left unclaimed; returns how
+     * many this thread ran.
+     */
+    int
     drain()
     {
         const int total = chunks_[0] + chunks_[1];
+        int ran = 0;
         for (int c = next_.fetch_add(1, std::memory_order_relaxed);
              c < total; c = next_.fetch_add(1, std::memory_order_relaxed)) {
+            ++ran;
             if (c < chunks_[0]) {
                 runChunk(0, c, chunks_[0]);
                 if (firstDone_.fetch_add(1, std::memory_order_release) + 1 ==
@@ -130,6 +135,7 @@ class SplitJob
                 firstDone_.wait(done, std::memory_order_acquire);
             runChunk(1, c - chunks_[0], chunks_[1]);
         }
+        return ran;
     }
 
   protected:
@@ -268,6 +274,17 @@ class HelperPool
     Lane &lane(int index) { return lanes_[index]; }
 
     /**
+     * Chunks the helpers (not the lanes' callers) have run so far: 0
+     * means nobody was ever lent.  A lane's `run` returns after the
+     * chunks its helpers ran are counted here.
+     */
+    std::int64_t
+    helperChunks() const
+    {
+        return helperChunks_.load(std::memory_order_relaxed);
+    }
+
+    /**
      * Join the helpers; idempotent.  Later `run` calls execute on
      * the caller alone.
      */
@@ -285,6 +302,7 @@ class HelperPool
     int lent_ = 0;    //!< helpers recruited and not yet returned
     int pending_ = 0; //!< recruits no helper has taken yet
     bool stopping_ = false;
+    std::atomic<std::int64_t> helperChunks_{0};
     std::vector<std::thread> helpers_;
 };
 

@@ -865,6 +865,12 @@ Engine::shutdown()
 
 // ------------------------------------------------------------------- stats
 
+std::int64_t
+Engine::helperChunks() const
+{
+    return helpers_ ? helpers_->helperChunks() : 0;
+}
+
 EngineStats
 Engine::stats() const
 {

@@ -419,6 +419,13 @@ class Engine
     /** Aggregate serving telemetry across all tenants. */
     EngineStats stats() const;
 
+    /**
+     * Chunks of split layers that lent helpers (not the executing
+     * workers) have run since creation; always 0 for a one-worker
+     * engine.
+     */
+    std::int64_t helperChunks() const;
+
     /** One tenant's serving telemetry (InvalidArgument when absent). */
     StatusOr<EngineStats> modelStats(const std::string &name) const;
 

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <mutex>
@@ -877,6 +878,63 @@ TEST(PlanSplit, SteadyStateSplitRequestPerformsZeroHeapAllocations)
         EXPECT_EQ(allocations, 0)
             << precisionModeName(mode)
             << ": a split request must not allocate";
+    }
+}
+
+TEST(PlanSplit, IdlePoolHelpersRunChunksOfALoneCallersJob)
+{
+    // The caller's first chunk waits until a chunk has run on another
+    // thread, so the check passes only if the pool really lends its
+    // idle helpers (the caller alone would drain every chunk and pass
+    // any output check).  The deadline only turns a hang into a
+    // failure.
+    HelperPool pool(3);
+    HelperPool::Lane &lane = pool.lane(0);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> offCaller{0};
+    bool waited = false;
+    lane.enter();
+    forkJoin(&lane, SplitRange{12, 1, 1},
+             [&](std::int64_t, std::int64_t) {
+                 if (std::this_thread::get_id() != caller) {
+                     ++offCaller;
+                     return;
+                 }
+                 if (waited)
+                     return;
+                 waited = true;
+                 const auto deadline = std::chrono::steady_clock::now() +
+                                       std::chrono::seconds(30);
+                 while (offCaller.load() == 0 &&
+                        std::chrono::steady_clock::now() < deadline)
+                     std::this_thread::sleep_for(
+                         std::chrono::microseconds(100));
+             });
+    lane.leave();
+    EXPECT_GT(offCaller.load(), 0) << "no helper joined an idle pool's job";
+    EXPECT_EQ(pool.helperChunks(), offCaller.load());
+}
+
+TEST(PlanSplit, LoneSplitRequestOnAnIdlePoolLendsHelpers)
+{
+    // Through the plan: its large steps must reach the team.  A helper
+    // may wake too late for one short request, so allow a few.
+    const Graph g = splitStackGraph(440);
+    const Tensor input = randomInput({8, 33, 33}, 441);
+    for (PrecisionMode mode : {PrecisionMode::Fp32, PrecisionMode::Int8}) {
+        auto plan = ExecutionPlan::build(g, {mode, KernelIsa::Auto});
+        ASSERT_TRUE(plan.ok()) << plan.status().toString();
+        HelperPool pool(3);
+        HelperPool::Lane &lane = pool.lane(0);
+        PlanContext context = plan->makeContext();
+        context.setTeam(&lane);
+        Tensor out(plan->outputShape());
+        for (int r = 0; r < 50 && pool.helperChunks() == 0; ++r) {
+            lane.enter();
+            plan->run(input.data(), out.data(), context);
+            lane.leave();
+        }
+        EXPECT_GT(pool.helperChunks(), 0) << precisionModeName(mode);
     }
 }
 

@@ -47,6 +47,19 @@ settledThreadCount()
     return threads;
 }
 
+/**
+ * `settledThreadCount()` to compare later counts against.  It first
+ * starts and joins one thread: ThreadSanitizer's runtime starts a
+ * background thread of its own at a process's first thread creation,
+ * which would otherwise count as the component's.
+ */
+inline int
+baselineThreadCount()
+{
+    std::thread([] {}).join();
+    return settledThreadCount();
+}
+
 } // namespace fpsa
 
 #endif // __linux__
