@@ -19,6 +19,9 @@
  *    dispatch layer buys on this host;
  *  - the int8 plan's latency and its ratio over scalar fp32
  *    (`int8Speedup`) -- what quantized serving buys;
+ *  - the median of paired vector-fp32-plan / int8-plan time ratios
+ *    (`int8OverFp32`), the two plans timed back to back in each pair --
+ *    whether int8 serving beats the fp32 plan it replaces;
  *  - planned batched latency per sample at the engine's default batch
  *    width and the batched-over-single per-sample speedup;
  *  - heap allocations per planned request across the fp32 and int8
@@ -188,6 +191,42 @@ timePlanned(const Graph &graph, PrecisionMode precision,
 }
 
 /**
+ * The median over `pairs` of (vector fp32 plan ms / int8 plan ms), the
+ * two plans timed back to back in each pair so that a slow spell of the
+ * host hits both.  Each timed run follows an untimed run of the same
+ * plan, so both sides start warm.
+ */
+double
+pairedInt8OverFp32(const Graph &graph, const Tensor &input, int pairs)
+{
+    auto fp32 = ExecutionPlan::build(graph, {PrecisionMode::Fp32,
+                                             KernelIsa::Auto});
+    auto int8 = ExecutionPlan::build(graph, {PrecisionMode::Int8,
+                                             KernelIsa::Auto});
+    if (!fp32.ok() || !int8.ok()) {
+        std::cerr << (fp32.ok() ? int8 : fp32).status().toString()
+                  << "\n";
+        std::exit(1);
+    }
+    PlanContext fp32_ctx = fp32->makeContext();
+    PlanContext int8_ctx = int8->makeContext();
+    Tensor out(fp32->outputShape());
+    const auto warmTime = [&](const ExecutionPlan &plan,
+                              PlanContext &context) {
+        plan.run(input.data(), out.data(), context);
+        const auto start = Clock::now();
+        plan.run(input.data(), out.data(), context);
+        return millisSince(start);
+    };
+    std::vector<double> ratios;
+    for (int r = 0; r < pairs; ++r) {
+        const double fp32_ms = warmTime(*fp32, fp32_ctx);
+        ratios.push_back(fp32_ms / warmTime(*int8, int8_ctx));
+    }
+    return median(ratios);
+}
+
+/**
  * Whether every conv layer's per-sample output fits the plan's batch
  * coalescing cutoff (mirrors nn/plan.cc): if so the whole batched
  * forward pass rides wide GEMMs and must beat single-sample serving.
@@ -212,6 +251,7 @@ struct ModelResult
     double speedup = 0.0;
     double vectorSpeedup = 0.0;
     double int8Speedup = 0.0;
+    double int8OverFp32 = 0.0;
     double batchSpeedup = 0.0;
     bool coalesced = false;
     long allocsPerRequest = 0;
@@ -258,6 +298,8 @@ main(int argc, char **argv)
         const int pairs = huge ? 1 : (small ? 5 : 7);
         const int plan_reps = huge ? 2 : 10;
         const int batch_reps = huge ? 1 : plan_reps;
+        // Plan-only pairs are cheap next to the reference's.
+        const int int8_pairs = huge ? 3 : 21;
 
         const PlannedTiming vec =
             timePlanned(graph, PrecisionMode::Fp32, KernelIsa::Auto,
@@ -276,6 +318,7 @@ main(int argc, char **argv)
         r.speedup = vec.pairedSpeedup;
         r.vectorSpeedup = scalar.singleMillis / vec.singleMillis;
         r.int8Speedup = scalar.singleMillis / int8.singleMillis;
+        r.int8OverFp32 = pairedInt8OverFp32(graph, input, int8_pairs);
         r.batchSpeedup =
             vec.singleMillis / vec.batchedMillisPerSample;
         r.coalesced = fullyCoalesced(graph);
@@ -299,6 +342,7 @@ main(int argc, char **argv)
         j.field("speedup", r.speedup);
         j.field("vectorSpeedup", r.vectorSpeedup);
         j.field("int8Speedup", r.int8Speedup);
+        j.field("int8OverFp32", r.int8OverFp32);
         j.field("batchSpeedup", r.batchSpeedup);
         j.field("fullyCoalesced", r.coalesced);
         j.field("allocsPerRequest",

@@ -8,7 +8,10 @@
  *
  * Run only the GEMMs with `--benchmark_filter=Gemm`; each row is
  * labelled with its kernel table and reports GFLOP/s (GOP/s for int8)
- * computed from the shape.
+ * computed from the shape.  `--benchmark_filter='Gemm|Im2col|Quantize'`
+ * adds the passes around a quantized conv's GEMM at VGG17's 96 x 16 x 16
+ * 3 x 3 shape: fp32 im2col per table, int8 im2col and the activation
+ * quantize, each reporting bytes written per second.
  */
 
 #include <benchmark/benchmark.h>
@@ -24,6 +27,7 @@
 #include "nn/builder.hh"
 #include "nn/execute.hh"
 #include "nn/models.hh"
+#include "nn/plan.hh"
 #include "pe/processing_element.hh"
 #include "pipeline.hh"
 #include "pnr/pnr_flow.hh"
@@ -264,6 +268,94 @@ BM_GemmInt8(benchmark::State &state)
     reportGemm(state, table, "GOP/s", m, k, n);
 }
 BENCHMARK(BM_GemmInt8)->Apply(gemmArgs)->Unit(benchmark::kMicrosecond);
+
+/**
+ * VGG17's 96-channel 16 x 16 layers: a same-padded stride-1 3 x 3
+ * conv, whose im2col rows are shifted copies of the input planes.
+ */
+constexpr std::int64_t kIm2colC = 96, kIm2colH = 16, kIm2colK = 3;
+constexpr std::int64_t kIm2colRows = kIm2colC * kIm2colK * kIm2colK;
+constexpr std::int64_t kIm2colCols = kIm2colH * kIm2colH;
+
+/** Args {isa} for every available table. */
+void
+tableArgs(benchmark::internal::Benchmark *b)
+{
+    for (KernelIsa isa : kGemmIsas)
+        if (kernelIsaAvailable(isa))
+            b->Arg(static_cast<std::int64_t>(isa));
+    b->ArgNames({"isa"});
+}
+
+void
+BM_Im2colFp32(benchmark::State &state)
+{
+    const KernelTable &table =
+        kernelTable(static_cast<KernelIsa>(state.range(0)));
+    Rng rng(7);
+    std::vector<float> in(
+        static_cast<std::size_t>(kIm2colC * kIm2colCols));
+    for (float &v : in)
+        v = static_cast<float>(rng.normal(0.0, 1.0));
+    std::vector<float> cols(
+        static_cast<std::size_t>(kIm2colRows * kIm2colCols));
+    for (auto _ : state) {
+        table.im2colChw(in.data(), kIm2colC, kIm2colH, kIm2colH,
+                        kIm2colK, kIm2colK, 1, 1, kIm2colH, kIm2colH,
+                        cols.data(), kIm2colCols, 0.0f);
+        benchmark::DoNotOptimize(cols.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(kernelIsaName(table.isa));
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(cols.size()) *
+                            static_cast<std::int64_t>(sizeof(float)));
+}
+BENCHMARK(BM_Im2colFp32)->Apply(tableArgs)->Unit(benchmark::kMicrosecond);
+
+void
+BM_Im2colInt8(benchmark::State &state)
+{
+    Rng rng(8);
+    std::vector<std::int8_t> in(
+        static_cast<std::size_t>(kIm2colC * kIm2colCols));
+    for (std::int8_t &v : in)
+        v = static_cast<std::int8_t>(
+            static_cast<int>(rng.uniformInt(255)) - 127);
+    std::vector<std::int8_t> cols(
+        static_cast<std::size_t>(kIm2colRows * kIm2colCols));
+    for (auto _ : state) {
+        im2colChwInt8(in.data(), kIm2colC, kIm2colH, kIm2colH, kIm2colK,
+                      kIm2colK, 1, 1, kIm2colH, kIm2colH, cols.data(),
+                      kIm2colCols);
+        benchmark::DoNotOptimize(cols.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(cols.size()));
+}
+BENCHMARK(BM_Im2colInt8)->Unit(benchmark::kMicrosecond);
+
+/** One conv input's activation quantize, as the int8 plan runs it. */
+void
+BM_QuantizeInt8(benchmark::State &state)
+{
+    Rng rng(9);
+    std::vector<float> in(
+        static_cast<std::size_t>(kIm2colC * kIm2colCols));
+    for (float &v : in)
+        v = static_cast<float>(rng.normal(0.0, 1.0));
+    std::vector<std::int8_t> out(in.size());
+    const auto n = static_cast<std::int64_t>(in.size());
+    for (auto _ : state) {
+        const float mult = 127.0f / absMaxOf(in.data(), n);
+        quantizeTo(in.data(), out.data(), n, mult, 127);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_QuantizeInt8)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

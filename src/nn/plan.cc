@@ -8,6 +8,11 @@
 
 #include "common/logging.hh"
 
+#if defined(__SSE2__)
+#define FPSA_PLAN_SSE2 1
+#include <emmintrin.h>
+#endif
+
 namespace fpsa
 {
 
@@ -95,30 +100,63 @@ invalid(const std::string &why)
                          "execution plan: " + why);
 }
 
-float
-absMaxOf(const float *p, std::int64_t n)
+/** std::max(0.0f, x), branch-free: -0.0 and NaN give +0.0. */
+inline float
+reluOf(float x)
 {
-    float m = 0.0f;
-    for (std::int64_t v = 0; v < n; ++v)
-        m = std::max(m, std::fabs(p[v]));
-    return m;
+    return x > 0.0f ? x : 0.0f;
+}
+
+/** std::max(acc, v), branch-free (maxss). */
+inline float
+maxOf(float acc, float v)
+{
+    return v > acc ? v : acc;
+}
+
+/** dst[v] = max(0, src[v]) over `n` floats; `dst` may be `src`. */
+void
+reluTo(const float *src, float *dst, std::int64_t n)
+{
+    std::int64_t v = 0;
+#if FPSA_PLAN_SSE2
+    const __m128 zero = _mm_setzero_ps();
+    for (; v + 8 <= n; v += 8) {
+        // maxps returns its second operand when either is NaN.
+        const __m128 a = _mm_max_ps(_mm_loadu_ps(src + v), zero);
+        const __m128 b = _mm_max_ps(_mm_loadu_ps(src + v + 4), zero);
+        _mm_storeu_ps(dst + v, a);
+        _mm_storeu_ps(dst + v + 4, b);
+    }
+#endif
+    for (; v < n; ++v)
+        dst[v] = reluOf(src[v]);
 }
 
 /**
- * Symmetric round-to-nearest quantization of `n` floats with a
- * precomputed multiplier (`qmax / absmax`, or 0 for an all-zero
- * source).  Plain scalar on purpose: the same code runs for every plan
- * config, so quantized levels never depend on the kernel ISA.
+ * The dequantize epilogue: dst[v] = float(src[v]) * f over `n`
+ * accumulators, then max(0, .) when `relu` is set.
  */
 void
-quantizeTo(const float *src, std::int8_t *dst, std::int64_t n,
-           float mult, std::int32_t qmax)
+dequantizeTo(const std::int32_t *src, float *dst, std::int64_t n,
+             float f, bool relu)
 {
-    for (std::int64_t v = 0; v < n; ++v) {
-        const std::int32_t q = static_cast<std::int32_t>(
-            std::lrintf(src[v] * mult));
-        dst[v] = static_cast<std::int8_t>(
-            std::clamp(q, -qmax, qmax));
+    std::int64_t v = 0;
+#if FPSA_PLAN_SSE2
+    const __m128 vf = _mm_set1_ps(f), zero = _mm_setzero_ps();
+    for (; v + 4 <= n; v += 4) {
+        __m128 x = _mm_mul_ps(
+            _mm_cvtepi32_ps(_mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(src + v))),
+            vf);
+        if (relu)
+            x = _mm_max_ps(x, zero);
+        _mm_storeu_ps(dst + v, x);
+    }
+#endif
+    for (; v < n; ++v) {
+        const float x = static_cast<float>(src[v]) * f;
+        dst[v] = relu ? reluOf(x) : x;
     }
 }
 
@@ -157,6 +195,76 @@ quantizeChannels(const std::vector<float> &panel, std::int64_t channels,
 
 } // namespace
 
+float
+absMaxOf(const float *p, std::int64_t n)
+{
+    float m = 0.0f;
+    std::int64_t v = 0;
+#if FPSA_PLAN_SSE2
+    // |x| by clearing the sign bit; maxps(|x|, m) keeps m when |x| is
+    // NaN, like the scalar fold below.  Four accumulators keep four
+    // maxps in flight; max is exact and order-free, so the lanes'
+    // reduction gives the scalar fold's result.
+    const __m128 sign = _mm_set1_ps(-0.0f);
+    __m128 m0 = _mm_setzero_ps(), m1 = m0, m2 = m0, m3 = m0;
+    for (; v + 16 <= n; v += 16) {
+        m0 = _mm_max_ps(_mm_andnot_ps(sign, _mm_loadu_ps(p + v)), m0);
+        m1 = _mm_max_ps(_mm_andnot_ps(sign, _mm_loadu_ps(p + v + 4)), m1);
+        m2 = _mm_max_ps(_mm_andnot_ps(sign, _mm_loadu_ps(p + v + 8)), m2);
+        m3 = _mm_max_ps(_mm_andnot_ps(sign, _mm_loadu_ps(p + v + 12)),
+                        m3);
+    }
+    for (; v + 4 <= n; v += 4)
+        m0 = _mm_max_ps(_mm_andnot_ps(sign, _mm_loadu_ps(p + v)), m0);
+    m0 = _mm_max_ps(_mm_max_ps(m0, m1), _mm_max_ps(m2, m3));
+    m0 = _mm_max_ps(m0, _mm_movehl_ps(m0, m0));
+    m0 = _mm_max_ss(m0, _mm_shuffle_ps(m0, m0, 1));
+    m = _mm_cvtss_f32(m0);
+#endif
+    for (; v < n; ++v)
+        m = maxOf(m, std::fabs(p[v]));
+    return m;
+}
+
+void
+quantizeTo(const float *src, std::int8_t *dst, std::int64_t n,
+           float mult, std::int32_t qmax)
+{
+    const float hi = static_cast<float>(qmax), lo = -hi;
+    std::int64_t v = 0;
+#if FPSA_PLAN_SSE2
+    // Per lane: the product, NaN -> +0 (cmpord mask), clamp, then
+    // cvtps2dq rounds to nearest even under the default MXCSR; the
+    // clamped levels fit int8, so the saturating packs only narrow.
+    const __m128 vm = _mm_set1_ps(mult);
+    const __m128 vlo = _mm_set1_ps(lo), vhi = _mm_set1_ps(hi);
+    const auto level = [&](const float *s) {
+        __m128 x = _mm_mul_ps(_mm_loadu_ps(s), vm);
+        x = _mm_and_ps(x, _mm_cmpord_ps(x, x));
+        return _mm_cvtps_epi32(_mm_min_ps(_mm_max_ps(x, vlo), vhi));
+    };
+    for (; v + 16 <= n; v += 16) {
+        const __m128i a =
+            _mm_packs_epi32(level(src + v), level(src + v + 4));
+        const __m128i b =
+            _mm_packs_epi32(level(src + v + 8), level(src + v + 12));
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(dst + v),
+                         _mm_packs_epi16(a, b));
+    }
+#endif
+    // Adding and subtracting 1.5 * 2^23 rounds any |x| <= 2^22 to the
+    // nearest integer, ties to even: the sum lands where the float
+    // spacing is 1, and the offset is even.
+    constexpr float kRound = 12582912.0f;
+    for (; v < n; ++v) {
+        float x = src[v] * mult;
+        x = x == x ? x : 0.0f;
+        x = std::min(std::max(x, lo), hi);
+        dst[v] = static_cast<std::int8_t>(
+            static_cast<std::int32_t>((x + kRound) - kRound));
+    }
+}
+
 StatusOr<ExecutionPlan>
 ExecutionPlan::build(const Graph &graph)
 {
@@ -177,6 +285,34 @@ ExecutionPlan::build(const Graph &graph, const PlanOptions &options)
     plan.actQmax_ =
         act_bits > 0 ? static_cast<float>((1 << (act_bits - 1)) - 1)
                      : 0.0f;
+
+    // ---- ReLU fusion: a Relu whose input is a conv or fc node with no
+    // other consumer runs in that step's epilogue, and the Relu node
+    // becomes an alias of the step's buffer (nothing else reads the
+    // pre-activation values).
+    std::vector<int> consumers(graph.size(), 0);
+    for (NodeId id : order)
+        for (NodeId in : graph.node(id).inputs)
+            ++consumers[static_cast<std::size_t>(in)];
+    std::vector<bool> fusedRelu(graph.size(), false);   // Relu nodes
+    std::vector<bool> reluEpilogue(graph.size(), false); // conv/fc nodes
+    for (NodeId id : order) {
+        const GraphNode &n = graph.node(id);
+        if (n.kind != OpKind::Relu || n.inputs.size() != 1)
+            continue;
+        const NodeId in = n.inputs[0];
+        const OpKind producer = graph.node(in).kind;
+        if ((producer == OpKind::Conv2d ||
+             producer == OpKind::FullyConnected) &&
+            consumers[static_cast<std::size_t>(in)] == 1) {
+            fusedRelu[static_cast<std::size_t>(id)] = true;
+            reluEpilogue[static_cast<std::size_t>(in)] = true;
+        }
+    }
+    const auto aliased = [&](NodeId id) {
+        return isAliasOp(graph.node(id).kind) ||
+               fusedRelu[static_cast<std::size_t>(id)];
+    };
 
     // ---- Liveness: map every node to a buffer (aliases share their
     // input's), then find each buffer's defining and last-using
@@ -207,7 +343,7 @@ ExecutionPlan::build(const Graph &graph, const PlanOptions &options)
                 std::max(buffers[static_cast<std::size_t>(buf)].lastUse,
                          p);
         }
-        if (isAliasOp(n.kind)) {
+        if (aliased(id)) {
             const int buf =
                 nodeBuffer[static_cast<std::size_t>(n.inputs[0])];
             if (shapeNumel(n.outShape) !=
@@ -265,11 +401,12 @@ ExecutionPlan::build(const Graph &graph, const PlanOptions &options)
     for (std::size_t p = 0; p < order.size(); ++p) {
         const NodeId id = order[p];
         const GraphNode &n = graph.node(id);
-        if (isAliasOp(n.kind))
+        if (aliased(id))
             continue;
         Step s;
         s.kind = n.kind;
         s.node = id;
+        s.relu = reluEpilogue[static_cast<std::size_t>(id)];
         s.out = offsetOf(id);
         s.outNumel = shapeNumel(n.outShape);
         for (NodeId in : n.inputs) {
@@ -539,7 +676,8 @@ ExecutionPlan::execConv(const Step &s, int nb, PlanContext &ctx) const
         const float *wg = w_all + g * co_g * kk;
         if (coalesce) {
             // One multi-column GEMM across the whole batch, then
-            // un-interleave rows back to sample-major activations.
+            // un-interleave rows back to sample-major activations (the
+            // fused ReLU, if any, rides the copy).
             float *pack = ctx.columns_.data();
             const std::int64_t ldm = b * hw;
             for (std::int64_t i = 0; i < b; ++i) {
@@ -555,11 +693,15 @@ ExecutionPlan::execConv(const Step &s, int nb, PlanContext &ctx) const
                                    kk, ldm);
             for (std::int64_t oc = 0; oc < co_g; ++oc) {
                 for (std::int64_t i = 0; i < b; ++i) {
-                    std::memcpy(out_base + i * s.outNumel +
-                                    (g * co_g + oc) * hw,
-                                stage + oc * ldm + i * hw,
-                                static_cast<std::size_t>(hw) *
-                                    sizeof(float));
+                    const float *src = stage + oc * ldm + i * hw;
+                    float *dst =
+                        out_base + i * s.outNumel + (g * co_g + oc) * hw;
+                    if (s.relu)
+                        reluTo(src, dst, hw);
+                    else
+                        std::memcpy(dst, src,
+                                    static_cast<std::size_t>(hw) *
+                                        sizeof(float));
                 }
             }
             continue;
@@ -567,7 +709,8 @@ ExecutionPlan::execConv(const Step &s, int nb, PlanContext &ctx) const
         // Wide layers: per-sample GEMM straight into the activation
         // arena (no staging); the im2col pack is reused sample by
         // sample and stays cache-resident.  With a team, im2col splits
-        // by input-channel blocks, then the GEMM by output columns.
+        // by input-channel blocks, then the GEMM by output columns; a
+        // fused ReLU runs on each column chunk right after its GEMM.
         for (std::int64_t i = 0; i < b; ++i) {
             const float *sample_in =
                 in_base + i * s.inNumel[0] + g * ci_g * s.hi * s.wi;
@@ -586,6 +729,10 @@ ExecutionPlan::execConv(const Step &s, int nb, PlanContext &ctx) const
                 [&](std::int64_t x0, std::int64_t x1) {
                     kernels_->gemmRowMajor(wg, kk, cols + x0, hw, out + x0,
                                            hw, co_g, kk, x1 - x0);
+                    if (s.relu)
+                        for (std::int64_t oc = 0; oc < co_g; ++oc)
+                            reluTo(out + oc * hw + x0, out + oc * hw + x0,
+                                   x1 - x0);
                 });
         }
     }
@@ -609,6 +756,10 @@ ExecutionPlan::execFullyConnected(const Step &s, int nb,
                  kernels_->gemmRowMajor(in_base, s.ci, wt + u0, s.co,
                                         out_base + u0, s.co, b, s.ci,
                                         u1 - u0);
+                 if (s.relu)
+                     for (std::int64_t i = 0; i < b; ++i)
+                         reluTo(out_base + i * s.co + u0,
+                                out_base + i * s.co + u0, u1 - u0);
              });
 }
 
@@ -701,8 +852,7 @@ ExecutionPlan::execConvInt8(const Step &s, int nb,
                     const float f =
                         sw[g * co_g + oc] *
                         ctx.scales_[static_cast<std::size_t>(i)];
-                    for (std::int64_t x = 0; x < hw; ++x)
-                        dst[x] = static_cast<float>(src[x]) * f;
+                    dequantizeTo(src, dst, hw, f, s.relu);
                 }
             }
             continue;
@@ -726,14 +876,11 @@ ExecutionPlan::execConvInt8(const Step &s, int nb,
                          kernels_->gemmInt8(wg, kk, qcols + x0, hw,
                                             stage + x0, hw, co_g, kk,
                                             x1 - x0);
-                         for (std::int64_t oc = 0; oc < co_g; ++oc) {
-                             const float f = sw[g * co_g + oc] * a.scale;
-                             for (std::int64_t x = x0; x < x1; ++x)
-                                 dst[oc * hw + x] =
-                                     static_cast<float>(
-                                         stage[oc * hw + x]) *
-                                     f;
-                         }
+                         for (std::int64_t oc = 0; oc < co_g; ++oc)
+                             dequantizeTo(stage + oc * hw + x0,
+                                          dst + oc * hw + x0, x1 - x0,
+                                          sw[g * co_g + oc] * a.scale,
+                                          s.relu);
                      });
         }
     }
@@ -776,9 +923,11 @@ ExecutionPlan::execFullyConnectedInt8(const Step &s, int nb,
                          ctx.scales_[static_cast<std::size_t>(i)];
                      const std::int32_t *src = stage + i * s.co;
                      float *dst = out_base + i * s.co;
-                     for (std::int64_t u = u0; u < u1; ++u)
-                         dst[u] =
+                     for (std::int64_t u = u0; u < u1; ++u) {
+                         const float v =
                              static_cast<float>(src[u]) * (sw[u] * sa);
+                         dst[u] = s.relu ? reluOf(v) : v;
+                     }
                  }
              });
 }
@@ -817,11 +966,14 @@ ExecutionPlan::execPool(const Step &s, int nb, PlanContext &ctx,
                     float acc = average ? 0.0f : -1e30f;
                     for (std::int64_t ky = ky_lo; ky < ky_hi; ++ky) {
                         const float *row = plane + (iy0 + ky) * s.wi;
-                        for (std::int64_t kx = kx_lo; kx < kx_hi;
-                             ++kx) {
-                            const float v = row[ix0 + kx];
-                            acc = average ? acc + v
-                                          : std::max(acc, v);
+                        if (average) {
+                            for (std::int64_t kx = kx_lo; kx < kx_hi;
+                                 ++kx)
+                                acc += row[ix0 + kx];
+                        } else {
+                            for (std::int64_t kx = kx_lo; kx < kx_hi;
+                                 ++kx)
+                                acc = maxOf(acc, row[ix0 + kx]);
                         }
                     }
                     out_plane[oy * s.wo + ox] =
@@ -887,13 +1039,9 @@ ExecutionPlan::runBatch(const float *const *inputs,
             }
             break;
           }
-          case OpKind::Relu: {
-            const float *in_base = arena + s.in[0] * b;
-            const std::int64_t n = s.outNumel * b;
-            for (std::int64_t v = 0; v < n; ++v)
-                out_base[v] = std::max(0.0f, in_base[v]);
+          case OpKind::Relu: // one not fused into its producer
+            reluTo(arena + s.in[0] * b, out_base, s.outNumel * b);
             break;
-          }
           case OpKind::Add: {
             // Same pairwise left-to-right order as the reference.
             const std::int64_t n = s.outNumel * b;

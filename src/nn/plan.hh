@@ -10,6 +10,14 @@
  *
  *  - the op schedule is fixed at build time (topo order, with identity
  *    ops -- Flatten, BatchNorm -- erased into buffer aliases);
+ *  - a Relu whose input is a conv or fc node with no other consumer is
+ *    fused into that step: the step's epilogue applies max(0, x) to
+ *    each output chunk while it is still cache-hot (fp32: after the
+ *    chunk's GEMM; quantized: inside the dequantize loop), and the Relu
+ *    node becomes an alias of the step's buffer.  max(0, x) is exact,
+ *    so a fused plan's outputs are bit-identical to an unfused one's;
+ *    any other Relu (after an Add, or on a conv with a second consumer)
+ *    stays a step of its own;
  *  - every node's activation lives at a liveness-analyzed offset in one
  *    float arena, so buffers are reused as soon as their last consumer
  *    has run and reshapes alias instead of copying;
@@ -43,6 +51,15 @@
  * exactly the levels of quantizing the kernel^2-times larger column
  * matrix.  Integer accumulation is exact, so the int8 path is
  * bit-identical across batch sizes AND across kernel ISAs.
+ *
+ * The elementwise passes around each GEMM (`absMaxOf`, `quantizeTo`,
+ * dequantize, ReLU, the max-pool max) are branch-free SSE2 on x86-64,
+ * where SSE2 is baseline, and branch-free scalar elsewhere.  Every one
+ * is exact -- abs and max only select, the multiply is the same IEEE
+ * single-precision product in every lane, and rounding to a level is
+ * round-to-nearest-even whether `cvtps2dq` or the scalar 1.5 * 2^23
+ * add-subtract does it -- so the quantized levels do not depend on the
+ * build target or the kernel ISA, and they need no kernel-table slot.
  *
  * Threading: the plan itself is immutable after build and shared
  * freely; all mutable state (the arena) lives in a `PlanContext`, one
@@ -114,6 +131,24 @@ class PlanContext
     std::vector<float> scales_;         //!< per-sample activation scales
     int batchCapacity_ = 0;
 };
+
+/**
+ * The largest |p[v]| over `n` floats (NaN elements are skipped, as in
+ * a `std::max` fold from 0).  The quantized plan's per-sample scale
+ * scan; exact, so its result does not depend on the build target.
+ */
+float absMaxOf(const float *p, std::int64_t n);
+
+/**
+ * Symmetric quantization of `n` floats to int8 levels with a
+ * precomputed multiplier (`qmax / absmax`, or 0 for an all-zero
+ * source): each level is src * mult clamped to [-qmax, qmax] and
+ * rounded to nearest, ties to even (NaN gives level 0), the same
+ * levels as `std::lrintf` followed by a clamp wherever lrintf's result
+ * fits an int32.  `qmax` is at most 127.
+ */
+void quantizeTo(const float *src, std::int8_t *dst, std::int64_t n,
+                float mult, std::int32_t qmax);
 
 /** A compiled, immutable execution schedule for one graph. */
 class ExecutionPlan
@@ -188,7 +223,8 @@ class ExecutionPlan
         std::int64_t ci = 0, hi = 0, wi = 0;
         std::int64_t co = 0, ho = 0, wo = 0;
         std::int64_t kernel = 0, stride = 1, pad = 0, groups = 1;
-        int weight = -1; //!< index into weights_
+        int weight = -1;   //!< index into weights_
+        bool relu = false; //!< conv/fc: a fused ReLU in the epilogue
     };
 
     ExecutionPlan() = default;

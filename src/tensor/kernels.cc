@@ -112,11 +112,55 @@ gemmScalar(const float *a, std::int64_t lda, const float *b,
 // ----------------------------------------------------------- shared bodies
 
 /**
+ * One im2col row of a same-padded stride-1 conv (output plane = input
+ * plane, hi x wi): the input plane shifted by dy rows and dx columns,
+ * with taps that leave the plane written as `pad_value`.  Row-major,
+ * the shift is one flat offset dy * wi + dx, so the interior is one
+ * bulk copy; it is clipped to the plane and to the rows whose taps
+ * stay in range, and the |dx| border columns of each row, which the
+ * flat copy filled from the neighbouring row, are padded after.
+ */
+template <typename T>
+inline void
+shiftedPlane(const T *plane, std::int64_t hi, std::int64_t wi,
+             std::int64_t dy, std::int64_t dx, T *dst, T pad_value)
+{
+    const std::int64_t hw = hi * wi;
+    const std::int64_t oy_lo = std::max<std::int64_t>(0, -dy);
+    const std::int64_t oy_hi = std::min(hi, hi - dy);
+    if (oy_lo >= oy_hi || dx >= wi || -dx >= wi) {
+        std::fill(dst, dst + hw, pad_value);
+        return;
+    }
+    const std::int64_t shift = dy * wi + dx;
+    const std::int64_t p0 = std::max(oy_lo * wi, -shift);
+    const std::int64_t p1 = std::min(oy_hi * wi, hw - shift);
+    std::fill(dst, dst + p0, pad_value);
+    std::memcpy(dst + p0, plane + p0 + shift,
+                static_cast<std::size_t>(p1 - p0) * sizeof(T));
+    std::fill(dst + p1, dst + hw, pad_value);
+    if (dx == 0)
+        return;
+    // One store per row for the usual |dx| == 1; a plain loop over the
+    // |dx| columns would become a memset call per row.
+    const std::int64_t width = dx > 0 ? dx : -dx;
+    T *const end = dst + oy_hi * wi;
+    for (T *p = dst + oy_lo * wi + (dx > 0 ? wi - dx : 0); p < end;
+         p += wi) {
+        p[0] = pad_value;
+        for (std::int64_t x = 1; x < width; ++x)
+            p[x] = pad_value;
+    }
+}
+
+/**
  * im2col packing body (see `KernelTable::im2colChw` for the layout
  * contract), generic over the element type: fp32 activations for the
  * float path, int8 levels for the quantized one.  Pure copies and fills -- no
  * arithmetic -- so every variant is bit-identical; the vector tables
- * recompile it only for wider moves.
+ * recompile it only for wider moves.  A same-padded stride-1 conv
+ * writes each tap's row as one shifted copy of the plane
+ * (`shiftedPlane`) instead of ho row copies and fills.
  */
 template <typename T>
 inline void
@@ -125,6 +169,16 @@ im2colBody(const T *input, std::int64_t ci, std::int64_t hi,
            std::int64_t stride, std::int64_t pad, std::int64_t ho,
            std::int64_t wo, T *columns, std::int64_t ldm, T pad_value)
 {
+    if (stride == 1 && ho == hi && wo == wi) {
+        for (std::int64_t ic = 0; ic < ci; ++ic)
+            for (std::int64_t ky = 0; ky < kh; ++ky)
+                for (std::int64_t kx = 0; kx < kw; ++kx)
+                    shiftedPlane(input + ic * hi * wi, hi, wi, ky - pad,
+                                 kx - pad,
+                                 columns + ((ic * kh + ky) * kw + kx) * ldm,
+                                 pad_value);
+        return;
+    }
     for (std::int64_t ic = 0; ic < ci; ++ic) {
         const T *plane = input + ic * hi * wi;
         for (std::int64_t ky = 0; ky < kh; ++ky) {

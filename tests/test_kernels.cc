@@ -9,7 +9,8 @@
  * width), exactness and cross-table
  * bit-identity of the int8 GEMM (every remainder path, strided
  * operands, the int8 range extremes and the VNNI table's +128
- * offset), and im2col equivalence across tables.
+ * offset), and im2col equivalence across tables and against a naive
+ * per-element oracle.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -524,6 +527,110 @@ TEST(KernelTableGolden, Im2colInt8MatchesFloatPacking)
                   got.data(), ldm);
     for (std::size_t i = 0; i < got.size(); ++i)
         ASSERT_EQ(static_cast<float>(got[i]), want[i]) << "element " << i;
+}
+
+/** im2col by its definition, one element at a time. */
+template <typename T>
+void
+naiveIm2col(const T *input, std::int64_t ci, std::int64_t hi,
+            std::int64_t wi, std::int64_t k, std::int64_t stride,
+            std::int64_t pad, std::int64_t ho, std::int64_t wo, T *columns,
+            std::int64_t ldm, T pad_value)
+{
+    for (std::int64_t ic = 0; ic < ci; ++ic)
+        for (std::int64_t ky = 0; ky < k; ++ky)
+            for (std::int64_t kx = 0; kx < k; ++kx)
+                for (std::int64_t oy = 0; oy < ho; ++oy)
+                    for (std::int64_t ox = 0; ox < wo; ++ox) {
+                        const std::int64_t iy = oy * stride + ky - pad;
+                        const std::int64_t ix = ox * stride + kx - pad;
+                        columns[((ic * k + ky) * k + kx) * ldm +
+                                oy * wo + ox] =
+                            iy >= 0 && iy < hi && ix >= 0 && ix < wi
+                                ? input[(ic * hi + iy) * wi + ix]
+                                : pad_value;
+                    }
+}
+
+TEST(KernelTableGolden, Im2colMatchesNaiveOracleOnSamePadAndEdgeShapes)
+{
+    // Same-padded stride-1 convs take the shifted-plane copy; the rest
+    // the per-row one.  Each case packs one image of three channels as
+    // the second image of a coalesced pair (ldm > ho * wo), whole and
+    // as the channel blocks a split packs, and compares every byte of
+    // the destination, slack included, with the naive oracle's.
+    struct Case
+    {
+        std::int64_t hi, wi, k, stride, pad;
+    };
+    const Case cases[] = {
+        {9, 7, 1, 1, 0},  {9, 7, 3, 1, 1},  {16, 16, 3, 1, 1},
+        {6, 11, 5, 1, 2}, {8, 8, 7, 1, 3},  {1, 5, 3, 1, 1},
+        {5, 1, 3, 1, 1},  {2, 2, 5, 1, 2},  {3, 1, 7, 1, 3},
+        {1, 1, 3, 1, 1},  {9, 7, 3, 1, 0},  {9, 7, 3, 2, 1},
+        {6, 5, 5, 1, 1},  {2, 2, 5, 2, 2},
+    };
+    constexpr std::int64_t ci = 3;
+    const std::vector<std::vector<std::int64_t>> blockings{
+        {0, 3}, {0, 1, 3}, {0, 2, 3}, {0, 1, 2, 3}};
+    for (const Case &c : cases) {
+        const std::int64_t ho = (c.hi + 2 * c.pad - c.k) / c.stride + 1;
+        const std::int64_t wo = (c.wi + 2 * c.pad - c.k) / c.stride + 1;
+        const std::int64_t hw = ho * wo, ldm = 2 * hw + 3;
+        const std::size_t size =
+            static_cast<std::size_t>(ci * c.k * c.k * ldm);
+        const auto img =
+            randomFloats(static_cast<std::size_t>(ci * c.hi * c.wi),
+                         static_cast<std::uint64_t>(c.hi * 100 + c.k));
+        const auto img8 =
+            randomInt8(static_cast<std::size_t>(ci * c.hi * c.wi),
+                       static_cast<std::uint64_t>(c.wi * 100 + c.k));
+        const std::string what =
+            std::to_string(c.hi) + "x" + std::to_string(c.wi) + " k" +
+            std::to_string(c.k) + " s" + std::to_string(c.stride) +
+            " p" + std::to_string(c.pad);
+
+        for (float pad_value : {0.0f, -2.5f}) {
+            std::vector<float> want(size, 7.0f);
+            naiveIm2col(img.data(), ci, c.hi, c.wi, c.k, c.stride, c.pad,
+                        ho, wo, want.data() + hw, ldm, pad_value);
+            for (KernelIsa isa : availableIsas()) {
+                for (const auto &blocks : blockings) {
+                    std::vector<float> got(size, 7.0f);
+                    for (std::size_t b = 0; b + 1 < blocks.size(); ++b) {
+                        const std::int64_t c0 = blocks[b],
+                                           c1 = blocks[b + 1];
+                        kernelTable(isa).im2colChw(
+                            img.data() + c0 * c.hi * c.wi, c1 - c0, c.hi,
+                            c.wi, c.k, c.k, c.stride, c.pad, ho, wo,
+                            got.data() + hw + c0 * c.k * c.k * ldm, ldm,
+                            pad_value);
+                    }
+                    ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                          size * sizeof(float)),
+                              0)
+                        << kernelIsaName(isa) << " " << what << " pad "
+                        << pad_value << " blocks " << blocks.size() - 1;
+                }
+            }
+        }
+
+        std::vector<std::int8_t> want8(size, std::int8_t{7});
+        naiveIm2col(img8.data(), ci, c.hi, c.wi, c.k, c.stride, c.pad, ho,
+                    wo, want8.data() + hw, ldm, std::int8_t{0});
+        for (const auto &blocks : blockings) {
+            std::vector<std::int8_t> got8(size, std::int8_t{7});
+            for (std::size_t b = 0; b + 1 < blocks.size(); ++b) {
+                const std::int64_t c0 = blocks[b], c1 = blocks[b + 1];
+                im2colChwInt8(img8.data() + c0 * c.hi * c.wi, c1 - c0,
+                              c.hi, c.wi, c.k, c.k, c.stride, c.pad, ho,
+                              wo, got8.data() + hw + c0 * c.k * c.k * ldm,
+                              ldm);
+            }
+            ASSERT_EQ(std::memcmp(got8.data(), want8.data(), size), 0)
+                << "int8 " << what << " blocks " << blocks.size() - 1;
+        }
+    }
 }
 
 } // namespace

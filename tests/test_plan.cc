@@ -8,8 +8,11 @@
  * behaviour of the planned path, the liveness allocator actually
  * reusing buffers, the quantized conv's bit-equality with a
  * per-channel quantize-after-im2col oracle, bit-identical int8
- * zoo-model outputs between the madd and VNNI kernel tables, and
- * bit-identity of steps split across a fork-join team (nn/team.hh).
+ * zoo-model outputs between the madd and VNNI kernel tables,
+ * bit-identity of steps split across a fork-join team (nn/team.hh),
+ * the ReLU fused into conv/fc epilogues (bit-identical to an unfused
+ * plan, adding no arena buffer), and the vector quantize and abs-max
+ * passes against scalar oracles.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +23,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -191,6 +195,20 @@ TEST(PlanGolden, AvgPoolAndStridedGroupedStack)
     expectGoldenEquivalent(g, randomInput({6, 13, 13}, 61));
 }
 
+TEST(PlanGolden, ReluOnAConvWithASecondConsumerIsNotFused)
+{
+    // The first conv feeds a Relu and an Add: fusing that Relu into the
+    // conv would hand the Add rectified values (relu(c) + relu(c), not
+    // relu(c) + c).  The closing conv's Relu fuses and is the graph's
+    // output.
+    GraphBuilder b({4, 9, 9});
+    const NodeId conv = b.conv(6, 3, 1, 1).tip();
+    b.relu().add({conv});
+    b.conv(5, 3, 1, 1).relu();
+    Graph g = weighted(b, 81);
+    expectGoldenEquivalent(g, randomInput({4, 9, 9}, 82));
+}
+
 // -------------------------------------------- batched / arena bit-identity
 
 /** Every kernel ISA whose table can actually run on this host. */
@@ -335,6 +353,52 @@ TEST(PlanArena, LivenessReusesBuffersAndAliasesReshapes)
     // Flatten aliases its producer: it must not add its own numel on
     // top of the three live buffers a conv chain needs.
     EXPECT_GE(plan->arenaFloatsPerSample(), 4 * 16 * 16 * 2);
+}
+
+TEST(PlanGolden, ReluIsStdMaxFromZeroBitForBit)
+{
+    // std::max(0.0f, x) gives +0.0 for -0.0 and for NaN.  A Relu on the
+    // input runs as a step of its own; one on a 1x1 conv, whose NaN
+    // inputs give NaN outputs, runs fused into the conv's epilogue.
+    constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+    Tensor input = randomInput({2, 5, 5}, 83);
+    for (std::int64_t i = 0; i < input.numel(); i += 3)
+        input[i] = i % 2 == 0 ? -0.0f : kNan;
+    const auto expectRectified = [](const Tensor &got, const Tensor &pre) {
+        ASSERT_EQ(got.numel(), pre.numel());
+        for (std::int64_t i = 0; i < got.numel(); ++i)
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                      std::bit_cast<std::uint32_t>(std::max(0.0f, pre[i])))
+                << "element " << i;
+    };
+
+    GraphBuilder step({2, 5, 5});
+    step.relu();
+    expectRectified(runPlanned(step.build(), input), input);
+
+    GraphBuilder conv({2, 5, 5}), fused({2, 5, 5});
+    conv.conv(3, 1, 1, 0);
+    fused.conv(3, 1, 1, 0).relu();
+    expectRectified(runPlanned(weighted(fused, 84), input),
+                    runPlanned(weighted(conv, 84), input));
+}
+
+TEST(PlanArena, FusedReluAddsNoBuffer)
+{
+    // Six conv -> relu pairs with shrinking channel counts, where a
+    // Relu step of its own would need a second buffer of its conv's
+    // size: fused, each Relu aliases its conv's buffer, so the arena
+    // is exactly that of the six convs alone.
+    GraphBuilder with({4, 16, 16}), without({4, 16, 16});
+    for (int channels : {32, 24, 16, 12, 8, 4}) {
+        with.conv(channels, 3, 1, 1).relu();
+        without.conv(channels, 3, 1, 1);
+    }
+    auto fused = ExecutionPlan::build(weighted(with, 14));
+    auto plain = ExecutionPlan::build(weighted(without, 14));
+    ASSERT_TRUE(fused.ok()) << fused.status().toString();
+    ASSERT_TRUE(plain.ok()) << plain.status().toString();
+    EXPECT_EQ(fused->arenaFloatsPerSample(), plain->arenaFloatsPerSample());
 }
 
 TEST(PlanBuild, RejectsGraphsWithoutWeights)
@@ -713,6 +777,134 @@ TEST(PlanInt8, MatchesQuantizeAfterIm2colOracle)
     }
 }
 
+// ------------------------------------------------- elementwise passes
+
+/**
+ * The level `quantizeTo` must give: `std::lrintf`, then the clamp.
+ * lrintf of a NaN is unspecified, and the plan defines that level as 0.
+ */
+std::int8_t
+lrintfLevel(float x, float mult, std::int32_t qmax)
+{
+    const float p = x * mult;
+    if (std::isnan(p))
+        return 0;
+    return static_cast<std::int8_t>(std::clamp(
+        static_cast<std::int32_t>(std::lrintf(p)), -qmax, qmax));
+}
+
+/**
+ * Values that probe every rounding and clamping edge at `qmax` (with a
+ * multiplier of 1): exact k + 0.5 ties and their float neighbours,
+ * integers, +-qmax and beyond, +-0.0, denormals and a NaN.
+ */
+std::vector<float>
+quantizeProbes(std::int32_t qmax)
+{
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    std::vector<float> v;
+    for (std::int32_t k = -qmax - 2; k <= qmax + 1; ++k) {
+        const float tie = static_cast<float>(k) + 0.5f;
+        v.push_back(tie);
+        v.push_back(static_cast<float>(k));
+        v.push_back(std::nextafter(tie, kInf));
+        v.push_back(std::nextafter(tie, -kInf));
+    }
+    const float q = static_cast<float>(qmax);
+    for (float x : {q + 0.49f, q + 0.5f, q + 1.0f, 1e6f, 1e8f, 0.0f,
+                    1e-40f, 0.49999997f,
+                    std::numeric_limits<float>::quiet_NaN()}) {
+        v.push_back(x);
+        v.push_back(-x);
+    }
+    return v;
+}
+
+TEST(PlanQuantize, VectorQuantizeMatchesLrintfOracleBitForBit)
+{
+    // Every length 0..40 runs the 16-wide vector body and every tail
+    // width; sliding the window moves each probe across all lanes.
+    for (std::int32_t qmax : {127, 31}) {
+        const std::vector<float> probes = quantizeProbes(qmax);
+        std::vector<float> random(200);
+        Rng rng(static_cast<std::uint64_t>(qmax));
+        for (float &x : random)
+            x = static_cast<float>(rng.normal(0.0, 1.0));
+        const float data_mult =
+            static_cast<float>(qmax) / absMaxOf(random.data(), 200);
+        struct Source
+        {
+            const std::vector<float> *values;
+            float mult;
+        };
+        for (const Source &src :
+             {Source{&probes, 1.0f}, Source{&probes, 0.37f},
+              Source{&probes, 3.3f}, Source{&random, data_mult}}) {
+            const std::vector<float> &vals = *src.values;
+            for (std::int64_t n = 0; n <= 40; ++n) {
+                for (std::size_t off = 0;
+                     off + static_cast<std::size_t>(n) <= vals.size();
+                     off += 3) {
+                    std::vector<std::int8_t> got(
+                        static_cast<std::size_t>(n) + 16,
+                        std::int8_t{0x5a});
+                    quantizeTo(vals.data() + off, got.data(), n, src.mult,
+                               qmax);
+                    for (std::int64_t v = 0; v < n; ++v) {
+                        const float x =
+                            vals[off + static_cast<std::size_t>(v)];
+                        ASSERT_EQ(got[static_cast<std::size_t>(v)],
+                                  lrintfLevel(x, src.mult, qmax))
+                            << "x " << x << " mult " << src.mult
+                            << " qmax " << qmax << " n " << n << " lane "
+                            << v;
+                    }
+                    for (std::size_t g = static_cast<std::size_t>(n);
+                         g < got.size(); ++g)
+                        ASSERT_EQ(got[g], std::int8_t{0x5a})
+                            << "wrote past n " << n;
+                }
+            }
+        }
+    }
+}
+
+TEST(PlanQuantize, VectorAbsMaxMatchesScalarFoldBitForBit)
+{
+    const auto fold = [](const float *p, std::int64_t n) {
+        float m = 0.0f;
+        for (std::int64_t v = 0; v < n; ++v)
+            m = std::max(m, std::fabs(p[v]));
+        return m;
+    };
+    const std::vector<float> base = [] {
+        std::vector<float> v(40);
+        Rng rng(90);
+        for (float &x : v)
+            x = static_cast<float>(rng.normal(0.0, 1.0));
+        return v;
+    }();
+    for (std::int64_t n = 0; n <= 40; ++n) {
+        // Each position in turn holds the largest magnitude (either
+        // sign), a NaN or a -0.0; plus an all -0.0 input.
+        std::vector<std::vector<float>> inputs{
+            std::vector<float>(static_cast<std::size_t>(n), -0.0f)};
+        for (std::int64_t j = 0; j < n; ++j) {
+            for (float special :
+                 {1e3f, -1e3f, -0.0f,
+                  std::numeric_limits<float>::quiet_NaN()}) {
+                std::vector<float> v(base.begin(), base.begin() + n);
+                v[static_cast<std::size_t>(j)] = special;
+                inputs.push_back(std::move(v));
+            }
+        }
+        for (const std::vector<float> &v : inputs)
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(absMaxOf(v.data(), n)),
+                      std::bit_cast<std::uint32_t>(fold(v.data(), n)))
+                << "n " << n;
+    }
+}
+
 // ------------------------------------------------- split across a team
 
 /**
@@ -854,6 +1046,87 @@ TEST(PlanSplit, BitIdenticalToUnsplitAcrossTablesTeamsAndBatches)
                 }
             }
         }
+    }
+}
+
+/**
+ * A stack whose every Relu follows a conv or fc with no other consumer,
+ * so each fuses into its producer's epilogue; with `unfused`, a
+ * BatchNorm (an identity at inference) sits before each Relu, which
+ * keeps the same arithmetic but leaves every Relu a step of its own.
+ * The 33 x 33 conv splits across a team at every batch size, and the
+ * 576 x 2048 fc at batch 4, on the quantized path too; the 8 x 8 conv
+ * takes the batch-coalesced branch.  An average pool follows the split
+ * conv, because a max pool would hide a Relu skipped on some chunk.
+ */
+Graph
+fusedReluGraph(std::uint64_t seed, bool unfused)
+{
+    GraphBuilder b({8, 33, 33});
+    const auto relu = [&] {
+        if (unfused)
+            b.batchNorm();
+        b.relu();
+    };
+    b.conv(64, 3, 1, 1);
+    relu();
+    b.avgPool(4, 4).conv(64, 3, 1, 1);
+    relu();
+    b.maxPool(3, 3, 1).flatten().fc(2048);
+    relu();
+    b.fc(10);
+    return weighted(b, seed);
+}
+
+TEST(PlanSplit, FusedReluEpilogueBitIdenticalAcrossBatchesSplitsAndModes)
+{
+    std::vector<Tensor> inputs;
+    for (int i = 0; i < 4; ++i)
+        inputs.push_back(randomInput(
+            {8, 33, 33}, 450u + static_cast<std::uint64_t>(i)));
+    const Graph fused_graph = fusedReluGraph(451, false);
+    const Graph unfused_graph = fusedReluGraph(451, true);
+    for (PrecisionMode mode :
+         {PrecisionMode::Fp32, PrecisionMode::Int8, PrecisionMode::Int6}) {
+        auto fused = ExecutionPlan::build(fused_graph, {mode});
+        auto unfused = ExecutionPlan::build(unfused_graph, {mode});
+        ASSERT_TRUE(fused.ok()) << fused.status().toString();
+        ASSERT_TRUE(unfused.ok()) << unfused.status().toString();
+        EXPECT_LT(fused->arenaFloatsPerSample(),
+                  unfused->arenaFloatsPerSample())
+            << "the fused Relus should alias their producers' buffers";
+        HelperPool pool(3);
+        HelperPool::Lane &lane = pool.lane(0);
+        for (int batch = 1; batch <= 4; ++batch) {
+            const std::vector<Tensor> sub(inputs.begin(),
+                                          inputs.begin() + batch);
+            const std::string what = std::string(precisionModeName(mode)) +
+                                     " batch " + std::to_string(batch);
+            const std::vector<Tensor> want =
+                runBatchWithTeam(*unfused, sub, nullptr);
+            expectBitsEqual(runBatchWithTeam(*fused, sub, nullptr), want,
+                            what + " unsplit");
+            lane.enter();
+            const std::vector<Tensor> split =
+                runBatchWithTeam(*fused, sub, &lane);
+            lane.leave();
+            expectBitsEqual(split, want, what + " split");
+            if (HasFatalFailure())
+                return;
+        }
+        // A helper may wake too late for a few short requests; allow
+        // more, so that the check below really covers split epilogues.
+        const std::vector<Tensor> one(inputs.begin(), inputs.begin() + 1);
+        const std::vector<Tensor> want = runBatchWithTeam(*unfused, one,
+                                                          nullptr);
+        for (int r = 0; r < 50 && pool.helperChunks() == 0; ++r) {
+            lane.enter();
+            const std::vector<Tensor> got =
+                runBatchWithTeam(*fused, one, &lane);
+            lane.leave();
+            expectBitsEqual(got, want, precisionModeName(mode));
+        }
+        EXPECT_GT(pool.helperChunks(), 0) << precisionModeName(mode);
     }
 }
 
