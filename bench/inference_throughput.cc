@@ -14,9 +14,12 @@
  *    the median over reference and plan runs taken in pairs, back to
  *    back, so a slow spell of the host hits both sides of a pair
  *    (machine-portable: both sides run on the same host);
- *  - the same planned latency pinned to the scalar kernel table and
- *    the vector-over-scalar ratio (`vectorSpeedup`) -- what the SIMD
- *    dispatch layer buys on this host;
+ *  - the same planned latency pinned to the scalar kernel table, and
+ *    the median of paired scalar-plan / vector-plan time ratios
+ *    (`vectorSpeedup`), the two plans timed back to back in each pair
+ *    -- what the SIMD dispatch layer buys on this host; the vector
+ *    table's name and register width (`kernelIsa`, `vectorBits`) sit
+ *    beside it;
  *  - the int8 plan's latency and its ratio over scalar fp32
  *    (`int8Speedup`) -- what quantized serving buys;
  *  - the median of paired vector-fp32-plan / int8-plan time ratios
@@ -191,26 +194,26 @@ timePlanned(const Graph &graph, PrecisionMode precision,
 }
 
 /**
- * The median over `pairs` of (vector fp32 plan ms / int8 plan ms), the
- * two plans timed back to back in each pair so that a slow spell of the
+ * The median over `pairs` of (slow plan ms / fast plan ms), the two
+ * plans timed back to back in each pair so that a slow spell of the
  * host hits both.  Each timed run follows an untimed run of the same
  * plan, so both sides start warm.
  */
 double
-pairedInt8OverFp32(const Graph &graph, const Tensor &input, int pairs)
+pairedRatio(const Graph &graph, const Tensor &input,
+            const PlanOptions &slow_options,
+            const PlanOptions &fast_options, int pairs)
 {
-    auto fp32 = ExecutionPlan::build(graph, {PrecisionMode::Fp32,
-                                             KernelIsa::Auto});
-    auto int8 = ExecutionPlan::build(graph, {PrecisionMode::Int8,
-                                             KernelIsa::Auto});
-    if (!fp32.ok() || !int8.ok()) {
-        std::cerr << (fp32.ok() ? int8 : fp32).status().toString()
+    auto slow = ExecutionPlan::build(graph, slow_options);
+    auto fast = ExecutionPlan::build(graph, fast_options);
+    if (!slow.ok() || !fast.ok()) {
+        std::cerr << (slow.ok() ? fast : slow).status().toString()
                   << "\n";
         std::exit(1);
     }
-    PlanContext fp32_ctx = fp32->makeContext();
-    PlanContext int8_ctx = int8->makeContext();
-    Tensor out(fp32->outputShape());
+    PlanContext slow_ctx = slow->makeContext();
+    PlanContext fast_ctx = fast->makeContext();
+    Tensor out(slow->outputShape());
     const auto warmTime = [&](const ExecutionPlan &plan,
                               PlanContext &context) {
         plan.run(input.data(), out.data(), context);
@@ -220,8 +223,8 @@ pairedInt8OverFp32(const Graph &graph, const Tensor &input, int pairs)
     };
     std::vector<double> ratios;
     for (int r = 0; r < pairs; ++r) {
-        const double fp32_ms = warmTime(*fp32, fp32_ctx);
-        ratios.push_back(fp32_ms / warmTime(*int8, int8_ctx));
+        const double slow_ms = warmTime(*slow, slow_ctx);
+        ratios.push_back(slow_ms / warmTime(*fast, fast_ctx));
     }
     return median(ratios);
 }
@@ -299,7 +302,7 @@ main(int argc, char **argv)
         const int plan_reps = huge ? 2 : 10;
         const int batch_reps = huge ? 1 : plan_reps;
         // Plan-only pairs are cheap next to the reference's.
-        const int int8_pairs = huge ? 3 : 21;
+        const int plan_pairs = huge ? 3 : 21;
 
         const PlannedTiming vec =
             timePlanned(graph, PrecisionMode::Fp32, KernelIsa::Auto,
@@ -316,9 +319,17 @@ main(int argc, char **argv)
         r.name = modelName(id);
         r.ops = ops;
         r.speedup = vec.pairedSpeedup;
-        r.vectorSpeedup = scalar.singleMillis / vec.singleMillis;
+        r.vectorSpeedup =
+            pairedRatio(graph, input, {PrecisionMode::Fp32,
+                                       KernelIsa::Scalar},
+                        {PrecisionMode::Fp32, KernelIsa::Auto},
+                        plan_pairs);
         r.int8Speedup = scalar.singleMillis / int8.singleMillis;
-        r.int8OverFp32 = pairedInt8OverFp32(graph, input, int8_pairs);
+        r.int8OverFp32 =
+            pairedRatio(graph, input, {PrecisionMode::Fp32,
+                                       KernelIsa::Auto},
+                        {PrecisionMode::Int8, KernelIsa::Auto},
+                        plan_pairs);
         r.batchSpeedup =
             vec.singleMillis / vec.batchedMillisPerSample;
         r.coalesced = fullyCoalesced(graph);
@@ -332,6 +343,8 @@ main(int argc, char **argv)
         j.field("model", r.name);
         j.field("ops", ops);
         j.field("kernelIsa", kernelIsaName(vec.isa));
+        j.field("vectorBits",
+                static_cast<std::int64_t>(kernelTable(vec.isa).vectorBits));
         j.field("referenceMillis", ref_ms);
         j.field("plannedMillis", vec.singleMillis);
         j.field("plannedScalarMillis", scalar.singleMillis);

@@ -361,16 +361,27 @@ BENCHMARK(BM_QuantizeInt8)->Unit(benchmark::kMicrosecond);
 
 /**
  * google-benchmark's main, after one line naming the kernel tables
- * this host can run: a GEMM row missing for a table means the table
- * went untested here, and the line says so up front.
+ * this host can run, each vector one with its register width, and those
+ * it cannot: a GEMM row missing for a table means the table went
+ * untested here, and the line says so up front.  The width tells which
+ * `avxvnni` table ran: 512 means the AVX-512 tiles, 256 the AVX-VNNI
+ * ones (on such a runner the 512-bit tiles went untested, and on a
+ * 512-bit runner the VEX int8 GEMM did).
  */
 int
 main(int argc, char **argv)
 {
     std::string have, missing;
-    for (KernelIsa isa : kGemmIsas)
-        (kernelIsaAvailable(isa) ? have : missing) +=
-            std::string(" ") + kernelIsaName(isa);
+    for (KernelIsa isa : kGemmIsas) {
+        std::string &list = kernelIsaAvailable(isa) ? have : missing;
+        list += std::string(" ") + kernelIsaName(isa);
+        const int bits = kernelTable(isa).vectorBits;
+        if (kernelIsaAvailable(isa) && bits > 0) {
+            list += '(';
+            list += std::to_string(bits);
+            list += "-bit)";
+        }
+    }
     std::printf("kernel tables available:%s; unavailable:%s\n",
                 have.c_str(), missing.empty() ? " none" : missing.c_str());
     std::fflush(stdout);

@@ -622,9 +622,12 @@ constexpr std::int64_t kCoalesceColumns = 1024;
  * columns, or 256 on the quantized path: its GEMM does about four
  * times the multiply-adds per second, so a chunk needs four times the
  * columns to outweigh what a split costs (waking a helper, repacking
- * the weights per call, cold caches).  Measured on a 4-vCPU x86 VM,
- * splitting VGG17's 256-column int8 convs three ways cut the int8 plan
- * by ~15% for ~35% more CPU.
+ * the weights per call, cold caches).  The ratio held when both GEMMs
+ * went 512-bit: single-thread micro_kernels on an AVX-512 Xeon read
+ * int8 3.1-4.6x the fp32 rate at VGG17's conv shapes (3.7x in the
+ * quietest run), as the 256-bit kernels did.  Measured on a 4-vCPU x86
+ * VM, splitting VGG17's 256-column int8 convs three ways cut the int8
+ * plan by ~15% for ~35% more CPU.
  */
 SplitRange
 columnRange(std::int64_t n, bool quantized)

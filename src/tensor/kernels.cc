@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "common/logging.hh"
 
@@ -304,6 +305,62 @@ gemmInt8Scalar(const std::int8_t *a, std::int64_t lda,
 #if FPSA_KERNELS_X86
 
 /**
+ * For a remainder of `rows` <= R rows starting at row i, call
+ * tile(std::integral_constant<int, rows>{}, i), so the tile's row
+ * count is a compile-time constant; zero rows call nothing.
+ */
+template <int R, typename Tile>
+inline void
+rowTail(std::int64_t rows, std::int64_t i, const Tile &tile)
+{
+    if constexpr (R > 0) {
+        if (rows == R)
+            tile(std::integral_constant<int, R>{}, i);
+        else
+            rowTail<R - 1>(rows, i, tile);
+    }
+}
+
+/** Every full R-row block of m rows, then the 1..R-1-row tail. */
+template <int R, typename Tile>
+inline void
+forRowTiles(std::int64_t m, const Tile &tile)
+{
+    std::int64_t i = 0;
+    for (; i + R <= m; i += R)
+        tile(std::integral_constant<int, R>{}, i);
+    rowTail<R - 1>(m - i, i, tile);
+}
+
+/**
+ * The vector fp32 GEMMs' blocking: C is zeroed, then for every (k, n)
+ * block, k blocks in order, `tile(rows, a, lda, b, ldb, c, ldc, kb,
+ * nb)` adds A[rows x kb] * B[kb x nb] into C for every row block of up
+ * to R rows.  Each element's partial sum lives in C between k blocks,
+ * so its accumulation order is fixed by k alone.
+ */
+template <int R, typename Tile>
+inline void
+gemmBlocked(const float *a, std::int64_t lda, const float *b,
+            std::int64_t ldb, float *c, std::int64_t ldc, std::int64_t m,
+            std::int64_t k, std::int64_t n, const Tile &tile)
+{
+    for (std::int64_t i = 0; i < m; ++i)
+        std::memset(c + i * ldc, 0,
+                    static_cast<std::size_t>(n) * sizeof(float));
+    for (std::int64_t jc = 0; jc < n; jc += kNc) {
+        const std::int64_t nb = std::min(kNc, n - jc);
+        for (std::int64_t pc = 0; pc < k; pc += kKc) {
+            const std::int64_t kb = std::min(kKc, k - pc);
+            forRowTiles<R>(m, [&](auto rows, std::int64_t i) {
+                tile(rows, a + i * lda + pc, lda, b + pc * ldb + jc, ldb,
+                     c + i * ldc + jc, ldc, kb, nb);
+            });
+        }
+    }
+}
+
+/**
  * R-row fp32 register tile, 8-lane FMA: C[R x nb] += A[R x kb] *
  * B[kb x nb] for one (k, n) block.  The 16-column body keeps 2R
  * accumulators (12 ymm registers at R = 6); per k it loads two B
@@ -386,35 +443,93 @@ tileAvx2(const float *a, std::int64_t lda, const float *b,
     }
 }
 
-__attribute__((target("avx2,fma"))) void
+void
 gemmAvx2(const float *a, std::int64_t lda, const float *b,
          std::int64_t ldb, float *c, std::int64_t ldc, std::int64_t m,
          std::int64_t k, std::int64_t n)
 {
-    for (std::int64_t i = 0; i < m; ++i)
-        std::memset(c + i * ldc, 0,
-                    static_cast<std::size_t>(n) * sizeof(float));
-    for (std::int64_t jc = 0; jc < n; jc += kNc) {
-        const std::int64_t nb = std::min(kNc, n - jc);
-        for (std::int64_t pc = 0; pc < k; pc += kKc) {
-            const std::int64_t kb = std::min(kKc, k - pc);
-            const float *bp = b + pc * ldb + jc;
-            std::int64_t i = 0;
-            for (; i + 6 <= m; i += 6)
-                tileAvx2<6>(a + i * lda + pc, lda, bp, ldb,
-                            c + i * ldc + jc, ldc, kb, nb);
-            const float *ap = a + i * lda + pc;
-            float *cp = c + i * ldc + jc;
-            switch (m - i) {
-              case 5: tileAvx2<5>(ap, lda, bp, ldb, cp, ldc, kb, nb); break;
-              case 4: tileAvx2<4>(ap, lda, bp, ldb, cp, ldc, kb, nb); break;
-              case 3: tileAvx2<3>(ap, lda, bp, ldb, cp, ldc, kb, nb); break;
-              case 2: tileAvx2<2>(ap, lda, bp, ldb, cp, ldc, kb, nb); break;
-              case 1: tileAvx2<1>(ap, lda, bp, ldb, cp, ldc, kb, nb); break;
-              default: break;
+    gemmBlocked<6>(a, lda, b, ldb, c, ldc, m, k, n,
+                   [](auto rows, auto... args) {
+                       tileAvx2<decltype(rows)::value>(args...);
+                   });
+}
+
+/** The lane mask of the first min(cols, 16) columns of a zmm. */
+inline __mmask16
+columnMask(std::int64_t cols)
+{
+    return static_cast<__mmask16>(cols >= 16 ? 0xffffu
+                                             : (1u << cols) - 1u);
+}
+
+/**
+ * `tileAvx2` at twice the width, for hosts with AVX-512: a 32-column
+ * body with 2R zmm accumulators (24 at R = 12), two B loads and one
+ * broadcast FMA per row per k; then one 16-column step and a masked
+ * tail, whose C and B loads zero the lanes past nb and whose store
+ * leaves them untouched.  Every lane runs the same k-ascending
+ * c = fma(a[p], b[p][j], c) chain as `tileAvx2`'s, in the same k
+ * blocks, so `gemmAvx512` equals `gemmAvx2` bit for bit.
+ */
+template <int R>
+__attribute__((target("avx2,fma,avx512f"))) void
+tileAvx512(const float *a, std::int64_t lda, const float *b,
+           std::int64_t ldb, float *c, std::int64_t ldc, std::int64_t kb,
+           std::int64_t nb)
+{
+    std::int64_t j = 0;
+    for (; j + 32 <= nb; j += 32) {
+        __m512 lo[R], hi[R];
+#pragma GCC unroll 12
+        for (int r = 0; r < R; ++r) {
+            lo[r] = _mm512_loadu_ps(c + r * ldc + j);
+            hi[r] = _mm512_loadu_ps(c + r * ldc + j + 16);
+        }
+        for (std::int64_t p = 0; p < kb; ++p) {
+            const float *bp = b + p * ldb + j;
+            const __m512 b0 = _mm512_loadu_ps(bp);
+            const __m512 b1 = _mm512_loadu_ps(bp + 16);
+#pragma GCC unroll 12
+            for (int r = 0; r < R; ++r) {
+                const __m512 av = _mm512_set1_ps(a[r * lda + p]);
+                lo[r] = _mm512_fmadd_ps(av, b0, lo[r]);
+                hi[r] = _mm512_fmadd_ps(av, b1, hi[r]);
             }
         }
+#pragma GCC unroll 12
+        for (int r = 0; r < R; ++r) {
+            _mm512_storeu_ps(c + r * ldc + j, lo[r]);
+            _mm512_storeu_ps(c + r * ldc + j + 16, hi[r]);
+        }
     }
+    for (; j < nb; j += 16) {
+        const __mmask16 mask = columnMask(nb - j);
+        __m512 s[R];
+#pragma GCC unroll 12
+        for (int r = 0; r < R; ++r)
+            s[r] = _mm512_maskz_loadu_ps(mask, c + r * ldc + j);
+        for (std::int64_t p = 0; p < kb; ++p) {
+            const __m512 bv = _mm512_maskz_loadu_ps(mask, b + p * ldb + j);
+#pragma GCC unroll 12
+            for (int r = 0; r < R; ++r)
+                s[r] = _mm512_fmadd_ps(_mm512_set1_ps(a[r * lda + p]), bv,
+                                       s[r]);
+        }
+#pragma GCC unroll 12
+        for (int r = 0; r < R; ++r)
+            _mm512_mask_storeu_ps(c + r * ldc + j, mask, s[r]);
+    }
+}
+
+void
+gemmAvx512(const float *a, std::int64_t lda, const float *b,
+           std::int64_t ldb, float *c, std::int64_t ldc, std::int64_t m,
+           std::int64_t k, std::int64_t n)
+{
+    gemmBlocked<12>(a, lda, b, ldb, c, ldc, m, k, n,
+                    [](auto rows, auto... args) {
+                        tileAvx512<decltype(rows)::value>(args...);
+                    });
 }
 
 /** The shared im2col body, recompiled for 256-bit moves. */
@@ -717,21 +832,7 @@ gemmInt8Avx2(const std::int8_t *a, std::int64_t lda,
  */
 constexpr std::int64_t kVnniMinRows = 5;
 
-#define FPSA_VNNI_NS vex
-#define FPSA_VNNI_TARGET "avx2,fma,avxvnni"
-#define FPSA_VNNI_DPBUSD _mm256_dpbusd_avx_epi32
 #include "tensor/kernels_vnni.inc"
-#undef FPSA_VNNI_NS
-#undef FPSA_VNNI_TARGET
-#undef FPSA_VNNI_DPBUSD
-
-#define FPSA_VNNI_NS evex
-#define FPSA_VNNI_TARGET "avx2,fma,avx512vnni,avx512vl"
-#define FPSA_VNNI_DPBUSD _mm256_dpbusd_epi32
-#include "tensor/kernels_vnni.inc"
-#undef FPSA_VNNI_NS
-#undef FPSA_VNNI_TARGET
-#undef FPSA_VNNI_DPBUSD
 
 /**
  * AVX-VNNI (CPUID leaf 7 sub-leaf 1, EAX bit 4), read directly:
@@ -747,11 +848,18 @@ hasAvxVnni()
            (eax & (1u << 4)) != 0;
 }
 
+/**
+ * AVX-512 with VNNI: what the 512-bit fp32 tile (AVX512F) and int8
+ * tile (AVX512-VNNI, whose 16-column masks and loads are AVX512F) run
+ * on.  Every AVX512-VNNI host has AVX512F, so this is also the whole
+ * AVX512-VNNI half of the `AvxVnni` availability test.
+ */
 bool
 hasAvx512Vnni()
 {
-    return __builtin_cpu_supports("avx512vnni") &&
-           __builtin_cpu_supports("avx512vl");
+    return __builtin_cpu_supports("avx512f") &&
+           __builtin_cpu_supports("avx512vl") &&
+           __builtin_cpu_supports("avx512vnni");
 }
 
 #endif // FPSA_KERNELS_X86
@@ -937,21 +1045,21 @@ envCap()
 }
 
 
-const KernelTable kScalarTable{KernelIsa::Scalar, &gemmScalar,
+const KernelTable kScalarTable{KernelIsa::Scalar, 0, &gemmScalar,
                                &im2colScalar, &gemmInt8Scalar};
 #if FPSA_KERNELS_X86
-const KernelTable kAvx2Table{KernelIsa::Avx2, &gemmAvx2, &im2colAvx2,
+const KernelTable kAvx2Table{KernelIsa::Avx2, 256, &gemmAvx2, &im2colAvx2,
                              &gemmInt8Avx2};
-// The fp32 slots are the AVX2 functions themselves, so fp32 plans are
-// bit-identical between the two tables.
-const KernelTable kAvxVnniTable{KernelIsa::AvxVnni, &gemmAvx2,
-                                &im2colAvx2, &vex::gemmInt8};
-const KernelTable kAvx512VnniTable{KernelIsa::AvxVnni, &gemmAvx2,
-                                   &im2colAvx2, &evex::gemmInt8};
+// AVX-VNNI without AVX-512: the AVX2 fp32 functions themselves.
+const KernelTable kAvxVnniTable{KernelIsa::AvxVnni, 256, &gemmAvx2,
+                                &im2colAvx2, &gemmInt8AvxVnni};
+// AVX-512 with VNNI: 512-bit tiles whose fp32 bits equal gemmAvx2's.
+const KernelTable kAvx512VnniTable{KernelIsa::AvxVnni, 512, &gemmAvx512,
+                                   &im2colAvx2, &gemmInt8Avx512};
 #endif
 #if FPSA_KERNELS_NEON
-const KernelTable kNeonTable{KernelIsa::Neon, &gemmNeon, &im2colScalar,
-                             &gemmInt8Scalar};
+const KernelTable kNeonTable{KernelIsa::Neon, 128, &gemmNeon,
+                             &im2colScalar, &gemmInt8Scalar};
 #endif
 
 /** The order `Auto` tries the vector tables in, best first. */
@@ -1067,7 +1175,7 @@ kernelTable(KernelIsa isa)
         return kAvx2Table;
       case KernelIsa::AvxVnni: {
         static const KernelTable &vnni =
-            hasAvxVnni() ? kAvxVnniTable : kAvx512VnniTable;
+            hasAvx512Vnni() ? kAvx512VnniTable : kAvxVnniTable;
         return vnni;
       }
 #endif

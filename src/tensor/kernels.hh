@@ -20,20 +20,29 @@
  *    pairwise `_mm256_madd_epi16` microkernel: two k steps of eight
  *    columns per multiply, exact over the whole int8 range.
  *  - `AvxVnni` (x86 only, CPUID-gated on AVX2+FMA plus AVX-VNNI, or
- *    AVX512-VNNI with AVX512VL) shares `Avx2`'s fp32 GEMM and im2col
- *    functions -- fp32 plans are bit-identical between the two -- and
- *    runs the int8 GEMM on `vpdpbusd`: four k steps of eight columns
- *    per instruction, no sign extension.  `vpdpbusd` multiplies an
- *    unsigned byte by a signed one, so B enters as B + 128 (`xor
- *    0x80`), packed once per 128 x 512 block into 4-byte k-quads (a
- *    64 KB stack buffer), A rows are broadcast as signed k-quads, and
- *    every 6-row x 16-column tile seeds its accumulators with
- *    -128 * rowsum(A block).  The offset cancels exactly --
- *    sum(a * (b + 128)) - 128 * sum(a) = sum(a * b) in wrapping int32,
- *    whose true result fits -- so the contract stays exact int32 math
- *    for any int8 operands: no caller sees the offset, signed inputs
- *    (a network's first layer) included.  Calls with fewer than five
- *    rows, which do not earn back the packing, run the madd GEMM.
+ *    AVX512-VNNI with AVX512F and AVX512VL) runs the int8 GEMM on
+ *    `vpdpbusd`: four k steps per lane per instruction, no sign
+ *    extension.  `vpdpbusd` multiplies an unsigned byte by a signed
+ *    one, so B enters as B + 128 (`xor 0x80`), packed once per 128 x
+ *    512 block into 4-byte k-quads (a 64 KB stack buffer), A rows are
+ *    broadcast as signed k-quads, and every row tile seeds its
+ *    accumulators with -128 * rowsum(A block).  The offset cancels
+ *    exactly -- sum(a * (b + 128)) - 128 * sum(a) = sum(a * b) in
+ *    wrapping int32, whose true result fits -- so the contract stays
+ *    exact int32 math for any int8 operands: no caller sees the
+ *    offset, signed inputs (a network's first layer) included.  Calls
+ *    with fewer than five rows, which do not earn back the packing,
+ *    run the madd GEMM.  The table comes in two widths, picked once
+ *    by CPUID:
+ *    - with AVX512F + AVX512VL + AVX512-VNNI, 512-bit tiles: the fp32
+ *      GEMM on a 12-row x 32-column zmm tile (a 16-column step and a
+ *      masked tail after it) and the int8 GEMM on 12-row x 32-column
+ *      `vpdpbusd` tiles, one zmm per packed 16-column k-quad group;
+ *    - with AVX-VNNI alone, `Avx2`'s fp32 GEMM and 6-row x 16-column
+ *      VEX `vpdpbusd` tiles.
+ *    Either way the im2col is `Avx2`'s, and the fp32 GEMM runs the
+ *    same per-element fused chains in the same k blocks as `Avx2`'s,
+ *    so fp32 results equal `Avx2`'s bit for bit on every host.
  *  - `Neon` (aarch64 only) uses explicit 4-lane fused multiply-adds.
  *
  * Determinism contract (what `ExecutionPlan` relies on): within one
@@ -43,24 +52,28 @@
  * count, the column's position, or pointer alignment -- the k loop is
  * blocked identically for every call, column tiling never reorders a
  * column's partial sums, and vector bodies cover remainder columns
- * with a scalar *fused* multiply-add so a column computes the same
- * value whether it lands in a full vector or the tail.  A batched call
- * that widens `n` is therefore bit-identical per column to
- * single-sample calls through the same table -- the property the
- * executor's batch path and its tests rely on.  Different tables may differ within
- * float rounding (FMA vs separate multiply+add); the int8 GEMM is
- * exact integer arithmetic and bit-identical across every table.
+ * with a scalar or masked-vector *fused* multiply-add so a column
+ * computes the same value whether it lands in a full vector or the
+ * tail.  A batched call that widens `n` is therefore bit-identical per
+ * column to single-sample calls through the same table -- the property
+ * the executor's batch path and its tests rely on.  Different tables
+ * may differ within float rounding (FMA vs separate multiply+add); the
+ * int8 GEMM is exact integer arithmetic and bit-identical across every
+ * table.
  *
  * Selection: `kernelTable(KernelIsa::Auto)` picks the best available
- * variant (`AvxVnni` over `Avx2` over `Scalar` on x86).  The
- * environment variable `FPSA_KERNEL_ISA` (`scalar` / `avx2` /
- * `avxvnni` / `neon` / `auto`, read once at first use) limits the
- * available variants to {`Scalar`, that one}, and `Auto` then
- * resolves to the best of those -- `FPSA_KERNEL_ISA=scalar` forces
- * every consumer in the process onto the portable baseline, and
- * `FPSA_KERNEL_ISA=avx2` masks the VNNI table so `Auto` runs the
- * madd int8 GEMM; CI uses both to keep every code path green.
- * Requesting an unavailable ISA falls back to `Scalar`.
+ * variant (`AvxVnni` over `Avx2` over `Scalar` on x86); the `AvxVnni`
+ * table is the 512-bit one wherever AVX-512 with VNNI is present, the
+ * 256-bit one on AVX-VNNI-only hosts (`KernelTable::vectorBits` says
+ * which).  The environment variable `FPSA_KERNEL_ISA` (`scalar` /
+ * `avx2` / `avxvnni` / `neon` / `auto`, read once at first use)
+ * limits the available variants to {`Scalar`, that one}, and `Auto`
+ * then resolves to the best of those -- `FPSA_KERNEL_ISA=scalar`
+ * forces every consumer in the process onto the portable baseline,
+ * and `FPSA_KERNEL_ISA=avx2` masks the VNNI table so `Auto` runs the
+ * madd int8 GEMM and the 256-bit fp32 tile; CI uses both to keep
+ * every code path green.  Requesting an unavailable ISA falls back to
+ * `Scalar`.
  */
 
 #ifndef FPSA_TENSOR_KERNELS_HH
@@ -78,7 +91,7 @@ enum class KernelIsa
     Auto,    //!< resolve to the best available variant at runtime
     Scalar,  //!< portable baseline; always available
     Avx2,    //!< x86 AVX2+FMA (8-lane fp32 FMA)
-    AvxVnni, //!< Avx2's fp32 kernels + a `vpdpbusd` int8 GEMM
+    AvxVnni, //!< a `vpdpbusd` int8 GEMM; 512-bit tiles with AVX-512
     Neon,    //!< aarch64 NEON (4-lane fp32 FMA)
 };
 
@@ -131,13 +144,20 @@ int precisionActivationBits(PrecisionMode mode);
 struct KernelTable
 {
     KernelIsa isa = KernelIsa::Scalar; //!< the variant actually bound
+    /**
+     * Register width of the bound kernels: 0 for scalar, 128 for NEON,
+     * 256 or 512 for x86 (`AvxVnni` is 512 where AVX-512 with VNNI
+     * is present).
+     */
+    int vectorBits = 0;
 
     /**
      * C[m x n] = A[m x k] * B[k x n], all row-major with the given
      * leading strides (elements between consecutive rows); C is
      * overwritten.  Cache-blocked over k and n, with a register tile
      * per table: 4 rows for the scalar and NEON tables, 6 rows by 16
-     * columns for AVX2.  Accumulation per element is strictly
+     * columns for AVX2, 12 rows by 32 columns for 512-bit AvxVnni.
+     * Accumulation per element is strictly
      * k-ascending (see the determinism contract above).
      */
     void (*gemmRowMajor)(const float *a, std::int64_t lda,

@@ -110,13 +110,22 @@ TEST(KernelIsaApi, ResolutionNeverReturnsAutoAndFallsBackToScalar)
         else
             EXPECT_EQ(resolved, KernelIsa::Scalar);
     }
-    // The table honors the resolution and binds every slot.
+    // The table honors the resolution, binds every slot and names its
+    // register width.
     for (KernelIsa isa : availableIsas()) {
         const KernelTable &t = kernelTable(isa);
         EXPECT_EQ(t.isa, isa);
         EXPECT_NE(t.gemmRowMajor, nullptr);
         EXPECT_NE(t.im2colChw, nullptr);
         EXPECT_NE(t.gemmInt8, nullptr);
+        switch (isa) {
+          case KernelIsa::Scalar: EXPECT_EQ(t.vectorBits, 0); break;
+          case KernelIsa::Neon: EXPECT_EQ(t.vectorBits, 128); break;
+          case KernelIsa::Avx2: EXPECT_EQ(t.vectorBits, 256); break;
+          default:
+            EXPECT_TRUE(t.vectorBits == 256 || t.vectorBits == 512)
+                << t.vectorBits;
+        }
     }
 }
 
@@ -136,21 +145,77 @@ TEST(KernelIsaApi, AutoResolvesToTheBestTableTheCapLeavesAvailable)
     EXPECT_EQ(kernelTable(KernelIsa::Auto).isa, expected);
 }
 
-TEST(KernelIsaApi, AutoPrefersVnniAndKeepsAvx2Fp32Kernels)
+/**
+ * [m x k] * [k x n] through two tables into C rows padded to
+ * ldc = n + 3, which start as a sentinel: every element, padding
+ * included, must carry the same bits.
+ */
+void
+expectFp32GemmBitsEqual(const KernelTable &x, const KernelTable &y,
+                        std::int64_t m, std::int64_t k, std::int64_t n,
+                        std::uint64_t seed)
+{
+    const std::int64_t ldc = n + 3;
+    const auto a = randomFloats(static_cast<std::size_t>(m * k), seed);
+    const auto b = randomFloats(static_cast<std::size_t>(k * n), seed + 1);
+    std::vector<float> cx(static_cast<std::size_t>(m * ldc), -1234.5f);
+    std::vector<float> cy(cx);
+    x.gemmRowMajor(a.data(), k, b.data(), n, cx.data(), ldc, m, k, n);
+    y.gemmRowMajor(a.data(), k, b.data(), n, cy.data(), ldc, m, k, n);
+    for (std::size_t i = 0; i < cx.size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(cx[i]),
+                  std::bit_cast<std::uint32_t>(cy[i]))
+            << kernelIsaName(x.isa) << " (" << x.vectorBits << "-bit) vs "
+            << kernelIsaName(y.isa) << " m=" << m << " k=" << k
+            << " n=" << n << " element " << i / static_cast<std::size_t>(ldc)
+            << "," << i % static_cast<std::size_t>(ldc);
+}
+
+TEST(KernelIsaApi, AutoPrefersVnniWhoseFp32GemmEqualsAvx2BitForBit)
 {
     if (!kernelIsaAvailable(KernelIsa::AvxVnni))
         GTEST_SKIP() << "no AVX-VNNI or AVX512-VNNI+VL on this host (or "
                         "FPSA_KERNEL_ISA masks it): the avxvnni table "
                         "went untested";
     EXPECT_EQ(resolveKernelIsa(KernelIsa::Auto), KernelIsa::AvxVnni);
-    // The VNNI table changes only the int8 GEMM: its fp32 slots are the
-    // AVX2 functions, so fp32 plans are bit-identical between them.
-    if (kernelIsaAvailable(KernelIsa::Avx2)) {
-        const KernelTable &vnni = kernelTable(KernelIsa::AvxVnni);
-        const KernelTable &avx2 = kernelTable(KernelIsa::Avx2);
-        EXPECT_EQ(vnni.gemmRowMajor, avx2.gemmRowMajor);
-        EXPECT_EQ(vnni.im2colChw, avx2.im2colChw);
-        EXPECT_NE(vnni.gemmInt8, avx2.gemmInt8);
+    if (!kernelIsaAvailable(KernelIsa::Avx2))
+        GTEST_SKIP() << "FPSA_KERNEL_ISA masks the avx2 table";
+    // The VNNI table shares AVX2's im2col and brings its own int8 GEMM.
+    // Its fp32 GEMM is AVX2's own function or, with AVX-512, a 512-bit
+    // tile that must give the same bits, so fp32 plans do not depend on
+    // which of the two tables runs them.
+    const KernelTable &vnni = kernelTable(KernelIsa::AvxVnni);
+    const KernelTable &avx2 = kernelTable(KernelIsa::Avx2);
+    EXPECT_EQ(vnni.im2colChw, avx2.im2colChw);
+    EXPECT_NE(vnni.gemmInt8, avx2.gemmInt8);
+    // VGG17's conv GEMMs (co x ci*9 x h*w), two batch-coalesced widths,
+    // and its fc layer at batch 1 and 4.
+    const std::int64_t vgg17[][3] = {
+        {48, 27, 1024}, {48, 432, 1024}, {96, 432, 256}, {96, 864, 256},
+        {96, 864, 64},  {96, 864, 16},   {96, 864, 48},  {96, 864, 192},
+        {1, 384, 10},   {4, 384, 10},
+    };
+    std::uint64_t seed = 700;
+    for (const auto &shape : vgg17) {
+        seed += 2;
+        expectFp32GemmBitsEqual(vnni, avx2, shape[0], shape[1], shape[2],
+                                seed);
+        if (HasFatalFailure())
+            return;
+    }
+    // Edge shapes: both tables' row tiles and tails, one and two k
+    // blocks, and every column path (the 32-column body, 16-column step
+    // and masked tail; the 16- and 8-column steps and the scalar tail).
+    for (std::int64_t m : {1, 5, 6, 11, 12, 13, 24, 25}) {
+        for (std::int64_t k : {1, 129}) {
+            for (std::int64_t n :
+                 {1, 7, 8, 15, 16, 17, 31, 32, 33, 47, 48, 49, 531}) {
+                seed += 2;
+                expectFp32GemmBitsEqual(vnni, avx2, m, k, n, seed);
+                if (HasFatalFailure())
+                    return;
+            }
+        }
     }
 }
 
@@ -184,10 +249,11 @@ TEST(KernelTableGolden, ColumnBitsIndependentOfCallWidthPerTable)
     // The determinism contract the batched serving path relies on:
     // within one table, computing a column alone gives the same bits
     // as computing it inside a wide call.  m crosses the vector tables'
-    // row tiles and their tails; n = 531 crosses the 512-column block.
+    // row tiles (6 and 12 rows) and their tails; n = 531 crosses the
+    // 512-column block.
     const std::int64_t k = 333;
     std::uint64_t seed = 3;
-    for (std::int64_t m : {1, 5, 6, 7, 12, 13}) {
+    for (std::int64_t m : {1, 5, 6, 7, 12, 13, 24, 25}) {
         for (std::int64_t n : {29, 531}) {
             seed += 2;
             const auto a =
@@ -278,19 +344,26 @@ expectVectorGemmFused(std::int64_t m, std::int64_t k, std::int64_t n,
 
 TEST(KernelTableGolden, VectorGemmEqualsNaiveFusedLoopOnEveryTilePath)
 {
-    // m = 1..13 covers the 6-row tile and every row tail; k covers one
-    // step, a full 128-deep k block and one past it, and two blocks
-    // plus one; n = 1..40 covers the 16-column body, the 8-column step
-    // and the scalar tail, and 531 / 1030 cross the 512-column block.
+    // m = 1..13 covers the 6- and 12-row tiles and every row tail; k
+    // covers one step, a full 128-deep k block and one past it, and two
+    // blocks plus one; n = 1..40 and 47..49, 64, 65 cover the 256-bit
+    // 16-column body, 8-column step and scalar tail and the 512-bit
+    // 32-column body, 16-column step and masked tail, and 531 / 1030
+    // cross the 512-column block.  m = 14..25 (a second 12-row tile,
+    // its tails, and a third tile's first row) runs one and two k
+    // blocks at the narrow widths: the naive oracle grows with m*k*n,
+    // and this sweep also runs under the sanitizers.
     std::vector<std::int64_t> widths;
     for (std::int64_t n = 1; n <= 40; ++n)
         widths.push_back(n);
-    widths.push_back(531);
-    widths.push_back(1030);
+    for (std::int64_t n : {47, 48, 49, 64, 65, 531, 1030})
+        widths.push_back(n);
     std::uint64_t seed = 100;
     for (std::int64_t k : {1, 2, 127, 128, 129, 257}) {
-        for (std::int64_t m = 1; m <= 13; ++m) {
+        for (std::int64_t m = 1; m <= 25; ++m) {
             for (std::int64_t n : widths) {
+                if (m > 13 && (n > 65 || (k != 1 && k != 129)))
+                    continue;
                 seed += 2;
                 expectVectorGemmFused(m, k, n, k, n, n, seed);
                 if (HasFatalFailure())
@@ -298,8 +371,11 @@ TEST(KernelTableGolden, VectorGemmEqualsNaiveFusedLoopOnEveryTilePath)
             }
         }
     }
-    // Strided operands: A, B and C rows all padded past the data.
+    // Strided operands: A, B and C rows all padded past the data; n
+    // = 37 and 53 end in the 512-bit tile's masked tail (after the
+    // 32-column body, and after it and the 16-column step).
     expectVectorGemmFused(13, 129, 37, 131, 45, 41, 7);
+    expectVectorGemmFused(25, 129, 53, 131, 61, 57, 9);
 }
 
 /** Naive int32 triple loop: the oracle every int8 table must equal. */
@@ -429,15 +505,18 @@ expectInt8MatchesScalarStrided(KernelIsa isa, std::int64_t m,
 TEST(KernelTableInt8, EveryTableMatchesScalarOnVnniEdgeShapes)
 {
     // The VNNI GEMM packs B in k-quads of 128-deep blocks, 16-column
-    // groups of 512-column blocks, and tiles A in 6 rows (1..4 rows
-    // defer to the madd GEMM).  Sweep k % 4 != 0, k across the 128
-    // block edge, n % 16 != 0 and n > 512, m % 6 != 0, with padded
-    // leading dimensions.
+    // groups of 512-column blocks, and tiles A in 6 rows (256-bit) or
+    // 12 rows by two groups (512-bit); 1..4 rows defer to the madd
+    // GEMM.  Sweep k % 4 != 0, k across the 128 block edge, n % 16 !=
+    // 0, odd group counts and n > 512, m % 6 != 0 and m % 12 != 0,
+    // with padded leading dimensions.
     std::uint64_t seed = 900;
     for (KernelIsa isa : availableIsas()) {
         for (std::int64_t k : {1, 3, 6, 127, 128, 129, 261}) {
-            for (std::int64_t m : {1, 4, 5, 6, 7, 11, 13}) {
-                for (std::int64_t n : {1, 5, 16, 17, 31, 48, 530}) {
+            for (std::int64_t m :
+                 {1, 4, 5, 6, 7, 11, 12, 13, 23, 24, 25}) {
+                for (std::int64_t n : {1, 5, 16, 17, 31, 32, 33, 47, 48,
+                                       64, 65, 530}) {
                     seed += 2;
                     expectInt8MatchesScalarStrided(isa, m, k, n, k + 3,
                                                    n + 5, n + 2, seed);
