@@ -1,7 +1,7 @@
 /**
  * @file
  * Ablation studies for the design choices the paper argues in
- * Sections 4.1, 7.1 and 7.2 (DESIGN.md calls these out):
+ * Sections 4.1, 7.1 and 7.2 (README, "Evaluation models"):
  *
  *  1. Spike trains vs spike counts on the wires (Sec. 7.1): end-to-end
  *     latency and buffer-bit trade for the NBD streaming pattern.

@@ -3,7 +3,7 @@
  * Reproduces paper Fig. 9: normalized accuracy vs number of 4-bit
  * cells per weight for the splice and add representation methods.
  *
- * Two complementary reproductions (DESIGN.md substitution table):
+ * Two complementary reproductions (README, "Evaluation models"):
  *  1. Analytic VGG16-scale model driven by the exact deviation algebra
  *     of Sec. 7.2 (calibrated so PRIME's splice config = 0.70).
  *  2. A real MLP trained in-repo, its weights pushed through the

@@ -18,8 +18,8 @@
  *    the median of paired scalar-plan / vector-plan time ratios
  *    (`vectorSpeedup`), the two plans timed back to back in each pair
  *    -- what the SIMD dispatch layer buys on this host; the vector
- *    table's name and register width (`kernelIsa`, `vectorBits`) sit
- *    beside it;
+ *    table's name, register width and whether its int8 GEMM runs on
+ *    AMX tiles (`kernelIsa`, `vectorBits`, `amxTiles`) sit beside it;
  *  - the int8 plan's latency and its ratio over scalar fp32
  *    (`int8Speedup`) -- what quantized serving buys;
  *  - the median of paired vector-fp32-plan / int8-plan time ratios
@@ -345,6 +345,7 @@ main(int argc, char **argv)
         j.field("kernelIsa", kernelIsaName(vec.isa));
         j.field("vectorBits",
                 static_cast<std::int64_t>(kernelTable(vec.isa).vectorBits));
+        j.field("amxTiles", kernelTable(vec.isa).amxTiles);
         j.field("referenceMillis", ref_ms);
         j.field("plannedMillis", vec.singleMillis);
         j.field("plannedScalarMillis", scalar.singleMillis);

@@ -180,13 +180,16 @@ BENCHMARK(BM_RunCoreOpsCnn)->Unit(benchmark::kMicrosecond);
  * of perfbench's `convnet` workload, then 96 x 864 at n = 4 and 12
  * (n % 8 != 0: the int8 madd tiles' tail columns), the fleet CNN's,
  * then LeNet's first fc layer at batch 1 and 4 through 8 (around the
- * VNNI table's row-count crossover).
+ * VNNI table's row-count crossover), then VGG17's first conv (k = 27,
+ * below the AMX GEMM's depth) and a k of 100 (a 36-deep tail after one
+ * 64-deep AMX step).
  */
 constexpr std::int64_t kGemmShapes[][3] = {
     {48, 432, 1024}, {96, 864, 256},  {96, 864, 64},  {96, 864, 16},
     {96, 864, 4},    {96, 864, 12},   {32, 27, 16384}, {64, 288, 4096},
     {64, 576, 1024}, {1, 800, 500},   {4, 800, 500},   {5, 800, 500},
-    {6, 800, 500},   {7, 800, 500},   {8, 800, 500},
+    {6, 800, 500},   {7, 800, 500},   {8, 800, 500},   {48, 27, 1024},
+    {96, 100, 256},
 };
 
 constexpr KernelIsa kGemmIsas[] = {KernelIsa::Scalar, KernelIsa::Avx2,
@@ -366,7 +369,8 @@ BENCHMARK(BM_QuantizeInt8)->Unit(benchmark::kMicrosecond);
  * untested here, and the line says so up front.  The width tells which
  * `avxvnni` table ran: 512 means the AVX-512 tiles, 256 the AVX-VNNI
  * ones (on such a runner the 512-bit tiles went untested, and on a
- * 512-bit runner the VEX int8 GEMM did).
+ * 512-bit runner the VEX int8 GEMM did); `+amx` means its int8 GEMM
+ * ran on AMX tiles.
  */
 int
 main(int argc, char **argv)
@@ -375,11 +379,11 @@ main(int argc, char **argv)
     for (KernelIsa isa : kGemmIsas) {
         std::string &list = kernelIsaAvailable(isa) ? have : missing;
         list += std::string(" ") + kernelIsaName(isa);
-        const int bits = kernelTable(isa).vectorBits;
-        if (kernelIsaAvailable(isa) && bits > 0) {
+        const KernelTable &table = kernelTable(isa);
+        if (kernelIsaAvailable(isa) && table.vectorBits > 0) {
             list += '(';
-            list += std::to_string(bits);
-            list += "-bit)";
+            list += std::to_string(table.vectorBits);
+            list += table.amxTiles ? "-bit+amx)" : "-bit)";
         }
     }
     std::printf("kernel tables available:%s; unavailable:%s\n",

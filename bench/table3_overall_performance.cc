@@ -80,7 +80,7 @@ main()
     std::cout << "\nNotes:\n"
               << " - Weight/op counts match Table 3 exactly for the "
                  "published architectures; VGG17 is a reconstruction "
-                 "(DESIGN.md).\n"
+                 "(README, \"Evaluation models\").\n"
               << " - Throughput/latency shapes track the paper; area "
                  "runs higher because our synthesizer accounts PEs for "
                  "pooling/reduction structures explicitly.\n";

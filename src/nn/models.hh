@@ -7,7 +7,8 @@
  * the small nets when functional execution is requested).  Weight and
  * op counts reproduce Table 3; VGG17's exact architecture is not
  * published, so we reconstruct a 17-weight-layer VGG-style CIFAR net
- * and report our counts beside the paper's (see DESIGN.md).
+ * and report our counts beside the paper's (README, "Evaluation
+ * models", gives its layer shapes and counts).
  */
 
 #ifndef FPSA_NN_MODELS_HH

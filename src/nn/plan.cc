@@ -619,20 +619,22 @@ constexpr std::int64_t kCoalesceColumns = 1024;
 
 /**
  * `n` GEMM output columns, split in 16-aligned chunks of at least 64
- * columns, or 256 on the quantized path: its GEMM does about four
- * times the multiply-adds per second, so a chunk needs four times the
- * columns to outweigh what a split costs (waking a helper, repacking
- * the weights per call, cold caches).  The ratio held when both GEMMs
- * went 512-bit: single-thread micro_kernels on an AVX-512 Xeon read
- * int8 3.1-4.6x the fp32 rate at VGG17's conv shapes (3.7x in the
- * quietest run), as the 256-bit kernels did.  Measured on a 4-vCPU x86
- * VM, splitting VGG17's 256-column int8 convs three ways cut the int8
- * plan by ~15% for ~35% more CPU.
+ * columns, or 1024 on the quantized path: where its int8 GEMM runs on
+ * AMX tiles it does many times the multiply-adds per second of the
+ * fp32 one, so a chunk needs far more columns to outweigh what a split
+ * costs (waking a helper, repacking the weights per call, cold caches).
+ * Measured on a 4-vCPU x86 VM with AMX, one VGG17 int8 request alone
+ * against split across a 3-lane `HelperPool`: in 256-column chunks
+ * 1.14 ms alone against 1.18-1.24 ms split for ~18% more CPU, in
+ * 512-column chunks 1.14-1.18 against 1.22-1.24; at 1024 VGG17's
+ * widest (1024-column) convs stay whole.  The fleet CNN's 4096- and
+ * 16384-column convs still gain from 1024-column chunks: 2.39-2.55 ms
+ * alone against 2.07-2.20 split, for ~25% more CPU.
  */
 SplitRange
 columnRange(std::int64_t n, bool quantized)
 {
-    return SplitRange{n, 16, quantized ? 16 : 4};
+    return SplitRange{n, 16, quantized ? 64 : 4};
 }
 
 /** `n` input channels, split in blocks of whole channels. */

@@ -67,8 +67,8 @@
  * carry a fork-join team (`PlanContext::setTeam`, nn/team.hh): a conv
  * or fc step whose m*k*n reaches `kSplitMacs` is then split across the
  * caller and whatever helpers the team lends.  The GEMM splits by
- * output columns, in 16-aligned chunks of at least 64 (256 on the
- * quantized path, whose GEMM is ~4x faster per column); fp32 im2col
+ * output columns, in 16-aligned chunks of at least 64 (1024 on the
+ * quantized path, whose GEMM is many times faster per column); fp32 im2col
  * splits by input-channel blocks; the quantized path's quantize (and
  * its int8 im2col) splits by channel block, and each column chunk
  * runs its own dequantize epilogue.  Every chunk writes only its own

@@ -13,6 +13,15 @@
 #include <cpuid.h>
 #include <immintrin.h>
 #endif
+// AMX tiles need the compiler's intrinsics (gcc 11, clang 12) and
+// Linux's per-process grant of the tile data state.
+#if FPSA_KERNELS_X86 && defined(__x86_64__) && defined(__linux__) && \
+    ((defined(__clang__) && __clang_major__ >= 12) ||                  \
+     (!defined(__clang__) && defined(__GNUC__) && __GNUC__ >= 11))
+#define FPSA_KERNELS_AMX 1
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 #if defined(__aarch64__)
 #define FPSA_KERNELS_NEON 1
 #include <arm_neon.h>
@@ -28,9 +37,11 @@ namespace
  * Block sizes shared by every variant: one k-panel of B (kKc rows x
  * kNc columns) plus the C rows a register tile holds stay
  * resident in L2 while the inner loops stream over them.  The vector
- * variants MUST keep these constants: the k-blocking is part of each
- * column's accumulation order, and the plan's batched==single
- * bit-identity only needs the order fixed per table.
+ * fp32 GEMMs MUST keep these constants: the k-blocking is part of
+ * each column's accumulation order, and the plan's batched==single
+ * bit-identity only needs the order fixed per table.  The int8 GEMMs
+ * use them too but need not: their sums are exact, so any blocking
+ * gives the same bits (the AMX GEMM blocks its own way).
  */
 constexpr std::int64_t kKc = 128;
 constexpr std::int64_t kNc = 512;
@@ -833,6 +844,9 @@ gemmInt8Avx2(const std::int8_t *a, std::int64_t lda,
 constexpr std::int64_t kVnniMinRows = 5;
 
 #include "tensor/kernels_vnni.inc"
+#if FPSA_KERNELS_AMX
+#include "tensor/kernels_amx.inc"
+#endif
 
 /**
  * AVX-VNNI (CPUID leaf 7 sub-leaf 1, EAX bit 4), read directly:
@@ -1057,6 +1071,11 @@ const KernelTable kAvxVnniTable{KernelIsa::AvxVnni, 256, &gemmAvx2,
 const KernelTable kAvx512VnniTable{KernelIsa::AvxVnni, 512, &gemmAvx512,
                                    &im2colAvx2, &gemmInt8Avx512};
 #endif
+#if FPSA_KERNELS_AMX
+// The 512-bit table with its int8 GEMM on AMX tiles.
+const KernelTable kAmxTable{KernelIsa::AvxVnni, 512, &gemmAvx512,
+                            &im2colAvx2, &gemmInt8Amx, true};
+#endif
 #if FPSA_KERNELS_NEON
 const KernelTable kNeonTable{KernelIsa::Neon, 128, &gemmNeon,
                              &im2colScalar, &gemmInt8Scalar};
@@ -1174,8 +1193,15 @@ kernelTable(KernelIsa isa)
       case KernelIsa::Avx2:
         return kAvx2Table;
       case KernelIsa::AvxVnni: {
-        static const KernelTable &vnni =
-            hasAvx512Vnni() ? kAvx512VnniTable : kAvxVnniTable;
+        static const KernelTable &vnni = []() -> const KernelTable & {
+            if (!hasAvx512Vnni())
+                return kAvxVnniTable;
+#if FPSA_KERNELS_AMX
+            if (amxUsable())
+                return kAmxTable;
+#endif
+            return kAvx512VnniTable;
+        }();
         return vnni;
       }
 #endif

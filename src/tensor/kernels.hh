@@ -43,6 +43,21 @@
  *    Either way the im2col is `Avx2`'s, and the fp32 GEMM runs the
  *    same per-element fused chains in the same k blocks as `Avx2`'s,
  *    so fp32 results equal `Avx2`'s bit for bit on every host.
+ *  - On a 512-bit host whose CPU also has AMX-TILE and AMX-INT8, and
+ *    whose OS grants this process the tile data state (Linux's
+ *    `ARCH_REQ_XCOMP_PERM`, asked once when the table is first
+ *    resolved), the `AvxVnni` table runs its int8 GEMM on AMX tiles
+ *    (`KernelTable::amxTiles` says so): `tdpbssd` multiplies signed
+ *    16 x 64 by 64 x 16 int8 tiles into 16 x 16 int32 ones, with no
+ *    offset or seed, on 2 x 2 C tiles.  Selection is by shape: the
+ *    tiles take the call's first m & ~15 rows and n & ~15 columns
+ *    when k is at least 64; the 1..15-row and -column remainders, a
+ *    call with m or n below 16 and a shallow k (where padding k to
+ *    64 costs more than it gains -- a 3x3 conv on 3 channels has
+ *    k = 27) run the 512-bit `vpdpbusd` GEMM.  No ISA value selects
+ *    AMX on its own, and `FPSA_KERNEL_ISA=avx2` masks it with the
+ *    rest of the table.  Where any AMX check fails, the table is the
+ *    plain 512-bit one.
  *  - `Neon` (aarch64 only) uses explicit 4-lane fused multiply-adds.
  *
  * Determinism contract (what `ExecutionPlan` relies on): within one
@@ -59,14 +74,20 @@
  * the executor's batch path and its tests rely on.  Different tables
  * may differ within float rounding (FMA vs separate multiply+add); the
  * int8 GEMM is exact integer arithmetic and bit-identical across every
- * table.
+ * table.  Its blocking is therefore free: integer sums do not depend
+ * on the order they are added in, so the int8 GEMMs block k and n as
+ * suits each instruction set (128 x 512 for VNNI, up to 1024-deep
+ * blocks for AMX) and split a call between tile kernels without
+ * changing a bit.
  *
  * Selection: `kernelTable(KernelIsa::Auto)` picks the best available
  * variant (`AvxVnni` over `Avx2` over `Scalar` on x86); the `AvxVnni`
  * table is the 512-bit one wherever AVX-512 with VNNI is present, the
  * 256-bit one on AVX-VNNI-only hosts (`KernelTable::vectorBits` says
- * which).  The environment variable `FPSA_KERNEL_ISA` (`scalar` /
- * `avx2` / `avxvnni` / `neon` / `auto`, read once at first use)
+ * which), with its int8 GEMM on AMX tiles where those are usable
+ * (`KernelTable::amxTiles`).  The environment variable
+ * `FPSA_KERNEL_ISA` (`scalar` / `avx2` / `avxvnni` / `neon` / `auto`,
+ * read once at first use)
  * limits the available variants to {`Scalar`, that one}, and `Auto`
  * then resolves to the best of those -- `FPSA_KERNEL_ISA=scalar`
  * forces every consumer in the process onto the portable baseline,
@@ -91,7 +112,8 @@ enum class KernelIsa
     Auto,    //!< resolve to the best available variant at runtime
     Scalar,  //!< portable baseline; always available
     Avx2,    //!< x86 AVX2+FMA (8-lane fp32 FMA)
-    AvxVnni, //!< a `vpdpbusd` int8 GEMM; 512-bit tiles with AVX-512
+    AvxVnni, //!< a `vpdpbusd` int8 GEMM; 512-bit tiles with AVX-512,
+             //!< its int8 GEMM on AMX tiles where those are usable
     Neon,    //!< aarch64 NEON (4-lane fp32 FMA)
 };
 
@@ -187,12 +209,19 @@ struct KernelTable
     /**
      * C[m x n] = A[m x k] * B[k x n] with int8 operands and int32
      * accumulation (exact for the whole int8 range; bit-identical
-     * across tables).  C is overwritten.
+     * across tables).  C is overwritten; the gaps between C's rows
+     * (ldc > n) are not touched.
      */
     void (*gemmInt8)(const std::int8_t *a, std::int64_t lda,
                      const std::int8_t *b, std::int64_t ldb,
                      std::int32_t *c, std::int64_t ldc, std::int64_t m,
                      std::int64_t k, std::int64_t n) = nullptr;
+
+    /**
+     * Whether `gemmInt8` runs on AMX tiles (the 512-bit `AvxVnni`
+     * table on a host with AMX-INT8); for reports only.
+     */
+    bool amxTiles = false;
 };
 
 /**

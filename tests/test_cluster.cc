@@ -289,6 +289,8 @@ TEST(ClusterEngine, RoutesReplicasAndNeverMixesTenantsInABatch)
     options.engine.workerThreads = 2;
     options.engine.maxBatch = 4;
     options.engine.queueDepth = 512;
+    auto gate = std::make_shared<FaultInjector>(/*seed=*/355);
+    options.engine.faultHook = gate;
     auto cluster = ClusterEngine::create(
         {{"c0", ChipCapacity::unlimited()},
          {"c1", ChipCapacity::unlimited()},
@@ -297,6 +299,9 @@ TEST(ClusterEngine, RoutesReplicasAndNeverMixesTenantsInABatch)
     ASSERT_TRUE(cluster.ok()) << cluster.status().toString();
     ASSERT_TRUE((*cluster)->loadModel("hot", cnn, 2).ok());
     ASSERT_TRUE((*cluster)->loadModel("mlp", mlp, 1).ok());
+    const std::vector<std::string> hot_chips =
+        (*cluster)->replicaChips("hot");
+    ASSERT_EQ(hot_chips.size(), 2u);
 
     // Ground truth per tenant through a direct executor.
     auto direct_cnn = makeExecutor(cnn, ExecutionConfig{});
@@ -305,6 +310,13 @@ TEST(ClusterEngine, RoutesReplicasAndNeverMixesTenantsInABatch)
     const Tensor expect_cnn = (*direct_cnn)->run(probeInput()).value();
     const Tensor expect_mlp = (*direct_mlp)->run(probeInput()).value();
 
+    // The hot replicas' chips hold every execution until both clients
+    // are done, so timing cannot decide where requests go: the first
+    // hot request stays outstanding on one replica, and least-
+    // outstanding routing must send the next one to the other.  The
+    // queues that build up meanwhile hold both tenants' requests.
+    for (const std::string &chip : hot_chips)
+        gate->wedge(chip);
     constexpr int kPerTenant = 48;
     std::vector<std::future<StatusOr<InferenceResult>>> hot_futures,
         mlp_futures;
@@ -320,6 +332,8 @@ TEST(ClusterEngine, RoutesReplicasAndNeverMixesTenantsInABatch)
     });
     hot_client.join();
     mlp_client.join();
+    for (const std::string &chip : hot_chips)
+        gate->unwedge(chip);
 
     for (auto &f : hot_futures) {
         auto r = f.get();
@@ -343,8 +357,6 @@ TEST(ClusterEngine, RoutesReplicasAndNeverMixesTenantsInABatch)
     auto merged = (*cluster)->modelStats("hot");
     ASSERT_TRUE(merged.ok());
     EXPECT_EQ(merged->completed, kPerTenant);
-    std::vector<std::string> hot_chips = (*cluster)->replicaChips("hot");
-    ASSERT_EQ(hot_chips.size(), 2u);
     EngineStats summed;
     for (const std::string &chip : hot_chips) {
         auto index = (*cluster)->fleet().indexOf(chip);

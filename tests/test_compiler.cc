@@ -89,7 +89,7 @@ TEST(Compiler, MeasuredWireDelayNearCalibration)
 {
     // The PnR-measured average net delay on a mid-size netlist should
     // land in the neighbourhood of the calibrated 9.9 ns/bit constant
-    // used for zoo-scale sweeps (DESIGN.md calibration table).
+    // used for zoo-scale sweeps (README, "Evaluation models").
     Graph g = buildModel(ModelId::LeNet);
     CompileOptions opt;
     opt.duplicationDegree = 1;

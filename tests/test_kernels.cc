@@ -8,13 +8,17 @@
  * determinism contract (a column's bits do not depend on the call's
  * width), exactness and cross-table
  * bit-identity of the int8 GEMM (every remainder path, strided
- * operands, the int8 range extremes and the VNNI table's +128
- * offset), and im2col equivalence across tables and against a naive
- * per-element oracle.
+ * operands, the int8 range extremes, the VNNI table's +128 offset, and
+ * the AMX tiles' edges and operand bounds), and im2col equivalence
+ * across tables and against a naive per-element oracle.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -125,6 +129,11 @@ TEST(KernelIsaApi, ResolutionNeverReturnsAutoAndFallsBackToScalar)
           default:
             EXPECT_TRUE(t.vectorBits == 256 || t.vectorBits == 512)
                 << t.vectorBits;
+        }
+        // AMX tiles ride only on the 512-bit VNNI table.
+        if (t.amxTiles) {
+            EXPECT_EQ(t.isa, KernelIsa::AvxVnni);
+            EXPECT_EQ(t.vectorBits, 512);
         }
     }
 }
@@ -530,6 +539,154 @@ TEST(KernelTableInt8, EveryTableMatchesScalarOnVnniEdgeShapes)
         GTEST_SKIP() << "no AVX-VNNI or AVX512-VNNI+VL on this host (or "
                         "FPSA_KERNEL_ISA masks it): the other tables "
                         "passed, the avxvnni table went untested";
+}
+
+/** The message for a case that needs the AMX int8 GEMM. */
+constexpr const char *kNoAmx =
+    "no AMX-INT8 tiles bound here (CPU, OS grant or FPSA_KERNEL_ISA): "
+    "the avxvnni table's other int8 paths ran, the AMX GEMM went "
+    "untested";
+
+TEST(KernelTableInt8, AvxVnniSweepMatchesScalarAcrossTileEdges)
+{
+    // The AMX GEMM tiles 16 x 16 C blocks in 2 x 2 groups over 64-deep
+    // k steps, packs B in blocks of up to 1024 k values, reads a k tail
+    // in place (or, for the operand's last rows, through a copy), and
+    // hands the 1..15-row and -column remainders, shallow k and small
+    // calls to the 512-bit VNNI GEMM.  Sweep m and n across the tile
+    // and group edges and k across the step, block and depth edges;
+    // C rows are padded to ldc = n + 3 and start as a sentinel that
+    // the gap must keep.
+    if (!kernelIsaAvailable(KernelIsa::AvxVnni))
+        GTEST_SKIP() << "no AVX-VNNI or AVX512-VNNI+VL on this host (or "
+                        "FPSA_KERNEL_ISA masks it)";
+    const KernelTable &vnni = kernelTable(KernelIsa::AvxVnni);
+    const KernelTable &scalar = kernelTable(KernelIsa::Scalar);
+    constexpr std::int32_t kSentinel = 0x5eed5eed;
+    std::uint64_t seed = 3000;
+    for (std::int64_t k :
+         {1, 4, 27, 63, 64, 65, 127, 128, 864, 1023, 1024, 1025, 2100}) {
+        for (std::int64_t m : {1, 15, 16, 17, 31, 32, 33, 48, 96}) {
+            seed += 2;
+            const auto a =
+                randomInt8(static_cast<std::size_t>(m * k), seed);
+            for (std::int64_t n : {1, 15, 16, 17, 31, 32, 33, 64, 65}) {
+                const auto b =
+                    randomInt8(static_cast<std::size_t>(k * n), seed + 1);
+                const std::int64_t ldc = n + 3;
+                std::vector<std::int32_t> want(
+                    static_cast<std::size_t>(m * ldc), kSentinel);
+                std::vector<std::int32_t> got(want.size(), kSentinel);
+                scalar.gemmInt8(a.data(), k, b.data(), n, want.data(), ldc,
+                                m, k, n);
+                vnni.gemmInt8(a.data(), k, b.data(), n, got.data(), ldc, m,
+                              k, n);
+                for (std::size_t i = 0; i < got.size(); ++i)
+                    ASSERT_EQ(got[i], want[i])
+                        << "m=" << m << " k=" << k << " n=" << n
+                        << " element " << i << " (row "
+                        << static_cast<std::int64_t>(i) / ldc << ", col "
+                        << static_cast<std::int64_t>(i) % ldc << ")";
+            }
+        }
+    }
+    if (!vnni.amxTiles)
+        GTEST_SKIP() << kNoAmx;
+}
+
+/**
+ * Memory whose last usable byte sits right before a `PROT_NONE` page,
+ * so an access past the end faults.  AddressSanitizer does not see AMX
+ * tile loads and stores, so this is what checks that they stay inside
+ * their operands.
+ */
+class GuardedBuffer
+{
+  public:
+    explicit GuardedBuffer(std::size_t bytes)
+    {
+        const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+        span_ = (bytes + page - 1) / page * page + page;
+        void *p = mmap(nullptr, span_, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p == MAP_FAILED)
+            return;
+        base_ = static_cast<char *>(p);
+        if (mprotect(base_ + span_ - page, page, PROT_NONE) != 0)
+            return;
+        end_ = base_ + span_ - page;
+    }
+
+    ~GuardedBuffer()
+    {
+        if (base_ != nullptr)
+            munmap(base_, span_);
+    }
+
+    GuardedBuffer(const GuardedBuffer &) = delete;
+    GuardedBuffer &operator=(const GuardedBuffer &) = delete;
+
+    bool ok() const { return end_ != nullptr; }
+
+    /** `count` elements of T ending flush against the guard page. */
+    template <typename T>
+    T *
+    tail(std::size_t count) const
+    {
+        return reinterpret_cast<T *>(end_ - count * sizeof(T));
+    }
+
+  private:
+    char *base_ = nullptr;
+    char *end_ = nullptr;
+    std::size_t span_ = 0;
+};
+
+TEST(KernelTableInt8, AvxVnniGemmStaysInsideOperandsEndingAtAGuardPage)
+{
+    // The last row of each of A, B and C ends flush against an
+    // inaccessible page, so a tile load or store past an operand
+    // faults.  Rows are padded (lda = k + 1, ldb = n + 2, ldc = n + 3)
+    // and shapes sweep whole tiles, remainders and k tails, with m a
+    // multiple of 16 (the tiles own A's last row) and not.
+    if (!kernelIsaAvailable(KernelIsa::AvxVnni))
+        GTEST_SKIP() << "no AVX-VNNI or AVX512-VNNI+VL on this host (or "
+                        "FPSA_KERNEL_ISA masks it)";
+    const KernelTable &vnni = kernelTable(KernelIsa::AvxVnni);
+    const KernelTable &scalar = kernelTable(KernelIsa::Scalar);
+    const std::int64_t shapes[][3] = {
+        {16, 64, 16},  {16, 65, 16},   {32, 100, 32},  {32, 127, 48},
+        {48, 864, 64}, {96, 1025, 33}, {17, 200, 31},  {33, 2100, 65},
+        {64, 63, 64},  {15, 128, 15},  {96, 864, 256},
+    };
+    std::uint64_t seed = 5000;
+    for (const auto &shape : shapes) {
+        const std::int64_t m = shape[0], k = shape[1], n = shape[2];
+        const std::int64_t lda = k + 1, ldb = n + 2, ldc = n + 3;
+        const auto an = static_cast<std::size_t>((m - 1) * lda + k);
+        const auto bn = static_cast<std::size_t>((k - 1) * ldb + n);
+        const auto cn = static_cast<std::size_t>((m - 1) * ldc + n);
+        GuardedBuffer abuf(an), bbuf(bn), cbuf(cn * sizeof(std::int32_t));
+        ASSERT_TRUE(abuf.ok() && bbuf.ok() && cbuf.ok());
+        seed += 2;
+        const auto av = randomInt8(an, seed);
+        const auto bv = randomInt8(bn, seed + 1);
+        std::int8_t *a = abuf.tail<std::int8_t>(an);
+        std::int8_t *b = bbuf.tail<std::int8_t>(bn);
+        std::int32_t *c = cbuf.tail<std::int32_t>(cn);
+        std::memcpy(a, av.data(), an);
+        std::memcpy(b, bv.data(), bn);
+        std::fill(c, c + cn, -9);
+        std::vector<std::int32_t> want(cn, -9);
+        scalar.gemmInt8(a, lda, b, ldb, want.data(), ldc, m, k, n);
+        vnni.gemmInt8(a, lda, b, ldb, c, ldc, m, k, n);
+        for (std::size_t i = 0; i < cn; ++i)
+            ASSERT_EQ(c[i], want[i])
+                << "m=" << m << " k=" << k << " n=" << n << " element "
+                << i;
+    }
+    if (!vnni.amxTiles)
+        GTEST_SKIP() << kNoAmx;
 }
 
 TEST(KernelTableInt8, ColumnBitsIndependentOfCallWidth)

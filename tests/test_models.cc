@@ -5,7 +5,7 @@
  * Exact-architecture models (MLP, LeNet, AlexNet, VGG16, GoogLeNet,
  * ResNet152) must land close to the paper's numbers; the reconstructed
  * VGG17 is held to a looser band (its exact architecture is not
- * published -- see DESIGN.md).
+ * published -- README, "Evaluation models", gives its shapes).
  */
 
 #include <gtest/gtest.h>

@@ -15,9 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -737,6 +739,16 @@ TEST(SloScheduler, HigherPriorityClassJumpsTheQueue)
     options.maxBatch = 4;
     options.queueDepth = 1024;
     options.defaultSloMillis = 1000.0; // deadlines dominated by class
+    auto gate = std::make_shared<FaultInjector>(/*seed=*/776);
+    options.faultHook = gate;
+    // Completion order; declared before the engine, whose workers run
+    // the completions, so it outlives them.
+    constexpr int kPerTenant = 48;
+    std::mutex order_mu;
+    std::vector<std::string> order;
+    std::atomic<int> failed{0};
+    std::promise<void> all_done;
+    std::future<void> done = all_done.get_future();
     auto engine = Engine::create(ChipCapacity::unlimited(), options);
     ASSERT_TRUE(engine.ok());
 
@@ -749,31 +761,44 @@ TEST(SloScheduler, HigherPriorityClassJumpsTheQueue)
         (*engine)->loadModel("interactive", cnn, interactive).ok());
 
     // Prefill the low-priority queue first, then the high-priority
-    // one.  Under round-robin or FIFO the earlier 'batch' requests
-    // would win; under EDF the interactive tenant's tighter deadline
-    // budget pulls it ahead of the backlog.
-    constexpr int kPerTenant = 48;
-    std::vector<std::future<StatusOr<InferenceResult>>> batch_futures,
-        interactive_futures;
+    // one, while the worker is held at its first batch, so both
+    // backlogs are queued in full when it resumes.  Under round-robin
+    // or FIFO the earlier 'batch' requests would win; under EDF the
+    // interactive tenant's tighter deadline budget pulls it ahead of
+    // the backlog: after the batch the worker already holds (at most
+    // maxBatch 'batch' requests), every interactive request completes
+    // before any other 'batch' one.
+    gate->wedge(options.chipId);
+    const auto record = [&](const std::string &tenant) {
+        return [&, tenant](StatusOr<InferenceResult> r) {
+            if (!r.ok())
+                ++failed;
+            std::lock_guard<std::mutex> lock(order_mu);
+            order.push_back(tenant);
+            if (order.size() == 2u * kPerTenant)
+                all_done.set_value();
+        };
+    };
     for (int i = 0; i < kPerTenant; ++i)
-        batch_futures.push_back(
-            (*engine)->submit("batch", probeInput()));
+        ASSERT_TRUE((*engine)
+                        ->submit("batch", probeInput(), record("batch"))
+                        .ok());
     for (int i = 0; i < kPerTenant; ++i)
-        interactive_futures.push_back(
-            (*engine)->submit("interactive", probeInput()));
+        ASSERT_TRUE((*engine)
+                        ->submit("interactive", probeInput(),
+                                 record("interactive"))
+                        .ok());
+    gate->unwedge(options.chipId);
+    done.wait();
 
-    double batch_wait = 0.0, interactive_wait = 0.0;
-    for (auto &f : batch_futures) {
-        auto r = f.get();
-        ASSERT_TRUE(r.ok()) << r.status().toString();
-        batch_wait += r->queueMillis;
-    }
-    for (auto &f : interactive_futures) {
-        auto r = f.get();
-        ASSERT_TRUE(r.ok()) << r.status().toString();
-        interactive_wait += r->queueMillis;
-    }
-    EXPECT_LT(interactive_wait, batch_wait);
+    EXPECT_EQ(failed.load(), 0);
+    ASSERT_EQ(order.size(), 2u * kPerTenant);
+    const auto last_interactive =
+        std::find(order.rbegin(), order.rend(), "interactive");
+    const auto batch_before = std::count(
+        last_interactive, order.rend(), std::string("batch"));
+    EXPECT_LE(batch_before, options.maxBatch)
+        << "'batch' requests completed before the last interactive one";
 
     // Both tenants fully served regardless of priority.
     EXPECT_EQ((*engine)->modelStats("batch")->completed, kPerTenant);

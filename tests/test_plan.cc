@@ -909,19 +909,20 @@ TEST(PlanQuantize, VectorAbsMaxMatchesScalarFoldBitForBit)
 
 /**
  * Every step above the split threshold, with the shapes the split has
- * to get right: 33 x 33 = 1089 output columns (not a multiple of 16,
+ * to get right: 65 x 65 = 4225 output columns (not a multiple of 16,
  * and wide enough that batches of 2 and 3 still run per sample), a
  * grouped conv, a 1x1 identity conv, and an fc layer of 3990 units;
- * all wide enough to split on the quantized path too.
+ * all wide enough to split in the quantized path's 1024-column chunks
+ * too.
  */
 Graph
 splitStackGraph(std::uint64_t seed)
 {
-    GraphBuilder b({8, 33, 33});
-    b.conv(64, 3, 1, 1).relu();    // 64 x 72 x 1089
-    b.conv(32, 3, 1, 1, 2).relu(); // 2 groups of 16 x 288 x 1089
-    b.conv(128, 1, 1, 0).relu();   // identity: 128 x 32 x 1089
-    b.maxPool(3, 3).maxPool(3, 3).flatten(); // 128 x 3 x 3
+    GraphBuilder b({8, 65, 65});
+    b.conv(64, 3, 1, 1).relu();    // 64 x 72 x 4225
+    b.conv(32, 3, 1, 1, 2).relu(); // 2 groups of 16 x 288 x 4225
+    b.conv(128, 1, 1, 0).relu();   // identity: 128 x 32 x 4225
+    b.maxPool(3, 3).maxPool(7, 7).flatten(); // 128 x 3 x 3
     b.fc(3990).relu().fc(10);                // 1152 x 3990
     return weighted(b, seed);
 }
@@ -1017,7 +1018,7 @@ TEST(PlanSplit, BitIdenticalToUnsplitAcrossTablesTeamsAndBatches)
     std::vector<Tensor> inputs;
     for (int i = 0; i < 3; ++i)
         inputs.push_back(randomInput(
-            {8, 33, 33}, 411u + static_cast<std::uint64_t>(i)));
+            {8, 65, 65}, 411u + static_cast<std::uint64_t>(i)));
 
     for (PrecisionMode mode :
          {PrecisionMode::Fp32, PrecisionMode::Int8, PrecisionMode::Int6}) {
@@ -1054,7 +1055,7 @@ TEST(PlanSplit, BitIdenticalToUnsplitAcrossTablesTeamsAndBatches)
  * so each fuses into its producer's epilogue; with `unfused`, a
  * BatchNorm (an identity at inference) sits before each Relu, which
  * keeps the same arithmetic but leaves every Relu a step of its own.
- * The 33 x 33 conv splits across a team at every batch size, and the
+ * The 65 x 65 conv splits across a team at every batch size, and the
  * 576 x 2048 fc at batch 4, on the quantized path too; the 8 x 8 conv
  * takes the batch-coalesced branch.  An average pool follows the split
  * conv, because a max pool would hide a Relu skipped on some chunk.
@@ -1062,7 +1063,7 @@ TEST(PlanSplit, BitIdenticalToUnsplitAcrossTablesTeamsAndBatches)
 Graph
 fusedReluGraph(std::uint64_t seed, bool unfused)
 {
-    GraphBuilder b({8, 33, 33});
+    GraphBuilder b({8, 65, 65});
     const auto relu = [&] {
         if (unfused)
             b.batchNorm();
@@ -1070,7 +1071,7 @@ fusedReluGraph(std::uint64_t seed, bool unfused)
     };
     b.conv(64, 3, 1, 1);
     relu();
-    b.avgPool(4, 4).conv(64, 3, 1, 1);
+    b.avgPool(8, 8).conv(64, 3, 1, 1);
     relu();
     b.maxPool(3, 3, 1).flatten().fc(2048);
     relu();
@@ -1083,7 +1084,7 @@ TEST(PlanSplit, FusedReluEpilogueBitIdenticalAcrossBatchesSplitsAndModes)
     std::vector<Tensor> inputs;
     for (int i = 0; i < 4; ++i)
         inputs.push_back(randomInput(
-            {8, 33, 33}, 450u + static_cast<std::uint64_t>(i)));
+            {8, 65, 65}, 450u + static_cast<std::uint64_t>(i)));
     const Graph fused_graph = fusedReluGraph(451, false);
     const Graph unfused_graph = fusedReluGraph(451, true);
     for (PrecisionMode mode :
@@ -1133,7 +1134,7 @@ TEST(PlanSplit, FusedReluEpilogueBitIdenticalAcrossBatchesSplitsAndModes)
 TEST(PlanSplit, SteadyStateSplitRequestPerformsZeroHeapAllocations)
 {
     const Graph g = splitStackGraph(420);
-    const Tensor input = randomInput({8, 33, 33}, 421);
+    const Tensor input = randomInput({8, 65, 65}, 421);
     HelperPool pool(3);
     HelperPool::Lane &lane = pool.lane(0);
     for (PrecisionMode mode : {PrecisionMode::Fp32, PrecisionMode::Int8}) {
@@ -1193,7 +1194,7 @@ TEST(PlanSplit, LoneSplitRequestOnAnIdlePoolLendsHelpers)
     // Through the plan: its large steps must reach the team.  A helper
     // may wake too late for one short request, so allow a few.
     const Graph g = splitStackGraph(440);
-    const Tensor input = randomInput({8, 33, 33}, 441);
+    const Tensor input = randomInput({8, 65, 65}, 441);
     for (PrecisionMode mode : {PrecisionMode::Fp32, PrecisionMode::Int8}) {
         auto plan = ExecutionPlan::build(g, {mode, KernelIsa::Auto});
         ASSERT_TRUE(plan.ok()) << plan.status().toString();
@@ -1216,7 +1217,7 @@ TEST(PlanSplit, ConcurrentLanesOfOnePoolStayBitIdentical)
     // Three callers share one pool, each on its own lane and context,
     // so helpers move between lanes mid-run; every output must still
     // be the unsplit one.
-    GraphBuilder b({8, 33, 33});
+    GraphBuilder b({8, 65, 65});
     b.conv(64, 3, 1, 1).relu().maxPool(3, 3).flatten().fc(10);
     const Graph g = weighted(b, 430);
     for (PrecisionMode mode : {PrecisionMode::Fp32, PrecisionMode::Int8}) {
@@ -1225,7 +1226,7 @@ TEST(PlanSplit, ConcurrentLanesOfOnePoolStayBitIdentical)
         std::vector<Tensor> inputs, want;
         for (int t = 0; t < 3; ++t) {
             inputs.push_back(randomInput(
-                {8, 33, 33}, 431u + static_cast<std::uint64_t>(t)));
+                {8, 65, 65}, 431u + static_cast<std::uint64_t>(t)));
             want.push_back(
                 runBatchWithTeam(*plan, {inputs.back()}, nullptr)[0]);
         }
