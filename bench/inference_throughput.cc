@@ -30,7 +30,8 @@
  *  - heap allocations per planned request across the fp32 and int8
  *    paths, counted with a global operator-new hook (must be 0).
  *
- * The summary line carries the gated metrics, including
+ * The summary line carries the gated metrics and the CMake build type
+ * they were measured on (`buildType`), including
  * `minCoalescedBatchSpeedup`: the worst batched speedup among models
  * whose every conv layer fits the batch-coalescing cutoff (for those
  * the whole forward pass rides wide GEMMs, so batched serving must
@@ -382,6 +383,7 @@ main(int argc, char **argv)
     JsonWriter j;
     j.beginObject();
     j.field("kind", "summary");
+    j.field("buildType", FPSA_BUILD_TYPE);
     j.field("largestModel", largest->name);
     j.field("largestModelSpeedup", largest->speedup);
     j.field("largestModelVectorSpeedup", largest->vectorSpeedup);

@@ -75,6 +75,24 @@ lenetClassModel()
     return g;
 }
 
+/** Tenant name of the one-model engines `serveAlone` starts. */
+constexpr const char *kModel = "model";
+
+/** An unlimited-capacity engine serving `model` alone as `kModel`. */
+std::unique_ptr<Engine>
+serveAlone(std::shared_ptr<const CompiledModel> model,
+           const EngineOptions &options)
+{
+    auto engine = Engine::create(ChipCapacity::unlimited(), options);
+    Status s = engine.ok() ? (*engine)->loadModel(kModel, std::move(model))
+                           : engine.status();
+    if (!s.ok()) {
+        std::cerr << "engine: " << s.toString() << "\n";
+        std::exit(1);
+    }
+    return std::move(engine).value();
+}
+
 Tensor
 sampleInput(int id)
 {
@@ -92,21 +110,16 @@ runSequentialBaseline(const std::shared_ptr<const CompiledModel> &model,
     EngineOptions options;
     options.workerThreads = 1;
     options.maxBatch = 1;
-    auto engine = Engine::create(model, options);
-    if (!engine.ok()) {
-        std::cerr << "baseline engine: " << engine.status().toString()
-                  << "\n";
-        std::exit(1);
-    }
+    auto engine = serveAlone(model, options);
     for (int i = 0; i < requests; ++i) {
-        auto r = (*engine)->infer(sampleInput(i));
+        auto r = engine->infer(kModel, sampleInput(i));
         if (!r.ok()) {
             std::cerr << "baseline infer: " << r.status().toString()
                       << "\n";
             std::exit(1);
         }
     }
-    return (*engine)->stats().throughput;
+    return engine->stats().throughput;
 }
 
 struct SweepPoint
@@ -124,16 +137,12 @@ runSweepPoint(const std::shared_ptr<const CompiledModel> &model,
     options.workerThreads = threads;
     options.maxBatch = max_batch;
     options.queueDepth = requests;
-    auto engine = Engine::create(model, options);
-    if (!engine.ok()) {
-        std::cerr << "engine: " << engine.status().toString() << "\n";
-        std::exit(1);
-    }
+    auto engine = serveAlone(model, options);
 
     std::vector<std::future<StatusOr<InferenceResult>>> futures;
     futures.reserve(static_cast<std::size_t>(requests));
     for (int i = 0; i < requests; ++i)
-        futures.push_back((*engine)->submit(sampleInput(i)));
+        futures.push_back(engine->submit(kModel, sampleInput(i)));
     for (auto &f : futures) {
         auto r = f.get();
         if (!r.ok()) {
@@ -142,7 +151,7 @@ runSweepPoint(const std::shared_ptr<const CompiledModel> &model,
         }
     }
 
-    const EngineStats stats = (*engine)->stats();
+    const EngineStats stats = engine->stats();
     JsonWriter j;
     j.beginObject();
     j.field("kind", "sweep");
@@ -326,18 +335,13 @@ runLowLoadSplit(int requests)
     for (int e = 0; e < 2; ++e) {
         EngineOptions options;
         options.workerThreads = workers[e];
-        auto engine = Engine::create(model, options);
-        if (!engine.ok()) {
-            std::cerr << "engine: " << engine.status().toString() << "\n";
-            std::exit(1);
-        }
-        engines[e] = std::move(engine).value();
-        (void)engines[e]->infer(input); // warm-up
+        engines[e] = serveAlone(model, options);
+        (void)engines[e]->infer(kModel, input); // warm-up
     }
     for (int r = 0; r < requests; ++r) {
         for (int e = 0; e < 2; ++e) {
             const auto start = std::chrono::steady_clock::now();
-            auto result = engines[e]->infer(input);
+            auto result = engines[e]->infer(kModel, input);
             const double ms = std::chrono::duration<double, std::milli>(
                                   std::chrono::steady_clock::now() - start)
                                   .count();

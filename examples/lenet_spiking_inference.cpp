@@ -129,16 +129,23 @@ main()
     }
     EngineOptions serving;
     serving.workerThreads = 2;
-    serving.execution = ExecutionConfig{ExecutorKind::Spiking};
-    auto engine = Engine::create(
-        std::make_shared<CompiledModel>(std::move(compiled).value()),
-        serving);
+    auto engine = Engine::create(ChipCapacity::unlimited(), serving);
     if (!engine.ok()) {
         std::cerr << "engine failed: " << engine.status().toString()
                   << "\n";
         return 1;
     }
-    auto served = (*engine)->infer(image);
+    TenantOptions spiking;
+    spiking.execution = ExecutionConfig{ExecutorKind::Spiking};
+    if (Status s = (*engine)->loadModel(
+            "lenet",
+            std::make_shared<CompiledModel>(std::move(compiled).value()),
+            spiking);
+        !s.ok()) {
+        std::cerr << "load failed: " << s.toString() << "\n";
+        return 1;
+    }
+    auto served = (*engine)->infer("lenet", image);
     if (!served.ok()) {
         std::cerr << "inference failed: " << served.status().toString()
                   << "\n";

@@ -128,9 +128,9 @@ main()
         std::cerr << "engine: " << engine.status().toString() << "\n";
         return 1;
     }
-    if (Status s = (*engine)->loadModel("lenet", lenet,
-                                        ExecutionConfig{ExecutorKind::Spiking});
-        !s.ok()) {
+    TenantOptions spiking;
+    spiking.execution = ExecutionConfig{ExecutorKind::Spiking};
+    if (Status s = (*engine)->loadModel("lenet", lenet, spiking); !s.ok()) {
         std::cerr << "load lenet: " << s.toString() << "\n";
         return 1;
     }

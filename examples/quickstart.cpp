@@ -135,12 +135,16 @@ main()
     EngineOptions serving;
     serving.workerThreads = 2;
     serving.maxBatch = 4;
-    auto engine = Engine::create(
-        std::make_shared<CompiledModel>(std::move(loaded).value()),
-        serving);
+    auto engine = Engine::create(ChipCapacity::unlimited(), serving);
     if (!engine.ok()) {
         std::cerr << "engine failed: " << engine.status().toString()
                   << "\n";
+        return 1;
+    }
+    if (Status s = (*engine)->loadModel(
+            "cnn", std::make_shared<CompiledModel>(std::move(loaded).value()));
+        !s.ok()) {
+        std::cerr << "load failed: " << s.toString() << "\n";
         return 1;
     }
 
@@ -148,7 +152,7 @@ main()
     for (int i = 0; i < 8; ++i) {
         Tensor image({3, 32, 32});
         image.fill(static_cast<float>(i) / 8.0f);
-        futures.push_back((*engine)->submit(std::move(image)));
+        futures.push_back((*engine)->submit("cnn", std::move(image)));
     }
     for (auto &f : futures) {
         auto r = f.get();
@@ -158,7 +162,7 @@ main()
             return 1;
         }
     }
-    auto one = (*engine)->infer(Tensor({3, 32, 32}));
+    auto one = (*engine)->infer("cnn", Tensor({3, 32, 32}));
     if (!one.ok()) {
         std::cerr << "inference failed: " << one.status().toString()
                   << "\n";

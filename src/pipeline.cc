@@ -463,12 +463,6 @@ Pipeline::result()
 StatusOr<CompiledModel>
 Pipeline::compile()
 {
-    return compile(ExecutionConfig{});
-}
-
-StatusOr<CompiledModel>
-Pipeline::compile(const ExecutionConfig &execution)
-{
     if (Status servable = validateServable(*graph_); !servable.ok())
         return servable;
 
@@ -481,7 +475,6 @@ Pipeline::compile(const ExecutionConfig &execution)
     artifacts.options = options_;
     if (options_.runPlaceAndRoute)
         artifacts.timing = pnrTiming();
-    artifacts.execution = execution;
     return CompiledModel(std::move(artifacts), *map_, **eval);
 }
 

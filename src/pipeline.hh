@@ -174,15 +174,6 @@ class Pipeline
      */
     StatusOr<CompiledModel> compile();
 
-    /**
-     * compile() with an `ExecutionConfig` stamped into the artifact:
-     * the serving defaults (backend, precision, kernel ISA) ship
-     * inside the model, so a deployment loads one file and serves it
-     * the way it was compiled to run.  Engines and tenants can still
-     * override at load time.
-     */
-    StatusOr<CompiledModel> compile(const ExecutionConfig &execution);
-
     // ------------------------------------------------- introspection
 
     /**

@@ -94,14 +94,6 @@ ClusterEngine::~ClusterEngine()
 Status
 ClusterEngine::loadModel(const std::string &name,
                          std::shared_ptr<const CompiledModel> model,
-                         int replicas)
-{
-    return loadModel(name, std::move(model), replicas, TenantOptions{});
-}
-
-Status
-ClusterEngine::loadModel(const std::string &name,
-                         std::shared_ptr<const CompiledModel> model,
                          int replicas, const TenantOptions &tenant)
 {
     if (!model) {

@@ -186,14 +186,12 @@ class ClusterEngine
      * A model that fits no chip even empty is served sharded: each
      * replica becomes a chain of up to fleet-size stages pipelined
      * across chips, and `infer`/`submit`/`setReplicas`/`unloadModel`
-     * work unchanged.
+     * work unchanged.  Every stage of every replica executes as
+     * `tenant.execution` says, whether the model is split or not.
      */
     Status loadModel(const std::string &name,
                      std::shared_ptr<const CompiledModel> model,
-                     int replicas = 1);
-    Status loadModel(const std::string &name,
-                     std::shared_ptr<const CompiledModel> model,
-                     int replicas, const TenantOptions &tenant);
+                     int replicas = 1, const TenantOptions &tenant = {});
 
     /**
      * Scale `name` to exactly `replicas` replicas (>= 1).  Growth

@@ -12,6 +12,7 @@
 #include "common/json.hh"
 #include "nn/plan.hh"
 #include "pipeline.hh"
+#include "runtime/execution_config.hh"
 #include "synth/synthesizer.hh"
 
 namespace fpsa
@@ -23,12 +24,13 @@ namespace
 constexpr const char *kFormat = "fpsa.compiled_model";
 
 /**
- * The document version this build writes: v4 holds only the stored
- * inputs.  v3 documents also carried every derived section (synthesis,
- * allocation, netlist, demand, performance, energy); they still load,
- * with those sections ignored and re-derived.
+ * The document version this build writes: v5 holds only the stored
+ * inputs.  v4 documents also carried an `"execution"` stamp, and v3
+ * documents every derived section too (synthesis, allocation, netlist,
+ * demand, performance, energy); both still load, with the derived
+ * sections ignored and re-derived and the stamp validated.
  */
-constexpr std::int64_t kVersion = 4;
+constexpr std::int64_t kVersion = 5;
 constexpr std::int64_t kOldestReadableVersion = 3;
 
 bool
@@ -445,6 +447,40 @@ readGraph(const JsonValue &v)
     return graph;
 }
 
+/**
+ * A v3/v4 document's `"execution"` stamp.  Execution is chosen per
+ * tenant now, so only the default stamp -- which serves exactly as a
+ * tenant with default options does -- loads; any other would silently
+ * change how the model runs.
+ */
+Status
+checkExecutionStamp(Deser &d, const JsonValue &execution)
+{
+    const std::string executor = d.str(execution, "executor");
+    const std::string precision = d.str(execution, "precision");
+    const std::string isa = d.str(execution, "kernelIsa");
+    if (!d.status().ok())
+        return d.status();
+    const std::string name = executor + "/" + precision + "/" + isa;
+    ExecutionConfig stamp;
+    if (!parseExecutorKind(executor, stamp.executor) ||
+        !parsePrecisionMode(precision, stamp.precision) ||
+        !parseKernelIsa(isa, stamp.kernelIsa)) {
+        return Status::error(StatusCode::InvalidArgument,
+                             "compiled model: unknown execution config '" +
+                                 name + "'");
+    }
+    if (stamp != ExecutionConfig{}) {
+        return Status::error(
+            StatusCode::InvalidArgument,
+            "compiled model: the document is stamped '" + name +
+                "', and artifacts no longer carry an execution config; "
+                "drop its \"execution\" section and load the model with "
+                "TenantOptions::execution = " + name);
+    }
+    return Status();
+}
+
 } // namespace
 
 StatusOr<CompiledModel>
@@ -465,7 +501,7 @@ CompiledModel::fromArtifacts(Artifacts artifacts)
     Pipeline pipeline(std::move(artifacts.graph), artifacts.options);
     if (artifacts.timing.has_value())
         pipeline.restorePlaceAndRoute(*artifacts.timing);
-    return pipeline.compile(artifacts.execution);
+    return pipeline.compile();
 }
 
 namespace
@@ -508,10 +544,10 @@ struct DerivedSlot
 struct CompiledModel::DerivedCache
 {
     std::mutex mu;
-    // One plan per (precision, resolved ISA): tenants that override
-    // their model's stamped config get their own packed/quantized
-    // panels, tenants that agree share them.  std::map keeps slot
-    // addresses stable while new combos are inserted.
+    // One plan per (precision, resolved ISA): tenants at different
+    // precisions get their own packed/quantized panels, tenants that
+    // agree share them.  std::map keeps slot addresses stable while
+    // new combos are inserted.
     std::map<std::pair<int, int>, DerivedSlot<ExecutionPlan>> plans;
     DerivedSlot<FunctionalSynthesis> synthesis;
 };
@@ -525,13 +561,6 @@ CompiledModel::CompiledModel(Artifacts artifacts, const MapArtifact &map,
       demand_(fpsa::resourceDemand(map.allocation, map.netlist)),
       cache_(std::make_shared<DerivedCache>())
 {
-}
-
-StatusOr<std::shared_ptr<const ExecutionPlan>>
-CompiledModel::executionPlan() const
-{
-    return executionPlan(a_.execution.precision,
-                         a_.execution.kernelIsa);
 }
 
 StatusOr<std::shared_ptr<const ExecutionPlan>>
@@ -618,11 +647,6 @@ CompiledModel::toJson() const
     } else {
         j.null();
     }
-    j.key("execution").beginObject();
-    j.field("executor", executorKindName(a_.execution.executor));
-    j.field("precision", precisionModeName(a_.execution.precision));
-    j.field("kernelIsa", kernelIsaName(a_.execution.kernelIsa));
-    j.endObject();
     j.endObject();
     return j.str();
 }
@@ -653,7 +677,7 @@ CompiledModel::fromJson(const std::string &text)
                 StatusCode::InvalidArgument,
                 "compiled model: unsupported version " +
                     std::to_string(version) + " (this build reads versions " +
-                    std::to_string(kOldestReadableVersion) + " and " +
+                    std::to_string(kOldestReadableVersion) + " to " +
                     std::to_string(kVersion) + ")");
         }
 
@@ -676,19 +700,10 @@ CompiledModel::fromJson(const std::string &text)
             a.timing = t;
         }
 
-        const JsonValue &execution = d.obj(*doc, "execution");
-        const std::string executor = d.str(execution, "executor");
-        const std::string precision = d.str(execution, "precision");
-        const std::string isa = d.str(execution, "kernelIsa");
-        if (!d.status().ok())
-            return d.status();
-        if (!parseExecutorKind(executor, a.execution.executor) ||
-            !parsePrecisionMode(precision, a.execution.precision) ||
-            !parseKernelIsa(isa, a.execution.kernelIsa)) {
-            return Status::error(
-                StatusCode::InvalidArgument,
-                "compiled model: unknown execution config '" + executor +
-                    "/" + precision + "/" + isa + "'");
+        if (version < 5) {
+            Status stamp = checkExecutionStamp(d, d.obj(*doc, "execution"));
+            if (!stamp.ok())
+                return stamp;
         }
     }
     return fromArtifacts(std::move(a));

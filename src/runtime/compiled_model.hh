@@ -8,9 +8,9 @@
  * system, the way reconfigurable-RRAM inference runtimes separate a
  * compiled artifact from a concurrent execution engine.  A
  * `CompiledModel` stores only the inputs of that stack -- the
- * computational graph with materialized weights, the `CompileOptions`,
- * the placement & routing timing, and the `ExecutionConfig` stamp --
- * and carries the three derived values serving reads: the modeled
+ * computational graph with materialized weights, the `CompileOptions`
+ * and the placement & routing timing -- and carries the three derived
+ * values serving reads: the modeled
  * per-sample performance and energy, and the chip-resource demand
  * admission control budgets.  It never changes after construction, so
  * any number of engines and threads can share one instance without
@@ -28,21 +28,31 @@
  *     compiled->save("lenet.fpsa.json");      // compile once...
  *
  *     auto loaded = CompiledModel::load("lenet.fpsa.json");
- *     auto engine = Engine::create(
- *         std::make_shared<CompiledModel>(std::move(loaded).value()));
+ *     auto engine = Engine::create(ChipCapacity::unlimited()).value();
+ *     engine->loadModel("lenet", std::make_shared<CompiledModel>(
+ *                                    std::move(loaded).value()));
  *
  * ...serve many, in another process, without recompiling.  Weight
  * floats are written with round-trip precision, so a loaded model's
  * inference outputs -- and its derived values -- are bit-identical to
  * the saved one's.
  *
- * The document is version 4.  Version 3 documents, which also carried
- * every derived section, still load: their derived sections are
- * ignored and recomputed.  `load()` reports corrupt or incompatible
- * files -- including option values out of range and numbers that do
- * not fit their field -- as `StatusCode::InvalidArgument`; it does not
- * guard against adversarial files that encode geometrically impossible
- * layer shapes, which still fail loudly in shape inference.
+ * How a model executes (backend, precision, kernel ISA) is not part of
+ * it: each tenant chooses that at load time through
+ * `TenantOptions::execution` (runtime/engine.hh), so one artifact can
+ * serve at several precisions at once.
+ *
+ * The document is version 5.  Versions 3 and 4 still load: their
+ * derived sections (v3) are ignored and recomputed, and their
+ * `"execution"` stamp is validated, but only the default
+ * planned/fp32/auto stamp is accepted -- any other is
+ * `InvalidArgument`, pointing at `TenantOptions::execution`, because
+ * dropping it silently would change how the model runs.  `load()`
+ * reports corrupt or incompatible files -- including option values
+ * out of range and numbers that do not fit their field -- as
+ * `StatusCode::InvalidArgument`; it does not guard against adversarial
+ * files that encode geometrically impossible layer shapes, which still
+ * fail loudly in shape inference.
  *
  * Format scale: weights are stored as plain JSON numbers, sized for
  * the MLP/LeNet-class models the serving runtime executes numerically
@@ -61,7 +71,7 @@
 
 #include "common/status.hh"
 #include "compiler.hh"
-#include "runtime/execution_config.hh"
+#include "tensor/kernels.hh"
 
 namespace fpsa
 {
@@ -103,14 +113,6 @@ class CompiledModel
          * wire delay the performance model uses.
          */
         std::optional<CompiledTiming> timing;
-
-        /**
-         * How this model is meant to execute (backend, precision,
-         * kernel ISA), stamped by `Pipeline::compile(ExecutionConfig)`.
-         * Engines use it as the model's default; tenants can still
-         * override at loadModel time.
-         */
-        ExecutionConfig execution;
     };
 
     /**
@@ -128,12 +130,6 @@ class CompiledModel
     const Graph &graph() const { return *a_.graph; }
     const CompileOptions &options() const { return a_.options; }
     const std::optional<CompiledTiming> &timing() const { return a_.timing; }
-
-    /** The execution config stamped at compile time. */
-    const ExecutionConfig &executionConfig() const
-    {
-        return a_.execution;
-    }
 
     // ------------------------------------- derived, fixed at construction
 
@@ -155,22 +151,17 @@ class CompiledModel
     // ----------------------------------------- derived lazily, cached
 
     /**
-     * The model's `ExecutionPlan` (nn/plan.hh) for the stamped
-     * execution config: built lazily on first use, then shared --
-     * every planned executor (and every engine worker behind it)
-     * serves off one plan and one set of packed weight panels.  Copies
-     * of this CompiledModel share the cache.
-     */
-    StatusOr<std::shared_ptr<const ExecutionPlan>> executionPlan() const;
-
-    /**
-     * The plan for an explicit (precision, kernel ISA) -- what tenant
-     * overrides resolve through.  Plans are cached per (precision,
-     * resolved ISA) pair, so two tenants asking for the same combo
-     * share packed (and quantized) weights.
+     * The model's `ExecutionPlan` (nn/plan.hh) for a (precision,
+     * kernel ISA): built lazily on first use, then shared -- every
+     * planned executor (and every engine worker behind it) serves off
+     * one plan and one set of packed weight panels.  Plans are cached
+     * per (precision, resolved ISA) pair, so two tenants asking for the
+     * same combo share packed (and quantized) weights, and copies of
+     * this CompiledModel share the cache.
      */
     StatusOr<std::shared_ptr<const ExecutionPlan>> executionPlan(
-        PrecisionMode precision, KernelIsa kernelIsa) const;
+        PrecisionMode precision = PrecisionMode::Fp32,
+        KernelIsa kernelIsa = KernelIsa::Auto) const;
 
     /**
      * The model's functional lowering for the spiking backend,
@@ -189,9 +180,9 @@ class CompiledModel
     std::string toJson() const;
 
     /**
-     * Parse a document produced by toJson() (version 4, or version 3
-     * with its derived sections ignored) and re-derive the rest through
-     * fromArtifacts().
+     * Parse a document produced by toJson() (version 5, or version 3/4
+     * with a default execution stamp; see file comment) and re-derive
+     * the rest through fromArtifacts().
      */
     static StatusOr<CompiledModel> fromJson(const std::string &text);
 

@@ -280,24 +280,6 @@ Engine::create(ChipCapacity capacity, EngineOptions options)
     return std::unique_ptr<Engine>(new Engine(capacity, options));
 }
 
-StatusOr<std::unique_ptr<Engine>>
-Engine::create(std::shared_ptr<const CompiledModel> model,
-               EngineOptions options)
-{
-    if (!model) {
-        return Status::error(StatusCode::InvalidArgument,
-                             "engine: null compiled model");
-    }
-    auto engine = create(ChipCapacity::unlimited(), options);
-    if (!engine.ok())
-        return engine.status();
-    Status loaded =
-        (*engine)->loadModel(kDefaultModel, std::move(model));
-    if (!loaded.ok())
-        return loaded;
-    return std::move(engine).value();
-}
-
 Engine::Engine(ChipCapacity capacity, EngineOptions options)
     : options_(options), registry_(capacity, options.chipId),
       aggregate_(new Telemetry(options.maxBatch))
@@ -320,23 +302,6 @@ Engine::~Engine()
 
 Status
 Engine::loadModel(const std::string &name,
-                  std::shared_ptr<const CompiledModel> model)
-{
-    return loadModel(name, std::move(model), TenantOptions{});
-}
-
-Status
-Engine::loadModel(const std::string &name,
-                  std::shared_ptr<const CompiledModel> model,
-                  const ExecutionConfig &execution)
-{
-    TenantOptions tenant;
-    tenant.execution = execution;
-    return loadModel(name, std::move(model), tenant);
-}
-
-Status
-Engine::loadModel(const std::string &name,
                   std::shared_ptr<const CompiledModel> model,
                   const TenantOptions &tenant)
 {
@@ -352,14 +317,6 @@ Engine::loadModel(const std::string &name,
                              "engine: null compiled model for '" +
                                  name + "'");
     }
-
-    // Resolve the tenant's execution config, most specific wins:
-    // model stamp -> engine default -> tenant override.
-    ExecutionConfig execution = model->executionConfig();
-    if (options_.execution.has_value())
-        execution = *options_.execution;
-    if (tenant.execution.has_value())
-        execution = *tenant.execution;
     const double slo_millis = tenant.sloMillis > 0.0
                                   ? tenant.sloMillis
                                   : options_.defaultSloMillis;
@@ -381,7 +338,7 @@ Engine::loadModel(const std::string &name,
     if (!admitted.ok())
         return admitted;
 
-    auto backend = makeExecutor(model, execution);
+    auto backend = makeExecutor(model, tenant.execution);
     if (!backend.ok()) {
         registry_.remove(name);
         return backend.status();
@@ -464,24 +421,21 @@ Engine::pendingRequests(const std::string &name) const
 Status
 Engine::submit(const std::string &model, Tensor input, Completion done)
 {
-    return admitWithLock(std::unique_lock<std::mutex>(mu_), model,
-                         std::move(input), std::move(done),
-                         /*block=*/true);
+    return admit(model, std::move(input), std::move(done), /*block=*/true);
 }
 
 Status
 Engine::trySubmit(const std::string &model, Tensor input, Completion done)
 {
-    return admitWithLock(std::unique_lock<std::mutex>(mu_), model,
-                         std::move(input), std::move(done),
-                         /*block=*/false);
+    return admit(model, std::move(input), std::move(done),
+                 /*block=*/false);
 }
 
 Status
-Engine::admitWithLock(std::unique_lock<std::mutex> lock,
-                      const std::string &model, Tensor input,
-                      Completion done, bool block)
+Engine::admit(const std::string &model, Tensor input, Completion done,
+              bool block)
 {
+    std::unique_lock<std::mutex> lock(mu_);
     auto refuse = [&](StatusCode code, std::string why, Tenant *tenant) {
         ++aggregate_->rejected;
         if (tenant)
@@ -542,58 +496,21 @@ Engine::admitWithLock(std::unique_lock<std::mutex> lock,
     return Status();
 }
 
-namespace
-{
-
-/**
- * The future form of an admission: the completion resolves the
- * promise; a refusal resolves it right away with the admission error.
- */
-template <typename Admit>
-std::future<StatusOr<InferenceResult>>
-futureOf(Admit &&admit)
-{
-    auto promise =
-        std::make_shared<std::promise<StatusOr<InferenceResult>>>();
-    auto future = promise->get_future();
-    Status admitted = admit([promise](StatusOr<InferenceResult> result) {
-        promise->set_value(std::move(result));
-    });
-    if (!admitted.ok())
-        promise->set_value(std::move(admitted));
-    return future;
-}
-
-} // namespace
-
 std::future<StatusOr<InferenceResult>>
 Engine::submit(const std::string &model, Tensor input)
 {
-    return futureOf([&](Completion done) {
-        return submit(model, std::move(input), std::move(done));
-    });
-}
-
-std::future<StatusOr<InferenceResult>>
-Engine::submit(Tensor input)
-{
-    return futureOf([&](Completion done) {
-        // Resolve the sole tenant and enqueue under ONE lock hold, so a
-        // concurrent hot swap between resolution and routing cannot
-        // fail a request while exactly one model is resident.
-        std::unique_lock<std::mutex> lock(mu_);
-        if (tenants_.size() != 1) {
-            ++aggregate_->rejected;
-            return Status::error(
-                StatusCode::InvalidArgument,
-                "engine: name-free submit needs exactly one loaded "
-                "model, " +
-                    std::to_string(tenants_.size()) + " are loaded");
-        }
-        const std::string sole = tenants_.begin()->first;
-        return admitWithLock(std::move(lock), sole, std::move(input),
-                             std::move(done), /*block=*/true);
-    });
+    // The completion resolves the promise; a refusal resolves it right
+    // away with the admission error.
+    auto promise =
+        std::make_shared<std::promise<StatusOr<InferenceResult>>>();
+    auto future = promise->get_future();
+    Status admitted = submit(
+        model, std::move(input), [promise](StatusOr<InferenceResult> result) {
+            promise->set_value(std::move(result));
+        });
+    if (!admitted.ok())
+        promise->set_value(std::move(admitted));
+    return future;
 }
 
 StatusOr<InferenceResult>
@@ -603,55 +520,28 @@ Engine::infer(const std::string &model, const Tensor &input)
 }
 
 StatusOr<InferenceResult>
-Engine::infer(const Tensor &input)
-{
-    return submit(input).get();
-}
-
-namespace
-{
-
-/**
- * Bounded wait on a submitted future.  On timeout the future (and
- * with it this caller's claim on the result) is abandoned; the request
- * itself still drains through the scheduler like any accepted request.
- */
-StatusOr<InferenceResult>
-waitWithDeadline(std::future<StatusOr<InferenceResult>> future,
-                 const std::string &what, double timeoutMillis)
+Engine::infer(const std::string &model, const Tensor &input,
+              double timeoutMillis)
 {
     if (timeoutMillis <= 0.0) {
         return Status::error(StatusCode::InvalidArgument,
-                             "infer: timeoutMillis must be > 0 for " +
-                                 what);
+                             "infer: timeoutMillis must be > 0 for model '" +
+                                 model + "'");
     }
+    // On timeout the future (and with it this caller's claim on the
+    // result) is abandoned; the request itself still drains through
+    // the scheduler like any accepted request.
+    auto future = submit(model, input);
     const auto budget = std::chrono::duration<double, std::milli>(
         timeoutMillis);
     if (future.wait_for(budget) != std::future_status::ready) {
         return Status::error(
             StatusCode::DeadlineExceeded,
-            "infer: " + what + " not served within " +
+            "infer: model '" + model + "' not served within " +
                 std::to_string(timeoutMillis) +
                 "ms; the request remains queued and will still drain");
     }
     return future.get();
-}
-
-} // namespace
-
-StatusOr<InferenceResult>
-Engine::infer(const std::string &model, const Tensor &input,
-              double timeoutMillis)
-{
-    return waitWithDeadline(submit(model, input),
-                            "model '" + model + "'", timeoutMillis);
-}
-
-StatusOr<InferenceResult>
-Engine::infer(const Tensor &input, double timeoutMillis)
-{
-    return waitWithDeadline(submit(input), "the default model",
-                            timeoutMillis);
 }
 
 Status

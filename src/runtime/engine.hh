@@ -11,7 +11,7 @@
  *     auto engine = Engine::create(
  *         ChipCapacity::fromArch({.width = 32, .height = 32})).value();
  *     engine->loadModel("lenet", lenet,
- *                       ExecutionConfig{ExecutorKind::Spiking});
+ *                       {.execution = {ExecutorKind::Spiking}});
  *     engine->loadModel("mlp", mlp);
  *     auto f = engine->submit("lenet", image);     // async (future)
  *     engine->submit("lenet", image,               // async (callback)
@@ -19,10 +19,12 @@
  *     StatusOr<InferenceResult> r = engine->infer("mlp", sample);
  *     engine->unloadModel("mlp");                  // drains, then evicts
  *
- * The single-model PR-3 API remains as a one-tenant wrapper: `create`
- * from a `CompiledModel` loads it under `kDefaultModel` with unlimited
- * capacity, and the name-free `submit`/`infer` overloads route to the
- * engine's sole resident model.
+ * Every model is served as a named tenant, and `TenantOptions` alone
+ * says how it runs: its `execution` (backend, precision, kernel ISA)
+ * defaults to planned/fp32/auto, and nothing in the artifact or the
+ * engine options overrides it.  One model is served alone by creating
+ * the engine with `ChipCapacity::unlimited()` and loading it under a
+ * name.
  *
  * Multi-tenancy contract:
  *  - Every scheduler batch is drawn from exactly one tenant's queue --
@@ -84,7 +86,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -92,6 +93,7 @@
 #include "common/status.hh"
 #include "common/types.hh"
 #include "runtime/compiled_model.hh"
+#include "runtime/execution_config.hh"
 #include "runtime/executor.hh"
 #include "runtime/fault_hook.hh"
 #include "nn/team.hh"
@@ -114,18 +116,6 @@ struct EngineOptions
     int maxBatch = 8;
 
     int queueDepth = 256; //!< per-tenant; submit() blocks beyond this
-
-    /**
-     * Default execution config (backend + precision + kernel ISA) for
-     * models loaded without a per-tenant override.  Unset (the
-     * default) serves each model with the `ExecutionConfig` stamped
-     * into it at compile time -- `planned/fp32/auto` unless
-     * `Pipeline::compile(ExecutionConfig)` said otherwise.  `Planned`
-     * executes each scheduler batch through one batched plan
-     * invocation (one multi-column GEMM per layer); `Reference` keeps
-     * the naive golden kernels for validation.
-     */
-    std::optional<ExecutionConfig> execution;
 
     /**
      * SLO budget for tenants that do not set an explicit
@@ -166,14 +156,16 @@ struct EngineOptions
 struct TenantOptions
 {
     /**
-     * Execution override (backend + precision + kernel ISA); unset
-     * falls back to `EngineOptions::execution`, then to the model's
-     * compile-time stamped config.  This is how one engine serves the
-     * same `CompiledModel` to a latency tenant at int8 and an
-     * accuracy tenant at fp32 simultaneously -- the per-(precision,
-     * ISA) execution plans are cached on the model and shared.
+     * How the tenant executes (backend + precision + kernel ISA); the
+     * one place this is chosen.  `Planned` (the default) executes each
+     * scheduler batch through one batched plan invocation (one
+     * multi-column GEMM per layer); `Reference` keeps the naive golden
+     * kernels for validation.  This is how one engine serves the same
+     * `CompiledModel` to a latency tenant at int8 and an accuracy
+     * tenant at fp32 simultaneously -- the per-(precision, ISA)
+     * execution plans are cached on the model and shared.
      */
-    std::optional<ExecutionConfig> execution;
+    ExecutionConfig execution;
 
     /**
      * Priority class, >= 1.  A tenant's effective SLO budget is
@@ -270,25 +262,12 @@ struct EngineStats
 class Engine
 {
   public:
-    /** Name the single-model wrapper loads its model under. */
-    static constexpr const char *kDefaultModel = "default";
-
     /**
      * Start an empty multi-tenant engine admitting models against
      * `capacity`.  Validates options and starts the workers.
      */
     static StatusOr<std::unique_ptr<Engine>> create(
         ChipCapacity capacity, EngineOptions options = {});
-
-    /**
-     * One-tenant wrapper (the PR-3 API): unlimited capacity with
-     * `model` loaded under `kDefaultModel` using `options.execution`
-     * (falling back to the model's stamped config; the backend may
-     * reject the model, e.g. `Spiking` outside the MLP/LeNet family).
-     */
-    static StatusOr<std::unique_ptr<Engine>> create(
-        std::shared_ptr<const CompiledModel> model,
-        EngineOptions options = {});
 
     ~Engine();
 
@@ -299,21 +278,15 @@ class Engine
 
     /**
      * Admit `model` against the chip budget and start serving it as
-     * `name`.  The tenant's execution config resolves model stamp ->
-     * `EngineOptions::execution` -> `TenantOptions::execution` (an
-     * explicit `ExecutionConfig` argument binds as the tenant
-     * override).  `Infeasible` with a per-resource breakdown when it
-     * does not fit; `InvalidArgument` on a duplicate name or a model
-     * the backend rejects; `Unavailable` after shutdown.
+     * `name`, executed as `tenant.execution` says.  `Infeasible` with
+     * a per-resource breakdown when it does not fit; `InvalidArgument`
+     * on a duplicate name or a model the backend rejects (e.g.
+     * `Spiking` outside the MLP/LeNet family); `Unavailable` after
+     * shutdown.
      */
     Status loadModel(const std::string &name,
-                     std::shared_ptr<const CompiledModel> model);
-    Status loadModel(const std::string &name,
                      std::shared_ptr<const CompiledModel> model,
-                     const ExecutionConfig &execution);
-    Status loadModel(const std::string &name,
-                     std::shared_ptr<const CompiledModel> model,
-                     const TenantOptions &tenant);
+                     const TenantOptions &tenant = {});
 
     /**
      * Hot-swap eviction: stop accepting requests for `name`, drain its
@@ -374,17 +347,9 @@ class Engine
     std::future<StatusOr<InferenceResult>> submit(const std::string &model,
                                                   Tensor input);
 
-    /**
-     * Name-free convenience: routes to the engine's sole resident
-     * model; fails with `InvalidArgument` when zero or several models
-     * are loaded (the route would be ambiguous).
-     */
-    std::future<StatusOr<InferenceResult>> submit(Tensor input);
-
-    /** submit() + wait: the one-call convenience paths. */
+    /** submit() + wait: the one-call convenience path. */
     StatusOr<InferenceResult> infer(const std::string &model,
                                     const Tensor &input);
-    StatusOr<InferenceResult> infer(const Tensor &input);
 
     /**
      * Bounded-wait infer: `DeadlineExceeded` when the result is not
@@ -395,8 +360,6 @@ class Engine
      */
     StatusOr<InferenceResult> infer(const std::string &model,
                                     const Tensor &input,
-                                    double timeoutMillis);
-    StatusOr<InferenceResult> infer(const Tensor &input,
                                     double timeoutMillis);
 
     /**
@@ -448,12 +411,11 @@ class Engine
     void workerLoop(int lane_index);
 
     /**
-     * The admission path proper; consumes an already-held lock.  With
-     * `block` false a full tenant queue refuses instead of waiting.
+     * The admission path proper.  With `block` false a full tenant
+     * queue refuses instead of waiting.
      */
-    Status admitWithLock(std::unique_lock<std::mutex> lock,
-                         const std::string &model, Tensor input,
-                         Completion done, bool block);
+    Status admit(const std::string &model, Tensor input, Completion done,
+                 bool block);
 
     /**
      * Requires mu_: the tenant whose head-of-queue request has the

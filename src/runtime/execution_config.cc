@@ -35,12 +35,4 @@ parseExecutorKind(const std::string &name, ExecutorKind &out)
     return false;
 }
 
-std::string
-executionConfigName(const ExecutionConfig &config)
-{
-    return std::string(executorKindName(config.executor)) + "/" +
-           precisionModeName(config.precision) + "/" +
-           kernelIsaName(config.kernelIsa);
-}
-
 } // namespace fpsa

@@ -4,12 +4,12 @@
  * executes -- which backend (`ExecutorKind`), at what numeric precision
  * (`PrecisionMode`), on which kernel variant (`KernelIsa`).
  *
- * Before this existed the three choices were scattered (ExecutorKind on
- * EngineOptions/TenantOptions, precision nowhere, ISA implicit in the
- * build); one struct now travels the whole stack: `Pipeline::compile()`
- * stamps it into the CompiledModel artifact, `EngineOptions.execution`
- * sets the engine default, `TenantOptions.execution` overrides per
- * tenant, and `Executor::info()` reports the *resolved* values (never
+ * It is chosen in one place: `TenantOptions::execution` when a model is
+ * loaded into an `Engine` or `ClusterEngine` (default Planned / Fp32 /
+ * Auto).  A `CompiledModel` carries no execution config of its own, so
+ * one artifact serves an fp32 tenant and an int8 tenant side by side,
+ * and a sharded replica's stages run exactly as a whole-model replica
+ * would.  `Executor::info()` reports the *resolved* values (never
  * `Auto`) that `statsJson()` surfaces per tenant.
  *
  * Precision and ISA only affect the `Planned` backend -- `Reference`
@@ -47,22 +47,8 @@ struct ExecutionConfig
     PrecisionMode precision = PrecisionMode::Fp32;
     KernelIsa kernelIsa = KernelIsa::Auto;
 
-    friend bool
-    operator==(const ExecutionConfig &a, const ExecutionConfig &b)
-    {
-        return a.executor == b.executor &&
-               a.precision == b.precision &&
-               a.kernelIsa == b.kernelIsa;
-    }
-    friend bool
-    operator!=(const ExecutionConfig &a, const ExecutionConfig &b)
-    {
-        return !(a == b);
-    }
+    bool operator==(const ExecutionConfig &) const = default;
 };
-
-/** "planned/int8/avx2" -- for logs and error messages. */
-std::string executionConfigName(const ExecutionConfig &config);
 
 } // namespace fpsa
 

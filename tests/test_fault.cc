@@ -209,21 +209,21 @@ TEST(EngineFaultTest, BoundedInferTimesOutOnWedgedChipThenRecovers)
     EngineOptions options;
     options.workerThreads = 2;
     options.faultHook = chaos;
-    auto model = compileShared(smallCnn());
-    auto engine = Engine::create(model, options);
+    auto engine = Engine::create(ChipCapacity::unlimited(), options);
     ASSERT_TRUE(engine.ok()) << engine.status().toString();
+    ASSERT_TRUE((*engine)->loadModel("cnn", compileShared(smallCnn())).ok());
 
     EXPECT_TRUE((*engine)->probe().ok());
 
     chaos->wedge("chip0");
-    auto timed = (*engine)->infer(probeInput(), 30.0);
+    auto timed = (*engine)->infer("cnn", probeInput(), 30.0);
     ASSERT_FALSE(timed.ok());
     EXPECT_EQ(timed.status().code(), StatusCode::DeadlineExceeded);
 
     // The timed-out request is still accepted: after the wedge lifts
     // it drains, and fresh requests serve normally.
     chaos->unwedge("chip0");
-    auto served = (*engine)->infer(probeInput());
+    auto served = (*engine)->infer("cnn", probeInput());
     EXPECT_TRUE(served.ok()) << served.status().toString();
 
     EXPECT_TRUE((*engine)->shutdown().ok());
@@ -232,9 +232,10 @@ TEST(EngineFaultTest, BoundedInferTimesOutOnWedgedChipThenRecovers)
 
 TEST(EngineFaultTest, BoundedInferRejectsNonPositiveTimeout)
 {
-    auto engine = Engine::create(compileShared(smallCnn()));
+    auto engine = Engine::create(ChipCapacity::unlimited());
     ASSERT_TRUE(engine.ok());
-    auto r = (*engine)->infer(probeInput(), 0.0);
+    ASSERT_TRUE((*engine)->loadModel("cnn", compileShared(smallCnn())).ok());
+    auto r = (*engine)->infer("cnn", probeInput(), 0.0);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::InvalidArgument);
 }

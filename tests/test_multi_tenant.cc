@@ -75,6 +75,20 @@ compileShared(Graph g, std::int64_t duplication = 2)
     return std::make_shared<CompiledModel>(std::move(compiled).value());
 }
 
+/** An unlimited-capacity engine serving `model` alone as `name`. */
+StatusOr<std::unique_ptr<Engine>>
+serveAlone(const std::string &name,
+           std::shared_ptr<const CompiledModel> model,
+           EngineOptions options = {})
+{
+    auto engine = Engine::create(ChipCapacity::unlimited(), options);
+    if (!engine.ok())
+        return engine.status();
+    if (Status s = (*engine)->loadModel(name, std::move(model)); !s.ok())
+        return s;
+    return engine;
+}
+
 Tensor
 probeInput(float scale = 1.0f)
 {
@@ -170,7 +184,7 @@ CompiledModel
 recompiled(const CompiledModel &model)
 {
     Pipeline p(model.graph(), model.options());
-    auto fresh = p.compile(model.executionConfig());
+    auto fresh = p.compile();
     EXPECT_TRUE(fresh.ok()) << fresh.status().toString();
     return std::move(fresh).value();
 }
@@ -187,17 +201,19 @@ TEST(ResourceDemand, Version3DocumentLoadsByRederiving)
     // The stored v3 demand agrees with the re-derivation.
     EXPECT_EQ(loaded->resourceDemand(), (ResourceDemand{4, 4, 1, 1540}));
 
-    // It re-serializes as a version 4 document without the derived
-    // sections, and that document loads to the same model.
-    const std::string v4 = loaded->toJson();
-    EXPECT_NE(v4.find("\"version\":4"), std::string::npos);
+    // It re-serializes as a version 5 document without the derived
+    // sections or the execution stamp, and that document loads to the
+    // same model.
+    const std::string v5 = loaded->toJson();
+    EXPECT_NE(v5.find("\"version\":5"), std::string::npos);
     for (const char *derived : {"\"synthesis\"", "\"allocation\":{\"dup",
                                 "\"netlist\"", "\"resourceDemand\"",
-                                "\"performance\"", "\"energy\""})
-        EXPECT_EQ(v4.find(derived), std::string::npos) << derived;
-    auto again = CompiledModel::fromJson(v4);
+                                "\"performance\"", "\"energy\"",
+                                "\"execution\""})
+        EXPECT_EQ(v5.find(derived), std::string::npos) << derived;
+    auto again = CompiledModel::fromJson(v5);
     ASSERT_TRUE(again.ok()) << again.status().toString();
-    EXPECT_EQ(again->toJson(), v4);
+    EXPECT_EQ(again->toJson(), v5);
     EXPECT_EQ(again->resourceDemand(), loaded->resourceDemand());
 }
 
@@ -227,15 +243,15 @@ TEST(ResourceDemand, NegatedDemandInVersion3DocumentIsIgnored)
 
 TEST(ResourceDemand, RejectsVersion1And2Documents)
 {
-    // Versions 3 and 4 are read: an older artifact is rejected with the
+    // Versions 3 to 5 are read: an older artifact is rejected with the
     // version found and the versions this build reads.
     auto model = compileShared(smallCnn());
     for (const char *version : {"1", "2"}) {
         std::string text = model->toJson();
-        const std::string v4 = "\"version\":4";
-        const std::size_t at = text.find(v4);
+        const std::string v5 = "\"version\":5";
+        const std::size_t at = text.find(v5);
         ASSERT_NE(at, std::string::npos);
-        text.replace(at, v4.size(), std::string("\"version\":") + version);
+        text.replace(at, v5.size(), std::string("\"version\":") + version);
 
         auto old = CompiledModel::fromJson(text);
         ASSERT_FALSE(old.ok()) << version;
@@ -244,7 +260,7 @@ TEST(ResourceDemand, RejectsVersion1And2Documents)
                       std::string("unsupported version ") + version),
                   std::string::npos)
             << old.status().message();
-        EXPECT_NE(old.status().message().find("reads versions 3 and 4"),
+        EXPECT_NE(old.status().message().find("reads versions 3 to 5"),
                   std::string::npos)
             << old.status().message();
     }
@@ -254,8 +270,8 @@ TEST(ResourceDemand, RejectsUnknownFutureVersions)
 {
     auto model = compileShared(smallCnn());
     std::string text = model->toJson();
-    const std::string v4 = "\"version\":4";
-    text.replace(text.find(v4), v4.size(), "\"version\":5");
+    const std::string v5 = "\"version\":5";
+    text.replace(text.find(v5), v5.size(), "\"version\":6");
     auto future_doc = CompiledModel::fromJson(text);
     ASSERT_FALSE(future_doc.ok());
     EXPECT_EQ(future_doc.status().code(), StatusCode::InvalidArgument);
@@ -346,11 +362,6 @@ TEST(MultiTenantEngine, RoutesByNameWithDisjointBatchesAndPerTenantStats)
     ASSERT_TRUE((*engine)->loadModel("cnn", cnn).ok());
     ASSERT_TRUE((*engine)->loadModel("mlp", mlp).ok());
     EXPECT_EQ((*engine)->modelNames().size(), 2u);
-
-    // Name-free submit is ambiguous with two tenants.
-    auto ambiguous = (*engine)->infer(probeInput());
-    ASSERT_FALSE(ambiguous.ok());
-    EXPECT_EQ(ambiguous.status().code(), StatusCode::InvalidArgument);
 
     // Ground truth through the engine's default (planned) backend:
     // batched serving is bit-identical to single-sample execution.
@@ -464,12 +475,10 @@ TEST(MultiTenantEngine, RejectsOverBudgetModelWithBreakdown)
 TEST(MultiTenantEngine, DuplicateNameAndUnknownModelAreInvalid)
 {
     auto cnn = compileShared(smallCnn());
-    auto engine = Engine::create(cnn);
+    auto engine = serveAlone("cnn", cnn);
     ASSERT_TRUE(engine.ok());
 
-    EXPECT_EQ((*engine)
-                  ->loadModel(Engine::kDefaultModel, cnn)
-                  .code(),
+    EXPECT_EQ((*engine)->loadModel("cnn", cnn).code(),
               StatusCode::InvalidArgument);
     EXPECT_EQ((*engine)->unloadModel("ghost").code(),
               StatusCode::InvalidArgument);
@@ -479,8 +488,7 @@ TEST(MultiTenantEngine, DuplicateNameAndUnknownModelAreInvalid)
     EXPECT_EQ(unknown.status().code(), StatusCode::InvalidArgument);
     EXPECT_EQ((*engine)->stats().rejected, 1);
 
-    // The single-model wrapper still serves name-free.
-    auto served = (*engine)->infer(probeInput());
+    auto served = (*engine)->infer("cnn", probeInput());
     EXPECT_TRUE(served.ok());
 }
 
@@ -592,7 +600,7 @@ TEST(MultiTenantEngine, ShutdownIsIdempotentAndSafeUnderConcurrency)
     EngineOptions options;
     options.workerThreads = 2;
     options.maxBatch = 2;
-    auto engine = Engine::create(cnn, options);
+    auto engine = serveAlone("cnn", cnn, options);
     ASSERT_TRUE(engine.ok());
 
     // Submitters hammer the engine while two threads race shutdown();
@@ -607,7 +615,7 @@ TEST(MultiTenantEngine, ShutdownIsIdempotentAndSafeUnderConcurrency)
         clients.emplace_back([&, t] {
             for (int i = 0; i < kPerThread; ++i)
                 futures[static_cast<std::size_t>(t)].push_back(
-                    (*engine)->submit(probeInput()));
+                    (*engine)->submit("cnn", probeInput()));
         });
     }
 
@@ -641,7 +649,7 @@ TEST(MultiTenantEngine, ShutdownIsIdempotentAndSafeUnderConcurrency)
     // Repeated shutdown after the fact: still the same drain status.
     EXPECT_TRUE((*engine)->shutdown().ok());
     // Tenants stay resident for post-mortem stats.
-    EXPECT_TRUE((*engine)->registry().contains(Engine::kDefaultModel));
+    EXPECT_TRUE((*engine)->registry().contains("cnn"));
 }
 
 TEST(ModelRegistry, RejectionMessageNamesChipAndItemizesEveryResource)
@@ -940,17 +948,16 @@ TEST(EngineCompletionContract, CompletionSeesItsRequestServed)
     // Inside its completion a request is already counted as completed
     // and no longer pending, so routing on pendingRequests() right
     // after a result arrives sees an idle replica.
-    auto engine = Engine::create(compileShared(smallCnn()));
+    auto engine = serveAlone("cnn", compileShared(smallCnn()));
     ASSERT_TRUE(engine.ok());
     std::promise<std::pair<std::int64_t, std::int64_t>> seen;
     auto observed = seen.get_future();
     ASSERT_TRUE((*engine)
-                    ->submit(Engine::kDefaultModel, probeInput(),
+                    ->submit("cnn", probeInput(),
                              [&](StatusOr<InferenceResult> r) {
                                  EXPECT_TRUE(r.ok());
                                  seen.set_value(
-                                     {(*engine)->pendingRequests(
-                                          Engine::kDefaultModel),
+                                     {(*engine)->pendingRequests("cnn"),
                                       (*engine)->stats().completed});
                              })
                     .ok());
@@ -970,14 +977,13 @@ TEST(EngineCompletionContract, FaultFailedBatchesRunEachCompletionOnce)
         EngineOptions options;
         options.workerThreads = 2;
         options.faultHook = chaos;
-        auto engine = Engine::create(cnn, options);
+        auto engine = serveAlone("cnn", cnn, options);
         ASSERT_TRUE(engine.ok());
 
         constexpr int kPerThread = 24;
         CompletionLedger ledger(kContractThreads * kPerThread);
         runSeededSubmitters(kPerThread, seed, [&](Rng &, int id) {
-            ledger.admit(id, (*engine)->submit(Engine::kDefaultModel,
-                                               probeInput(),
+            ledger.admit(id, (*engine)->submit("cnn", probeInput(),
                                                ledger.doneFor(id)));
         });
         ASSERT_TRUE((*engine)->shutdown().ok());
@@ -1036,15 +1042,14 @@ TEST(EngineCompletionContract, ShutdownRacingSubmittersRunsEachOnce)
         SCOPED_TRACE(seed);
         EngineOptions options;
         options.workerThreads = 2;
-        auto engine = Engine::create(cnn, options);
+        auto engine = serveAlone("cnn", cnn, options);
         ASSERT_TRUE(engine.ok());
 
         constexpr int kPerThread = 32;
         CompletionLedger ledger(kContractThreads * kPerThread);
         std::thread submitters([&] {
             runSeededSubmitters(kPerThread, seed, [&](Rng &, int id) {
-                ledger.admit(id, (*engine)->submit(Engine::kDefaultModel,
-                                                   probeInput(),
+                ledger.admit(id, (*engine)->submit("cnn", probeInput(),
                                                    ledger.doneFor(id)));
             });
         });
@@ -1077,7 +1082,7 @@ TEST(EngineCompletionContract, FullQueueRefusesWithoutRunningCompletion)
         options.maxBatch = 1;
         options.queueDepth = 2;
         options.faultHook = chaos;
-        auto engine = Engine::create(cnn, options);
+        auto engine = serveAlone("cnn", cnn, options);
         ASSERT_TRUE(engine.ok());
 
         // Wedged workers hold at most one request each and the queue
@@ -1086,8 +1091,7 @@ TEST(EngineCompletionContract, FullQueueRefusesWithoutRunningCompletion)
         constexpr int kPerThread = 16;
         CompletionLedger ledger(kContractThreads * kPerThread);
         runSeededSubmitters(kPerThread, seed, [&](Rng &, int id) {
-            ledger.admit(id, (*engine)->trySubmit(Engine::kDefaultModel,
-                                                  probeInput(),
+            ledger.admit(id, (*engine)->trySubmit("cnn", probeInput(),
                                                   ledger.doneFor(id)));
         });
         EXPECT_EQ(ledger.totalRuns(), 0);

@@ -57,6 +57,21 @@ compileSmallCnn(std::uint64_t seed = 42)
     return std::move(compiled).value();
 }
 
+/** An unlimited-capacity engine serving `model` alone as `name`. */
+StatusOr<std::unique_ptr<Engine>>
+serveAlone(const std::string &name,
+           std::shared_ptr<const CompiledModel> model,
+           EngineOptions options = {}, const TenantOptions &tenant = {})
+{
+    auto engine = Engine::create(ChipCapacity::unlimited(), options);
+    if (!engine.ok())
+        return engine.status();
+    if (Status s = (*engine)->loadModel(name, std::move(model), tenant);
+        !s.ok())
+        return s;
+    return engine;
+}
+
 Tensor
 probeInput(float scale = 1.0f)
 {
@@ -271,6 +286,70 @@ TEST(CompiledModel, LoadRejectsCorruptDocuments)
               std::string::npos);
 }
 
+TEST(CompiledModel, Version5HasNoExecutionStampAndVersion4StillLoads)
+{
+    CompiledModel original = compileSmallCnn();
+    const std::string text = original.toJson();
+    const std::string v5 = "\"version\":5";
+    auto doc = parseJson(text);
+    ASSERT_TRUE(doc.ok());
+    EXPECT_EQ((*doc)["version"].asInt(), 5);
+    EXPECT_EQ(doc->find("execution"), nullptr);
+
+    // A saved and reloaded v5 document serves bit-identically at every
+    // precision a tenant can choose.
+    const std::string path = "test_runtime_v5.fpsa.json";
+    ASSERT_TRUE(original.save(path).ok());
+    auto loaded = CompiledModel::load(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+    for (PrecisionMode precision :
+         {PrecisionMode::Fp32, PrecisionMode::Int8}) {
+        const ExecutionConfig config{ExecutorKind::Planned, precision};
+        auto exec_a =
+            makeExecutor(std::make_shared<CompiledModel>(original), config);
+        auto exec_b =
+            makeExecutor(std::make_shared<CompiledModel>(*loaded), config);
+        ASSERT_TRUE(exec_a.ok() && exec_b.ok());
+        auto out_a = (*exec_a)->run(probeInput());
+        auto out_b = (*exec_b)->run(probeInput());
+        ASSERT_TRUE(out_a.ok() && out_b.ok());
+        expectBitIdentical(*out_a, *out_b);
+    }
+
+    // The same document as v4, with the execution section v4 carried.
+    auto version4 = [&](const std::string &stamp) {
+        std::string v4 = text;
+        v4.replace(v4.find(v5), v5.size(), "\"version\":4");
+        v4.insert(v4.size() - 1, ",\"execution\":" + stamp);
+        return CompiledModel::fromJson(v4);
+    };
+    auto planned = version4(
+        R"({"executor":"planned","precision":"fp32","kernelIsa":"auto"})");
+    ASSERT_TRUE(planned.ok()) << planned.status().toString();
+    EXPECT_EQ(planned->toJson(), text);
+
+    // Any other stamp is refused, not dropped: it would change how the
+    // model runs.  The message says where the choice lives now.
+    auto int8 = version4(
+        R"({"executor":"planned","precision":"int8","kernelIsa":"auto"})");
+    ASSERT_FALSE(int8.ok());
+    EXPECT_EQ(int8.status().code(), StatusCode::InvalidArgument);
+    EXPECT_NE(int8.status().message().find("TenantOptions::execution"),
+              std::string::npos)
+        << int8.status().message();
+    auto unknown = version4(
+        R"({"executor":"warp","precision":"fp32","kernelIsa":"auto"})");
+    ASSERT_FALSE(unknown.ok());
+    EXPECT_EQ(unknown.status().code(), StatusCode::InvalidArgument);
+
+    std::string v6 = text;
+    v6.replace(v6.find(v5), v5.size(), "\"version\":6");
+    auto future_doc = CompiledModel::fromJson(v6);
+    ASSERT_FALSE(future_doc.ok());
+    EXPECT_EQ(future_doc.status().code(), StatusCode::InvalidArgument);
+}
+
 TEST(CompiledModel, CarriesPnrTimingWhenRequested)
 {
     Graph g = smallCnn();
@@ -446,7 +525,7 @@ TEST(Engine, RejectsBadOptionsAndUnservableModels)
 
     EngineOptions zero_workers;
     zero_workers.workerThreads = 0;
-    EXPECT_FALSE(Engine::create(model, zero_workers).ok());
+    EXPECT_FALSE(Engine::create(ChipCapacity::unlimited(), zero_workers).ok());
 
     // Spiking backend on a graph outside the functional family.
     GraphBuilder b({1, 8, 8});
@@ -457,11 +536,11 @@ TEST(Engine, RejectsBadOptionsAndUnservableModels)
     Pipeline p(g);
     auto compiled = p.compile();
     ASSERT_TRUE(compiled.ok());
-    EngineOptions spiking;
+    TenantOptions spiking;
     spiking.execution = ExecutionConfig{ExecutorKind::Spiking};
-    auto engine = Engine::create(
-        std::make_shared<CompiledModel>(std::move(compiled).value()),
-        spiking);
+    auto engine = serveAlone(
+        "cnn", std::make_shared<CompiledModel>(std::move(compiled).value()),
+        {}, spiking);
     ASSERT_FALSE(engine.ok());
     EXPECT_EQ(engine.status().code(), StatusCode::InvalidArgument);
 
@@ -472,8 +551,9 @@ TEST(Engine, RejectsBadOptionsAndUnservableModels)
     Pipeline lenet_pipeline(lenet);
     auto lenet_model = lenet_pipeline.compile();
     ASSERT_TRUE(lenet_model.ok()) << lenet_model.status().toString();
-    auto lenet_engine = Engine::create(
-        std::make_shared<CompiledModel>(std::move(lenet_model).value()),
+    auto lenet_engine = serveAlone(
+        "lenet",
+        std::make_shared<CompiledModel>(std::move(lenet_model).value()), {},
         spiking);
     ASSERT_FALSE(lenet_engine.ok());
     EXPECT_EQ(lenet_engine.status().code(), StatusCode::InvalidArgument);
@@ -482,11 +562,11 @@ TEST(Engine, RejectsBadOptionsAndUnservableModels)
 TEST(Engine, InferMatchesDirectExecutionAndCarriesModeledCost)
 {
     auto model = std::make_shared<CompiledModel>(compileSmallCnn());
-    auto engine = Engine::create(model, EngineOptions{});
+    auto engine = serveAlone("cnn", model);
     ASSERT_TRUE(engine.ok()) << engine.status().toString();
 
     const Tensor expected = plannedGroundTruth(model, probeInput());
-    auto result = (*engine)->infer(probeInput());
+    auto result = (*engine)->infer("cnn", probeInput());
     ASSERT_TRUE(result.ok()) << result.status().toString();
     expectBitIdentical(result->output, expected);
 
@@ -503,7 +583,7 @@ TEST(Engine, InferMatchesDirectExecutionAndCarriesModeledCost)
     EXPECT_GE(result->batchSize, 1);
 
     // Shape mismatches are per-request Status data, not aborts.
-    auto bad = (*engine)->infer(Tensor({2, 8, 8}));
+    auto bad = (*engine)->infer("cnn", Tensor({2, 8, 8}));
     ASSERT_FALSE(bad.ok());
     EXPECT_EQ(bad.status().code(), StatusCode::InvalidArgument);
     EXPECT_EQ((*engine)->stats().failed, 1);
@@ -530,7 +610,7 @@ TEST(Engine, ConcurrentSubmitsMatchSequentialInference)
     options.workerThreads = 4;
     options.maxBatch = 4;
     options.queueDepth = 16;
-    auto engine = Engine::create(model, options);
+    auto engine = serveAlone("cnn", model, options);
     ASSERT_TRUE(engine.ok());
 
     std::vector<std::future<StatusOr<InferenceResult>>> futures(
@@ -541,8 +621,8 @@ TEST(Engine, ConcurrentSubmitsMatchSequentialInference)
             for (int i = 0; i < kPerThread; ++i) {
                 const int id = t * kPerThread + i;
                 futures[static_cast<std::size_t>(id)] = (*engine)->submit(
-                    probeInput(static_cast<float>(id % 5) * 0.3f +
-                               0.1f));
+                    "cnn",
+                    probeInput(static_cast<float>(id % 5) * 0.3f + 0.1f));
             }
         });
     }
@@ -571,8 +651,7 @@ TEST(Engine, ConcurrentSubmitsMatchSequentialInference)
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ((*parsed)["aggregate"]["completed"].asInt(),
               kThreads * kPerThread);
-    EXPECT_EQ((*parsed)["tenants"][Engine::kDefaultModel]["completed"]
-                  .asInt(),
+    EXPECT_EQ((*parsed)["tenants"]["cnn"]["completed"].asInt(),
               kThreads * kPerThread);
     EXPECT_GT((*parsed)["utilization"]["pe"]["used"].asInt(), 0);
 }
@@ -584,13 +663,13 @@ TEST(Engine, ShutdownDrainsQueuedRequestsAndRejectsNewOnes)
     options.workerThreads = 1; // one worker so requests genuinely queue
     options.maxBatch = 2;
     options.queueDepth = 64;
-    auto engine = Engine::create(model, options);
+    auto engine = serveAlone("cnn", model, options);
     ASSERT_TRUE(engine.ok());
 
     constexpr int kQueued = 24;
     std::vector<std::future<StatusOr<InferenceResult>>> futures;
     for (int i = 0; i < kQueued; ++i)
-        futures.push_back((*engine)->submit(probeInput()));
+        futures.push_back((*engine)->submit("cnn", probeInput()));
 
     // Shut down immediately: everything already queued must still be
     // served (drain semantics), nothing may hang or be dropped.
@@ -605,7 +684,7 @@ TEST(Engine, ShutdownDrainsQueuedRequestsAndRejectsNewOnes)
     EXPECT_EQ((*engine)->stats().completed, kQueued);
 
     // Post-shutdown submits fail fast with Unavailable.
-    auto rejected = (*engine)->submit(probeInput()).get();
+    auto rejected = (*engine)->submit("cnn", probeInput()).get();
     ASSERT_FALSE(rejected.ok());
     EXPECT_EQ(rejected.status().code(), StatusCode::Unavailable);
     EXPECT_EQ((*engine)->stats().rejected, 1);
@@ -650,10 +729,10 @@ TEST(EngineSplit, OneWorkerEngineStartsNoHelperThread)
     {
         EngineOptions options;
         options.workerThreads = 1;
-        auto engine = Engine::create(model, options);
+        auto engine = serveAlone("cnn", model, options);
         ASSERT_TRUE(engine.ok());
         EXPECT_EQ(settledThreadCount(), before + 1); // the worker only
-        auto result = (*engine)->infer(splitInput(0));
+        auto result = (*engine)->infer("cnn", splitInput(0));
         ASSERT_TRUE(result.ok()) << result.status().toString();
         expectBitIdentical(result->output,
                            plannedGroundTruth(model, splitInput(0)));
@@ -666,7 +745,7 @@ TEST(EngineSplit, OneWorkerEngineStartsNoHelperThread)
         // Three workers lend to each other through two helpers.
         EngineOptions options;
         options.workerThreads = 3;
-        auto engine = Engine::create(model, options);
+        auto engine = serveAlone("cnn", model, options);
         ASSERT_TRUE(engine.ok());
         EXPECT_EQ(settledThreadCount(), before + 5);
         EXPECT_TRUE((*engine)->shutdown().ok());
@@ -684,10 +763,10 @@ TEST(EngineSplit, LoneRequestOnThreeWorkerEngineBorrowsIdleWorkers)
     const Tensor want = plannedGroundTruth(model, splitInput(1));
     EngineOptions options;
     options.workerThreads = 3;
-    auto engine = Engine::create(model, options);
+    auto engine = serveAlone("cnn", model, options);
     ASSERT_TRUE(engine.ok());
     for (int r = 0; r < 50 && (*engine)->helperChunks() == 0; ++r) {
-        auto result = (*engine)->infer(splitInput(1));
+        auto result = (*engine)->infer("cnn", splitInput(1));
         ASSERT_TRUE(result.ok()) << result.status().toString();
         expectBitIdentical(result->output, want);
     }
@@ -710,7 +789,7 @@ TEST(EngineSplit, OverloadedThreeWorkerEngineResolvesEveryRequestOnce)
     options.workerThreads = 3;
     options.maxBatch = 2;
     options.queueDepth = 512;
-    auto engine = Engine::create(model, options);
+    auto engine = serveAlone("cnn", model, options);
     ASSERT_TRUE(engine.ok());
 
     // Far more requests than workers, from several submitters at once:
@@ -727,7 +806,7 @@ TEST(EngineSplit, OverloadedThreeWorkerEngineResolvesEveryRequestOnce)
                 const int id = t * kPerSubmitter + r;
                 const int which = id % 4;
                 Status admitted = (*engine)->submit(
-                    Engine::kDefaultModel, splitInput(which),
+                    "cnn", splitInput(which),
                     [&, id, which](StatusOr<InferenceResult> result) {
                         calls[static_cast<std::size_t>(id)]++;
                         if (!result.ok()) {
@@ -808,11 +887,12 @@ TEST(Engine, SpikingBackendServesQuantizedOutputs)
     auto model = std::make_shared<CompiledModel>(compileSmallCnn());
     EngineOptions options;
     options.workerThreads = 2;
-    options.execution = ExecutionConfig{ExecutorKind::Spiking};
-    auto engine = Engine::create(model, options);
+    TenantOptions tenant;
+    tenant.execution = ExecutionConfig{ExecutorKind::Spiking};
+    auto engine = serveAlone("cnn", model, options, tenant);
     ASSERT_TRUE(engine.ok()) << engine.status().toString();
 
-    auto spiking = (*engine)->infer(probeInput());
+    auto spiking = (*engine)->infer("cnn", probeInput());
     ASSERT_TRUE(spiking.ok()) << spiking.status().toString();
     EXPECT_EQ(spiking->output.shape(), model->outputShape());
 
@@ -833,34 +913,13 @@ TEST(Engine, SpikingBackendServesQuantizedOutputs)
 
 // ------------------------------------------------------- ExecutionConfig
 
-TEST(ExecutionConfig, StampSurvivesSaveLoadAndDefaultsToPlannedFp32)
-{
-    Pipeline p(smallCnn());
-    const ExecutionConfig stamped{ExecutorKind::Planned,
-                                  PrecisionMode::Int8,
-                                  KernelIsa::Scalar};
-    auto compiled = p.compile(stamped);
-    ASSERT_TRUE(compiled.ok()) << compiled.status().toString();
-    EXPECT_EQ(compiled->executionConfig(), stamped);
-
-    const std::string path = "/tmp/fpsa_test_exec_config.json";
-    ASSERT_TRUE(compiled->save(path).ok());
-    auto loaded = CompiledModel::load(path);
-    std::remove(path.c_str());
-    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
-    EXPECT_EQ(loaded->executionConfig(), stamped);
-
-    // A plain compile() stamps the defaults.
-    EXPECT_EQ(compileSmallCnn().executionConfig(), ExecutionConfig{});
-}
-
 TEST(Engine, StatsExposeResolvedExecutionPerTenant)
 {
-    auto model = std::make_shared<CompiledModel>(compileSmallCnn());
-    auto engine = Engine::create(model);
+    auto engine = serveAlone(
+        "cnn", std::make_shared<CompiledModel>(compileSmallCnn()));
     ASSERT_TRUE(engine.ok()) << engine.status().toString();
 
-    auto stats = (*engine)->modelStats(Engine::kDefaultModel);
+    auto stats = (*engine)->modelStats("cnn");
     ASSERT_TRUE(stats.ok()) << stats.status().toString();
     EXPECT_EQ(stats->executor, "planned");
     EXPECT_EQ(stats->precision, "fp32");
@@ -879,23 +938,8 @@ TEST(Engine, StatsExposeResolvedExecutionPerTenant)
     EXPECT_NE(json.find("\"kernelIsa\""), std::string::npos);
 }
 
-TEST(Engine, ModelStampAndTenantOverrideSelectPrecision)
+TEST(Engine, OneModelServesTenantsAtTwoPrecisions)
 {
-    // The stamped config is honored when nobody overrides...
-    Pipeline p(smallCnn());
-    auto stamped_model = p.compile(ExecutionConfig{
-        ExecutorKind::Planned, PrecisionMode::Int8, KernelIsa::Scalar});
-    ASSERT_TRUE(stamped_model.ok());
-    auto engine = Engine::create(std::make_shared<CompiledModel>(
-        std::move(stamped_model).value()));
-    ASSERT_TRUE(engine.ok());
-    auto stats = (*engine)->modelStats(Engine::kDefaultModel);
-    ASSERT_TRUE(stats.ok());
-    EXPECT_EQ(stats->precision, "int8");
-    EXPECT_EQ(stats->kernelIsa, "scalar");
-    ASSERT_TRUE((*engine)->infer(probeInput()).ok());
-
-    // ...and one model serves two tenants at different precisions.
     auto model = std::make_shared<CompiledModel>(compileSmallCnn());
     auto shared = Engine::create(ChipCapacity::unlimited());
     ASSERT_TRUE(shared.ok());

@@ -122,6 +122,15 @@ referenceOutput(const std::shared_ptr<const CompiledModel> &model,
     return std::move(out).value();
 }
 
+/** A tenant served on the Reference executor, like `referenceOutput`. */
+TenantOptions
+referenceTenant()
+{
+    TenantOptions tenant;
+    tenant.execution = ExecutionConfig{ExecutorKind::Reference};
+    return tenant;
+}
+
 void
 expectClose(const Tensor &got, const Tensor &want, double tolerance)
 {
@@ -460,8 +469,6 @@ TEST(ShardedClusterTest, OversizedModelServesShardedWithinTolerance)
 
     ClusterOptions options;
     options.engine.workerThreads = 2;
-    options.engine.execution =
-        ExecutionConfig{ExecutorKind::Reference};
     // Each chip holds ~70% of the model: infeasible everywhere whole,
     // feasible as a 2-shard pipeline.
     const ChipCapacity capacity = scaledCapacity(demand, 0.7);
@@ -471,7 +478,7 @@ TEST(ShardedClusterTest, OversizedModelServesShardedWithinTolerance)
     ASSERT_TRUE(created.ok()) << created.status().toString();
     auto cluster = std::move(created).value();
 
-    Status loaded = cluster->loadModel("big", model);
+    Status loaded = cluster->loadModel("big", model, 1, referenceTenant());
     ASSERT_TRUE(loaded.ok()) << loaded.toString();
     EXPECT_EQ(cluster->replicaCount("big"), 1);
     EXPECT_GE(cluster->replicaChips("big").size(), 2u);
@@ -525,8 +532,6 @@ TEST(ShardedClusterTest, StatsListOneEntryPerPipelineReplica)
 
     ClusterOptions options;
     options.engine.workerThreads = 2;
-    options.engine.execution =
-        ExecutionConfig{ExecutorKind::Reference};
     const ChipCapacity capacity =
         scaledCapacity(model->resourceDemand(), 0.7);
     auto created = ClusterEngine::create({{"chip0", capacity, {}},
@@ -536,7 +541,7 @@ TEST(ShardedClusterTest, StatsListOneEntryPerPipelineReplica)
                                          options);
     ASSERT_TRUE(created.ok()) << created.status().toString();
     auto cluster = std::move(created).value();
-    ASSERT_TRUE(cluster->loadModel("big", model).ok());
+    ASSERT_TRUE(cluster->loadModel("big", model, 1, referenceTenant()).ok());
 
     // Every replica is listed once, its stage chips joined by '+'.
     const auto expect_listed = [&](int replicas) {
@@ -578,8 +583,6 @@ TEST(ShardedClusterTest, ShardGroupFailsOverAsAUnitWithZeroLoss)
 
     ClusterOptions options;
     options.engine.workerThreads = 2;
-    options.engine.execution =
-        ExecutionConfig{ExecutorKind::Reference};
     options.engine.faultHook = chaos;
     options.health.probeFailuresToFail = 2;
     options.retryBudget = 200;     // survive the repair window
@@ -594,7 +597,7 @@ TEST(ShardedClusterTest, ShardGroupFailsOverAsAUnitWithZeroLoss)
                                          options);
     ASSERT_TRUE(created.ok()) << created.status().toString();
     auto cluster = std::move(created).value();
-    ASSERT_TRUE(cluster->loadModel("big", model).ok());
+    ASSERT_TRUE(cluster->loadModel("big", model, 1, referenceTenant()).ok());
 
     const std::vector<std::string> before =
         cluster->replicaChips("big");
@@ -672,8 +675,6 @@ TEST(ShardedClusterTest, OverloadedPipelineStartsNoThreadAndLosesNothing)
     ClusterOptions options;
     options.engine.workerThreads = 2;
     options.engine.queueDepth = 2;
-    options.engine.execution =
-        ExecutionConfig{ExecutorKind::Reference};
     const ChipCapacity capacity =
         scaledCapacity(model->resourceDemand(), 0.5);
     auto created = ClusterEngine::create(
@@ -684,7 +685,7 @@ TEST(ShardedClusterTest, OverloadedPipelineStartsNoThreadAndLosesNothing)
 #ifdef __linux__
     const int threads_before = processThreadCount();
 #endif
-    ASSERT_TRUE(cluster->loadModel("big", model).ok());
+    ASSERT_TRUE(cluster->loadModel("big", model, 1, referenceTenant()).ok());
 #ifdef __linux__
     // The pipeline runs on the stage engines' own workers.
     EXPECT_EQ(processThreadCount(), threads_before);
@@ -744,8 +745,6 @@ TEST(ShardedClusterTest, FailedChainLoadLeavesNoTenant)
     auto model = compileShared(chainCnn());
     ClusterOptions options;
     options.engine.workerThreads = 2;
-    options.engine.execution =
-        ExecutionConfig{ExecutorKind::Reference};
     const ChipCapacity capacity =
         scaledCapacity(model->resourceDemand(), 0.7);
     auto created = ClusterEngine::create({{"chip0", capacity},
@@ -757,7 +756,7 @@ TEST(ShardedClusterTest, FailedChainLoadLeavesNoTenant)
     auto cluster = std::move(created).value();
 
     // Two disjoint two-stage chains fit; the third finds no chip.
-    Status loaded = cluster->loadModel("big", model, 3);
+    Status loaded = cluster->loadModel("big", model, 3, referenceTenant());
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.code(), StatusCode::Infeasible) << loaded.toString();
 
@@ -775,7 +774,7 @@ TEST(ShardedClusterTest, FailedChainLoadLeavesNoTenant)
     }
 
     // The name is free again and serves.
-    ASSERT_TRUE(cluster->loadModel("big", model, 1).ok());
+    ASSERT_TRUE(cluster->loadModel("big", model, 1, referenceTenant()).ok());
     const Tensor input = probeInput({1, 12, 12});
     auto result = cluster->infer("big", input);
     ASSERT_TRUE(result.ok()) << result.status().toString();
@@ -792,8 +791,6 @@ TEST(ShardedClusterTest, StageHealthChargesTheFailingChipAndRetryAvoidsIt)
 
     ClusterOptions options;
     options.engine.workerThreads = 2;
-    options.engine.execution =
-        ExecutionConfig{ExecutorKind::Reference};
     options.engine.faultHook = chaos;
     options.retryBackoffMillis = 0.2;
     options.bestEffortShedMillis = 0.0; // never shed
@@ -806,7 +803,7 @@ TEST(ShardedClusterTest, StageHealthChargesTheFailingChipAndRetryAvoidsIt)
                                          options);
     ASSERT_TRUE(created.ok()) << created.status().toString();
     auto cluster = std::move(created).value();
-    ASSERT_TRUE(cluster->loadModel("big", model, 2).ok());
+    ASSERT_TRUE(cluster->loadModel("big", model, 2, referenceTenant()).ok());
 
     // Two disjoint two-stage chains, A then B in placement order.
     const std::vector<std::string> chips = cluster->replicaChips("big");
@@ -859,15 +856,13 @@ TEST(ShardedClusterTest, ChainStatsComeFromStageEngines)
     // Half-model chips split the MLP into three stages.
     ClusterOptions options;
     options.engine.workerThreads = 2;
-    options.engine.execution =
-        ExecutionConfig{ExecutorKind::Reference};
     const ChipCapacity capacity =
         scaledCapacity(model->resourceDemand(), 0.5);
     auto created = ClusterEngine::create(
         {{"c0", capacity}, {"c1", capacity}, {"c2", capacity}}, options);
     ASSERT_TRUE(created.ok()) << created.status().toString();
     auto cluster = std::move(created).value();
-    ASSERT_TRUE(cluster->loadModel("big", model).ok());
+    ASSERT_TRUE(cluster->loadModel("big", model, 1, referenceTenant()).ok());
     const std::vector<std::string> chips = cluster->replicaChips("big");
     ASSERT_EQ(chips.size(), 3u);
 
@@ -906,6 +901,43 @@ TEST(ShardedClusterTest, ChainStatsComeFromStageEngines)
               stages[0].completed + stages[1].completed);
     EXPECT_GT(tenant["interconnectNanos"].number(), 0.0);
     EXPECT_TRUE(cluster->shutdown().ok());
+}
+
+TEST(ShardedClusterTest, TenantPrecisionHoldsOnEveryStageWholeOrSplit)
+{
+    // The tenant's execution config alone says how each stage runs: a
+    // replica split into a chain serves int8 exactly as a whole one.
+    auto model = compileShared(chainCnn());
+    const ResourceDemand demand = model->resourceDemand();
+    TenantOptions int8;
+    int8.execution = ExecutionConfig{ExecutorKind::Planned,
+                                     PrecisionMode::Int8};
+    for (const auto &[factor, stages] :
+         {std::pair<double, std::size_t>{2.0, 1}, {0.7, 2}}) {
+        SCOPED_TRACE(stages);
+        ClusterOptions options;
+        options.engine.workerThreads = 1;
+        const ChipCapacity capacity = scaledCapacity(demand, factor);
+        auto created = ClusterEngine::create(
+            {{"c0", capacity}, {"c1", capacity}}, options);
+        ASSERT_TRUE(created.ok()) << created.status().toString();
+        auto cluster = std::move(created).value();
+        ASSERT_TRUE(cluster->loadModel("big", model, 1, int8).ok());
+
+        const std::vector<std::string> chips = cluster->replicaChips("big");
+        ASSERT_EQ(chips.size(), stages);
+        for (const std::string &chip : chips) {
+            auto stage =
+                cluster->fleet()
+                    .engine(cluster->fleet().indexOf(chip).value())
+                    .modelStats(soleTenant(*cluster, chip));
+            ASSERT_TRUE(stage.ok()) << stage.status().toString();
+            EXPECT_EQ(stage->precision, "int8") << chip;
+        }
+        EXPECT_TRUE(
+            cluster->infer("big", probeInput({1, 12, 12})).ok());
+        EXPECT_TRUE(cluster->shutdown().ok());
+    }
 }
 
 } // namespace

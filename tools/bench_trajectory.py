@@ -10,6 +10,7 @@ commits, and writes a single stable-schema document:
       "bench": "pnr_scaling",
       "commit": "<sha>",            # passed in by CI
       "timestamp": "<iso8601>",     # passed in by CI
+      "buildType": "RelWithDebInfo", # when the bench's summary names it
       "metrics": [
         {"metric": "largestSpeedup", "value": 3.9, "direction": "higher"},
         ...
@@ -362,8 +363,14 @@ def envelope(paths, commit, timestamp, relax):
         else:
             value = sorted(values)[len(values) // 2]
         folded.append(metric(name, value, direction, timing=timing))
-    return {"schema": 1, "bench": docs[0]["bench"], "commit": commit,
-            "timestamp": timestamp, "metrics": folded}
+    document = {"schema": 1, "bench": docs[0]["bench"], "commit": commit,
+                "timestamp": timestamp, "metrics": folded}
+    builds = {d.get("buildType") for d in docs}
+    if len(builds) != 1:
+        raise SystemExit(f"envelope inputs mix build types: {builds}")
+    if None not in builds:
+        document["buildType"] = builds.pop()
+    return document
 
 
 def main():
@@ -394,6 +401,11 @@ def main():
             "timestamp": args.timestamp,
             "metrics": EXTRACTORS[args.bench](records),
         }
+        build = next((r["buildType"] for r in records
+                      if r.get("kind") == "summary" and "buildType" in r),
+                     None)
+        if build is not None:
+            document["buildType"] = build
     else:
         parser.error("need either --bench + --input, or --envelope")
     with open(args.output, "w", encoding="utf-8") as fh:

@@ -8,6 +8,12 @@ reported for the trajectory artifact but never fail the job.  A gated
 baseline metric missing from the current run fails (a silently dropped
 metric would otherwise hide a regression forever).
 
+A run that names its CMake `buildType` is compared only against a
+baseline of the same build type (a baseline without one counts as
+RelWithDebInfo): the gate stops before comparing otherwise, because
+the optimization level alone moves ratios such as the scalar-over-
+vector speedups.
+
 Regression, per direction (threshold t, default 0.25):
     higher:  current < baseline * (1 - t)
     lower:   current > baseline * (1 + t)
@@ -50,6 +56,14 @@ def main():
         raise SystemExit(
             f"bench mismatch: baseline {baseline['bench']!r} vs "
             f"current {current['bench']!r}")
+    if "buildType" in current:
+        base_build = baseline.get("buildType", "RelWithDebInfo")
+        if current["buildType"] != base_build:
+            raise SystemExit(
+                f"build type mismatch: current run is "
+                f"{current['buildType']!r}, baseline is {base_build!r}; "
+                f"rebuild with -DCMAKE_BUILD_TYPE={base_build} to gate "
+                f"against this baseline")
 
     current_values = {m["metric"]: m["value"]
                       for m in current["metrics"]}
